@@ -9,14 +9,14 @@
 // can abort a run (stranded results), which shows up at high loss as
 // non-complete runs.
 //
-// All (loss rate, replica) pairs run concurrently on the fleet; per-point
-// aggregation folds replicas in replica order, so the table is identical
-// at any NTCO_THREADS.
+// All (loss rate, replica) pairs run concurrently on the fleet, one shard
+// each; per-point aggregation folds replicas in replica order, so the table
+// is identical at any NTCO_THREADS.
 
 #include <vector>
 
 #include "bench_common.hpp"
-#include "ntco/fleet/sweep.hpp"
+#include "ntco/fleet/replicator.hpp"
 #include "ntco/net/flaky_link.hpp"
 #include "ntco/net/path.hpp"
 
@@ -56,14 +56,21 @@ int main() {
   const std::vector<double> losses{0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0};
   const int kRuns = 30;
 
-  fleet::Sweep sweep(1000);
-  const auto groups = sweep.replicate(
-      losses, static_cast<std::size_t>(kRuns),
-      [&g](const double& loss, fleet::ReplicaContext& ctx) {
+  const auto replicas = static_cast<std::size_t>(kRuns);
+  fleet::Replicator replicator(1000);
+  const auto runs = replicator.map(
+      losses.size() * replicas,
+      [&g, &losses, replicas,
+       seed = replicator.seed()](fleet::ShardContext& sc) {
+        // Pair (point p, replica r) draws from Rng::stream(seed, p).stream(r),
+        // so a point's streams do not move when the replica count changes.
+        const std::size_t point = sc.shard / replicas;
+        const std::size_t replica = sc.shard % replicas;
         sim::Simulator sim;
         serverless::Platform cloud(sim, {});
         device::Device ue(device::budget_phone());
-        auto path = flaky_wifi(loss, ctx.rng);
+        auto path = flaky_wifi(losses[point],
+                               Rng::stream(seed, point).stream(replica));
         core::ControllerConfig cfg;
         cfg.objective = partition::Objective::latency();
         cfg.max_transfer_retries = 2;
@@ -87,7 +94,8 @@ int main() {
     int completed = 0;
     double fallbacks = 0, retries = 0;
     stats::PercentileSample makespans, costs;
-    for (const RunResult& r : groups[p]) {  // replica order
+    for (std::size_t rep = 0; rep < replicas; ++rep) {  // replica order
+      const RunResult& r = runs[p * replicas + rep];
       if (r.completed) {
         ++completed;
         makespans.add(r.makespan_s);

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +27,11 @@
 /// lane's first reuses a warm instance instead of paying a cold start. The
 /// lane count trades completion latency (fewer lanes = longer chains)
 /// against cold starts (more lanes = more first-in-lane colds).
+///
+/// Jobs are ids owned by a Runner (the broker's request records): the
+/// dispatcher queues ids, and at flush tells the runner which job follows
+/// which in a lane and which jobs start now. The runner starts a job's
+/// lane successor when that job completes.
 ///
 /// Determinism: group state lives in a std::map keyed by (group, flush
 /// time), flushes are simulator events, and jobs within a batch keep their
@@ -57,18 +60,31 @@ struct BatchStats {
 /// chains on the simulator.
 class BatchDispatcher {
  public:
-  /// One dispatched job; it must eventually invoke `done` exactly once so
-  /// the lane can start its successor.
-  using Job = std::function<void(std::function<void()> done)>;
+  /// A queued job, named by its runner.
+  using JobId = std::uint64_t;
 
-  BatchDispatcher(sim::Simulator& sim, BatchConfig cfg);
+  /// Owner of the jobs. At flush, `follow` is called for every lane
+  /// successor, then `start` for every lane head.
+  class Runner {
+   public:
+    /// `next` runs in `prev`'s lane: start it when `prev` completes.
+    virtual void follow(JobId prev, JobId next) = 0;
+    /// Starts `job` now.
+    virtual void start(JobId job) = 0;
+
+   protected:
+    ~Runner() = default;
+  };
+
+  /// `runner` must outlive the dispatcher.
+  BatchDispatcher(sim::Simulator& sim, BatchConfig cfg, Runner& runner);
 
   BatchDispatcher(const BatchDispatcher&) = delete;
   BatchDispatcher& operator=(const BatchDispatcher&) = delete;
 
   /// Queues `job` into the (group, flush_at) batch, scheduling the flush
   /// event on first use of that batch. `flush_at` is clamped to now.
-  void enqueue(const std::string& group, TimePoint flush_at, Job job);
+  void enqueue(const std::string& group, TimePoint flush_at, JobId job);
 
   /// Batches currently waiting for their flush instant.
   [[nodiscard]] std::size_t open_batches() const { return pending_.size(); }
@@ -87,13 +103,12 @@ class BatchDispatcher {
     auto operator<=>(const Key&) const = default;
   };
   struct Pending {
-    std::vector<Job> jobs;
+    std::vector<JobId> jobs;
     sim::EventId flush_event = sim::kNoEvent;
   };
 
-  void flush(const Key& key);
-  void release(const std::string& group, std::vector<Job> jobs, bool sealed);
-  void run_lane(std::shared_ptr<std::vector<Job>> lane, std::size_t next);
+  void release(const std::string& group, const std::vector<JobId>& jobs,
+               bool sealed);
 
   struct Instruments {
     obs::Counter* batches = nullptr;
@@ -103,6 +118,7 @@ class BatchDispatcher {
 
   sim::Simulator& sim_;
   BatchConfig cfg_;
+  Runner& runner_;
   std::map<Key, Pending> pending_;
   BatchStats stats_;
   obs::TraceSink* trace_ = nullptr;

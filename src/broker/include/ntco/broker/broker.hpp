@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
-#include <set>
+#include <map>
 #include <string>
 
 #include "ntco/app/task_graph.hpp"
@@ -44,6 +44,16 @@
 /// 3. **Batch dispatch**: starts chosen by sched::DeferredScheduler are
 ///    aligned on a price-window grid and released as lane-chained batches,
 ///    so warm instances amortise across users, not just within one user.
+///
+/// Each in-flight serve is one record in a broker-owned slab, addressed by
+/// a RequestId = (generation << 32) | slot (the sim::EventId idiom). The
+/// stages — admission (and its deferral retries), decision, dispatch,
+/// execution, completion — are member functions taking that id, so every
+/// simulator event and the controller's completion callback capture just
+/// [this, id], and a batch lane chains through the id its record holds.
+/// A warm cache hit therefore allocates nothing in the broker: the plan is
+/// a shared pointer to the immutable cache row and the record slot is
+/// recycled (tests/allocation_count_test.cpp pins this).
 ///
 /// With `two_stage_enabled` the miss path splits in two (the
 /// dynamic-vehicular pipeline): stage 1 answers every request immediately
@@ -146,7 +156,7 @@ struct TwoStageStats {
 };
 
 /// Population-scale serving facade over one OffloadController.
-class Broker {
+class Broker : private BatchDispatcher::Runner {
  public:
   /// All references must outlive the broker. `partitioner` is shared by
   /// every planning request.
@@ -199,13 +209,58 @@ class Broker {
   }
 
  private:
+  /// Names an in-flight serve: (generation << 32) | slot of its record.
+  using RequestId = BatchDispatcher::JobId;
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Never minted: its slot field is kNoSlot.
+  static constexpr RequestId kNoRequest = kNoSlot;
+
+  /// One in-flight serve, from serve() until its outcome fires.
+  struct Request {
+    ServeRequest req;
+    std::function<void(const ServeOutcome&)> done;
+    SharedPlan plan;
+    TimePoint released;
+    std::uint64_t deferrals = 0;
+    Duration decision;
+    bool hit = false;
+    bool heuristic = false;
+    /// This request's successor in its batch lane, started when it
+    /// completes.
+    RequestId next_in_lane = kNoRequest;
+    /// Bumped on release, so ids minted for earlier occupants go stale.
+    std::uint32_t generation = 0;
+    /// Free-list link while the slot is unused.
+    std::uint32_t next_free = kNoSlot;
+  };
+
+  /// Stage-2 record: the inputs of one bucket's in-flight exact solve.
+  struct Resolve {
+    DecisionContext ctx;
+    const app::TaskGraph* app = nullptr;
+    partition::Environment env;
+    partition::Partition heuristic;
+  };
+  using Resolves = std::map<PlanKey, Resolve>;
+
+  [[nodiscard]] RequestId acquire();
+  [[nodiscard]] Request& record(RequestId id);
+  /// Releases the record and delivers `out` to its callback.
+  void finish(RequestId id, const ServeOutcome& out);
+
   /// (Re-)attempts admission; deferred requests loop back here.
-  void attempt(ServeRequest req, TimePoint released, std::uint64_t deferrals,
-               std::function<void(const ServeOutcome&)> done, bool is_retry);
-  /// Past admission: cache lookup or fresh plan, then dispatch.
-  void decide_and_dispatch(ServeRequest req, TimePoint released,
-                           std::uint64_t deferrals,
-                           std::function<void(const ServeOutcome&)> done);
+  void admit(RequestId id, bool is_retry);
+  /// Past admission: cache lookup or fresh plan, then the decision delay.
+  void decide(RequestId id);
+  /// After the decision delay: the planned start, batched or direct.
+  void dispatch(RequestId id);
+  /// BatchDispatcher::Runner: executes the plan.
+  void start(RequestId id) override;
+  /// BatchDispatcher::Runner: `next` starts when `prev` completes.
+  void follow(RequestId prev, RequestId next) override;
+  /// Execution done: stats, the lane successor, then the outcome.
+  void complete(RequestId id, const core::ExecutionReport& report);
+
   /// Rough pre-planning duration estimate used by admission: service time
   /// at the reference memory *plus* the wireless leg at the transport's
   /// nominal spec rates scaled by this user's link quality. Checking the
@@ -220,8 +275,10 @@ class Broker {
   /// unless one is already in flight there.
   void schedule_exact_resolve(const DecisionContext& ctx,
                               const app::TaskGraph& g,
-                              partition::Environment env,
-                              partition::Partition heuristic);
+                              const partition::Environment& env,
+                              const partition::Partition& heuristic);
+  /// Runs the exact solve recorded at `it`, publishing it to the cache.
+  void resolve(Resolves::iterator it);
   /// Stage-1 heuristic partitioner (config override or built-in rule).
   [[nodiscard]] const partition::Partitioner& stage1_partitioner() const {
     return cfg_.heuristic_partitioner != nullptr ? *cfg_.heuristic_partitioner
@@ -251,10 +308,13 @@ class Broker {
   BatchDispatcher dispatcher_;
   partition::RemoteAllPartitioner all_remote_;
   const dataplane::BackpressureSource* backpressure_ = nullptr;
+  /// Request slab; a deque, so growth never moves a live record.
+  std::deque<Request> requests_;
+  std::uint32_t free_head_ = kNoSlot;
   /// Buckets with an exact solve in flight (stage-2 dedup): a burst of
-  /// same-bucket misses triggers one solver run, not a storm. std::set
+  /// same-bucket misses triggers one solver run, not a storm. std::map
   /// for deterministic iteration (lint R2).
-  std::set<PlanKey> resolving_;
+  Resolves resolving_;
   BrokerStats stats_;
   TwoStageStats twostage_;
   obs::TraceSink* trace_ = nullptr;

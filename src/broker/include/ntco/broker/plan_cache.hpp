@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "ntco/common/units.hpp"
@@ -97,23 +98,24 @@ struct PlanCacheStats {
 [[nodiscard]] PlanKey quantize(const DecisionContext& ctx,
                                const PlanCacheConfig& cfg);
 
-/// Deterministic LRU+TTL plan cache. Returned plan pointers are valid only
-/// until the next insert()/lookup() (either may evict); copy the plan out
-/// before yielding to the simulator.
+/// A cached plan. Plans are immutable once published, so a hit shares the
+/// row's plan instead of copying it, and an in-flight execution keeps its
+/// plan alive even after the row is evicted or overwritten.
+using SharedPlan = std::shared_ptr<const core::DeploymentPlan>;
+
+/// Deterministic LRU+TTL plan cache.
 class PlanCache {
  public:
   explicit PlanCache(PlanCacheConfig cfg);
 
   /// Looks up a reusable plan for `ctx` at simulated time `now`. Counts a
   /// hit (exact bucket), a hysteresis hit (adjacent bucket within drift),
-  /// or a miss; expired entries are erased and counted on the way.
-  [[nodiscard]] const core::DeploymentPlan* lookup(const DecisionContext& ctx,
-                                                   TimePoint now);
+  /// or a miss (null); expired entries are erased and counted on the way.
+  [[nodiscard]] SharedPlan lookup(const DecisionContext& ctx, TimePoint now);
 
   /// Caches `plan` under ctx's exact bucket (overwriting any previous
   /// occupant), evicting the least-recently-used entry beyond capacity.
-  void insert(const DecisionContext& ctx, core::DeploymentPlan plan,
-              TimePoint now);
+  void insert(const DecisionContext& ctx, SharedPlan plan, TimePoint now);
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const PlanCacheStats& stats() const { return stats_; }
@@ -126,7 +128,7 @@ class PlanCache {
 
  private:
   struct Entry {
-    core::DeploymentPlan plan;
+    SharedPlan plan;
     DecisionContext planned;  ///< raw context the plan was computed for
     TimePoint inserted;
     std::uint64_t last_used = 0;
@@ -147,8 +149,7 @@ class PlanCache {
   };
 
   PlanCacheConfig cfg_;
-  // std::map: deterministic iteration for eviction scans and stable
-  // addresses for the returned plan pointers between mutations.
+  // std::map: deterministic iteration for eviction scans.
   std::map<PlanKey, Entry> entries_;
   std::uint64_t tick_ = 0;
   PlanCacheStats stats_;

@@ -7,8 +7,9 @@
 
 namespace ntco::broker {
 
-BatchDispatcher::BatchDispatcher(sim::Simulator& sim, BatchConfig cfg)
-    : sim_(sim), cfg_(cfg) {
+BatchDispatcher::BatchDispatcher(sim::Simulator& sim, BatchConfig cfg,
+                                 Runner& runner)
+    : sim_(sim), cfg_(cfg), runner_(runner) {
   NTCO_EXPECTS(cfg_.max_batch > 0);
   NTCO_EXPECTS(cfg_.lanes > 0);
   NTCO_EXPECTS(cfg_.interval > Duration::zero());
@@ -26,43 +27,35 @@ void BatchDispatcher::attach_observer(obs::TraceSink* trace,
 }
 
 void BatchDispatcher::enqueue(const std::string& group, TimePoint flush_at,
-                              Job job) {
-  NTCO_EXPECTS(job != nullptr);
+                              JobId job) {
   const TimePoint at = std::max(flush_at, sim_.now());
-  const Key key{group, at.since_origin().count_micros()};
-  auto [it, inserted] = pending_.try_emplace(key);
+  auto [it, inserted] =
+      pending_.try_emplace(Key{group, at.since_origin().count_micros()});
   Pending& batch = it->second;
   if (inserted) {
-    batch.flush_event = sim_.schedule_at(at, [this, key] { flush(key); });
+    batch.jobs.reserve(cfg_.max_batch);
+    // Map iterators stay valid until erase, and the entry leaves the map
+    // only in this event or when sealing, which cancels the event first.
+    batch.flush_event = sim_.schedule_at(at, [this, it = it] {
+      const auto node = pending_.extract(it);
+      release(node.key().group, node.mapped().jobs, /*sealed=*/false);
+    });
   }
-  batch.jobs.push_back(std::move(job));
+  batch.jobs.push_back(job);
   if (batch.jobs.size() >= cfg_.max_batch) {
     // Seal: the batch stops growing but still flushes at its aligned
     // instant — dispatching now would leave the price window the instant
     // was chosen for. Later arrivals re-open the key with a fresh event.
-    // The jobs move straight into the handler: InlineHandler is move-only,
-    // so the shared_ptr hop std::function's copyability used to force is
-    // gone.
-    std::vector<Job> sealed = std::move(batch.jobs);
+    // The map node itself moves into the release handler.
     sim_.cancel(batch.flush_event);
-    pending_.erase(it);
-    // ntco-lint: allow(R9) sealed-batch handler must own the group name past the caller; seal is the rare overflow path
-    sim_.schedule_at(at, [this, group, jobs = std::move(sealed)]() mutable {
-      release(group, std::move(jobs), /*sealed=*/true);
+    sim_.schedule_at(at, [this, node = pending_.extract(it)] {
+      release(node.key().group, node.mapped().jobs, /*sealed=*/true);
     });
   }
 }
 
-void BatchDispatcher::flush(const Key& key) {
-  const auto it = pending_.find(key);
-  NTCO_EXPECTS(it != pending_.end());
-  std::vector<Job> jobs = std::move(it->second.jobs);
-  pending_.erase(it);
-  release(key.group, std::move(jobs), /*sealed=*/false);
-}
-
-void BatchDispatcher::release(const std::string& group, std::vector<Job> jobs,
-                              bool sealed) {
+void BatchDispatcher::release(const std::string& group,
+                              const std::vector<JobId>& jobs, bool sealed) {
   ++stats_.batches;
   stats_.jobs_dispatched += jobs.size();
   if (sealed) ++stats_.sealed;
@@ -81,22 +74,9 @@ void BatchDispatcher::release(const std::string& group, std::vector<Job> jobs,
   // l, l+lanes, l+2*lanes, ... back to back, so every job after the first
   // in its lane finds the warm instances its predecessor just released.
   const std::size_t lanes = std::min(cfg_.lanes, jobs.size());
-  std::vector<std::shared_ptr<std::vector<Job>>> lane_jobs;
-  lane_jobs.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l)
-    lane_jobs.push_back(std::make_shared<std::vector<Job>>());
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    lane_jobs[i % lanes]->push_back(std::move(jobs[i]));
-  for (std::size_t l = 0; l < lanes; ++l) run_lane(lane_jobs[l], 0);
-}
-
-void BatchDispatcher::run_lane(std::shared_ptr<std::vector<Job>> lane,
-                               std::size_t next) {
-  if (next >= lane->size()) return;
-  Job& job = (*lane)[next];
-  job([this, lane = std::move(lane), next]() mutable {
-    run_lane(std::move(lane), next + 1);
-  });
+  for (std::size_t i = lanes; i < jobs.size(); ++i)
+    runner_.follow(jobs[i - lanes], jobs[i]);
+  for (std::size_t l = 0; l < lanes; ++l) runner_.start(jobs[l]);
 }
 
 }  // namespace ntco::broker

@@ -31,8 +31,8 @@ class Rng {
   /// `Rng::stream(seed, s)`). Unlike fork()'s single xor-multiply feed,
   /// seed and shard are hashed through independent SplitMix64 rounds
   /// before combining, so nested derivations — a stream() of a stream(),
-  /// as fleet::Sweep uses for (point, replica) pairs — land in a different
-  /// part of the keyspace than sibling streams of the same parent.
+  /// as F9 uses for (point, replica) pairs — land in a different part of
+  /// the keyspace than sibling streams of the same parent.
   [[nodiscard]] static Rng stream(std::uint64_t seed, std::uint64_t shard) {
     const std::uint64_t a = splitmix64(seed ^ 0x8BADF00DDEADBEEFULL);
     const std::uint64_t b = splitmix64(shard + 0x9E3779B97F4A7C15ULL);

@@ -177,6 +177,7 @@ class OffloadController {
   /// Executes `truth` once under `plan`, sequentially in topological
   /// order; `done` fires with the measured report. Multiple concurrent
   /// executions are allowed (they contend for warm instances naturally).
+  /// `plan` must stay valid until `done` fires.
   void execute_async(const DeploymentPlan& plan, const app::TaskGraph& truth,
                      std::function<void(const ExecutionReport&)> done);
 

@@ -350,6 +350,9 @@ void OffloadController::par_component_done(std::shared_ptr<ParallelRun> run,
 
 void OffloadController::par_deliver_flow(std::shared_ptr<ParallelRun> run,
                                          std::size_t flow) {
+  // A failed run ignores stragglers, and must not touch its plan: the
+  // caller may release the plan once done() has fired.
+  if (run->finished) return;
   const auto& f = run->truth->flow(flow);
   const bool from_remote = run->plan->is_remote(f.from);
   const bool to_remote = run->plan->is_remote(f.to);
@@ -359,8 +362,6 @@ void OffloadController::par_deliver_flow(std::shared_ptr<ParallelRun> run,
     NTCO_EXPECTS(r->pending_inputs[to] > 0);
     if (--r->pending_inputs[to] == 0) par_component_ready(std::move(r), to);
   };
-
-  if (run->finished) return;  // a failed run ignores stragglers
 
   if (from_remote == to_remote) {
     // Same side: in-process (local) or intra-region (remote), free.

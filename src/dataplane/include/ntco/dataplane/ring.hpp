@@ -41,8 +41,8 @@
 /// Capacity must be a power of two (index arithmetic is a mask, and the
 /// monotonically increasing 64-bit positions never wrap in practice).
 /// Construction allocates the slot array once; after that neither variant
-/// allocates, which is why this whole file sits under the lint R6
-/// zero-allocation gate (tools/lint_hotpath.txt).
+/// allocates (tests/allocation_count_test.cpp counts every operator new
+/// across push/pop and pins zero).
 
 namespace ntco {
 

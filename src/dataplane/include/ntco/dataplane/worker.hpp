@@ -33,8 +33,9 @@
 /// CoreController acquires and releases workers between epochs only, so a
 /// parked worker's request ring is always empty.
 ///
-/// This file is enrolled in tools/lint_hotpath.txt: nothing here may
-/// allocate (lint R6).
+/// Nothing here allocates per shard: the rings are sized at construction
+/// (tests/allocation_count_test.cpp pins Engine::run's allocation count
+/// flat in the shard count).
 
 namespace ntco::dataplane {
 

@@ -132,7 +132,6 @@ void Engine::run(std::size_t shards, ShardFn body, void* body_ctx,
     const std::size_t count = end - next;
     double occ_sum = 0.0;
     std::uint64_t occ_samples = 0;
-    // ntco-lint: hotpath begin
     for (std::size_t s = next; s < end; ++s) {
       WorkerState& w = workers_[(s - next) % active];
       const Task task{static_cast<std::uint64_t>(s), epoch};
@@ -155,7 +154,6 @@ void Engine::run(std::size_t shards, ShardFn body, void* body_ctx,
         }
       }
     }
-    // ntco-lint: hotpath end
 
     // The barrier has drained: every shard in [next, end) has published.
     occ_sum += occupancy_snapshot(active);

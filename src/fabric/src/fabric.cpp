@@ -39,7 +39,7 @@ SegmentId Fabric::add_segment(SegmentSpec spec) {
   NTCO_EXPECTS(!spec.capacity.is_zero());
   NTCO_EXPECTS(!spec.latency.is_negative());
   const auto id = static_cast<SegmentId>(segments_.size());
-  segments_.push_back(Segment{std::move(spec), {}, {}});  // ntco-lint: allow(R6) topology construction, runs before any flow is served
+  segments_.push_back(Segment{std::move(spec), {}, {}});
   return id;
 }
 
@@ -58,7 +58,7 @@ std::unique_ptr<FabricPath> Fabric::attach(const net::PathSpec& spec,
   NTCO_EXPECTS(!spec.up.rate.is_zero() && !spec.down.rate.is_zero());
   for (const SegmentId id : route.up) NTCO_EXPECTS(id < segments_.size());
   for (const SegmentId id : route.down) NTCO_EXPECTS(id < segments_.size());
-  return std::unique_ptr<FabricPath>(  // ntco-lint: allow(R6) one-time path attach (private ctor bars make_unique), not the per-flow path
+  return std::unique_ptr<FabricPath>(
       new FabricPath(*this, spec, std::move(route)));
 }
 
@@ -131,10 +131,10 @@ Duration Fabric::admit(const std::vector<SegmentId>& segs, DataSize bytes,
   // members are reused across admissions; they grow to the widest route
   // once and every later admission is allocation-free.
   const std::size_t width = segs.size();
-  scratch_capacity_.resize(width);  // ntco-lint: allow(R6) amortized: grows to the widest route once, then admissions reuse the capacity
-  scratch_cursor_.resize(width);  // ntco-lint: allow(R6) amortized: grows to the widest route once, then admissions reuse the capacity
-  scratch_last_.resize(width);  // ntco-lint: allow(R6) amortized: grows to the widest route once, then admissions reuse the capacity
-  scratch_ahead_.resize(width);  // ntco-lint: allow(R6) amortized: grows to the widest route once, then admissions reuse the capacity
+  scratch_capacity_.resize(width);
+  scratch_cursor_.resize(width);
+  scratch_last_.resize(width);
+  scratch_ahead_.resize(width);
   std::vector<double>& capacities = scratch_capacity_;
   auto& cursor = scratch_cursor_;
   auto& last = scratch_last_;
@@ -207,7 +207,9 @@ Duration Fabric::admit(const std::vector<SegmentId>& segs, DataSize bytes,
 
   for (const SegmentId id : segs) {
     Segment& seg = segments_[id];
-    seg.departures.insert(finish);  // ntco-lint: allow(R6) departure book, one node per in-flight flow; pooled-node multiset is a ROADMAP item
+    // The one allocation per admitted flow: its departures-set node
+    // (pinned by tests/allocation_count_test.cpp).
+    seg.departures.insert(finish);
     ++seg.stats.flows_admitted;
     seg.stats.bytes_carried += bytes;
     seg.stats.peak_flows = std::max(seg.stats.peak_flows,

@@ -11,7 +11,6 @@
 #include "ntco/common/contracts.hpp"
 #include "ntco/common/rng.hpp"
 #include "ntco/dataplane/engine.hpp"
-#include "ntco/fleet/thread_pool.hpp"
 
 /// \file replicator.hpp
 /// Deterministic sharded replica execution — the fleet engine's core.
@@ -38,6 +37,11 @@
 /// between a shard's writes and the reducing thread's reads.
 
 namespace ntco::fleet {
+
+/// Worker count the fleet uses when none is given explicitly: the
+/// NTCO_THREADS environment variable when set to a positive integer,
+/// otherwise std::thread::hardware_concurrency() (minimum 1).
+[[nodiscard]] std::size_t default_thread_count();
 
 /// Everything a replica body receives. `rng` is the shard's private
 /// substream — a pure function of (seed, shard), so results cannot depend

@@ -6,25 +6,23 @@
 #include <vector>
 
 /// \file lint.hpp
-/// `ntco-lint` v2: repo-specific determinism, layering, and hot-path static
-/// analysis — a two-phase, cross-file analyzer.
+/// `ntco-lint`: repo-specific determinism, layering, telemetry-name, and
+/// include-hygiene static analysis — a two-phase, cross-file analyzer.
 ///
 /// **Phase 1** builds a per-file index: the stripped token stream (comments
 /// and string/char literals blanked, raw strings with arbitrary delimiters
 /// handled), the `ntco/` include edges, the `ntco::` symbols a header
 /// declares and a file uses (brace/namespace tracking separates
 /// namespace-scope declarations from locals), the string literals reaching
-/// `obs` telemetry calls, hot-path region markers, suppression directives,
-/// and the file-local rule findings. Phase-1 results are cacheable by
-/// content hash (see `run` with a cache path), so warm full-tree runs stay
-/// well under a second.
+/// `obs` telemetry calls, suppression directives, and the file-local rule
+/// findings. A cold full-tree run takes a fraction of a second.
 ///
 /// **Phase 2** runs the cross-file rules over the combined index and
 /// applies suppressions uniformly:
 ///
 ///   R1  no nondeterminism sources (`std::random_device`, `rand`, wall
 ///       clocks, `getenv`, raw `<random>` engines) outside a small
-///       sanctioned allowlist (rng.hpp, thread_pool.cpp, bench harness),
+///       sanctioned allowlist (rng.hpp, replicator.cpp, bench harness),
 ///   R2  no *iteration* over `std::unordered_map` / `std::unordered_set`
 ///       (range-for, or `.begin()` inside a `for` header) — declaration and
 ///       point lookup stay legal; sorted extraction stays legal,
@@ -36,11 +34,6 @@
 ///   R5  no floating-point `+=` accumulation of values obtained from
 ///       unordered containers (`m[k]`, `m.at(k)`), whose visitation order
 ///       is not shard-ordered,
-///   R6  no allocation on the serving hot path: inside regions bracketed by
-///       `hotpath begin` / `hotpath end` directives (or files listed in
-///       tools/lint_hotpath.txt) `new`, `make_shared`/`make_unique`,
-///       `std::function` construction, and growth-prone container ops
-///       (`push_back`, `insert`, `resize`, ...) are findings,
 ///   R7  telemetry-name contract: every string literal reaching
 ///       `obs::emit(...)` / `counter(...)` / `gauge(...)` / `summary(...)`
 ///       / `histogram(...)` / `trace_event(...)` under src/ must appear in
@@ -50,12 +43,12 @@
 ///   R8  include hygiene (IWYU-lite): an `ntco/` header include is stale if
 ///       none of the header's declared symbols are used in the including
 ///       file; a qualified use (`mod::Symbol`) whose unique declaring
-///       header is not directly included is a missing include,
-///   R9  kernel-handler SBO audit: lambdas passed to `schedule_at` /
-///       `schedule_after` must fit the 48-byte `InlineFunction` buffer
-///       (capture-list size heuristics) and must not copy-capture
-///       allocating containers; `allow(R9)` is the escape hatch for
-///       deliberate heap-fallback handlers.
+///       header is not directly included is a missing include.
+///
+/// Allocation on the serving path and kernel-handler size are not lint
+/// rules: tests/allocation_count_test.cpp counts every `operator new`, and
+/// sim::Simulator::heap_handlers() counts handlers that overflow the inline
+/// buffer — exact checks instead of token patterns.
 ///
 /// Diagnostics are `file:line: [Rn] message`. Inline suppression:
 ///
@@ -64,18 +57,9 @@
 /// The directive covers its own line and the next line, the reason is
 /// mandatory (a missing reason is itself a `[sup]` diagnostic and the
 /// suppression does not apply), and every honoured suppression is counted
-/// in the report. A suppression that silences nothing is *stale* and
-/// reported separately (`Report::stale_suppressions`; `--fail-stale` in the
-/// CLI turns it into a gate), so dead allow-comments cannot accumulate.
-/// Hot-path regions use the same marker:
-///
-///   // ntco-lint: hotpath begin
-///   ...allocation-free code...
-///   // ntco-lint: hotpath end
-///
-/// A checked-in baseline (tools/lint_baseline.txt) lets pre-existing debt
-/// fail closed only when it grows: baseline entries are line-number-free
-/// fingerprints, so unrelated edits do not churn it.
+/// in the report. A suppression that silences nothing is *stale*
+/// (`Report::stale_suppressions`) and fails the CLI like a diagnostic, so
+/// dead allow-comments cannot accumulate.
 ///
 /// The analyzer is token/regex-plus-context, not a real C++ front end: it
 /// strips comments and string/char literals, then pattern-matches with
@@ -84,11 +68,10 @@
 
 namespace ntco::lint {
 
-/// Rule identifiers. `Sup` is the meta-rule for malformed suppressions and
-/// unmatched hot-path markers.
-enum class Rule : std::uint8_t { R1, R2, R3, R4, R5, R6, R7, R8, R9, Sup };
+/// Rule identifiers. `Sup` is the meta-rule for malformed suppressions.
+enum class Rule : std::uint8_t { R1, R2, R3, R4, R5, R7, R8, Sup };
 
-/// "R1".."R9", or "sup".
+/// "R1".."R8", or "sup".
 [[nodiscard]] const char* rule_name(Rule r);
 
 struct Diagnostic {
@@ -96,8 +79,7 @@ struct Diagnostic {
   int line = 0;      ///< 1-based
   Rule rule = Rule::R1;
   std::string message;
-  /// Line-number-free identity `file|rule|detail`, used by the baseline so
-  /// unrelated edits (which shift line numbers) do not invalidate entries.
+  /// Line-number-free identity `file|rule|detail`.
   std::string fingerprint;
 };
 
@@ -117,11 +99,12 @@ struct Config {
   /// Relative-path prefixes to skip (the lint's own violation fixtures).
   std::vector<std::string> exclude{"tests/lint_fixtures/"};
   /// R1 sanctioned files/dirs (relative-path prefixes): the Rng engine
-  /// itself, the NTCO_THREADS env probe, and the bench harness (which
-  /// times itself with steady_clock and reads NTCO_BENCH_OUT).
+  /// itself, the NTCO_THREADS env probe (fleet::default_thread_count), and
+  /// the bench harness (which times itself with steady_clock and reads
+  /// NTCO_BENCH_OUT).
   std::vector<std::string> r1_allow{
       "src/common/include/ntco/common/rng.hpp",
-      "src/fleet/src/thread_pool.cpp",
+      "src/fleet/src/replicator.cpp",
       "bench/",
   };
   /// R3 sanctioned prefixes: the only concurrent code in the repo.
@@ -131,9 +114,6 @@ struct Config {
   /// Files under bench/, tests/, examples/, tools/ map to the pseudo
   /// module "top", which may include everything.
   std::map<std::string, std::vector<std::string>> dag;
-  /// R6: relative-path prefixes whose *whole files* are hot-path regions.
-  /// default_config() seeds this from tools/lint_hotpath.txt when present.
-  std::vector<std::string> hotpath_files;
   /// R7: path (relative to root) of the telemetry-name registry. Missing
   /// file disables R7 (fixture trees carry their own registry).
   std::string names_registry = "src/obs/include/ntco/obs/names.hpp";
@@ -144,8 +124,6 @@ struct Config {
 };
 
 /// Config with the repo's declared DAG and allowlists, rooted at `root`.
-/// Loads tools/lint_hotpath.txt under `root` into `hotpath_files` if the
-/// file exists.
 [[nodiscard]] Config default_config(std::string root);
 
 struct Report {
@@ -155,8 +133,6 @@ struct Report {
   /// rule no longer fires at their site.
   std::vector<Suppression> stale_suppressions;
   std::size_t files_scanned = 0;
-  std::size_t cache_hits = 0;    ///< phase-1 indexes reused from the cache
-  std::size_t cache_misses = 0;  ///< files (re)analyzed this run
 };
 
 /// Analyzes one file's `contents` as `rel_path` under `cfg`, appending to
@@ -168,43 +144,11 @@ void analyze_source(const Config& cfg, const std::string& rel_path,
 
 /// Walks cfg.roots under cfg.root (deterministic path order), indexes every
 /// C++ source file (.hpp/.cpp/.h/.cc/.hxx/.cxx), and runs both phases.
-/// With a non-empty `cache_path`, phase-1 indexes are reused for files
-/// whose content hash (and the config hash) match the cache, and the cache
-/// is rewritten after the run.
-[[nodiscard]] Report run(const Config& cfg, const std::string& cache_path = "");
-
-/// Multiset of diagnostic fingerprints. Text format: one fingerprint per
-/// line; blank lines and '#' comments ignored; duplicate lines absorb that
-/// many matching diagnostics.
-class Baseline {
- public:
-  [[nodiscard]] static Baseline from_string(const std::string& text);
-  [[nodiscard]] static Baseline from_file(const std::string& path);
-
-  /// Diagnostics not absorbed by the baseline. Each baseline entry absorbs
-  /// at most its multiplicity; anything beyond that is new debt.
-  [[nodiscard]] std::vector<Diagnostic> filter_new(
-      const std::vector<Diagnostic>& all) const;
-
-  /// Serializes diagnostics as baseline text (sorted, with multiplicity).
-  [[nodiscard]] static std::string to_text(const std::vector<Diagnostic>& all);
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  std::map<std::string, int> counts_;
-};
+[[nodiscard]] Report run(const Config& cfg);
 
 /// Machine-readable report: scanned/diagnostic/suppression counts, every
-/// diagnostic (with its baseline status), every suppression, and the stale
-/// suppressions.
-[[nodiscard]] std::string to_json(const Report& report,
-                                  const std::vector<Diagnostic>& fresh);
-
-/// SARIF 2.1.0 report (one run, rules R1-R9 + sup). Fresh diagnostics are
-/// level "error", baselined ones "note" — CI uploaders can render both.
-[[nodiscard]] std::string to_sarif(const Report& report,
-                                   const std::vector<Diagnostic>& fresh);
+/// diagnostic, every suppression, and the stale suppressions.
+[[nodiscard]] std::string to_json(const Report& report);
 
 // ---------------------------------------------------------------------------
 // Telemetry-name registry (R7).

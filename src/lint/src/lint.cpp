@@ -12,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 namespace ntco::lint {
@@ -39,14 +38,6 @@ bool starts_with_any(const std::string& path,
   for (const auto& p : prefixes)
     if (path.rfind(p, 0) == 0) return true;
   return false;
-}
-
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h = 14695981039346656037ULL) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -236,8 +227,7 @@ bool match_token(const std::string& s, const Token& t, std::size_t* at) {
 }
 
 // Like Call matching but *member access is allowed* on the left — used for
-// telemetry APIs (`registry.counter(`) and kernel entry points
-// (`sim.schedule_at(`), where the receiver is the point.
+// telemetry APIs (`registry.counter(`), where the receiver is the point.
 bool match_member_call(const std::string& s, const std::string& pat,
                        std::size_t from, std::size_t* at) {
   std::size_t pos = from;
@@ -290,21 +280,6 @@ const Token kR3Tokens[] = {
     {"std::promise", Kind::Word},    {"std::barrier", Kind::Word},
     {"std::latch", Kind::Word},
     {"std::counting_semaphore", Kind::Prefix},
-};
-
-// R6: direct allocation calls banned inside hot-path regions.
-const Token kR6Alloc[] = {
-    {"new", Kind::Word},
-    {"make_shared", Kind::Prefix},
-    {"make_unique", Kind::Prefix},
-    {"std::function", Kind::Word},
-};
-
-// R6: growth-prone container member ops (matched as `.op(` / `->op(`).
-const char* kR6Growth[] = {
-    "push_back", "emplace_back", "push_front", "emplace_front",
-    "emplace",   "insert",       "resize",     "reserve",
-    "append",
 };
 
 // ---------------------------------------------------------------------------
@@ -368,73 +343,6 @@ std::string trailing_ident(const std::string& expr) {
   std::size_t i = e.size();
   while (i > 0 && is_ident(e[i - 1])) --i;
   return e.substr(i);
-}
-
-// ---------------------------------------------------------------------------
-// R9 support: sizes of common capture types (x86-64 libstdc++ layouts) and
-// whether copying one allocates.
-
-struct TypeInfo {
-  int size;
-  bool alloc_on_copy;
-};
-
-const std::pair<const char*, TypeInfo> kR9Types[] = {
-    {"std::string", {32, true}},     {"std::vector", {24, true}},
-    {"std::function", {32, true}},   {"std::deque", {80, true}},
-    {"std::map", {48, true}},        {"std::set", {48, true}},
-    {"std::multiset", {48, true}},   {"std::multimap", {48, true}},
-    {"std::shared_ptr", {16, false}}, {"std::weak_ptr", {16, false}},
-    {"std::unique_ptr", {8, false}},
-};
-
-// Map of variable name -> TypeInfo for every declaration in the file whose
-// type prefix is in kR9Types. Heuristic: find the type token, skip balanced
-// template args, skip cv/ref/ptr, take the identifier.
-std::map<std::string, TypeInfo> r9_var_types(
-    const std::vector<std::string>& code) {
-  std::map<std::string, TypeInfo> vars;
-  std::string all;
-  for (const auto& l : code) {
-    all += l;
-    all += '\n';
-  }
-  for (const auto& [pat_c, info] : kR9Types) {
-    const std::string pat(pat_c);
-    std::size_t pos = 0;
-    while ((pos = all.find(pat, pos)) != std::string::npos) {
-      std::size_t i = pos + pat.size();
-      pos = i;
-      if (i < all.size() && is_ident(all[i])) continue;  // std::stringstream
-      if (i < all.size() && all[i] == '<') {
-        int depth = 0;
-        for (; i < all.size(); ++i) {
-          if (all[i] == '<') ++depth;
-          if (all[i] == '>' && --depth == 0) break;
-        }
-        if (i >= all.size()) continue;
-        ++i;
-      }
-      for (;;) {
-        while (i < all.size() &&
-               (std::isspace(static_cast<unsigned char>(all[i])) != 0 ||
-                all[i] == '&' || all[i] == '*'))
-          ++i;
-        if (all.compare(i, 5, "const") == 0 &&
-            (i + 5 >= all.size() || !is_ident(all[i + 5]))) {
-          i += 5;
-          continue;
-        }
-        break;
-      }
-      std::string name;
-      while (i < all.size() && is_ident(all[i])) name.push_back(all[i++]);
-      if (!name.empty() &&
-          std::isdigit(static_cast<unsigned char>(name[0])) == 0)
-        vars.emplace(name, info);
-    }
-  }
-  return vars;
 }
 
 // ---------------------------------------------------------------------------
@@ -506,7 +414,7 @@ std::string ntco_include_path(const std::string& raw) {
 }
 
 // ---------------------------------------------------------------------------
-// Directives: allow(...) suppressions and hotpath region markers.
+// Directives: allow(...) suppressions.
 
 struct Finding {
   int line;
@@ -522,11 +430,6 @@ struct Directive {
   std::string reason;
 };
 
-struct HotMark {
-  int line = 0;
-  bool begin = false;
-};
-
 Rule parse_rule(const std::string& r, bool* ok) {
   *ok = true;
   if (r == "R1") return Rule::R1;
@@ -534,10 +437,8 @@ Rule parse_rule(const std::string& r, bool* ok) {
   if (r == "R3") return Rule::R3;
   if (r == "R4") return Rule::R4;
   if (r == "R5") return Rule::R5;
-  if (r == "R6") return Rule::R6;
   if (r == "R7") return Rule::R7;
   if (r == "R8") return Rule::R8;
-  if (r == "R9") return Rule::R9;
   *ok = false;
   return Rule::Sup;
 }
@@ -551,7 +452,6 @@ const std::string& marker() {
 
 void parse_directives(const std::vector<std::string>& raw,
                       std::vector<Directive>* dirs,
-                      std::vector<HotMark>* marks,
                       std::vector<Finding>* sup) {
   for (std::size_t li = 0; li < raw.size(); ++li) {
     const std::string& line = raw[li];
@@ -567,21 +467,6 @@ void parse_directives(const std::vector<std::string>& raw,
            std::isspace(static_cast<unsigned char>(line[pos])) != 0)
       ++pos;
     const int lineno = static_cast<int>(li + 1);
-    const std::string hot_kw = "hotpath";
-    if (line.compare(pos, hot_kw.size(), hot_kw) == 0 &&
-        (pos + hot_kw.size() >= line.size() ||
-         !is_ident(line[pos + hot_kw.size()]))) {
-      const std::string rest = trim(line.substr(pos + hot_kw.size()));
-      if (rest == "begin" || rest == "end") {
-        marks->push_back({lineno, rest == "begin"});
-      } else {
-        sup->push_back({lineno, Rule::Sup,
-                        "malformed hotpath marker '" + rest +
-                            "' — expected 'begin' or 'end'",
-                        "hotpath-bad"});
-      }
-      continue;
-    }
     const std::string allow_kw = "allow(";
     if (line.compare(pos, allow_kw.size(), allow_kw) != 0) continue;
     pos += allow_kw.size();
@@ -622,7 +507,7 @@ void parse_directives(const std::vector<std::string>& raw,
 }
 
 // ---------------------------------------------------------------------------
-// The per-file index: everything phase 2 needs, cheap to cache.
+// The per-file index: everything phase 2 needs.
 
 struct IncludeEdge {
   int line = 0;
@@ -644,10 +529,8 @@ struct ObsUse {
 struct FileIndex {
   std::string rel_path;
   std::string module;
-  std::uint64_t hash = 0;
-  std::vector<Finding> local;  // R1 R2 R3 R5 R6 R9 + Sup findings
+  std::vector<Finding> local;  // R1 R2 R3 R5 + Sup findings
   std::vector<Directive> dirs;
-  std::vector<HotMark> marks;  // kept for cache round-tripping only
   std::vector<IncludeEdge> includes;
   std::vector<std::string> declared;  // namespace-scope symbols (headers)
   std::vector<std::string> used;      // sorted unique identifiers used
@@ -942,146 +825,6 @@ std::vector<ObsUse> obs_call_sites(const std::vector<std::string>& raw,
 }
 
 // ---------------------------------------------------------------------------
-// R9: capture-list audit of kernel handler lambdas.
-
-void audit_handlers(const std::vector<std::string>& code,
-                    const std::map<std::string, TypeInfo>& vars,
-                    std::vector<Finding>* findings) {
-  constexpr int kSbo = 48;  // ntco::InlineFunction<void(), 48>
-  for (std::size_t li = 0; li < code.size(); ++li) {
-    const std::string& s = code[li];
-    for (const char* entry : {"schedule_at", "schedule_after"}) {
-      std::size_t pos = 0, at = 0;
-      while (match_member_call(s, entry, pos, &at)) {
-        pos = at + std::strlen(entry);
-        const std::size_t open = s.find('(', at);
-        // Walk the call's argument text (joined across up to 12 lines)
-        // looking for a lambda introducer: '[' at call depth whose previous
-        // non-space char is '(' or ',' (rules out indexing and [[attrs]]).
-        std::string w;
-        std::vector<int> wline;
-        for (std::size_t lj = li; lj < code.size() && lj < li + 12; ++lj) {
-          for (char c : code[lj]) {
-            w.push_back(c);
-            wline.push_back(static_cast<int>(lj + 1));
-          }
-          w.push_back('\n');
-          wline.push_back(static_cast<int>(lj + 1));
-        }
-        int depth = 0;
-        std::size_t cap_b = std::string::npos;
-        char prev_sig = '\0';
-        for (std::size_t k = open; k < w.size(); ++k) {
-          const char c = w[k];
-          if (c == '(') ++depth;
-          if (c == ')' && --depth == 0) break;
-          if (c == '[' && depth >= 1 && k + 1 < w.size() && w[k + 1] != '[' &&
-              (prev_sig == '(' || prev_sig == ',')) {
-            cap_b = k + 1;
-            break;
-          }
-          if (std::isspace(static_cast<unsigned char>(c)) == 0) prev_sig = c;
-        }
-        if (cap_b == std::string::npos) continue;  // no lambda argument
-        // Capture list: up to the matching ']' at zero <>/(){} depth.
-        int d2 = 0;
-        std::size_t cap_e = std::string::npos;
-        for (std::size_t k = cap_b; k < w.size(); ++k) {
-          const char c = w[k];
-          if (c == '<' || c == '(' || c == '{') ++d2;
-          if (c == '>' || c == ')' || c == '}') --d2;
-          if (c == ']' && d2 <= 0) {
-            cap_e = k;
-            break;
-          }
-        }
-        if (cap_e == std::string::npos) continue;
-        const std::string caps = w.substr(cap_b, cap_e - cap_b);
-        // Split on top-level commas.
-        std::vector<std::string> items;
-        {
-          int d3 = 0;
-          std::string cur;
-          for (char c : caps) {
-            if (c == '<' || c == '(' || c == '{') ++d3;
-            if (c == '>' || c == ')' || c == '}') --d3;
-            if (c == ',' && d3 == 0) {
-              items.push_back(cur);
-              cur.clear();
-            } else {
-              cur.push_back(c);
-            }
-          }
-          items.push_back(cur);
-        }
-        int total = 0;
-        bool bail = false;
-        std::vector<std::string> copies;
-        for (const std::string& raw_item : items) {
-          const std::string it = trim(raw_item);
-          if (it.empty()) continue;
-          if (it == "=" || it == "&") {
-            bail = true;  // default captures: membership unknowable here
-            break;
-          }
-          if (it == "this" || it == "*this" || it[0] == '&') {
-            total += 8;
-            continue;
-          }
-          // Init capture `x = expr`: the handler owns whatever expr yields
-          // (usually moved in), sized by the source variable if known.
-          std::size_t eq = std::string::npos;
-          {
-            int d3 = 0;
-            for (std::size_t k = 0; k < it.size(); ++k) {
-              const char c = it[k];
-              if (c == '<' || c == '(' || c == '{') ++d3;
-              if (c == '>' || c == ')' || c == '}') --d3;
-              if (c == '=' && d3 == 0) {
-                eq = k;
-                break;
-              }
-            }
-          }
-          if (eq != std::string::npos) {
-            const std::string src = trailing_ident(it.substr(eq + 1));
-            auto v = vars.find(src);
-            total += v != vars.end() ? v->second.size : 8;
-            continue;
-          }
-          // Plain copy capture.
-          auto v = vars.find(it);
-          if (v != vars.end()) {
-            total += v->second.size;
-            if (v->second.alloc_on_copy) copies.push_back(it);
-          } else {
-            total += 8;
-          }
-        }
-        if (bail) continue;
-        const int line = static_cast<int>(li + 1);
-        for (const std::string& c : copies) {
-          findings->push_back(
-              {line, Rule::R9,
-               "kernel handler copy-captures allocating '" + c +
-                   "' — move it into the capture or take a reference",
-               "copy:" + c});
-        }
-        if (total > kSbo) {
-          findings->push_back(
-              {line, Rule::R9,
-               "kernel handler captures ~" + std::to_string(total) +
-                   " bytes, over the " + std::to_string(kSbo) +
-                   "-byte InlineFunction SBO — the handler will heap-"
-                   "allocate; shrink captures or allow(R9) if deliberate",
-               "sbo:" + std::string(entry)});
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Phase 1: index one file.
 
 FileIndex index_file(const Config& cfg, const std::string& rel_path,
@@ -1089,41 +832,13 @@ FileIndex index_file(const Config& cfg, const std::string& rel_path,
   FileIndex ix;
   ix.rel_path = rel_path;
   ix.module = module_of(rel_path);
-  ix.hash = fnv1a(contents);
 
   const std::vector<std::string> raw = split_lines(contents);
   const std::vector<std::string> code = strip_code(raw);
   const std::set<std::string> uvars = unordered_vars(code);
 
   std::vector<Finding>& findings = ix.local;
-  parse_directives(raw, &ix.dirs, &ix.marks, &findings);
-
-  // Hot-path regions: whole-file listing, or begin/end marker spans.
-  const bool file_hot = starts_with_any(rel_path, cfg.hotpath_files);
-  std::vector<std::pair<int, int>> hot_regions;
-  {
-    int open_at = 0;
-    for (const HotMark& m : ix.marks) {
-      if (m.begin) {
-        if (open_at == 0) open_at = m.line;
-      } else if (open_at != 0) {
-        hot_regions.emplace_back(open_at, m.line);
-        open_at = 0;
-      } else {
-        findings.push_back({m.line, Rule::Sup,
-                            "hotpath end marker without a matching begin",
-                            "hotpath-unmatched"});
-      }
-    }
-    if (open_at != 0)  // unclosed region runs to EOF
-      hot_regions.emplace_back(open_at, static_cast<int>(raw.size()));
-  }
-  const auto in_hot = [&](int line) {
-    if (file_hot) return true;
-    for (const auto& [b, e] : hot_regions)
-      if (line >= b && line <= e) return true;
-    return false;
-  };
+  parse_directives(raw, &ix.dirs, &findings);
 
   const bool r1_allowed = starts_with_any(rel_path, cfg.r1_allow);
   const bool r3_allowed = starts_with_any(rel_path, cfg.r3_allow);
@@ -1155,55 +870,6 @@ FileIndex index_file(const Config& cfg, const std::string& rel_path,
                                   "owns all concurrency",
                               t.text});
           break;
-        }
-      }
-    }
-
-    // R6: allocation inside a hot-path region.
-    if (in_hot(line)) {
-      bool hit = false;
-      for (const Token& t : kR6Alloc) {
-        if (match_token(s, t, &at)) {
-          findings.push_back(
-              {line, Rule::R6,
-               std::string("allocation on the hot path: '") + t.text +
-                   "' — pre-size, pool, or reuse scratch storage; "
-                   "allow(R6) with a reason if the allocation is amortized",
-               t.text});
-          hit = true;
-          break;
-        }
-      }
-      if (!hit) {
-        for (const char* op : kR6Growth) {
-          const std::string pat(op);
-          std::size_t pos = 0;
-          bool flagged = false;
-          while ((pos = s.find(pat, pos)) != std::string::npos) {
-            const std::size_t end = pos + pat.size();
-            const bool member =
-                pos > 0 && (s[pos - 1] == '.' || s[pos - 1] == '>');
-            bool ok = member && !(end < s.size() && is_ident(s[end]));
-            if (ok) {
-              std::size_t j = end;
-              while (j < s.size() &&
-                     std::isspace(static_cast<unsigned char>(s[j])) != 0)
-                ++j;
-              ok = j < s.size() && s[j] == '(';
-            }
-            pos = end;
-            if (ok) {
-              findings.push_back(
-                  {line, Rule::R6,
-                   std::string("growth-prone container op '") + op +
-                       "' on the hot path — allocation must be hoisted off "
-                       "the serving path or allow(R6)-justified",
-                   std::string("grow:") + op});
-              flagged = true;
-              break;
-            }
-          }
-          if (flagged) break;
         }
       }
     }
@@ -1301,9 +967,6 @@ FileIndex index_file(const Config& cfg, const std::string& rel_path,
     const std::string inc = ntco_include_path(raw[li]);
     if (!inc.empty()) ix.includes.push_back({line, inc});
   }
-
-  // R9 runs over the whole file (needs the declared-variable type map).
-  audit_handlers(code, r9_var_types(code), &findings);
 
   // Cross-file raw material. Declared symbols are collected for every
   // file: headers feed the R8 stale/missing maps, and a .cpp's own
@@ -1559,162 +1222,6 @@ void phase2(const Config& cfg,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Phase-1 cache: one text file holding every FileIndex, keyed by content
-// hash and a config hash. Sound because phase 2 (cheap) always reruns over
-// the loaded indexes.
-
-std::uint64_t config_hash(const Config& cfg) {
-  std::uint64_t h = 14695981039346656037ULL;
-  const auto mix = [&h](const std::string& s) { h = fnv1a(s + "\x1f", h); };
-  mix("v2");
-  for (const auto& s : cfg.roots) mix(s);
-  for (const auto& s : cfg.exclude) mix(s);
-  for (const auto& s : cfg.r1_allow) mix(s);
-  for (const auto& s : cfg.r3_allow) mix(s);
-  for (const auto& [m, deps] : cfg.dag) {
-    mix(m);
-    for (const auto& d : deps) mix(d);
-  }
-  for (const auto& s : cfg.hotpath_files) mix(s);
-  mix(cfg.names_registry);
-  for (const auto& s : cfg.r7_scope) mix(s);
-  for (const auto& s : cfg.r8_scope) mix(s);
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-void save_cache(const std::string& path, std::uint64_t cfg_hash,
-                const std::vector<FileIndex>& files) {
-  std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-  if (!outf) return;  // cache is best-effort
-  outf << "ntco-lint-cache v2 " << hex64(cfg_hash) << "\n";
-  for (const FileIndex& ix : files) {
-    outf << "F " << hex64(ix.hash) << ' ' << ix.module << ' ' << ix.rel_path
-         << "\n";
-    for (const Finding& f : ix.local)
-      outf << "L " << f.line << ' ' << static_cast<int>(f.rule) << '\t'
-           << f.detail << '\t' << f.message << "\n";
-    for (const Directive& d : ix.dirs)
-      outf << "D " << d.line << '\t' << d.rules_text << '\t' << d.reason
-           << "\n";
-    for (const HotMark& m : ix.marks)
-      outf << "H " << m.line << ' ' << (m.begin ? 1 : 0) << "\n";
-    for (const IncludeEdge& e : ix.includes)
-      outf << "I " << e.line << ' ' << e.path << "\n";
-    for (const std::string& s : ix.declared) outf << "S " << s << "\n";
-    for (const std::string& s : ix.used) outf << "U " << s << "\n";
-    for (const QualUse& q : ix.qualified)
-      outf << "Q " << q.line << ' ' << q.ns << ' ' << q.sym << "\n";
-    for (const ObsUse& u : ix.obs_uses)
-      outf << "O " << u.line << ' ' << u.api << '\t' << u.name << "\n";
-    outf << "E\n";
-  }
-}
-
-std::map<std::string, FileIndex> load_cache(const std::string& path,
-                                            std::uint64_t cfg_hash) {
-  std::map<std::string, FileIndex> out;
-  std::ifstream inf(path, std::ios::binary);
-  if (!inf) return out;
-  std::string line;
-  if (!std::getline(inf, line) ||
-      line != "ntco-lint-cache v2 " + hex64(cfg_hash))
-    return out;  // different config or format: full re-index
-  FileIndex cur;
-  bool open = false;
-  const auto split_tabs = [](const std::string& s) {
-    std::vector<std::string> parts;
-    std::size_t b = 0;
-    for (;;) {
-      const std::size_t t = s.find('\t', b);
-      parts.push_back(s.substr(b, t == std::string::npos ? t : t - b));
-      if (t == std::string::npos) break;
-      b = t + 1;
-    }
-    return parts;
-  };
-  while (std::getline(inf, line)) {
-    if (line.empty()) continue;
-    const char tag = line[0];
-    const std::string rest = line.size() > 2 ? line.substr(2) : "";
-    if (tag == 'F') {
-      std::istringstream ss(rest);
-      std::string hash_s, module, rel;
-      ss >> hash_s >> module;
-      std::getline(ss, rel);
-      cur = FileIndex{};
-      cur.hash = std::stoull(hash_s, nullptr, 16);
-      cur.module = module;
-      cur.rel_path = trim(rel);
-      open = true;
-    } else if (!open) {
-      continue;
-    } else if (tag == 'E') {
-      out.emplace(cur.rel_path, std::move(cur));
-      cur = FileIndex{};
-      open = false;
-    } else if (tag == 'L') {
-      const auto parts = split_tabs(rest);
-      if (parts.size() != 3) continue;
-      std::istringstream ss(parts[0]);
-      int ln = 0, rl = 0;
-      ss >> ln >> rl;
-      if (rl < 0 || rl > static_cast<int>(Rule::Sup)) continue;
-      cur.local.push_back({ln, static_cast<Rule>(rl), parts[2], parts[1]});
-    } else if (tag == 'D') {
-      const auto parts = split_tabs(rest);
-      if (parts.size() != 3) continue;
-      Directive d;
-      d.line = std::atoi(parts[0].c_str());
-      d.rules_text = parts[1];
-      d.reason = parts[2];
-      std::stringstream ss(d.rules_text);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        bool ok = false;
-        const Rule r = parse_rule(trim(item), &ok);
-        if (ok) d.rules.insert(r);
-      }
-      cur.dirs.push_back(std::move(d));
-    } else if (tag == 'H') {
-      std::istringstream ss(rest);
-      int ln = 0, b = 0;
-      ss >> ln >> b;
-      cur.marks.push_back({ln, b != 0});
-    } else if (tag == 'I') {
-      std::istringstream ss(rest);
-      IncludeEdge e;
-      ss >> e.line >> e.path;
-      cur.includes.push_back(std::move(e));
-    } else if (tag == 'S') {
-      cur.declared.push_back(rest);
-    } else if (tag == 'U') {
-      cur.used.push_back(rest);
-    } else if (tag == 'Q') {
-      std::istringstream ss(rest);
-      QualUse q;
-      ss >> q.line >> q.ns >> q.sym;
-      cur.qualified.push_back(std::move(q));
-    } else if (tag == 'O') {
-      const auto parts = split_tabs(rest);
-      if (parts.size() != 2) continue;
-      std::istringstream ss(parts[0]);
-      ObsUse u;
-      ss >> u.line >> u.api;
-      u.name = parts[1];
-      cur.obs_uses.push_back(std::move(u));
-    }
-  }
-  return out;
-}
-
 std::string json_escape(const std::string& s) {
   std::string o;
   o.reserve(s.size() + 8);
@@ -1746,10 +1253,8 @@ const char* rule_name(Rule r) {
     case Rule::R3: return "R3";
     case Rule::R4: return "R4";
     case Rule::R5: return "R5";
-    case Rule::R6: return "R6";
     case Rule::R7: return "R7";
     case Rule::R8: return "R8";
-    case Rule::R9: return "R9";
     case Rule::Sup: break;
   }
   return "sup";
@@ -1786,15 +1291,6 @@ Config default_config(std::string root) {
         "common"}},
       {"cicd", {"core", "profile"}},
   };
-  // Hot-path file list: one relative path prefix per line.
-  std::ifstream hp(fs::path(cfg.root) / "tools" / "lint_hotpath.txt");
-  if (hp) {
-    std::string line;
-    while (std::getline(hp, line)) {
-      const std::string t = trim(line);
-      if (!t.empty() && t[0] != '#') cfg.hotpath_files.push_back(t);
-    }
-  }
   return cfg;
 }
 
@@ -1807,7 +1303,7 @@ void analyze_source(const Config& cfg, const std::string& rel_path,
   ++out.files_scanned;
 }
 
-Report run(const Config& cfg, const std::string& cache_path) {
+Report run(const Config& cfg) {
   const auto closure = dag_closure(cfg.dag);
   Report rep;
 
@@ -1827,10 +1323,6 @@ Report run(const Config& cfg, const std::string& cache_path) {
   }
   std::sort(files.begin(), files.end());  // deterministic diagnostic order
 
-  const std::uint64_t cfg_hash = config_hash(cfg);
-  std::map<std::string, FileIndex> cached;
-  if (!cache_path.empty()) cached = load_cache(cache_path, cfg_hash);
-
   std::vector<FileIndex> index;
   index.reserve(files.size());
   for (const fs::path& p : files) {
@@ -1840,109 +1332,29 @@ Report run(const Config& cfg, const std::string& cache_path) {
     if (!in) continue;
     std::ostringstream ss;
     ss << in.rdbuf();
-    const std::string contents = ss.str();
-    const std::uint64_t h = fnv1a(contents);
-    auto hit = cached.find(rel);
-    if (hit != cached.end() && hit->second.hash == h) {
-      index.push_back(std::move(hit->second));
-      ++rep.cache_hits;
-    } else {
-      index.push_back(index_file(cfg, rel, contents));
-      ++rep.cache_misses;
-    }
+    index.push_back(index_file(cfg, rel, ss.str()));
     ++rep.files_scanned;
   }
 
   phase2(cfg, closure, index, rep);
-  if (!cache_path.empty()) save_cache(cache_path, cfg_hash, index);
   return rep;
 }
 
-Baseline Baseline::from_string(const std::string& text) {
-  Baseline b;
-  for (const std::string& line : split_lines(text)) {
-    const std::string t = trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    ++b.counts_[t];
-  }
-  return b;
-}
-
-Baseline Baseline::from_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read baseline file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return from_string(ss.str());
-}
-
-std::vector<Diagnostic> Baseline::filter_new(
-    const std::vector<Diagnostic>& all) const {
-  std::map<std::string, int> budget = counts_;
-  std::vector<Diagnostic> fresh;
-  for (const Diagnostic& d : all) {
-    auto it = budget.find(d.fingerprint);
-    if (it != budget.end() && it->second > 0)
-      --it->second;  // absorbed by pre-existing debt
-    else
-      fresh.push_back(d);
-  }
-  return fresh;
-}
-
-std::string Baseline::to_text(const std::vector<Diagnostic>& all) {
-  std::vector<std::string> fps;
-  fps.reserve(all.size());
-  for (const Diagnostic& d : all) fps.push_back(d.fingerprint);
-  std::sort(fps.begin(), fps.end());
-  std::string out =
-      "# ntco-lint baseline: one fingerprint (file|rule|detail) per line.\n"
-      "# Entries absorb matching pre-existing diagnostics; new debt fails.\n"
-      "# Regenerate with: ntco-lint --write-baseline <this file>\n";
-  for (const auto& f : fps) {
-    out += f;
-    out += '\n';
-  }
-  return out;
-}
-
-std::size_t Baseline::size() const {
-  std::size_t n = 0;
-  for (const auto& [fp, c] : counts_) n += static_cast<std::size_t>(c);
-  return n;
-}
-
-std::string to_json(const Report& report, const std::vector<Diagnostic>& fresh) {
-  // Identify freshness positionally by fingerprint multiset membership.
-  std::map<std::string, int> fresh_counts;
-  for (const Diagnostic& d : fresh) ++fresh_counts[d.fingerprint];
-
+std::string to_json(const Report& report) {
   std::ostringstream o;
   o << "{\n";
   o << "  \"files_scanned\": " << report.files_scanned << ",\n";
   o << "  \"diagnostics_total\": " << report.diagnostics.size() << ",\n";
-  o << "  \"diagnostics_new\": " << fresh.size() << ",\n";
-  o << "  \"diagnostics_baselined\": "
-    << report.diagnostics.size() - fresh.size() << ",\n";
   o << "  \"suppressions\": " << report.suppressions.size() << ",\n";
   o << "  \"stale_suppressions\": " << report.stale_suppressions.size()
     << ",\n";
-  o << "  \"cache_hits\": " << report.cache_hits << ",\n";
-  o << "  \"cache_misses\": " << report.cache_misses << ",\n";
   o << "  \"diagnostics\": [";
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
     const Diagnostic& d = report.diagnostics[i];
-    bool is_new = false;
-    auto it = fresh_counts.find(d.fingerprint);
-    if (it != fresh_counts.end() && it->second > 0) {
-      --it->second;
-      is_new = true;
-    }
     o << (i == 0 ? "\n" : ",\n");
     o << "    {\"file\": \"" << json_escape(d.file) << "\", \"line\": "
       << d.line << ", \"rule\": \"" << rule_name(d.rule)
-      << "\", \"new\": " << (is_new ? "true" : "false")
-      << ", \"fingerprint\": \"" << json_escape(d.fingerprint)
+      << "\", \"fingerprint\": \"" << json_escape(d.fingerprint)
       << "\", \"message\": \"" << json_escape(d.message) << "\"}";
   }
   o << (report.diagnostics.empty() ? "],\n" : "\n  ],\n");
@@ -1964,75 +1376,6 @@ std::string to_json(const Report& report, const std::vector<Diagnostic>& fresh) 
   }
   o << (report.stale_suppressions.empty() ? "]\n" : "\n  ]\n");
   o << "}\n";
-  return o.str();
-}
-
-std::string to_sarif(const Report& report,
-                     const std::vector<Diagnostic>& fresh) {
-  std::map<std::string, int> fresh_counts;
-  for (const Diagnostic& d : fresh) ++fresh_counts[d.fingerprint];
-
-  static const struct {
-    const char* id;
-    const char* desc;
-  } kRules[] = {
-      {"R1", "No nondeterminism sources outside the sanctioned allowlist"},
-      {"R2", "No iteration over unordered containers"},
-      {"R3", "No threading primitives outside src/fleet/"},
-      {"R4", "Include edges must follow the declared module DAG"},
-      {"R5", "No += accumulation of unordered-container lookups"},
-      {"R6", "No allocation inside hot-path regions"},
-      {"R7", "Telemetry names must be registered in obs/names.hpp"},
-      {"R8", "Include hygiene: no stale or missing direct ntco includes"},
-      {"R9", "Kernel handlers must fit the InlineFunction SBO"},
-      {"sup", "Malformed suppression or hot-path marker"},
-  };
-
-  std::ostringstream o;
-  o << "{\n"
-    << "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-    << "  \"version\": \"2.1.0\",\n"
-    << "  \"runs\": [\n"
-    << "    {\n"
-    << "      \"tool\": {\n"
-    << "        \"driver\": {\n"
-    << "          \"name\": \"ntco-lint\",\n"
-    << "          \"informationUri\": "
-       "\"https://example.invalid/ntco/DESIGN.md\",\n"
-    << "          \"rules\": [";
-  for (std::size_t i = 0; i < sizeof kRules / sizeof kRules[0]; ++i) {
-    o << (i == 0 ? "\n" : ",\n");
-    o << "            {\"id\": \"" << kRules[i].id
-      << "\", \"shortDescription\": {\"text\": \"" << kRules[i].desc
-      << "\"}}";
-  }
-  o << "\n          ]\n"
-    << "        }\n"
-    << "      },\n"
-    << "      \"results\": [";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const Diagnostic& d = report.diagnostics[i];
-    bool is_new = false;
-    auto it = fresh_counts.find(d.fingerprint);
-    if (it != fresh_counts.end() && it->second > 0) {
-      --it->second;
-      is_new = true;
-    }
-    o << (i == 0 ? "\n" : ",\n");
-    o << "        {\"ruleId\": \"" << rule_name(d.rule) << "\", \"level\": \""
-      << (is_new ? "error" : "note")
-      << "\", \"message\": {\"text\": \"" << json_escape(d.message)
-      << "\"}, \"partialFingerprints\": {\"ntcoLint/v1\": \""
-      << json_escape(d.fingerprint)
-      << "\"}, \"locations\": [{\"physicalLocation\": "
-         "{\"artifactLocation\": {\"uri\": \""
-      << json_escape(d.file) << "\"}, \"region\": {\"startLine\": "
-      << (d.line > 0 ? d.line : 1) << "}}}]}";
-  }
-  o << (report.diagnostics.empty() ? "]\n" : "\n      ]\n");
-  o << "    }\n"
-    << "  ]\n"
-    << "}\n";
   return o.str();
 }
 

@@ -77,8 +77,7 @@ class ServerPool {
     }
     const auto it = running_.find(ticket);
     if (it == running_.end()) return std::nullopt;
-    const Running run = it->second;
-    running_.erase(it);
+    const Running& run = it->second;
     sim_.cancel(run.completion);
     CancelInfo info;
     info.was_running = true;
@@ -88,6 +87,7 @@ class ServerPool {
     // busy_time_ was charged for the full service at dispatch; refund the
     // part that will never be rendered.
     busy_time_ -= run.service - info.consumed;
+    running_.erase(it);
     ++free_;
     dispatch();
     return info;
@@ -119,10 +119,13 @@ class ServerPool {
     Completion on_done;
   };
 
+  /// A job in service. It owns the completion callback, so the kernel
+  /// handler captures only [this, ticket] and stays inline.
   struct Running {
     EventId completion = kNoEvent;
     TimePoint started;
     Duration service;
+    Completion on_done;
   };
 
   void dispatch() {
@@ -130,20 +133,27 @@ class ServerPool {
       Job job = std::move(queue_.front());
       queue_.pop_front();
       --free_;
-      const TimePoint started = sim_.now();
       busy_time_ += job.service;
       const Ticket ticket = job.ticket;
-      const EventId ev = sim_.schedule_after(
-          job.service,
-          [this, ticket, started, done = std::move(job.on_done)]() mutable {
-            running_.erase(ticket);
-            ++free_;
-            ++completed_;
-            done(started);
-            dispatch();
-          });
-      running_.emplace(ticket, Running{ev, started, job.service});
+      const auto it =
+          running_
+              .emplace(ticket, Running{kNoEvent, sim_.now(), job.service,
+                                       std::move(job.on_done)})
+              .first;
+      it->second.completion = sim_.schedule_after(
+          job.service, [this, ticket] { finish(ticket); });
     }
+  }
+
+  void finish(Ticket ticket) {
+    const auto it = running_.find(ticket);
+    const TimePoint started = it->second.started;
+    const Completion done = std::move(it->second.on_done);
+    running_.erase(it);
+    ++free_;
+    ++completed_;
+    done(started);
+    dispatch();
   }
 
   Simulator& sim_;

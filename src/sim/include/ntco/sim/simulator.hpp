@@ -97,6 +97,7 @@ class Simulator : public obs::TraceClock {
     const std::uint64_t seq = next_seq_++;
     s.seq = seq;
     s.fn = std::move(fn);
+    if (!s.fn.is_inline()) ++heap_handlers_;
     meta_[slot] |= kPending;  // state was Free (0); generation unchanged
     heap_push(HeapNode{t, static_cast<std::uint32_t>(seq), slot});
     ++pending_count_;
@@ -133,6 +134,13 @@ class Simulator : public obs::TraceClock {
   /// Number of events still pending (excludes cancelled ones).
   [[nodiscard]] std::size_t pending() const { return pending_count_; }
 
+  /// Handlers scheduled so far that did not fit InlineHandler's inline
+  /// buffer and took its heap fallback (one allocation each). This is the
+  /// exact check that a capture set fits: tests assert it stays 0 on the
+  /// paths they drive (see DESIGN.md "Static analysis & determinism
+  /// contract").
+  [[nodiscard]] std::uint64_t heap_handlers() const { return heap_handlers_; }
+
   /// Ids of all pending events, in scheduling order. Produced by scanning
   /// the arena meta words (slot order — deterministic, but arbitrary
   /// relative to schedule time once slots recycle) and sorting by each
@@ -140,15 +148,15 @@ class Simulator : public obs::TraceClock {
   /// old sequential-id kernel exactly.
   [[nodiscard]] std::vector<EventId> pending_event_ids() const {
     std::vector<std::pair<std::uint64_t, EventId>> by_seq;
-    by_seq.reserve(pending_count_);  // ntco-lint: allow(R6) introspection helper, never called from the event loop
+    by_seq.reserve(pending_count_);
     for (std::uint32_t slot = 0; slot < slot_count_; ++slot) {
       const std::uint32_t m = meta_[slot];
       if ((m & kStateMask) == kPending)
-        by_seq.emplace_back(slot_ref(slot).seq, make_id(slot, m >> kStateBits));  // ntco-lint: allow(R6) introspection helper, never called from the event loop
+        by_seq.emplace_back(slot_ref(slot).seq, make_id(slot, m >> kStateBits));
     }
     std::sort(by_seq.begin(), by_seq.end());
     std::vector<EventId> ids;
-    ids.reserve(by_seq.size());  // ntco-lint: allow(R6) introspection helper, never called from the event loop
+    ids.reserve(by_seq.size());
     for (const auto& [seq, id] : by_seq) ids.push_back(id);
     return ids;
   }
@@ -293,7 +301,7 @@ class Simulator : public obs::TraceClock {
     }
     NTCO_EXPECTS(slot_count_ < kNoSlot);  // arena is 2^32-1 slots max
     if ((slot_count_ & (kChunkSize - 1)) == 0)
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));  // ntco-lint: allow(R6) amortized arena growth: one chunk per kChunkSize slots, none once the slot free-list warms up
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
     meta_.push_back(kFree);
     return slot_count_++;
   }
@@ -312,7 +320,7 @@ class Simulator : public obs::TraceClock {
   // shift nodes into the hole and place the moving node once at the end,
   // instead of swapping at every level (half the data movement).
   void heap_push(HeapNode node) {
-    heap_.push_back(node);  // ntco-lint: allow(R6) amortized: heap capacity plateaus at peak pending events, then pushes never allocate
+    heap_.push_back(node);
     std::size_t i = heap_.size() - 1;
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
@@ -354,6 +362,7 @@ class Simulator : public obs::TraceClock {
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t heap_handlers_ = 0;
   std::size_t pending_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   std::uint32_t slot_count_ = 0;

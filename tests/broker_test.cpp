@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "ntco/common/contracts.hpp"
 #include "ntco/common/rng.hpp"
 #include "ntco/fleet/replicator.hpp"
+#include "ntco/net/flaky_link.hpp"
 #include "ntco/net/path.hpp"
 
 // Suite names start with "Broker" so tools/ci.sh can rerun exactly these
@@ -23,10 +25,10 @@ namespace {
 // ---------------------------------------------------------------- PlanCache
 
 /// A recognisable plan: unit tests only need identity, not deployability.
-core::DeploymentPlan plan_with(Duration tag) {
+SharedPlan plan_with(Duration tag) {
   core::DeploymentPlan p;
   p.predicted.latency = tag;
-  return p;
+  return std::make_shared<const core::DeploymentPlan>(std::move(p));
 }
 
 DecisionContext ctx_with(std::string workload, double mbps,
@@ -48,7 +50,7 @@ TEST(BrokerPlanCache, MissThenInsertThenHit) {
 
   EXPECT_EQ(cache.lookup(ctx, t0), nullptr);
   cache.insert(ctx, plan_with(Duration::seconds(7)), t0);
-  const core::DeploymentPlan* p = cache.lookup(ctx, t0);
+  const SharedPlan p = cache.lookup(ctx, t0);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->predicted.latency, Duration::seconds(7));
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -492,68 +494,85 @@ TEST(BrokerAdmission, OpenLoopRandomizedInvariants) {
 
 // ------------------------------------------------------------------- Batch
 
+using JobId = BatchDispatcher::JobId;
+
+/// Stands in for the broker's request records: records when each job
+/// starts, runs it for `service`, then starts its lane successor.
+struct LaneRecorder final : BatchDispatcher::Runner {
+  explicit LaneRecorder(sim::Simulator& s, Duration service = {})
+      : sim(s), service_time(service) {}
+  LaneRecorder(const LaneRecorder&) = delete;
+  LaneRecorder& operator=(const LaneRecorder&) = delete;
+
+  void follow(JobId prev, JobId next) override { successor[prev] = next; }
+  void start(JobId job) override {
+    runs.emplace_back(job, sim.now().since_origin());
+    sim.schedule_after(service_time, [this, job] {
+      const auto it = successor.find(job);
+      if (it != successor.end()) start(it->second);
+    });
+  }
+
+  sim::Simulator& sim;
+  Duration service_time;
+  std::map<JobId, JobId> successor;
+  std::vector<std::pair<JobId, Duration>> runs;
+};
+
 TEST(BrokerBatch, FlushesAtTheAlignedInstant) {
   sim::Simulator sim;
-  BatchDispatcher d(sim, {});
+  LaneRecorder lanes(sim);
+  BatchDispatcher d(sim, {}, lanes);
   const TimePoint at = TimePoint::at(Duration::minutes(10));
-  std::vector<Duration> ran_at;
-  for (int i = 0; i < 3; ++i)
-    d.enqueue("g", at, [&](std::function<void()> done) {
-      ran_at.push_back(sim.now().since_origin());
-      done();
-    });
+  for (JobId i = 0; i < 3; ++i) d.enqueue("g", at, i);
   EXPECT_EQ(d.open_batches(), 1u);
   sim.run();
-  ASSERT_EQ(ran_at.size(), 3u);
-  for (const Duration t : ran_at) EXPECT_EQ(t, Duration::minutes(10));
+  ASSERT_EQ(lanes.runs.size(), 3u);
+  for (const auto& [job, t] : lanes.runs) EXPECT_EQ(t, Duration::minutes(10));
   EXPECT_EQ(d.stats().batches, 1u);
   EXPECT_EQ(d.stats().jobs_dispatched, 3u);
   EXPECT_EQ(d.open_batches(), 0u);
+  EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerBatch, SealedBatchKeepsItsFlushInstant) {
   sim::Simulator sim;
+  LaneRecorder lanes(sim);
   BatchConfig cfg;
   cfg.max_batch = 2;
-  BatchDispatcher d(sim, cfg);
+  BatchDispatcher d(sim, cfg, lanes);
   const TimePoint at = TimePoint::at(Duration::minutes(10));
-  std::vector<Duration> ran_at;
-  for (int i = 0; i < 3; ++i)
-    d.enqueue("g", at, [&](std::function<void()> done) {
-      ran_at.push_back(sim.now().since_origin());
-      done();
-    });
+  for (JobId i = 0; i < 3; ++i) d.enqueue("g", at, i);
   sim.run();
   // The first two sealed the batch, the third re-opened the key — but
   // nothing dispatched before the price-aligned instant.
-  ASSERT_EQ(ran_at.size(), 3u);
-  for (const Duration t : ran_at) EXPECT_EQ(t, Duration::minutes(10));
+  ASSERT_EQ(lanes.runs.size(), 3u);
+  for (const auto& [job, t] : lanes.runs) EXPECT_EQ(t, Duration::minutes(10));
   EXPECT_EQ(d.stats().batches, 2u);
   EXPECT_EQ(d.stats().sealed, 1u);
+  // The sealed batch's map node moved into its release handler inline.
+  EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerBatch, LanesChainOnCompletion) {
   sim::Simulator sim;
+  // Each job takes one simulated second; the lane's successor must not
+  // start before it completed.
+  LaneRecorder lanes(sim, Duration::seconds(1));
   BatchConfig cfg;
   cfg.lanes = 1;
-  BatchDispatcher d(sim, cfg);
+  BatchDispatcher d(sim, cfg, lanes);
   const TimePoint at = TimePoint::at(Duration::minutes(10));
-  std::vector<std::pair<int, Duration>> runs;
-  for (int i = 0; i < 3; ++i)
-    d.enqueue("g", at, [&, i](std::function<void()> done) {
-      runs.emplace_back(i, sim.now().since_origin());
-      // Each job takes one simulated second; the lane's successor must not
-      // start before it completed.
-      sim.schedule_after(Duration::seconds(1),
-                         [done = std::move(done)] { done(); });
-    });
+  for (JobId i = 0; i < 3; ++i) d.enqueue("g", at, i);
   sim.run();
-  ASSERT_EQ(runs.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(runs[static_cast<std::size_t>(i)].first, i);  // enqueue order
-    EXPECT_EQ(runs[static_cast<std::size_t>(i)].second,
-              Duration::minutes(10) + Duration::seconds(i));
+  ASSERT_EQ(lanes.runs.size(), 3u);
+  for (JobId i = 0; i < 3; ++i) {
+    EXPECT_EQ(lanes.runs[i].first, i);  // enqueue order
+    EXPECT_EQ(lanes.runs[i].second,
+              Duration::minutes(10) +
+                  Duration::seconds(static_cast<std::int64_t>(i)));
   }
+  EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
 // ------------------------------------------------------------------- Serve
@@ -606,6 +625,7 @@ TEST(BrokerServe, CompletesAndCachesAcrossUsers) {
   EXPECT_EQ(hit.decision_latency, cfg.hit_cost);
   EXPECT_EQ(fx.broker.stats().completed, 2u);
   EXPECT_EQ(fx.broker.cache().stats().hits, 1u);
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerServe, NoCacheModeAlwaysReplans) {
@@ -626,6 +646,7 @@ TEST(BrokerServe, NoCacheModeAlwaysReplans) {
   EXPECT_FALSE(outcomes[1].cache_hit);
   EXPECT_EQ(fx.broker.cache().stats().hits + fx.broker.cache().stats().misses,
             0u);
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerServe, ShedOutcomeIsDelivered) {
@@ -651,6 +672,83 @@ TEST(BrokerServe, ShedOutcomeIsDelivered) {
   EXPECT_EQ(outcomes[0].shed_reason, ShedReason::DeadlineTooTight);
   EXPECT_EQ(outcomes[1].status, ServeStatus::Completed);
   EXPECT_EQ(fx.broker.stats().shed, 1u);
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
+}
+
+TEST(BrokerServe, DeferredRequestRetriesThenCompletes) {
+  BrokerConfig cfg;
+  cfg.admission.rate_per_second = 1.0;
+  cfg.admission.burst = 1.0;
+  ServeFixture fx(cfg);
+  const auto g = app::workloads::photo_backup();
+  std::vector<ServeOutcome> outcomes;
+  ServeRequest req;
+  req.app = &g;
+  // The second request finds the bucket empty and has hours of slack: it
+  // defers, retries from its own record, and completes.
+  for (int i = 0; i < 2; ++i)
+    fx.broker.serve(req, [&](const ServeOutcome& o) { outcomes.push_back(o); });
+  fx.sim.run();
+
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].deferrals + outcomes[1].deferrals, 1u);
+  for (const auto& o : outcomes) EXPECT_EQ(o.status, ServeStatus::Completed);
+  EXPECT_EQ(fx.broker.admission().stats().deferrals, 1u);
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
+}
+
+TEST(BrokerServe, FailedParallelRunStragglersOutliveTheReleasedPlan) {
+  // In dataflow mode a failed upload fires the outcome while another
+  // branch still runs on the device. The broker releases the request's
+  // plan with its record (no cache holds it here), so the straggler's
+  // completion must not read the plan; ASan (tools/ci.sh step 8) turns a
+  // regression into a failure.
+  app::TaskGraph g("straggler");
+  const auto comp = [](const char* name, std::uint64_t mcycles, bool local) {
+    app::Component c;
+    c.name = name;
+    c.work = Cycles::mega(mcycles);
+    c.memory = DataSize::megabytes(128);
+    c.image = DataSize::megabytes(10);
+    c.pinned_local = local;
+    return c;
+  };
+  const auto a = g.add_component(comp("a", 100, true));
+  const auto b = g.add_component(comp("b", 400'000, false));
+  const auto c = g.add_component(comp("c", 5'000, true));
+  const auto d = g.add_component(comp("d", 100, true));
+  g.add_flow(a, b, DataSize::kilobytes(10));  // the upload that fails
+  g.add_flow(c, d, DataSize::kilobytes(10));  // the straggler's flow
+
+  sim::Simulator sim;
+  serverless::Platform platform(sim, {});
+  device::Device ue(device::budget_phone());
+  const auto wifi = net::profile_wifi();
+  net::NetworkPath path(
+      "lossy-up",
+      std::make_unique<net::FlakyLink>(
+          std::make_unique<net::FixedLink>(wifi.one_way_latency, wifi.uplink),
+          1.0, Duration::seconds(1), Rng(7)),
+      std::make_unique<net::FixedLink>(wifi.one_way_latency, wifi.downlink));
+  core::ControllerConfig ccfg;
+  ccfg.execution_mode = core::ExecutionMode::Parallel;
+  core::OffloadController controller(sim, platform, ue, path, ccfg);
+  partition::MinCutPartitioner mincut;
+  BrokerConfig cfg;
+  cfg.cache_enabled = false;
+  cfg.batching_enabled = false;
+  cfg.defer.policy = sched::Policy::Immediate;
+  Broker broker(sim, platform, controller, mincut, cfg);
+
+  std::vector<ServeOutcome> outcomes;
+  ServeRequest req;
+  req.app = &g;
+  broker.serve(req, [&](const ServeOutcome& o) { outcomes.push_back(o); });
+  sim.run();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].status, ServeStatus::Failed);
+  EXPECT_EQ(broker.stats().failed, 1u);
+  EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
 // -------------------------------------------------------------- Two-stage
@@ -703,6 +801,7 @@ TEST(BrokerTwoStage, MissServedByHeuristicThenExactPublishes) {
   EXPECT_FALSE(outcomes[1].heuristic_serve);
   EXPECT_EQ(outcomes[1].decision_latency, fx.broker.config().hit_cost);
   EXPECT_EQ(fx.broker.twostage().fast_serves, 1u);  // no second fast serve
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerTwoStage, SameBucketBurstResolvesOnce) {
@@ -724,6 +823,7 @@ TEST(BrokerTwoStage, SameBucketBurstResolvesOnce) {
   EXPECT_EQ(fx.broker.twostage().fast_serves, 3u);
   EXPECT_EQ(fx.broker.twostage().resolves, 1u);
   EXPECT_EQ(fx.broker.cache().stats().misses, 3u);
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerTwoStage, BackpressureStretchesResolveLatency) {
@@ -753,6 +853,7 @@ TEST(BrokerTwoStage, BackpressureStretchesResolveLatency) {
     fx.sim.run();
     EXPECT_EQ(resolves_at_probe, p == 0.0 ? 1u : 0u);
     EXPECT_EQ(fx.broker.twostage().resolves, 1u);  // it does land eventually
+    EXPECT_EQ(fx.sim.heap_handlers(), 0u);
   }
 }
 
@@ -762,6 +863,7 @@ TEST(BrokerTwoStage, BackpressureStretchesResolveLatency) {
 struct FleetOut {
   obs::MetricsRegistry metrics;
   obs::JsonlTraceWriter trace;
+  std::uint64_t heap_handlers = 0;
 };
 
 FleetOut run_fleet(std::size_t threads) {
@@ -788,11 +890,13 @@ FleetOut run_fleet(std::size_t threads) {
           });
         }
         fx.sim.run();
+        out.heap_handlers = fx.sim.heap_handlers();
         return out;
       },
       [](FleetOut& acc, FleetOut&& shard, std::size_t) {
         acc.metrics.merge_from(shard.metrics);
         acc.trace.append_from(shard.trace);
+        acc.heap_handlers += shard.heap_handlers;
       });
 }
 
@@ -802,6 +906,7 @@ TEST(BrokerDeterminism, FleetMergeByteIdenticalAcrossThreads) {
   EXPECT_FALSE(one.trace.str().empty());
   EXPECT_EQ(one.metrics.to_csv(), eight.metrics.to_csv());
   EXPECT_EQ(one.trace.str(), eight.trace.str());
+  EXPECT_EQ(one.heap_handlers, 0u);
 }
 
 }  // namespace

@@ -52,6 +52,8 @@ TEST(EdgePlatform, SaturationQueuesJobs) {
   // Third wave waited for two full service rounds.
   EXPECT_GT(waits[4], Duration::seconds(1));
   EXPECT_GT(waits[5], waits[3]);
+  // Every completion handler fit the kernel's inline buffer.
+  EXPECT_EQ(s.heap_handlers(), 0u);
 }
 
 TEST(EdgePlatform, InfrastructureCostAccruesWithWallTimeNotLoad) {

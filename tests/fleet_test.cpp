@@ -2,17 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ntco/common/error.hpp"
-#include "ntco/fleet/sweep.hpp"
-#include "ntco/fleet/thread_pool.hpp"
 #include "ntco/obs/metrics.hpp"
 #include "ntco/sim/simulator.hpp"
 #include "ntco/stats/percentile.hpp"
@@ -21,55 +16,11 @@ namespace ntco::fleet {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool.
+// Replicator.
 
-TEST(FleetThreadPool, RunsEverySubmittedTask) {
-  // ntco-lint: allow(R3) exercising the fleet ThreadPool requires an atomic observed from pool workers
-  std::atomic<int> ran{0};
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(FleetThreadPool, WaitIdleWaitsForRunningTasks) {
-  // ntco-lint: allow(R3) cross-thread completion flag for the pool under test
-  std::atomic<bool> done{false};
-  ThreadPool pool(2);
-  pool.submit([&done] {
-    // ntco-lint: allow(R3) deliberate in-task delay so wait_idle() has something to wait for
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    done.store(true);
-  });
-  pool.wait_idle();
-  EXPECT_TRUE(done.load());
-}
-
-TEST(FleetThreadPool, DrainsQueueOnDestruction) {
-  // ntco-lint: allow(R3) counts task executions across pool workers during teardown
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 10; ++i)
-      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }  // destructor joins after the queue drains
-  EXPECT_EQ(ran.load(), 10);
-}
-
-TEST(FleetThreadPool, ContractsRejectInvalidUse) {
-  EXPECT_THROW(ThreadPool(0), ContractViolation);
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.submit(nullptr), ContractViolation);
-}
-
-TEST(FleetThreadPool, DefaultThreadCountIsPositive) {
+TEST(FleetReplicator, DefaultThreadCountIsPositive) {
   EXPECT_GE(default_thread_count(), 1u);
 }
-
-// ---------------------------------------------------------------------------
-// Replicator.
 
 TEST(FleetReplicator, MapReturnsResultsInShardOrder) {
   Replicator rep(1, 4);
@@ -181,68 +132,6 @@ TEST(FleetReplicator, ContractsRejectZeroShards) {
   Replicator rep(1, 1);
   EXPECT_THROW((void)rep.map(0, [](ShardContext&) { return 0; }),
                ContractViolation);
-}
-
-// ---------------------------------------------------------------------------
-// Sweep.
-
-TEST(FleetSweep, ReplicateGroupsByPointInOrder) {
-  Sweep sweep(17, 4);
-  const std::vector<double> points{0.5, 1.5, 2.5};
-  const auto groups =
-      sweep.replicate(points, 5, [](const double& p, ReplicaContext& ctx) {
-        EXPECT_EQ(ctx.replica_count, 5u);
-        return p * 100.0 + static_cast<double>(ctx.replica);
-      });
-  ASSERT_EQ(groups.size(), 3u);
-  for (std::size_t p = 0; p < groups.size(); ++p) {
-    ASSERT_EQ(groups[p].size(), 5u);
-    for (std::size_t r = 0; r < 5; ++r)
-      EXPECT_DOUBLE_EQ(groups[p][r],
-                       points[p] * 100.0 + static_cast<double>(r));
-  }
-}
-
-TEST(FleetSweep, ReplicaRngIsNestedStreamOfPointStream) {
-  Sweep sweep(404, 2);
-  const std::vector<int> points{10, 20};
-  const auto draws =
-      sweep.replicate(points, 3, [](const int&, ReplicaContext& ctx) {
-        return ctx.rng.next_u64();
-      });
-  for (std::size_t p = 0; p < 2; ++p)
-    for (std::size_t r = 0; r < 3; ++r)
-      EXPECT_EQ(draws[p][r], Rng::stream(404, p).stream(r).next_u64());
-}
-
-TEST(FleetSweep, MapGivesOneResultPerPoint) {
-  Sweep sweep(1, 3);
-  const std::vector<int> points{4, 5, 6, 7};
-  const auto out = sweep.map(
-      points, [](const int& p, ReplicaContext& ctx) {
-        EXPECT_EQ(ctx.replica, 0u);
-        return p * 2;
-      });
-  ASSERT_EQ(out.size(), 4u);
-  for (std::size_t p = 0; p < out.size(); ++p)
-    EXPECT_EQ(out[p], points[p] * 2);
-}
-
-TEST(FleetSweep, ReplicateIsThreadCountInvariant) {
-  const auto run = [](std::size_t threads) {
-    Sweep sweep(2022, threads);
-    const std::vector<double> loads{0.2, 0.8};
-    return sweep.replicate(loads, 6, [](const double& load, ReplicaContext& ctx) {
-      ShardContext sc{ctx.replica, ctx.replica_count, ctx.rng};
-      return simulate_replica(sc) * load;
-    });
-  };
-  const auto on1 = run(1);
-  const auto on8 = run(8);
-  ASSERT_EQ(on1.size(), on8.size());
-  for (std::size_t p = 0; p < on1.size(); ++p)
-    for (std::size_t r = 0; r < on1[p].size(); ++r)
-      EXPECT_EQ(on1[p][r], on8[p][r]) << "point " << p << " replica " << r;
 }
 
 }  // namespace

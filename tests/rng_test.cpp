@@ -65,10 +65,11 @@ TEST(Rng, StreamShardsArePairwiseDistinct) {
 }
 
 TEST(Rng, StreamOfStreamDoesNotCollideWithSiblings) {
-  // Regression guard for the fleet's seed derivation: fleet::Sweep hands
-  // (point p, replica r) the stream Rng::stream(seed, p).stream(r). None
-  // of those nested streams may collide with a sibling stream of the
-  // root, nor with another (point, replica) pair.
+  // Regression guard for nested seed derivation: sweeps over points and
+  // replicas (F9 on fleet::Replicator) hand pair (point p, replica r) the
+  // stream Rng::stream(seed, p).stream(r). None of those nested streams may
+  // collide with a sibling stream of the root, nor with another
+  // (point, replica) pair.
   constexpr std::uint64_t kSeed = 99;
   std::vector<std::uint64_t> first_draws;
   for (std::uint64_t s = 0; s < 32; ++s)

@@ -3,15 +3,16 @@
 #
 #   1. configure (warnings are errors: NTCO_WERROR=ON) and build just the
 #      ntco-lint target — seconds, not minutes
-#   2. run ntco-lint, the static determinism & layering gate (rules R1-R9,
-#      see DESIGN.md "Static analysis & determinism contract"): any
-#      diagnostic not absorbed by tools/lint_baseline.txt fails here,
-#      before the expensive builds — as does any stale suppression
-#      (--fail-stale). The phase-1 index cache makes repeat runs
-#      sub-second; JSON and SARIF reports land in the build dir
+#   2. run ntco-lint, the static determinism & layering gate (rules R1-R5,
+#      R7, R8; see DESIGN.md "Static analysis & determinism contract"): any
+#      diagnostic or stale suppression fails here, before the expensive
+#      builds. A cold full-tree run takes well under a second, so there is
+#      no cache, no baseline and no SARIF output any more; the JSON report
+#      lands in the build dir
 #   3. build everything else (tests, benches, examples)
-#   4. run the unit/integration suite (ctest; includes LintClean and
-#      LintSelfClean again so a local `ctest` run gets the same gates)
+#   4. run the unit/integration suite (ctest; includes LintClean again so a
+#      local `ctest` run gets the same gate, and allocation_count_test, the
+#      exact allocation counts that replaced the old hot-path lint rules)
 #   5. prove the fleet determinism contract end-to-end:
 #      bench_f5_scale_users, bench_f12_broker, bench_f13_fabric_contention,
 #      bench_f14_continuum, bench_f15_vehicular, and bench_f16_diurnal must
@@ -29,7 +30,9 @@
 #      fabric-fleet, dataplane, and arrival-fleet suites (everything that
 #      exercises the worker pool or the lock-free rings) —
 #      ctest -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
-#   8. rebuild under ASan + UBSan and rerun the whole suite
+#   8. rebuild under ASan + UBSan and rerun the whole suite (including
+#      allocation_count_test: its counting operator new sits on top of the
+#      sanitizer allocator, and its counts hold there too)
 #
 #   tools/ci.sh [build-dir]             (default: build-ci)
 #
@@ -51,11 +54,7 @@ cmake --build "$BUILD_DIR" --target ntco-lint -j "$JOBS"
 echo "== [2/8] ntco-lint: static determinism & layering gate =="
 "$BUILD_DIR/tools/ntco-lint" \
   --root "$SRC_DIR" \
-  --baseline "$SRC_DIR/tools/lint_baseline.txt" \
-  --cache "$BUILD_DIR/ntco-lint-cache.txt" \
-  --json-out "$BUILD_DIR/ntco-lint-report.json" \
-  --sarif "$BUILD_DIR/ntco-lint.sarif" \
-  --fail-stale
+  --json-out "$BUILD_DIR/ntco-lint-report.json"
 
 echo "== [3/8] build everything =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
