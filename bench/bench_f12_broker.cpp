@@ -35,8 +35,8 @@
 // which is hours of wall clock at this population, and its contrast is
 // already established by the default points. The default point list is
 // unchanged, so the ci.sh byte-diff artifacts never see the knob. The
-// stderr line carries the dataplane's view of each parallel run —
-// epochs/sec, mean ring occupancy, and the per-core item split.
+// stderr line carries the worker pool's view of each parallel run — merge
+// steps ("epochs") per second and the per-core shard split.
 
 #include <chrono>
 #include <cmath>
@@ -256,8 +256,8 @@ int main() {
 
       // Wall-clock throughput is machine-dependent by nature: stderr only,
       // so stdout and the NTCO_BENCH_OUT artifacts stay byte-deterministic.
-      // The dataplane stats are all zero on serial runs (NTCO_THREADS=1 or
-      // a single shard bypasses the engine).
+      // The pool stats are all zero on serial runs (NTCO_THREADS=1 or a
+      // single shard runs inline).
       const dataplane::EngineRunStats& dp = rep.last_dataplane_run();
       std::string cores;
       for (std::size_t c = 0; c < dp.items_per_worker.size(); ++c) {
@@ -267,14 +267,12 @@ int main() {
       std::fprintf(
           stderr,
           "[F12] users=%d mode=%s wall=%.2fs plans/sec=%.0f "
-          "epochs=%llu epochs/sec=%.1f occ=%.3f scale=+%llu/-%llu "
-          "cores=[%s]\n",
+          "epochs=%llu epochs/sec=%.1f cores=[%s]\n",
           users, broker_on ? "broker" : "nocache", wall_s,
           wall_s > 0.0 ? static_cast<double>(served) / wall_s : 0.0,
           static_cast<unsigned long long>(dp.epochs),
           wall_s > 0.0 ? static_cast<double>(dp.epochs) / wall_s : 0.0,
-          dp.mean_occupancy, static_cast<unsigned long long>(dp.scale_ups),
-          static_cast<unsigned long long>(dp.scale_downs), cores.c_str());
+          cores.c_str());
 
       metrics.merge_from(merged.metrics);
       if (trace_on && broker_on) trace.append_from(merged.trace);

@@ -14,9 +14,9 @@
 //
 //   twostage  cache hit, else a cheap all-remote heuristic answers the
 //             miss immediately (40 us) while the exact min-cut solve
-//             resolves asynchronously (deduped per cache bucket,
-//             stretched by ring pressure) and publishes through the
-//             cache for the next request in the bucket.
+//             resolves asynchronously (deduped per cache bucket) and
+//             publishes through the cache for the next request in the
+//             bucket.
 //   exact     every miss waits for the full multi-ms min-cut plan before
 //             dispatch (the pre-two-stage broker).
 //

@@ -1,5 +1,5 @@
 // F16 — A diurnal day at population scale: one million users replayed
-// open-loop through the broker on the dataplane engine.
+// open-loop through the broker on the fleet's worker pool.
 //
 // A full simulated day of open-loop demand: arrivals follow a Markov-
 // modulated Poisson process whose base rate traces the residential

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "ntco/common/units.hpp"
-#include "ntco/dataplane/backpressure.hpp"
 #include "ntco/obs/metrics.hpp"
 #include "ntco/obs/trace.hpp"
 
@@ -35,8 +33,9 @@
 /// Shedding is loud by design: a silent drop would read as a simulator bug,
 /// an explicit reason is an SLO signal.
 ///
-/// Everything is computed from simulated TimePoints, so admission decisions
-/// are deterministic and fleet-safe (each shard owns its controller).
+/// Decisions depend only on the config, simulated TimePoints and the
+/// request stream, so they are deterministic and fleet-safe (each shard
+/// owns its controller).
 
 namespace ntco::broker {
 
@@ -98,32 +97,8 @@ class AdmissionController {
   /// counters. Either may be null.
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
 
-  /// Couples the token refill to downstream serving capacity: the probe is
-  /// read at each refill and its value, clamped to [0, 1], scales the
-  /// sustained rate (1 = full capacity, 0 = refill stalls; bursts already
-  /// banked stay spendable). Wire `continuum::Federation::capacity_factor`
-  /// here and admission tightens while federation sites are down, instead
-  /// of cheerfully admitting work the continuum will only park. Null
-  /// clears the probe. The probe must be deterministic in simulated time.
-  void set_capacity_probe(std::function<double()> probe);
-
-  /// Couples the deferral policy to *measured* serving backpressure: at
-  /// each decide(), the source's pressure() (clamped to [0, 1]) shrinks
-  /// the effective deferral-queue bound to max_deferred·(1−p) (floored at
-  /// one slot) and stretches the quoted retry wait by (1+p) — saturated
-  /// rings shed earlier and spread retries wider, instead of the broker
-  /// introspecting a mutex-guarded queue depth. Null clears the source;
-  /// the pointee must outlive the controller.
-  ///
-  /// Determinism contract: artifact-producing runs must wire a source
-  /// that is a pure function of simulated state (tests use stubs) or
-  /// leave it unwired; dataplane::Engine::pressure() is wall-clock racy
-  /// and belongs only in live-serving setups.
-  void set_backpressure_source(const dataplane::BackpressureSource* src);
-
  private:
   void refill(TimePoint now);
-  [[nodiscard]] double effective_rate() const;
 
   struct Instruments {
     obs::Counter* admitted = nullptr;
@@ -132,8 +107,6 @@ class AdmissionController {
   };
 
   AdmissionConfig cfg_;
-  std::function<double()> capacity_probe_;
-  const dataplane::BackpressureSource* backpressure_ = nullptr;
   double tokens_;
   TimePoint last_refill_;
   AdmissionStats stats_;

@@ -8,7 +8,6 @@
 
 #include "ntco/app/task_graph.hpp"
 #include "ntco/broker/admission.hpp"
-#include "ntco/dataplane/backpressure.hpp"
 #include "ntco/broker/batch_dispatcher.hpp"
 #include "ntco/broker/plan_cache.hpp"
 #include "ntco/common/units.hpp"
@@ -61,8 +60,7 @@
 /// stage 2 resolves the exact solver asynchronously, publishing its plan
 /// through the cache so the *next* request in the bucket gets the exact
 /// answer. Fast-churn clients (short link residence) never wait multi-ms
-/// solver latency; the solver's work drains in the background, stretched
-/// by measured dataplane backpressure.
+/// solver latency; the solver's work drains in the background.
 ///
 /// One broker serves one shard. Fleet runs give every shard its own
 /// broker + platform + cache (see bench_f12_broker); merged artifacts are
@@ -85,10 +83,8 @@ struct BrokerConfig {
   /// (cost `heuristic_cost`), while the exact solver resolves
   /// asynchronously and refreshes the cache for subsequent requests in
   /// the same bucket. At most one exact solve is in flight per cache
-  /// bucket; measured dataplane backpressure stretches the resolve
-  /// latency (saturated rings delay refinement, never the fast answer).
-  /// Requires cache_enabled (the cache is the stage-1 lookup and the
-  /// stage-2 publication point).
+  /// bucket. Requires cache_enabled (the cache is the stage-1 lookup and
+  /// the stage-2 publication point).
   bool two_stage_enabled = false;
   /// Simulated cost of the stage-1 heuristic placement.
   Duration heuristic_cost = Duration::micros(40);
@@ -189,25 +185,6 @@ class Broker : private BatchDispatcher::Runner {
   /// may be null. Stable names are listed in DESIGN.md ("Observability").
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
 
-  /// Forwards to AdmissionController::set_capacity_probe: admission
-  /// tightens with downstream serving capacity (e.g. a continuum
-  /// federation's capacity_factor) without the broker depending on any
-  /// particular capacity provider.
-  void set_capacity_probe(std::function<double()> probe) {
-    admission_.set_capacity_probe(std::move(probe));
-  }
-
-  /// Forwards to AdmissionController::set_backpressure_source: admission
-  /// throttles on measured dataplane ring occupancy instead of a mutexed
-  /// queue depth (see admission.hpp for the determinism contract). The
-  /// two-stage pipeline reads the same source: pressure p stretches the
-  /// asynchronous exact-resolve latency by (1+p), so saturated rings slow
-  /// refinement down before they slow serving down.
-  void set_backpressure_source(const dataplane::BackpressureSource* src) {
-    backpressure_ = src;
-    admission_.set_backpressure_source(src);
-  }
-
  private:
   /// Names an in-flight serve: (generation << 32) | slot of its record.
   using RequestId = BatchDispatcher::JobId;
@@ -307,7 +284,6 @@ class Broker : private BatchDispatcher::Runner {
   AdmissionController admission_;
   BatchDispatcher dispatcher_;
   partition::RemoteAllPartitioner all_remote_;
-  const dataplane::BackpressureSource* backpressure_ = nullptr;
   /// Request slab; a deque, so growth never moves a live record.
   std::deque<Request> requests_;
   std::uint32_t free_head_ = kNoSlot;

@@ -24,25 +24,10 @@ void AdmissionController::attach_observer(obs::TraceSink* trace,
   }
 }
 
-void AdmissionController::set_capacity_probe(std::function<double()> probe) {
-  capacity_probe_ = std::move(probe);
-}
-
-void AdmissionController::set_backpressure_source(
-    const dataplane::BackpressureSource* src) {
-  backpressure_ = src;
-}
-
-double AdmissionController::effective_rate() const {
-  if (!capacity_probe_) return cfg_.rate_per_second;
-  return cfg_.rate_per_second *
-         std::clamp(capacity_probe_(), 0.0, 1.0);
-}
-
 void AdmissionController::refill(TimePoint now) {
   NTCO_EXPECTS(now >= last_refill_);
   const double dt = (now - last_refill_).to_seconds();
-  tokens_ = std::min(cfg_.burst, tokens_ + dt * effective_rate());
+  tokens_ = std::min(cfg_.burst, tokens_ + dt * cfg_.rate_per_second);
   last_refill_ = now;
 }
 
@@ -81,22 +66,13 @@ AdmissionDecision AdmissionController::decide(TimePoint now,
   // thundering back together at the next refill.
   const double deficit = 1.0 - tokens_;
   const double backlog = static_cast<double>(stats_.deferred_outstanding);
-  // Ring backpressure stretches the quoted wait and shrinks the deferral
-  // bound: overload at the serving rings pushes work further into the
-  // future (these jobs are non-time-critical) before it sheds anything.
-  const double pressure =
-      backpressure_ == nullptr
-          ? 0.0
-          : std::clamp(backpressure_->pressure(), 0.0, 1.0);
-  // Quote against the capacity-scaled rate (floored so a stalled refill
-  // quotes a finite — if hopeless — wait instead of dividing by zero, and
-  // capped so the arithmetic stays inside Duration's range).
-  const double rate = std::max(effective_rate(), 1e-6);
+  // The rate is floored and the wait capped so the arithmetic stays inside
+  // Duration's range however small the configured rate.
+  const double rate = std::max(cfg_.rate_per_second, 1e-6);
   const Duration wait = std::max(
       cfg_.min_defer,
       std::min(Duration::minutes(60),
-               Duration::from_seconds((backlog + deficit) * (1.0 + pressure) /
-                                      rate)));
+               Duration::from_seconds((backlog + deficit) / rate)));
   const TimePoint retry_at = now + wait;
 
   // QueueFull outranks DeadlineTooTight: a full deferral queue sheds the
@@ -104,11 +80,10 @@ AdmissionDecision AdmissionController::decide(TimePoint now,
   // derived from a backlog the request cannot even join — attributing the
   // shed to the client's deadline would misreport capacity exhaustion as
   // a client-side problem (and steer SLO dashboards at the wrong knob).
-  const auto deferral_bound = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(cfg_.max_deferred) *
-                                  (1.0 - pressure)));
+  // The queue always holds at least one request, even at max_deferred 0.
   ShedReason reason = ShedReason::None;
-  if (stats_.deferred_outstanding >= deferral_bound) {
+  if (stats_.deferred_outstanding >=
+      std::max<std::size_t>(1, cfg_.max_deferred)) {
     reason = ShedReason::QueueFull;
   } else if (retry_at + est > deadline) {
     reason = ShedReason::DeadlineTooTight;

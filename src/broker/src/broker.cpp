@@ -211,14 +211,13 @@ void Broker::dispatch(RequestId id) {
   const TimePoint deadline = r.released + r.req.slack;
   const Duration slack_left =
       deadline > resumed ? deadline - resumed : Duration::zero();
-  const sched::DeferredJob job{truth.name(), truth.total_work(), slack_left};
   const Duration est = r.plan->predicted.latency;
-  const TimePoint planned = scheduler_.plan_start(resumed, job, est);
+  const TimePoint planned = scheduler_.plan_start(resumed, slack_left, est);
 
   if (cfg_.batching_enabled) {
     // Align the start up to the batch grid so compatible users flush
     // together, but never past the latest deadline-safe start.
-    const TimePoint latest = scheduler_.latest_start(resumed, job, est);
+    const TimePoint latest = scheduler_.latest_start(resumed, slack_left, est);
     const std::int64_t grid = cfg_.batch.interval.count_micros();
     const std::int64_t s = planned.since_origin().count_micros();
     TimePoint flush_at =
@@ -280,16 +279,9 @@ void Broker::schedule_exact_resolve(const DecisionContext& ctx,
   if (!fresh) return;
   it->second = Resolve{ctx, &g, env, heuristic};
 
-  // Measured ring pressure stretches the resolve: saturated rings delay
-  // refinement (stage 2), never the fast answer (stage 1).
-  const double pressure =
-      backpressure_ == nullptr
-          ? 0.0
-          : std::clamp(backpressure_->pressure(), 0.0, 1.0);
-  const Duration solve =
+  const Duration latency =
       cfg_.plan_cost_base +
       cfg_.plan_cost_per_component * static_cast<double>(g.component_count());
-  const Duration latency = solve * (1.0 + pressure);
 
   // Map iterators stay valid until erase, and only resolve() erases.
   sim_.schedule_after(latency, [this, it = it] { resolve(it); });

@@ -1,137 +1,64 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <thread>
 #include <vector>
 
-#include "ntco/dataplane/backpressure.hpp"
-#include "ntco/dataplane/controller.hpp"
-#include "ntco/dataplane/worker.hpp"
-#include "ntco/obs/metrics.hpp"
-#include "ntco/obs/trace.hpp"
-#include "ntco/stats/accumulator.hpp"
-
 /// \file engine.hpp
-/// The serving dataplane: per-core SPSC request rings, an MPSC completion
-/// ring, a deterministic epoch barrier, and NFVCtrl-style dynamic worker
-/// scaling.
+/// The fleet's worker pool.
 ///
-/// ## Epoch protocol
-///
-/// A run over `shards` shard indices proceeds in epochs of fixed width E
-/// (EngineConfig::epoch_width): epoch k owns exactly the contiguous shard
-/// range [k*E, min((k+1)*E, shards)). Membership is a pure function of the
-/// shard index — never of the worker count, ring occupancy, or timing — so
-/// the reducer can merge epoch ranges in ascending order and reproduce the
-/// global shard order at any thread count. Per epoch the orchestrator:
-///
-///   1. stamps each shard of the range with the epoch and round-robins the
-///      Tasks over the live workers' request rings (batched pushes, one
-///      release store per burst);
-///   2. drains exactly `range` Completions from the MPSC ring — the epoch
-///      barrier. The pop's acquire pairs with the worker's release, so
-///      every shard result is visible before the barrier opens;
-///   3. invokes the caller's epoch_done callback with the *shard range*
-///      (not the completion order), which merges results in shard order —
-///      this is why t1-vs-tN artifacts stay byte-identical;
-///   4. feeds the epoch's measured mean ring occupancy to the
-///      CoreController and parks/unparks workers to realise its plan.
-///
-/// Timing-derived signals (occupancy, liveness) steer only *capacity* —
-/// worker counts, admission throttling via pressure() — never results.
-///
-/// ## Memory layout
-///
-/// WorkerStates live in a deque (stable addresses, no moves — they hold
-/// atomics) and are each cache-line-aligned; the request ring inside keeps
-/// producer and consumer indices on separate lines. The shared completion
-/// ring is sized to hold a whole epoch so a worker's completion push never
-/// blocks within an epoch.
-///
-/// Threads are spawned parked at construction and reused across run()
-/// calls; run() itself is synchronous and single-orchestrator (not
-/// re-entrant).
+/// The traffic is small and coarse: a fleet::Replicator run hands the pool
+/// at most a few thousand shard indices, and each shard is a whole
+/// simulation that runs for milliseconds. So the pool is one mutex and two
+/// condition variables. run() starts `workers` threads and joins them before it
+/// returns. A worker claims the next shard index under the mutex, but only
+/// while fewer than kWindow shards are claimed and not yet merged, so at
+/// most kWindow shard results are alive at once. The calling thread
+/// sleeps until the shard at its merge cursor is done, then hands each
+/// ready contiguous prefix to the merge callback. Merging therefore runs
+/// on one thread in shard order at any worker count, which is what keeps
+/// merged artifacts byte-identical between NTCO_THREADS=1 and 8.
 
 namespace ntco::dataplane {
 
-/// Epoch-completion callback: the shard range [begin, end) has drained and
-/// every result in it is visible. Runs on the orchestrator thread.
-using EpochFn = void (*)(void* ctx, std::size_t begin, std::size_t end);
+/// Runs one shard. A raw function pointer plus context, so a run costs no
+/// allocation per shard.
+using ShardFn = void (*)(void* ctx, std::size_t shard);
 
-struct EngineConfig {
-  std::size_t workers = 1;        ///< threads spawned (the controller ceiling)
-  std::size_t ring_capacity = 64; ///< per-worker request ring (rounded to 2^n)
-  std::size_t epoch_width = 64;   ///< shards per epoch — fixed, NEVER derived
-                                  ///< from the worker count (determinism)
-  std::uint64_t seed = 0x9e3779b9; ///< worker backoff substream seed
-  ControllerConfig controller;
-};
+/// Shards [begin, end) are done and everything they wrote is visible.
+/// Called on run()'s thread, in ascending shard order.
+using MergeFn = void (*)(void* ctx, std::size_t begin, std::size_t end);
 
-/// What one run() observed. Worker-indexed vectors have pool_size() slots.
+/// What one run() observed. Timing-dependent: report it, never branch on
+/// it in a simulation.
 struct EngineRunStats {
-  std::uint64_t epochs = 0;
-  std::uint64_t items = 0;
-  std::uint64_t scale_ups = 0;
-  std::uint64_t scale_downs = 0;
-  double mean_occupancy = 0.0;  ///< mean request-ring fill over the run
-  std::size_t final_workers = 0;
-  std::vector<std::uint64_t> items_per_worker;
-  std::vector<std::uint64_t> core_liveness;  ///< epochs each worker was live
+  std::uint64_t epochs = 0;  ///< merge steps: ready prefixes handed over
+  std::uint64_t scale_ups = 0;    ///< always 0: the pool never resizes
+  std::uint64_t scale_downs = 0;  ///< always 0: the pool never resizes
+  double mean_occupancy = 0.0;    ///< always 0: there is no queue to fill
+  std::vector<std::uint64_t> items_per_worker;  ///< shards each worker ran
 };
 
-/// The dataplane engine. Owns the worker threads; one orchestrator thread
-/// (the caller of run()) dispatches and reduces.
-class Engine final : public BackpressureSource {
+class Engine {
  public:
-  explicit Engine(EngineConfig cfg);
-  ~Engine() override;
+  /// Most shards claimed but not yet merged.
+  static constexpr std::size_t kWindow = 64;
 
-  Engine(const Engine&) = delete;
-  Engine& operator=(const Engine&) = delete;
+  explicit Engine(std::size_t workers);
 
-  /// Runs `body(body_ctx, s)` for every shard s in [0, shards), workers in
-  /// parallel, epochs in order. `epoch_done` (optional) fires after each
-  /// epoch's barrier with the drained shard range — the streaming-reduce
-  /// hook. Blocks until all shards have completed; workers end parked.
+  /// Runs `body(body_ctx, s)` for every shard s in [0, shards) on the
+  /// workers and `merge` (optional) on the calling thread, as described
+  /// above. Returns once every shard is merged and every worker joined.
+  /// If `body` or `merge` throws, no further shard is claimed, the
+  /// workers are joined, and the first exception is rethrown here.
   void run(std::size_t shards, ShardFn body, void* body_ctx,
-           EpochFn epoch_done = nullptr, void* epoch_ctx = nullptr);
-
-  /// Observability attach point (optional; null detaches). Instruments and
-  /// event names are listed in DESIGN.md ("Observability"). Trace and
-  /// scaling telemetry are timing-dependent by design — attach only
-  /// wall-clock-tolerant sinks, never artifact-producing ones.
-  void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
+           MergeFn merge = nullptr, void* merge_ctx = nullptr);
 
   [[nodiscard]] const EngineRunStats& last_run() const { return stats_; }
-  [[nodiscard]] std::size_t pool_size() const { return workers_.size(); }
-
-  /// BackpressureSource: mean occupancy of the live workers' request
-  /// rings, in [0, 1]. Safe from any thread; 0 while no run is active.
-  [[nodiscard]] double pressure() const override;
 
  private:
-  void unpark(std::size_t begin, std::size_t end);
-  void park(std::size_t begin, std::size_t end);
-  [[nodiscard]] double occupancy_snapshot(std::size_t active) const;
-
-  EngineConfig cfg_;
-  EngineShared shared_;
-  std::deque<WorkerState> workers_;  // stable addresses; atomics never move
-  std::vector<std::thread> threads_;
-  std::atomic<std::size_t> active_{0};
+  std::size_t workers_;
   EngineRunStats stats_;
-
-  obs::TraceSink* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* c_epochs_ = nullptr;
-  obs::Counter* c_items_ = nullptr;
-  obs::Counter* c_scale_ups_ = nullptr;
-  obs::Counter* c_scale_downs_ = nullptr;
-  obs::Gauge* g_active_ = nullptr;
-  stats::Accumulator* s_occupancy_ = nullptr;
 };
 
 }  // namespace ntco::dataplane

@@ -16,25 +16,20 @@
 /// Deterministic sharded replica execution — the fleet engine's core.
 ///
 /// A replica is one independent simulation (its own sim::Simulator, its
-/// own platforms, its own Rng substream). The Replicator dispatches N
-/// replicas through the serving dataplane — per-worker lock-free SPSC
-/// request rings, an MPSC completion ring, and a fixed-width epoch barrier
-/// (dataplane::Engine) — and returns their results *in shard order*, so
-/// any reduction the caller performs is a sequential left fold over a
-/// thread-count-independent sequence: merged output is byte-identical
-/// whether the fleet ran on 1 worker or 16. Three rules make that hold:
+/// own platforms, its own Rng substream). The Replicator runs N replicas
+/// on the dataplane worker pool (dataplane::Engine) and returns their
+/// results *in shard order*, so any reduction the caller performs is a
+/// sequential left fold over a thread-count-independent sequence: merged
+/// output is byte-identical whether the fleet ran on 1 worker or 16. Two
+/// rules make that hold:
 ///
 ///  1. Randomness is keyed by shard, never by thread: shard s draws from
 ///     Rng::stream(seed, s) regardless of which worker executes it.
-///  2. Results land in per-shard slots; nothing is reduced concurrently.
-///  3. Epoch membership is a pure function of the shard index (fixed
-///     epoch width), so the engine's dynamic worker scaling can only move
-///     *where* a shard runs, never where its result lands or when it is
-///     merged relative to its neighbours.
+///  2. Results land in per-shard slots and are merged on one thread, in
+///     shard order; nothing is reduced concurrently.
 ///
 /// Replica bodies must not share mutable state (each owns its world); the
-/// completion ring's release/acquire pair provides the happens-before edge
-/// between a shard's writes and the reducing thread's reads.
+/// pool's mutex orders a shard's writes before the merging thread's reads.
 
 namespace ntco::fleet {
 
@@ -52,8 +47,7 @@ struct ShardContext {
   Rng rng{0};
 };
 
-/// Runs shard bodies across the dataplane engine and reduces in shard
-/// order.
+/// Runs shard bodies on the dataplane pool and reduces in shard order.
 class Replicator {
  public:
   /// `threads == 0` means default_thread_count() (NTCO_THREADS override,
@@ -65,21 +59,10 @@ class Replicator {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   [[nodiscard]] std::size_t threads() const { return threads_; }
 
-  /// Dataplane knobs for the parallel path (epoch width, ring capacity,
-  /// controller policy). The worker count is always min(threads, shards)
-  /// regardless of `cfg.workers`. Epoch width shapes performance and
-  /// epoch_done granularity only — results are identical for any width.
-  void set_engine_config(const dataplane::EngineConfig& cfg) {
-    engine_cfg_ = cfg;
-  }
-  [[nodiscard]] const dataplane::EngineConfig& engine_config() const {
-    return engine_cfg_;
-  }
-
-  /// What the dataplane measured during the last parallel map/reduce:
-  /// epochs, per-core items and liveness, scaling events, ring occupancy.
-  /// Zeroed after a serial run (threads==1 or shards==1 bypasses the
-  /// engine). Timing-dependent — report it, never branch on it in-sim.
+  /// What the pool measured during the last parallel map/reduce: merge
+  /// steps and shards per worker. Zeroed after a serial run (threads==1 or
+  /// shards==1 runs inline on the caller). Timing-dependent — report it,
+  /// never branch on it in-sim.
   [[nodiscard]] const dataplane::EngineRunStats& last_dataplane_run() const {
     return last_run_;
   }
@@ -115,13 +98,15 @@ class Replicator {
   /// map() with a streaming in-shard-order fold: `merge(acc, result, s)`
   /// is called for shard 0, 1, 2, ... — never concurrently — so any merge
   /// operation (even order-sensitive ones like gauge last-write-wins or
-  /// trace concatenation) is deterministic. Merging happens per epoch, as
-  /// soon as the barrier publishes a shard range: a merged replica's slot
-  /// is freed immediately, so peak memory is one epoch of results plus the
-  /// accumulator — not all N replica worlds — which is what lets the 1M-user
-  /// sweep fit. If a body throws, merging stops at the first failed shard
-  /// (the partial accumulator is discarded) and that exception is rethrown
-  /// once all shards have finished.
+  /// trace concatenation) is deterministic. A shard is merged as soon as
+  /// it and every shard before it are done, and its slot is freed then, so
+  /// peak memory is at most dataplane::Engine::kWindow results plus the
+  /// accumulator — not all N replica worlds — which is what lets the
+  /// 1M-user sweep fit. If a body throws, merging stops at the first
+  /// failed shard (the partial accumulator is discarded) but later slots
+  /// are still freed as they arrive, and that exception is rethrown once
+  /// all shards have finished. If `merge` throws, no further shard starts
+  /// and the exception propagates once the running ones have finished.
   template <class Acc, class Fn, class Merge>
   [[nodiscard]] Acc reduce(std::size_t shards, Acc init, Fn&& body,
                            Merge&& merge) {
@@ -139,16 +124,13 @@ class Replicator {
     };
     bool poisoned = false;
     auto drain = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end && !poisoned; ++s) {
-        if (errors[s]) {
-          poisoned = true;
-          break;
-        }
-        merge(init, std::move(*slots[s]), s);
+      for (std::size_t s = begin; s < end; ++s) {
+        if (errors[s]) poisoned = true;
+        if (!poisoned) merge(init, std::move(*slots[s]), s);
         slots[s].reset();
       }
     };
-    dispatch(shards, run_shard, &epoch_trampoline<decltype(drain)>, &drain);
+    dispatch(shards, run_shard, &merge_trampoline<decltype(drain)>, &drain);
     for (std::size_t s = 0; s < shards; ++s)
       if (errors[s]) std::rethrow_exception(errors[s]);
     return init;
@@ -162,39 +144,31 @@ class Replicator {
     (*static_cast<Fn*>(ctx))(shard);
   }
   template <class Fn>
-  static void epoch_trampoline(void* ctx, std::size_t begin,
+  static void merge_trampoline(void* ctx, std::size_t begin,
                                std::size_t end) {
     (*static_cast<Fn*>(ctx))(begin, end);
   }
 
-  /// Runs all shards. Serial when the pool (or the problem) is width one —
-  /// same epoch segmentation, same callback order, no threads.
+  /// Runs all shards. Inline on the caller when the pool (or the problem)
+  /// is width one: each shard runs, then merges, before the next starts.
   template <class Fn>
-  void dispatch(std::size_t shards, Fn& run_shard,
-                dataplane::EpochFn epoch_done, void* epoch_ctx) {
+  void dispatch(std::size_t shards, Fn& run_shard, dataplane::MergeFn merge,
+                void* merge_ctx) {
+    last_run_ = dataplane::EngineRunStats{};
     if (threads_ == 1 || shards == 1) {
-      const std::size_t width =
-          std::max<std::size_t>(engine_cfg_.epoch_width, 1);
-      for (std::size_t next = 0; next < shards;) {
-        const std::size_t end = std::min(shards, next + width);
-        for (std::size_t s = next; s < end; ++s) run_shard(s);
-        if (epoch_done != nullptr) epoch_done(epoch_ctx, next, end);
-        next = end;
+      for (std::size_t s = 0; s < shards; ++s) {
+        run_shard(s);
+        if (merge != nullptr) merge(merge_ctx, s, s + 1);
       }
-      last_run_ = dataplane::EngineRunStats{};
       return;
     }
-    dataplane::EngineConfig cfg = engine_cfg_;
-    cfg.workers = std::min(threads_, shards);
-    dataplane::Engine engine(cfg);
-    engine.run(shards, &shard_trampoline<Fn>, &run_shard, epoch_done,
-               epoch_ctx);
+    dataplane::Engine engine(std::min(threads_, shards));
+    engine.run(shards, &shard_trampoline<Fn>, &run_shard, merge, merge_ctx);
     last_run_ = engine.last_run();
   }
 
   std::uint64_t seed_;
   std::size_t threads_;
-  dataplane::EngineConfig engine_cfg_;
   dataplane::EngineRunStats last_run_;
 };
 

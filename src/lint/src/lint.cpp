@@ -1269,7 +1269,7 @@ Config default_config(std::string root) {
   cfg.dag = {
       {"common", {}},
       {"stats", {"common"}},
-      {"dataplane", {"sim", "common", "obs"}},
+      {"dataplane", {"common"}},
       {"fleet", {"common", "dataplane"}},
       {"device", {"common"}},
       {"app", {"common", "obs"}},
@@ -1285,7 +1285,7 @@ Config default_config(std::string root) {
       {"sched", {"serverless", "net", "device", "stats"}},
       {"alloc", {"serverless"}},
       {"core", {"alloc", "partition", "net", "app", "device"}},
-      {"broker", {"core", "sched", "obs", "dataplane", "net"}},
+      {"broker", {"core", "sched", "obs", "net"}},
       {"continuum",
        {"serverless", "edgesim", "net", "fabric", "sim", "core", "obs",
         "common"}},

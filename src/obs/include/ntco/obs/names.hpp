@@ -94,11 +94,6 @@ NTCO_OBS_NAME(kContinuumSiteFail, trace, "continuum.site.fail", "`site`, `gracef
 NTCO_OBS_NAME(kContinuumSiteRestore, trace, "continuum.site.restore", "`site`, `parked`")
 NTCO_OBS_NAME(kContinuumMobilityPhase, trace, "continuum.mobility.phase", "`tech`, `preferred`")
 
-// --- serving dataplane ------------------------------------------------------
-NTCO_OBS_NAME(kDataplaneEpochComplete, trace, "dataplane.epoch.complete", "`epoch`, `shards`, `workers`")
-NTCO_OBS_NAME(kDataplaneWorkerAcquire, trace, "dataplane.worker.acquire", "`worker`, `epoch`, `liveness`")
-NTCO_OBS_NAME(kDataplaneWorkerRelease, trace, "dataplane.worker.release", "`worker`, `epoch`, `liveness`")
-
 // --- counters ---------------------------------------------------------------
 NTCO_OBS_NAME(kServerlessInvocations, counter, "serverless.invocations", "invocations accepted by the platform")
 NTCO_OBS_NAME(kServerlessColdStarts, counter, "serverless.cold_starts", "container cold starts")
@@ -143,10 +138,6 @@ NTCO_OBS_NAME(kContinuumStayPuts, counter, "continuum.stay_puts", "migration eva
 NTCO_OBS_NAME(kContinuumSpillovers, counter, "continuum.spillovers", "placements spilled past the preferred tier")
 NTCO_OBS_NAME(kContinuumReroutes, counter, "continuum.reroutes", "mid-transfer reroutes")
 NTCO_OBS_NAME(kContinuumParked, counter, "continuum.parked", "jobs parked with nowhere to run")
-NTCO_OBS_NAME(kDataplaneEpochs, counter, "dataplane.epochs", "epoch barriers drained")
-NTCO_OBS_NAME(kDataplaneItems, counter, "dataplane.items", "shards dispatched through the rings")
-NTCO_OBS_NAME(kDataplaneScaleUps, counter, "dataplane.scale_ups", "workers acquired mid-run")
-NTCO_OBS_NAME(kDataplaneScaleDowns, counter, "dataplane.scale_downs", "workers released mid-run")
 
 // --- summaries --------------------------------------------------------------
 NTCO_OBS_NAME(kServerlessQueueWaitMs, summary, "serverless.queue_wait_ms", "per-invocation queue wait (ms)")
@@ -163,9 +154,5 @@ NTCO_OBS_NAME(kBrokerJobCostUsd, summary, "broker.job_cost_usd", "per-job cost (
 NTCO_OBS_NAME(kBrokerCompletionS, summary, "broker.completion_s", "request completion time (s)")
 NTCO_OBS_NAME(kContinuumCompletionMs, summary, "continuum.completion_ms", "job completion time (ms)")
 NTCO_OBS_NAME(kContinuumJobCostUsd, summary, "continuum.job_cost_usd", "per-job cost (USD)")
-NTCO_OBS_NAME(kDataplaneRingOccupancy, summary, "dataplane.ring.occupancy", "per-epoch mean request-ring fill (fraction)")
-
-// --- gauges -----------------------------------------------------------------
-NTCO_OBS_NAME(kDataplaneWorkersActive, gauge, "dataplane.workers.active", "workers currently live (unparked)")
 
 }  // namespace ntco::obs::names

@@ -70,14 +70,13 @@ class DeferredScheduler {
   DeferredScheduler(const serverless::Platform& platform, Config cfg);
 
   /// Latest admissible start so that `est_duration` work still meets the
-  /// deadline, never before `release`.
-  [[nodiscard]] TimePoint latest_start(TimePoint release,
-                                       const DeferredJob& job,
+  /// deadline `release + slack`, never before `release`.
+  [[nodiscard]] TimePoint latest_start(TimePoint release, Duration slack,
                                        Duration est_duration) const;
 
-  /// Planned start time for a job released at `release` whose execution is
-  /// expected to take `est_duration`.
-  [[nodiscard]] TimePoint plan_start(TimePoint release, const DeferredJob& job,
+  /// Planned start time for a job released at `release`, due `slack`
+  /// later, whose execution is expected to take `est_duration`.
+  [[nodiscard]] TimePoint plan_start(TimePoint release, Duration slack,
                                      Duration est_duration) const;
 
   [[nodiscard]] const Config& config() const { return cfg_; }

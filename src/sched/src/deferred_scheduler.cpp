@@ -11,22 +11,20 @@ DeferredScheduler::DeferredScheduler(const serverless::Platform& platform,
   NTCO_EXPECTS(cfg.batch_interval > Duration::zero());
 }
 
-TimePoint DeferredScheduler::latest_start(TimePoint release,
-                                          const DeferredJob& job,
+TimePoint DeferredScheduler::latest_start(TimePoint release, Duration slack,
                                           Duration est_duration) const {
-  NTCO_EXPECTS(!job.slack.is_negative());
-  const TimePoint deadline = release + job.slack;
+  NTCO_EXPECTS(!slack.is_negative());
+  const TimePoint deadline = release + slack;
   TimePoint latest = deadline - est_duration;
   if (latest < release) latest = release;  // tight job: start immediately
   return latest;
 }
 
-TimePoint DeferredScheduler::plan_start(TimePoint release,
-                                        const DeferredJob& job,
+TimePoint DeferredScheduler::plan_start(TimePoint release, Duration slack,
                                         Duration est_duration) const {
   if (cfg_.policy == Policy::Immediate) return release;
 
-  const TimePoint latest = latest_start(release, job, est_duration);
+  const TimePoint latest = latest_start(release, slack, est_duration);
 
   // Scan the admissible interval for the cheapest tariff; among equal
   // tariffs pick the earliest start (finish as soon as the price allows).
@@ -82,7 +80,7 @@ void DeferredExecutor::submit(DeferredJob job) {
   const auto& spec = platform_.spec(fn_);
   const Duration est =
       platform_.exec_time(spec.memory, job.work, spec.parallel_fraction);
-  const TimePoint start = scheduler_.plan_start(released, job, est);
+  const TimePoint start = scheduler_.plan_start(released, job.slack, est);
   const TimePoint deadline = released + job.slack;
 
   if (trace_)

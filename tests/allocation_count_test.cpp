@@ -2,11 +2,11 @@
 //
 // This binary replaces the global operator new/delete with counting
 // versions, so every heap allocation anywhere in the process — the kernel,
-// the rings, the fabric, the broker, std::function, shared_ptr — shows up
-// in `allocations`. Each test warms its subject up, then pins how many
-// allocations one steady-state operation costs. The counter is a plain
-// integer: only the thread under test allocates inside a counting window
-// (dataplane workers run allocation-free shard bodies).
+// the worker pool, the fabric, the broker, std::function, shared_ptr —
+// shows up in `allocations`. Each test warms its subject up, then pins how
+// many allocations one steady-state operation costs. The counter is a
+// plain integer: only the thread under test allocates inside a counting
+// window (pool workers run allocation-free shard bodies).
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "ntco/app/workloads.hpp"
 #include "ntco/broker/broker.hpp"
 #include "ntco/dataplane/engine.hpp"
-#include "ntco/dataplane/ring.hpp"
 #include "ntco/fabric/fabric.hpp"
 #include "ntco/net/path.hpp"
 #include "ntco/sim/simulator.hpp"
@@ -120,27 +119,6 @@ TEST(AllocationCount, SimulatorScheduleFireCancelIsAllocationFree) {
   EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
-// ------------------------------------------------------------------- Rings
-
-TEST(AllocationCount, RingPushPopIsAllocationFree) {
-  Ring<std::uint64_t> spsc(64);
-  MpscRing<std::uint64_t> mpsc(64);
-  std::uint64_t sum = 0;
-  const std::size_t n = allocations_in([&] {
-    for (std::uint64_t i = 0; i < 10'000; ++i) {
-      std::uint64_t v = 0;
-      ASSERT_TRUE(spsc.try_push(i));
-      ASSERT_TRUE(spsc.try_pop(v));
-      sum += v;
-      ASSERT_TRUE(mpsc.try_push(i));
-      ASSERT_TRUE(mpsc.try_pop(v));
-      sum += v;
-    }
-  });
-  EXPECT_EQ(n, 0u);
-  EXPECT_EQ(sum, 2u * (10'000u * 9'999u / 2u));
-}
-
 // --------------------------------------------------------------- Dataplane
 
 void count_shard(void* ctx, std::size_t shard) {
@@ -148,11 +126,8 @@ void count_shard(void* ctx, std::size_t shard) {
 }
 
 TEST(AllocationCount, EngineRunCostIsFlatInTheShardCount) {
-  dataplane::EngineConfig cfg;
-  cfg.workers = 2;
-  dataplane::Engine engine(cfg);
+  dataplane::Engine engine(2);
   std::vector<std::uint64_t> hits(65'536, 0);
-  engine.run(64, &count_shard, hits.data());  // workers up, state sized
   const auto run_cost = [&](std::size_t shards) {
     return allocations_in(
         [&] { engine.run(shards, &count_shard, hits.data()); });
@@ -160,6 +135,7 @@ TEST(AllocationCount, EngineRunCostIsFlatInTheShardCount) {
   const std::size_t small = run_cost(1'024);
   const std::size_t large = run_cost(65'536);
   EXPECT_EQ(small, large) << "allocations must not grow with shards";
+  // The thread handles, one state block per worker, the per-worker counts.
   EXPECT_EQ(large, 4u);
 }
 
@@ -286,14 +262,14 @@ TEST(AllocationCount, WarmCacheHitServeAddsNoBrokerAllocations) {
 
 TEST(AllocationCount, LongWorkloadNamesCostOnlyTheirCopies) {
   // "ml-batch-training" is 17 characters, past libstdc++'s 15-character
-  // inline string: the decision context, the cache key, and the deferred
-  // job each copy it. Under a short name the same graph costs nothing.
+  // inline string: the decision context and the cache key each copy it.
+  // Under a short name the same graph costs nothing.
   const app::TaskGraph long_name = app::workloads::ml_batch_training();
   const app::TaskGraph short_name = renamed(long_name, "ml-batch");
   const ShareCounts l = broker_share(long_name);
   const ShareCounts s = broker_share(short_name);
   EXPECT_EQ(s.served, s.executed);
-  EXPECT_EQ(l.served - l.executed, 3 * kWindow);
+  EXPECT_EQ(l.served - l.executed, 2 * kWindow);
 }
 
 TEST(AllocationCount, BatchedBrokerAllocatesPerBatchNotPerJob) {

@@ -3,16 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
+#include <stdexcept>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
-#include "ntco/broker/admission.hpp"
-#include "ntco/common/error.hpp"
-#include "ntco/common/rng.hpp"
-#include "ntco/dataplane/controller.hpp"
-#include "ntco/dataplane/ring.hpp"
 #include "ntco/fleet/replicator.hpp"
 #include "ntco/obs/metrics.hpp"
 #include "ntco/obs/trace.hpp"
@@ -24,344 +19,146 @@ namespace ntco {
 namespace {
 
 using dataplane::Engine;
-using dataplane::EngineConfig;
 
 // ---------------------------------------------------------------------------
-// Ring<T>: SPSC boundaries, wraparound, batching.
-
-TEST(DataplaneRing, EmptyAndFullBoundaries) {
-  Ring<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  int out = 0;
-  EXPECT_FALSE(ring.try_pop(out));  // empty from birth
-  EXPECT_TRUE(ring.try_push(1));
-  EXPECT_TRUE(ring.try_push(2));
-  EXPECT_TRUE(ring.try_push(3));
-  EXPECT_TRUE(ring.try_push(4));
-  EXPECT_FALSE(ring.try_push(5));  // full: capacity items in flight
-  EXPECT_EQ(ring.size_approx(), 4u);
-  EXPECT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(ring.try_push(5));  // slot freed, push succeeds again
-  for (int want = 2; want <= 5; ++want) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, want);
-  }
-  EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_TRUE(ring.empty_approx());
-}
-
-TEST(DataplaneRing, RejectsNonPowerOfTwoCapacity) {
-  EXPECT_THROW(Ring<int>(3), ContractViolation);
-  EXPECT_THROW(Ring<int>(0), ContractViolation);
-  EXPECT_THROW(Ring<int>(1), ContractViolation);  // pow2 but < 2
-  EXPECT_THROW(MpscRing<int>(12), ContractViolation);
-}
-
-TEST(DataplaneRing, WrapsAroundManyLaps) {
-  // A tiny ring driven far past its capacity exercises the masked index
-  // arithmetic on every lap boundary.
-  Ring<std::uint64_t> ring(4);
-  std::uint64_t out = 0;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_TRUE(ring.empty_approx());
-}
-
-TEST(DataplaneRing, BatchedPushPopRespectsCapacityAndOrder) {
-  Ring<int> ring(8);
-  const int in[12] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-  // Only capacity items fit; push_n reports the truncation.
-  EXPECT_EQ(ring.push_n(in, 12), 8u);
-  int out[12] = {};
-  EXPECT_EQ(ring.pop_n(out, 3), 3u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(out[i], i);
-  // Partial batch across the wrap boundary: 3 free slots, then drain all.
-  EXPECT_EQ(ring.push_n(in + 8, 4), 3u);
-  EXPECT_EQ(ring.pop_n(out, 12), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], i + 3);
-  EXPECT_EQ(ring.pop_n(out, 12), 0u);
-}
-
-TEST(DataplaneRing, SeededRandomInterleavingMatchesDequeModel) {
-  // Single-threaded randomized interleaving of single and batched ops,
-  // mirrored against a std::deque reference model. Seeded, so failures
-  // reproduce exactly.
-  Ring<std::uint64_t> ring(16);
-  std::deque<std::uint64_t> model;
-  Rng rng(20260809);
-  std::uint64_t next_value = 0;
-  for (int op = 0; op < 20000; ++op) {
-    switch (rng.uniform_int(0, 3)) {
-      case 0: {  // single push
-        const bool pushed = ring.try_push(next_value);
-        EXPECT_EQ(pushed, model.size() < ring.capacity());
-        if (pushed) model.push_back(next_value++);
-        break;
-      }
-      case 1: {  // single pop
-        std::uint64_t got = 0;
-        const bool popped = ring.try_pop(got);
-        EXPECT_EQ(popped, !model.empty());
-        if (popped) {
-          EXPECT_EQ(got, model.front());
-          model.pop_front();
-        }
-        break;
-      }
-      case 2: {  // batched push
-        std::uint64_t batch[8];
-        const auto n = static_cast<std::size_t>(rng.uniform_int(1, 8));
-        for (std::size_t i = 0; i < n; ++i) batch[i] = next_value + i;
-        const std::size_t took = ring.push_n(batch, n);
-        EXPECT_EQ(took, std::min(n, ring.capacity() - model.size()));
-        for (std::size_t i = 0; i < took; ++i) model.push_back(next_value++);
-        break;
-      }
-      default: {  // batched pop
-        std::uint64_t batch[8];
-        const auto n = static_cast<std::size_t>(rng.uniform_int(1, 8));
-        const std::size_t got = ring.pop_n(batch, n);
-        EXPECT_EQ(got, std::min(n, model.size()));
-        for (std::size_t i = 0; i < got; ++i) {
-          EXPECT_EQ(batch[i], model.front());
-          model.pop_front();
-        }
-        break;
-      }
-    }
-    EXPECT_EQ(ring.size_approx(), model.size());
-  }
-}
-
-TEST(DataplaneRing, SpscThreadedStressKeepsFifoOrder) {
-  // One producer, one consumer, a ring far smaller than the item count:
-  // every value must arrive exactly once, in order. Run under TSan by
-  // tools/ci.sh to validate the acquire/release pairing.
-  constexpr std::uint64_t kItems = 20000;
-  Ring<std::uint64_t> ring(64);
-  // ntco-lint: allow(R3) SPSC stress test needs a real producer thread against the ring under test
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kItems;) {
-      // Yield on a full ring so single-core runners make progress instead
-      // of burning the whole timeslice against a descheduled consumer.
-      // ntco-lint: allow(R3) producer-side yield for single-core timeslicing
-      if (ring.try_push(i)) ++i; else std::this_thread::yield();
-    }
-  });
-  std::uint64_t expected = 0;
-  while (expected < kItems) {
-    std::uint64_t got = 0;
-    if (ring.try_pop(got)) {
-      ASSERT_EQ(got, expected);
-      ++expected;
-    } else {
-      // ntco-lint: allow(R3) consumer-side yield for single-core timeslicing
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty_approx());
-}
-
-// ---------------------------------------------------------------------------
-// MpscRing<T>: completion-queue variant.
-
-TEST(DataplaneMpsc, SingleThreadFifoAndFullBehaviour) {
-  MpscRing<int> ring(4);
-  int out = 0;
-  EXPECT_FALSE(ring.try_pop(out));
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));
-  for (int want = 0; want < 4; ++want) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, want);
-  }
-  EXPECT_FALSE(ring.try_pop(out));
-  // Reusable after a full lap.
-  EXPECT_TRUE(ring.try_push(7));
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 7);
-}
-
-TEST(DataplaneMpsc, ManyProducersDeliverEverythingInPerProducerOrder) {
-  constexpr std::uint64_t kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 4000;
-  MpscRing<std::uint64_t> ring(128);
-  // ntco-lint: allow(R3) MPSC stress requires real concurrent producer threads
-  std::vector<std::thread> producers;
-  for (std::uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (std::uint64_t i = 0; i < kPerProducer;) {
-        // Tag values with the producer id so the consumer can check
-        // per-producer FIFO order.
-        // ntco-lint: allow(R3) producer-side yield for single-core timeslicing
-        if (ring.try_push(p * kPerProducer + i)) ++i; else std::this_thread::yield();
-      }
-    });
-  }
-  std::vector<std::uint64_t> next_from(kProducers, 0);
-  std::uint64_t received = 0;
-  while (received < kProducers * kPerProducer) {
-    std::uint64_t got = 0;
-    if (!ring.try_pop(got)) {
-      // ntco-lint: allow(R3) consumer-side yield for single-core timeslicing
-      std::this_thread::yield();
-      continue;
-    }
-    const std::uint64_t p = got / kPerProducer;
-    const std::uint64_t seq = got % kPerProducer;
-    ASSERT_LT(p, kProducers);
-    ASSERT_EQ(seq, next_from[p]) << "producer " << p;
-    ++next_from[p];
-    ++received;
-  }
-  for (auto& t : producers) t.join();
-  for (std::uint64_t p = 0; p < kProducers; ++p)
-    EXPECT_EQ(next_from[p], kPerProducer);
-}
-
-// ---------------------------------------------------------------------------
-// CoreController: plan logic (pure, no threads).
-
-TEST(DataplaneController, ScaleUpNeedsSustainedBacklog) {
-  dataplane::ControllerConfig cfg;
-  cfg.sustain_epochs = 2;
-  dataplane::CoreController ctl(cfg, 4);
-  // One backlogged epoch is not enough (hysteresis)...
-  EXPECT_EQ(ctl.plan(1, 0.9, 100), 1u);
-  // ...two consecutive ones acquire exactly one worker.
-  EXPECT_EQ(ctl.plan(1, 0.9, 100), 2u);
-  EXPECT_EQ(ctl.stats().scale_ups, 1u);
-  // An in-between epoch resets the streak.
-  EXPECT_EQ(ctl.plan(2, 0.9, 100), 2u);
-  EXPECT_EQ(ctl.plan(2, 0.4, 100), 2u);
-  EXPECT_EQ(ctl.plan(2, 0.9, 100), 2u);
-  EXPECT_EQ(ctl.plan(2, 0.9, 100), 3u);
-}
-
-TEST(DataplaneController, ScaleDownNeedsSustainedIdle) {
-  dataplane::ControllerConfig cfg;
-  cfg.idle_epochs = 3;
-  dataplane::CoreController ctl(cfg, 4);
-  EXPECT_EQ(ctl.plan(3, 0.0, 100), 3u);
-  EXPECT_EQ(ctl.plan(3, 0.0, 100), 3u);
-  EXPECT_EQ(ctl.plan(3, 0.0, 100), 2u);
-  EXPECT_EQ(ctl.stats().scale_downs, 1u);
-  // Never below min_workers.
-  dataplane::ControllerConfig floor_cfg;
-  floor_cfg.idle_epochs = 1;
-  floor_cfg.min_workers = 2;
-  dataplane::CoreController floored(floor_cfg, 4);
-  EXPECT_EQ(floored.plan(2, 0.0, 100), 2u);
-  EXPECT_EQ(floored.plan(2, 0.0, 100), 2u);
-}
-
-TEST(DataplaneController, CeilingIsPoolAndPendingWork) {
-  dataplane::ControllerConfig cfg;
-  cfg.sustain_epochs = 1;
-  dataplane::CoreController ctl(cfg, 2);
-  // Pool of 2 caps acquisition even under full backlog.
-  EXPECT_EQ(ctl.plan(2, 1.0, 100), 2u);
-  // Three shards left: no point holding four workers.
-  dataplane::CoreController wide(cfg, 8);
-  EXPECT_EQ(wide.plan(6, 0.4, 3), 3u);
-}
-
-TEST(DataplaneController, DisabledControllerHoldsWorkerCount) {
-  dataplane::ControllerConfig cfg;
-  cfg.enabled = false;
-  cfg.sustain_epochs = 1;
-  cfg.idle_epochs = 1;
-  dataplane::CoreController ctl(cfg, 4);
-  EXPECT_EQ(ctl.plan(2, 1.0, 100), 2u);
-  EXPECT_EQ(ctl.plan(2, 0.0, 100), 2u);
-  EXPECT_EQ(ctl.stats().scale_ups, 0u);
-  EXPECT_EQ(ctl.stats().scale_downs, 0u);
-  // Liveness still records who ran.
-  EXPECT_EQ(ctl.liveness()[0], 2u);
-  EXPECT_EQ(ctl.liveness()[1], 2u);
-  EXPECT_EQ(ctl.liveness()[2], 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Engine: epoch barrier, stats, worker scaling plumbing.
+// Engine: the worker pool.
 
 struct ShardTouches {
   std::vector<std::uint32_t> counts;
 };
 
 void touch_shard(void* ctx, std::size_t shard) {
-  // Per-shard slots; the completion ring's release/acquire edge publishes
-  // the writes to the orchestrator before run() returns.
+  // Per-shard slots; the pool's mutex publishes the writes to the merging
+  // thread, and the join to the caller of run().
   ++static_cast<ShardTouches*>(ctx)->counts[shard];
 }
 
+std::uint64_t total(const std::vector<std::uint64_t>& per_worker) {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t n : per_worker) sum += n;
+  return sum;
+}
+
 TEST(DataplaneEngine, RunsEveryShardExactlyOnce) {
-  EngineConfig cfg;
-  cfg.workers = 4;
-  cfg.epoch_width = 8;
-  Engine engine(cfg);
+  Engine engine(4);
   ShardTouches touches;
-  touches.counts.assign(203, 0);  // deliberately not a multiple of the width
+  touches.counts.assign(203, 0);
   engine.run(203, &touch_shard, &touches);
   for (std::size_t s = 0; s < touches.counts.size(); ++s)
     ASSERT_EQ(touches.counts[s], 1u) << "shard " << s;
   const auto& stats = engine.last_run();
-  EXPECT_EQ(stats.items, 203u);
-  EXPECT_EQ(stats.epochs, 26u);  // ceil(203 / 8)
-  std::uint64_t per_worker_total = 0;
-  for (const auto n : stats.items_per_worker) per_worker_total += n;
-  EXPECT_EQ(per_worker_total, 203u);
-  std::uint64_t liveness_total = 0;
-  for (const auto n : stats.core_liveness) liveness_total += n;
-  EXPECT_GE(liveness_total, stats.epochs);  // worker 0 is always live
-  EXPECT_EQ(engine.pressure(), 0.0);        // rings idle after the run
+  ASSERT_EQ(stats.items_per_worker.size(), 4u);
+  EXPECT_EQ(total(stats.items_per_worker), 203u);
+  // Each merge step hands over at most one window of shards.
+  EXPECT_GE(stats.epochs, (203u + Engine::kWindow - 1) / Engine::kWindow);
+  EXPECT_LE(stats.epochs, 203u);
+  // The pool never resizes and has no queue to fill.
+  EXPECT_EQ(stats.scale_ups, 0u);
+  EXPECT_EQ(stats.scale_downs, 0u);
+  EXPECT_EQ(stats.mean_occupancy, 0.0);
 }
 
-struct EpochLog {
+/// Merge log that also checks each merged shard already ran.
+struct MergeLog {
+  const ShardTouches* touches = nullptr;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  std::size_t unfinished = 0;  ///< shards merged before their body ran
 };
 
-void log_epoch(void* ctx, std::size_t begin, std::size_t end) {
-  static_cast<EpochLog*>(ctx)->ranges.emplace_back(begin, end);
+void log_merge(void* ctx, std::size_t begin, std::size_t end) {
+  auto& log = *static_cast<MergeLog*>(ctx);
+  log.ranges.emplace_back(begin, end);
+  for (std::size_t s = begin; s < end; ++s)
+    if (log.touches->counts[s] != 1) ++log.unfinished;
+}
+
+/// The merge calls tile [0, shards) in ascending order, each a non-empty
+/// prefix no wider than the window.
+void expect_tiles(const MergeLog& log, std::size_t shards) {
+  std::size_t expect_begin = 0;
+  for (const auto& [begin, end] : log.ranges) {
+    ASSERT_EQ(begin, expect_begin);
+    ASSERT_GT(end, begin);
+    ASSERT_LE(end - begin, Engine::kWindow);
+    expect_begin = end;
+  }
+  EXPECT_EQ(expect_begin, shards);
+  EXPECT_EQ(log.unfinished, 0u);
 }
 
 TEST(DataplaneEngine, EpochCallbackWalksContiguousAscendingRanges) {
-  EngineConfig cfg;
-  cfg.workers = 3;
-  cfg.epoch_width = 16;
-  Engine engine(cfg);
+  Engine engine(3);
   ShardTouches touches;
   touches.counts.assign(100, 0);
-  EpochLog log;
-  engine.run(100, &touch_shard, &touches, &log_epoch, &log);
-  ASSERT_EQ(log.ranges.size(), 7u);  // ceil(100 / 16)
-  std::size_t expect_begin = 0;
-  for (const auto& [begin, end] : log.ranges) {
-    EXPECT_EQ(begin, expect_begin);
-    EXPECT_GT(end, begin);
-    expect_begin = end;
-  }
-  EXPECT_EQ(expect_begin, 100u);
+  MergeLog log;
+  log.touches = &touches;
+  engine.run(100, &touch_shard, &touches, &log_merge, &log);
+  expect_tiles(log, 100);
+  EXPECT_EQ(engine.last_run().epochs, log.ranges.size());
 }
 
 TEST(DataplaneEngine, ReusableAcrossRuns) {
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.epoch_width = 4;
-  Engine engine(cfg);
+  Engine engine(2);
   for (int round = 0; round < 3; ++round) {
     ShardTouches touches;
     touches.counts.assign(33, 0);
     engine.run(33, &touch_shard, &touches);
     for (std::size_t s = 0; s < touches.counts.size(); ++s)
       ASSERT_EQ(touches.counts[s], 1u) << "round " << round << " shard " << s;
-    EXPECT_EQ(engine.last_run().items, 33u);
+    EXPECT_EQ(total(engine.last_run().items_per_worker), 33u);
   }
+}
+
+TEST(DataplaneEngine, StressRunsEveryShardOnceAndMergesInOrder) {
+  // Zero-work shards at 8 workers keep the claim/merge handoff under
+  // constant contention; tools/ci.sh runs this under ThreadSanitizer.
+  constexpr std::size_t kShards = 20'000;
+  Engine engine(8);
+  ShardTouches touches;
+  touches.counts.assign(kShards, 0);
+  MergeLog log;
+  log.touches = &touches;
+  engine.run(kShards, &touch_shard, &touches, &log_merge, &log);
+  for (std::size_t s = 0; s < kShards; ++s)
+    ASSERT_EQ(touches.counts[s], 1u) << "shard " << s;
+  expect_tiles(log, kShards);
+  EXPECT_EQ(total(engine.last_run().items_per_worker), kShards);
+}
+
+/// Per-shard start/finish marks; only the shard's own worker writes them.
+struct Marks {
+  std::vector<std::uint8_t> started;
+  std::vector<std::uint8_t> finished;
+};
+
+void throw_at_seven(void* ctx, std::size_t shard) {
+  auto& marks = *static_cast<Marks*>(ctx);
+  marks.started[shard] = 1;
+  if (shard == 7) throw std::runtime_error("shard 7");
+  marks.finished[shard] = 1;
+}
+
+TEST(DataplaneEngine, ThrowingBodyStopsTheRunAndRethrows) {
+  constexpr std::size_t kShards = 1'000;
+  Engine engine(4);
+  Marks marks{std::vector<std::uint8_t>(kShards, 0),
+              std::vector<std::uint8_t>(kShards, 0)};
+  try {
+    engine.run(kShards, &throw_at_seven, &marks);
+    FAIL() << "expected the shard exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 7");
+  }
+  // Every worker was joined: no body is still running, and the window
+  // kept the pool from claiming far past the failure.
+  std::size_t started = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    started += marks.started[s];
+    if (s != 7) {
+      EXPECT_EQ(marks.started[s], marks.finished[s]) << "shard " << s;
+    }
+  }
+  EXPECT_LE(started, 7 + Engine::kWindow);
 }
 
 // ---------------------------------------------------------------------------
@@ -383,10 +180,8 @@ obs::JsonlTraceWriter trace_replica(fleet::ShardContext& ctx) {
   return trace;
 }
 
-std::string merged_trace(std::size_t threads, std::size_t shards,
-                         const dataplane::EngineConfig& engine_cfg) {
+std::string merged_trace(std::size_t threads, std::size_t shards) {
   fleet::Replicator rep(4242, threads);
-  rep.set_engine_config(engine_cfg);
   auto merged = rep.reduce(
       shards, obs::JsonlTraceWriter{}, trace_replica,
       [](obs::JsonlTraceWriter& acc, obs::JsonlTraceWriter&& shard,
@@ -395,47 +190,17 @@ std::string merged_trace(std::size_t threads, std::size_t shards,
 }
 
 TEST(DataplaneEpoch, TraceDigestByteEqualAcrossThreadCounts) {
-  dataplane::EngineConfig cfg;  // stock epoch width
-  const std::string t1 = merged_trace(1, 256, cfg);
-  const std::string t2 = merged_trace(2, 256, cfg);
-  const std::string t8 = merged_trace(8, 256, cfg);
+  const std::string t1 = merged_trace(1, 256);
+  const std::string t2 = merged_trace(2, 256);
+  const std::string t8 = merged_trace(8, 256);
   EXPECT_FALSE(t1.empty());
   EXPECT_EQ(t1, t2);
   EXPECT_EQ(t1, t8);
 }
 
-TEST(DataplaneEpoch, EpochWidthNeverChangesArtifacts) {
-  // Epoch width shapes scheduling granularity only; the merged stream is a
-  // pure function of (seed, shards).
-  dataplane::EngineConfig narrow;
-  narrow.epoch_width = 4;
-  dataplane::EngineConfig wide;
-  wide.epoch_width = 128;
-  EXPECT_EQ(merged_trace(8, 250, narrow), merged_trace(8, 250, wide));
-  EXPECT_EQ(merged_trace(1, 250, narrow), merged_trace(8, 250, wide));
-}
-
-TEST(DataplaneEpoch, MidRunScalingNeverChangesArtifacts) {
-  // An aggressive controller over starved rings forces live acquire /
-  // release churn; a disabled controller forbids it. Both must produce the
-  // byte-identical merged stream — scaling may move work, never results.
-  dataplane::EngineConfig churn;
-  churn.epoch_width = 8;
-  churn.ring_capacity = 2;  // looks backlogged quickly
-  churn.controller.sustain_epochs = 1;
-  churn.controller.idle_epochs = 1;
-  churn.controller.scale_up_occupancy = 0.1;
-  churn.controller.scale_down_occupancy = 0.05;
-  dataplane::EngineConfig frozen;
-  frozen.controller.enabled = false;
-  const std::string churned = merged_trace(8, 300, churn);
-  EXPECT_EQ(churned, merged_trace(8, 300, frozen));
-  EXPECT_EQ(churned, merged_trace(1, 300, frozen));
-}
-
 TEST(DataplaneEpoch, StreamingReduceMatchesSerialFold) {
-  // The per-epoch streaming drain must fold in exactly the shard order the
-  // all-at-once fold used to: the order-sensitive gauge proves it.
+  // The streaming drain must fold in exactly the shard order of a serial
+  // fold: the order-sensitive gauge proves it.
   const auto run = [](std::size_t threads) {
     fleet::Replicator rep(31, threads);
     return rep.reduce(
@@ -471,81 +236,6 @@ TEST(DataplaneEpoch, FirstShardOrderExceptionSurvivesStreamingReduce) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "shard 5");  // first in shard order, not time
   }
-}
-
-// ---------------------------------------------------------------------------
-// Admission backpressure: rings throttle the broker's deferral policy.
-
-struct StubPressure final : dataplane::BackpressureSource {
-  double value = 0.0;
-  [[nodiscard]] double pressure() const override { return value; }
-};
-
-broker::AdmissionConfig tight_admission() {
-  broker::AdmissionConfig cfg;
-  cfg.rate_per_second = 0.001;  // effectively no refill within the test
-  cfg.burst = 1.0;
-  cfg.max_deferred = 4;
-  return cfg;
-}
-
-TEST(DataplaneBackpressure, PressureShrinksDeferralBound) {
-  // At zero pressure the queue holds max_deferred requests before the
-  // QueueFull shed; at 0.75 pressure the effective bound is one slot.
-  const auto deferred_before_shed = [](double pressure) {
-    broker::AdmissionController ctl(tight_admission());
-    StubPressure src;
-    src.value = pressure;
-    ctl.set_backpressure_source(&src);
-    const TimePoint now = TimePoint::origin();
-    const TimePoint deadline = now + Duration::minutes(600);
-    const Duration est = Duration::seconds(1);
-    EXPECT_EQ(ctl.decide(now, deadline, est).verdict,
-              broker::AdmissionVerdict::Admitted);
-    std::uint64_t deferred = 0;
-    for (int i = 0; i < 10; ++i) {
-      const auto d = ctl.decide(now, deadline, est);
-      if (d.verdict == broker::AdmissionVerdict::Shed) {
-        EXPECT_EQ(d.reason, broker::ShedReason::QueueFull);
-        return deferred;
-      }
-      EXPECT_EQ(d.verdict, broker::AdmissionVerdict::Deferred);
-      ++deferred;
-    }
-    return deferred;
-  };
-  EXPECT_EQ(deferred_before_shed(0.0), 4u);
-  EXPECT_EQ(deferred_before_shed(0.75), 1u);
-}
-
-TEST(DataplaneBackpressure, PressureStretchesRetryQuote) {
-  const auto quote = [](double pressure) {
-    broker::AdmissionController ctl(tight_admission());
-    StubPressure src;
-    src.value = pressure;
-    ctl.set_backpressure_source(&src);
-    const TimePoint now = TimePoint::origin();
-    const TimePoint deadline = now + Duration::minutes(600);
-    (void)ctl.decide(now, deadline, Duration::seconds(1));  // spends the burst
-    return ctl.decide(now, deadline, Duration::seconds(1)).retry_at;
-  };
-  // Saturated rings push the same request further into the future.
-  EXPECT_GT(quote(1.0), quote(0.0));
-}
-
-TEST(DataplaneBackpressure, NullSourceAndStockBoundStayUnchanged) {
-  // No source wired: behaviour is the pre-dataplane token bucket.
-  broker::AdmissionController ctl(tight_admission());
-  const TimePoint now = TimePoint::origin();
-  const TimePoint deadline = now + Duration::minutes(600);
-  EXPECT_EQ(ctl.decide(now, deadline, Duration::seconds(1)).verdict,
-            broker::AdmissionVerdict::Admitted);
-  for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(ctl.decide(now, deadline, Duration::seconds(1)).verdict,
-              broker::AdmissionVerdict::Deferred);
-  const auto d = ctl.decide(now, deadline, Duration::seconds(1));
-  EXPECT_EQ(d.verdict, broker::AdmissionVerdict::Shed);
-  EXPECT_EQ(d.reason, broker::ShedReason::QueueFull);
 }
 
 }  // namespace

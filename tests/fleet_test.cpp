@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -126,6 +128,75 @@ TEST(FleetReplicator, FirstExceptionInShardOrderPropagates) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "shard 2");
   }
+}
+
+/// A shard result that counts how many results are alive at once.
+struct Tracked {
+  static inline std::size_t live = 0;
+  static inline std::size_t peak = 0;
+  Tracked() { note(); }
+  Tracked(const Tracked&) { note(); }
+  Tracked(Tracked&&) noexcept { note(); }
+  ~Tracked() { --live; }
+  static void note() { peak = std::max(peak, ++live); }
+};
+
+TEST(FleetReplicator, FailedShardStillFreesLaterResults) {
+  // One worker runs inline, so the plain counters need no atomics. After
+  // shard 5 throws, the later results must still be dropped as they
+  // arrive: a failing run holds no more than a succeeding one.
+  Tracked::live = 0;
+  Tracked::peak = 0;
+  Replicator rep(3, 1);
+  try {
+    (void)rep.reduce(
+        2'000, 0,
+        [](ShardContext& ctx) {
+          if (ctx.shard == 5) throw std::runtime_error("shard 5");
+          return Tracked{};
+        },
+        [](int& acc, Tracked&&, std::size_t) { ++acc; });
+    FAIL() << "expected the shard exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 5");
+  }
+  EXPECT_EQ(Tracked::live, 0u);
+  EXPECT_LE(Tracked::peak, dataplane::Engine::kWindow);
+}
+
+TEST(FleetReplicator, ThrowingMergeJoinsEveryWorker) {
+  // A merge that throws mid-run must stop the pool and surface from
+  // reduce() only after every worker is joined: no body may still be
+  // running (or still writing these vectors) when the exception arrives.
+  constexpr std::size_t kShards = 500;
+  std::vector<std::uint8_t> started(kShards, 0);
+  std::vector<std::uint8_t> finished(kShards, 0);
+  Replicator rep(11, 4);
+  try {
+    (void)rep.reduce(
+        kShards, std::uint64_t{0},
+        [&](ShardContext& ctx) {
+          started[ctx.shard] = 1;
+          std::uint64_t x = 0;
+          for (int i = 0; i < 2'000; ++i) x += ctx.rng.next_u64() >> 8;
+          finished[ctx.shard] = 1;
+          return x;
+        },
+        [](std::uint64_t& acc, std::uint64_t x, std::size_t s) {
+          if (s == 100) throw std::runtime_error("merge 100");
+          acc += x;
+        });
+    FAIL() << "expected the merge exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "merge 100");
+  }
+  std::size_t ran = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(started[s], finished[s]) << "shard " << s;
+    ran += started[s];
+  }
+  EXPECT_GT(ran, 100u);
+  EXPECT_LE(ran, 101 + dataplane::Engine::kWindow);  // nothing new started
 }
 
 TEST(FleetReplicator, ContractsRejectZeroShards) {

@@ -25,9 +25,9 @@ TEST(DeferredScheduler, ImmediatePolicyStartsAtRelease) {
   serverless::Platform p(s, night_discount());
   DeferredScheduler sched(p, {Policy::Immediate, Duration::minutes(15),
                               Duration::minutes(10)});
-  const DeferredJob job{"j", Cycles::giga(10), Duration::hours(12)};
+  const Duration slack = Duration::hours(12);
   const auto release = TimePoint::origin() + Duration::hours(9);
-  EXPECT_EQ(sched.plan_start(release, job, Duration::seconds(4)), release);
+  EXPECT_EQ(sched.plan_start(release, slack, Duration::seconds(4)), release);
 }
 
 TEST(DeferredScheduler, CheapestWindowDefersIntoDiscount) {
@@ -36,9 +36,9 @@ TEST(DeferredScheduler, CheapestWindowDefersIntoDiscount) {
   DeferredScheduler sched(p, {Policy::CheapestWindow, Duration::minutes(15),
                               Duration::minutes(10)});
   // Released 09:00 with 16 h slack: the 22:00 window is reachable.
-  const DeferredJob job{"j", Cycles::giga(10), Duration::hours(16)};
+  const Duration slack = Duration::hours(16);
   const auto release = TimePoint::origin() + Duration::hours(9);
-  const auto start = sched.plan_start(release, job, Duration::seconds(4));
+  const auto start = sched.plan_start(release, slack, Duration::seconds(4));
   EXPECT_GE(start, TimePoint::origin() + Duration::hours(22));
   EXPECT_DOUBLE_EQ(p.price_multiplier(start), 0.5);
 }
@@ -49,9 +49,9 @@ TEST(DeferredScheduler, TightSlackForbidsDeferral) {
   DeferredScheduler sched(p, {Policy::CheapestWindow, Duration::minutes(15),
                               Duration::minutes(10)});
   // Released 09:00 with 2 h slack: cannot reach the discount window.
-  const DeferredJob job{"j", Cycles::giga(10), Duration::hours(2)};
+  const Duration slack = Duration::hours(2);
   const auto release = TimePoint::origin() + Duration::hours(9);
-  const auto start = sched.plan_start(release, job, Duration::seconds(4));
+  const auto start = sched.plan_start(release, slack, Duration::seconds(4));
   EXPECT_EQ(start, release);  // no cheaper reachable tariff
 }
 
@@ -60,21 +60,21 @@ TEST(DeferredScheduler, DeferralNeverViolatesLatestStart) {
   serverless::Platform p(s, night_discount());
   DeferredScheduler sched(p, {Policy::CheapestWindow, Duration::minutes(15),
                               Duration::minutes(10)});
-  const DeferredJob job{"j", Cycles::giga(10), Duration::hours(16)};
+  const Duration slack = Duration::hours(16);
   const auto release = TimePoint::origin() + Duration::hours(9);
   const Duration est = Duration::minutes(30);
-  const auto start = sched.plan_start(release, job, est);
-  EXPECT_LE(start + est, release + job.slack);
+  const auto start = sched.plan_start(release, slack, est);
+  EXPECT_LE(start + est, release + slack);
 }
 
 TEST(DeferredScheduler, LatestStartClampsToRelease) {
   sim::Simulator s;
   serverless::Platform p(s, night_discount());
   DeferredScheduler sched(p, {});
-  const DeferredJob job{"j", Cycles::giga(10), Duration::minutes(1)};
+  const Duration slack = Duration::minutes(1);
   const auto release = TimePoint::origin() + Duration::hours(1);
   // Estimated duration exceeds the slack: start immediately (will miss).
-  EXPECT_EQ(sched.latest_start(release, job, Duration::minutes(5)), release);
+  EXPECT_EQ(sched.latest_start(release, slack, Duration::minutes(5)), release);
 }
 
 TEST(DeferredScheduler, BatchedAlignsToBoundary) {
@@ -82,10 +82,10 @@ TEST(DeferredScheduler, BatchedAlignsToBoundary) {
   serverless::Platform p(s, night_discount());
   DeferredScheduler sched(p, {Policy::Batched, Duration::minutes(15),
                               Duration::minutes(60)});
-  const DeferredJob job{"j", Cycles::giga(10), Duration::hours(16)};
+  const Duration slack = Duration::hours(16);
   const auto release = TimePoint::origin() + Duration::hours(9) +
                        Duration::minutes(7);
-  const auto start = sched.plan_start(release, job, Duration::seconds(4));
+  const auto start = sched.plan_start(release, slack, Duration::seconds(4));
   EXPECT_EQ(start.since_origin().count_micros() %
                 Duration::minutes(60).count_micros(),
             0);
