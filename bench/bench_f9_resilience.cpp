@@ -73,7 +73,6 @@ int main() {
                                Rng::stream(seed, point).stream(replica));
         core::ControllerConfig cfg;
         cfg.objective = partition::Objective::latency();
-        cfg.max_transfer_retries = 2;
         core::OffloadController ctl(sim, cloud, ue, path, cfg);
         const auto plan = ctl.prepare(g, partition::MinCutPartitioner{});
         const auto r = ctl.execute(plan, g);

@@ -45,7 +45,8 @@ struct DataFlow {
 ///
 /// Build with add_component()/add_flow(); structural invariants (valid ids,
 /// no self-loops) are checked on insertion and acyclicity on demand via
-/// topological_order(), which every consumer calls before planning.
+/// topological_order(), which execution calls for every run (planning does
+/// not need an order).
 class TaskGraph {
  public:
   explicit TaskGraph(std::string name) : name_(std::move(name)) {}
@@ -103,9 +104,6 @@ class TaskGraph {
 
   /// Kahn topological order. Throws ConfigError if the graph has a cycle.
   [[nodiscard]] std::vector<ComponentId> topological_order() const;
-
-  /// True if the flow structure is acyclic.
-  [[nodiscard]] bool is_dag() const;
 
   /// Components with no incoming / outgoing flows.
   [[nodiscard]] std::vector<ComponentId> sources() const;

@@ -30,15 +30,6 @@ std::vector<ComponentId> TaskGraph::topological_order() const {
   return order;
 }
 
-bool TaskGraph::is_dag() const {
-  try {
-    (void)topological_order();
-    return true;
-  } catch (const ConfigError&) {
-    return false;
-  }
-}
-
 std::vector<ComponentId> TaskGraph::sources() const {
   std::vector<ComponentId> out;
   for (ComponentId v = 0; v < components_.size(); ++v)

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -10,6 +9,7 @@
 #include "ntco/broker/admission.hpp"
 #include "ntco/broker/batch_dispatcher.hpp"
 #include "ntco/broker/plan_cache.hpp"
+#include "ntco/common/slab.hpp"
 #include "ntco/common/units.hpp"
 #include "ntco/core/controller.hpp"
 #include "ntco/obs/metrics.hpp"
@@ -44,19 +44,20 @@
 ///    aligned on a price-window grid and released as lane-chained batches,
 ///    so warm instances amortise across users, not just within one user.
 ///
-/// Each in-flight serve is one record in a broker-owned slab, addressed by
-/// a RequestId = (generation << 32) | slot (the sim::EventId idiom). The
-/// stages — admission (and its deferral retries), decision, dispatch,
-/// execution, completion — are member functions taking that id, so every
-/// simulator event and the controller's completion callback capture just
-/// [this, id], and a batch lane chains through the id its record holds.
+/// Each in-flight serve is one record in a broker-owned ntco::Slab,
+/// addressed by a RequestId = (generation << 32) | slot (the sim::EventId
+/// idiom). The stages — admission (and its deferral retries), decision,
+/// dispatch, execution, completion — are member functions taking that id,
+/// so every simulator event and the controller's completion callback
+/// capture just [this, id], and a batch lane chains through the id its
+/// record holds.
 /// A warm cache hit therefore allocates nothing in the broker: the plan is
 /// a shared pointer to the immutable cache row and the record slot is
 /// recycled (tests/allocation_count_test.cpp pins this).
 ///
 /// With `two_stage_enabled` the miss path splits in two (the
 /// dynamic-vehicular pipeline): stage 1 answers every request immediately
-/// — cache hit, or a cheap heuristic placement at `heuristic_cost` — and
+/// — cache hit, or a cheap heuristic placement at `kHeuristicCost` — and
 /// stage 2 resolves the exact solver asynchronously, publishing its plan
 /// through the cache so the *next* request in the bucket gets the exact
 /// answer. Fast-churn clients (short link residence) never wait multi-ms
@@ -69,6 +70,18 @@
 
 namespace ntco::broker {
 
+// Modeled decision latency, charged as simulated time before dispatch.
+// These are assumptions, not measurements of the planning code.
+
+/// Serving a plan from the cache.
+inline constexpr Duration kHitCost = Duration::micros(5);
+/// The stage-1 heuristic placement of the two-stage pipeline.
+inline constexpr Duration kHeuristicCost = Duration::micros(40);
+/// Computing a plan from scratch (profile → partition → allocate): a base
+/// plus a per-component term.
+inline constexpr Duration kPlanCostBase = Duration::millis(2);
+inline constexpr Duration kPlanCostPerComponent = Duration::micros(300);
+
 struct BrokerConfig {
   PlanCacheConfig cache;
   AdmissionConfig admission;
@@ -80,25 +93,16 @@ struct BrokerConfig {
   bool batching_enabled = true;
   /// Two-stage decision pipeline (the dynamic-vehicular fast path): a
   /// cache miss is answered *immediately* by a cheap heuristic placement
-  /// (cost `heuristic_cost`), while the exact solver resolves
+  /// (cost `kHeuristicCost`), while the exact solver resolves
   /// asynchronously and refreshes the cache for subsequent requests in
   /// the same bucket. At most one exact solve is in flight per cache
   /// bucket. Requires cache_enabled (the cache is the stage-1 lookup and
   /// the stage-2 publication point).
   bool two_stage_enabled = false;
-  /// Simulated cost of the stage-1 heuristic placement.
-  Duration heuristic_cost = Duration::micros(40);
   /// Stage-1 heuristic partitioner; null uses the built-in all-remote
   /// rule (offload everything not pinned — O(components), no search).
   /// Must outlive the broker when set.
   const partition::Partitioner* heuristic_partitioner = nullptr;
-  /// Simulated cost of computing a plan from scratch (profile → partition
-  /// → allocate): base plus a per-component term. Charged as decision
-  /// latency before dispatch.
-  Duration plan_cost_base = Duration::millis(2);
-  Duration plan_cost_per_component = Duration::micros(300);
-  /// Simulated cost of serving a plan from the cache.
-  Duration hit_cost = Duration::micros(5);
 };
 
 /// One user's offload request. `app` must outlive the serve (the broker
@@ -186,11 +190,8 @@ class Broker : private BatchDispatcher::Runner {
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
 
  private:
-  /// Names an in-flight serve: (generation << 32) | slot of its record.
+  /// Names an in-flight serve: the SlabId of its record.
   using RequestId = BatchDispatcher::JobId;
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  /// Never minted: its slot field is kNoSlot.
-  static constexpr RequestId kNoRequest = kNoSlot;
 
   /// One in-flight serve, from serve() until its outcome fires.
   struct Request {
@@ -204,11 +205,7 @@ class Broker : private BatchDispatcher::Runner {
     bool heuristic = false;
     /// This request's successor in its batch lane, started when it
     /// completes.
-    RequestId next_in_lane = kNoRequest;
-    /// Bumped on release, so ids minted for earlier occupants go stale.
-    std::uint32_t generation = 0;
-    /// Free-list link while the slot is unused.
-    std::uint32_t next_free = kNoSlot;
+    RequestId next_in_lane = kNoSlabId;
   };
 
   /// Stage-2 record: the inputs of one bucket's in-flight exact solve.
@@ -220,8 +217,6 @@ class Broker : private BatchDispatcher::Runner {
   };
   using Resolves = std::map<PlanKey, Resolve>;
 
-  [[nodiscard]] RequestId acquire();
-  [[nodiscard]] Request& record(RequestId id);
   /// Releases the record and delivers `out` to its callback.
   void finish(RequestId id, const ServeOutcome& out);
 
@@ -284,9 +279,8 @@ class Broker : private BatchDispatcher::Runner {
   AdmissionController admission_;
   BatchDispatcher dispatcher_;
   partition::RemoteAllPartitioner all_remote_;
-  /// Request slab; a deque, so growth never moves a live record.
-  std::deque<Request> requests_;
-  std::uint32_t free_head_ = kNoSlot;
+  /// In-flight serves, one record each.
+  Slab<Request> requests_;
   /// Buckets with an exact solve in flight (stage-2 dedup): a burst of
   /// same-bucket misses triggers one solver run, not a storm. std::map
   /// for deterministic iteration (lint R2).

@@ -9,6 +9,15 @@
 #include "ntco/partition/cost_model.hpp"
 
 namespace ntco::broker {
+namespace {
+
+/// Modeled latency of an exact plan for `g`.
+Duration exact_plan_cost(const app::TaskGraph& g) {
+  return kPlanCostBase +
+         kPlanCostPerComponent * static_cast<double>(g.component_count());
+}
+
+}  // namespace
 
 Broker::Broker(sim::Simulator& sim, serverless::Platform& platform,
                core::OffloadController& controller,
@@ -55,8 +64,7 @@ Duration Broker::admission_estimate(const app::TaskGraph& g,
   // transport's *nominal* spec — the stateful timing methods commit
   // transfers (consume jitter randomness, occupy shared capacity), which
   // an estimate must never do.
-  const DataSize ref =
-      platform_.quantize_memory(controller_.config().reference_memory);
+  const DataSize ref = platform_.quantize_memory(core::kReferenceMemory);
   const Duration service = platform_.exec_time(ref, g.total_work());
   const net::PathSpec& spec = controller_.transport().spec();
   Duration transfer = spec.up.latency + spec.down.latency;
@@ -74,50 +82,26 @@ void Broker::serve(ServeRequest req,
   NTCO_EXPECTS(!req.slack.is_negative());
   ++stats_.requests;
   if (m_.requests) m_.requests->add();
-  const RequestId id = acquire();
-  Request& r = record(id);
+  const RequestId id = requests_.acquire();
+  Request& r = requests_[id];
   r.req = req;
   r.done = std::move(done);
   r.released = sim_.now();
   admit(id, /*is_retry=*/false);
 }
 
-Broker::RequestId Broker::acquire() {
-  std::uint32_t slot = free_head_;
-  if (slot != kNoSlot) {
-    free_head_ = requests_[slot].next_free;
-  } else {
-    NTCO_EXPECTS(requests_.size() < kNoSlot);
-    slot = static_cast<std::uint32_t>(requests_.size());
-    requests_.emplace_back();
-  }
-  return (static_cast<RequestId>(requests_[slot].generation) << 32) | slot;
-}
-
-Broker::Request& Broker::record(RequestId id) {
-  const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  NTCO_EXPECTS(slot < requests_.size());
-  Request& r = requests_[slot];
-  NTCO_EXPECTS(r.generation == static_cast<std::uint32_t>(id >> 32));
-  return r;
-}
-
 void Broker::finish(RequestId id, const ServeOutcome& out) {
-  const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  Request& r = record(id);
+  Request& r = requests_[id];
   const std::function<void(const ServeOutcome&)> done = std::move(r.done);
-  // Reset for the next occupant; the slot's generation moves on, so this
-  // id goes stale before the callback can serve anew.
-  const std::uint32_t generation = r.generation + 1;
+  // Drop the plan reference and the callback before the slot is reused;
+  // the id goes stale before the callback can serve anew.
   r = Request{};
-  r.generation = generation;
-  r.next_free = free_head_;
-  free_head_ = slot;
+  requests_.release(id);
   if (done) done(out);
 }
 
 void Broker::admit(RequestId id, bool is_retry) {
-  Request& r = record(id);
+  Request& r = requests_[id];
   if (is_retry) admission_.retry_resolved();
   const TimePoint now = sim_.now();
   const TimePoint deadline = r.released + r.req.slack;
@@ -147,7 +131,7 @@ void Broker::admit(RequestId id, bool is_retry) {
 }
 
 void Broker::decide(RequestId id) {
-  Request& r = record(id);
+  Request& r = requests_[id];
   const app::TaskGraph& g = *r.req.app;
   const TimePoint now = sim_.now();
 
@@ -191,12 +175,9 @@ void Broker::decide(RequestId id) {
     if (cfg_.cache_enabled) cache_.insert(ctx, r.plan, now);
   }
 
-  r.decision = r.hit ? cfg_.hit_cost
-               : r.heuristic
-                   ? cfg_.heuristic_cost
-                   : cfg_.plan_cost_base +
-                         cfg_.plan_cost_per_component *
-                             static_cast<double>(g.component_count());
+  r.decision = r.hit         ? kHitCost
+               : r.heuristic ? kHeuristicCost
+                             : exact_plan_cost(g);
   if (m_.decision_us)
     m_.decision_us->add(static_cast<double>(r.decision.count_micros()));
 
@@ -205,7 +186,7 @@ void Broker::decide(RequestId id) {
 }
 
 void Broker::dispatch(RequestId id) {
-  const Request& r = record(id);
+  const Request& r = requests_[id];
   const app::TaskGraph& truth = *r.req.app;
   const TimePoint resumed = sim_.now();
   const TimePoint deadline = r.released + r.req.slack;
@@ -231,7 +212,7 @@ void Broker::dispatch(RequestId id) {
 }
 
 void Broker::start(RequestId id) {
-  const Request& r = record(id);
+  const Request& r = requests_[id];
   controller_.execute_async(
       *r.plan, *r.req.app,
       [this, id](const core::ExecutionReport& report) {
@@ -240,11 +221,11 @@ void Broker::start(RequestId id) {
 }
 
 void Broker::follow(RequestId prev, RequestId next) {
-  record(prev).next_in_lane = next;
+  requests_[prev].next_in_lane = next;
 }
 
 void Broker::complete(RequestId id, const core::ExecutionReport& report) {
-  const Request& r = record(id);
+  const Request& r = requests_[id];
   ServeOutcome out;
   out.status = report.failed ? ServeStatus::Failed : ServeStatus::Completed;
   out.cache_hit = r.hit;
@@ -265,7 +246,7 @@ void Broker::complete(RequestId id, const core::ExecutionReport& report) {
   if (m_.completion_s)
     m_.completion_s->add((out.finished - r.released).to_seconds());
   // The lane's next job starts before this outcome is delivered.
-  if (r.next_in_lane != kNoRequest) start(r.next_in_lane);
+  if (r.next_in_lane != kNoSlabId) start(r.next_in_lane);
   finish(id, out);
 }
 
@@ -279,12 +260,8 @@ void Broker::schedule_exact_resolve(const DecisionContext& ctx,
   if (!fresh) return;
   it->second = Resolve{ctx, &g, env, heuristic};
 
-  const Duration latency =
-      cfg_.plan_cost_base +
-      cfg_.plan_cost_per_component * static_cast<double>(g.component_count());
-
   // Map iterators stay valid until erase, and only resolve() erases.
-  sim_.schedule_after(latency, [this, it = it] { resolve(it); });
+  sim_.schedule_after(exact_plan_cost(g), [this, it = it] { resolve(it); });
 }
 
 void Broker::resolve(Resolves::iterator it) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <limits>
 #include <map>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "ntco/app/task_graph.hpp"
+#include "ntco/common/slab.hpp"
 #include "ntco/common/units.hpp"
 #include "ntco/device/device.hpp"
 #include "ntco/net/transport.hpp"
@@ -43,45 +45,30 @@
 /// prepare() is fed the *estimated* graph from the profiler in production;
 /// execute() runs against the true demands, so estimate error shows up as
 /// prediction-vs-measurement gap.
+///
+/// Execution is sequential: one component at a time in topological order,
+/// each boundary transfer before the component that needs it — the
+/// completion-time model the separable cost objective and the min-cut
+/// partitioner assume. Each run is one record in a controller-owned
+/// ntco::Slab; its stages are member functions taking the record's id, so
+/// every simulator event and platform callback captures just [this, id].
 
 namespace ntco::core {
 
-/// How execute() walks the DAG.
-enum class ExecutionMode {
-  /// One component at a time in topological order (the model the separable
-  /// cost objective and the min-cut partitioner assume).
-  Sequential,
-  /// Dataflow execution: a component starts once all inputs arrived.
-  /// Remote components run concurrently on the platform; local components
-  /// serialise on the single UE core; boundary transfers serialise per
-  /// radio direction (half-duplex up, half-duplex down).
-  Parallel,
-};
+/// Reference memory of the planning environment, before per-function
+/// allocation fixes the real sizes (also the broker's admission estimate).
+inline constexpr DataSize kReferenceMemory = DataSize::megabytes(1792);
+
+/// Retries per boundary transfer before giving up (relevant when the
+/// network path injects failures, see net::FlakyLink). After the final
+/// upload failure the component falls back to local execution; after the
+/// final download failure the run is aborted (results are stranded in the
+/// cloud).
+inline constexpr std::size_t kMaxTransferRetries = 2;
 
 /// Knobs of the offloading controller.
 struct ControllerConfig {
   partition::Objective objective = partition::Objective::non_time_critical();
-  ExecutionMode execution_mode = ExecutionMode::Sequential;
-  /// Per-component execution-time ceiling for the memory allocator
-  /// (Duration::max() = cost-optimal regardless of duration).
-  Duration component_deadline = Duration::max();
-  /// Memory sweep granularity of the allocator.
-  DataSize memory_step = DataSize::megabytes(128);
-  /// Reference memory used for the planning environment (before per-
-  /// function allocation fixes the real sizes).
-  DataSize reference_memory = DataSize::megabytes(1792);
-  /// Expected fraction of remote invocations that hit a warm instance;
-  /// cold-start time is amortised into the planning overhead at (1 - rate).
-  double expected_warm_rate = 0.8;
-  /// Per-invocation dispatch overhead excluded from cold starts.
-  Duration dispatch_overhead = Duration::millis(5);
-  /// Retries per boundary transfer before giving up (relevant when the
-  /// network path injects failures, see net::FlakyLink). After the final
-  /// upload failure the component falls back to local execution; after the
-  /// final download failure the run is aborted (results are stranded in
-  /// the cloud). Parallel mode escalates any exhausted transfer to a run
-  /// failure.
-  std::size_t max_transfer_retries = 2;
 };
 
 /// Result of prepare(): a deployed, executable offloading plan.
@@ -177,7 +164,8 @@ class OffloadController {
   /// Executes `truth` once under `plan`, sequentially in topological
   /// order; `done` fires with the measured report. Multiple concurrent
   /// executions are allowed (they contend for warm instances naturally).
-  /// `plan` must stay valid until `done` fires.
+  /// `plan` must stay valid until `done` fires. The run's record is
+  /// released before `done` fires, so `done` may start the next run.
   void execute_async(const DeploymentPlan& plan, const app::TaskGraph& truth,
                      std::function<void(const ExecutionReport&)> done);
 
@@ -201,7 +189,25 @@ class OffloadController {
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
 
  private:
-  struct RunState;
+  using Done = std::function<void(const ExecutionReport&)>;
+  /// Names an in-flight run: the SlabId of its record.
+  using RunId = SlabId;
+
+  /// One in-flight run, from execute_async() until `done` fires.
+  struct Run {
+    const DeploymentPlan* plan = nullptr;
+    const app::TaskGraph* truth = nullptr;
+    std::vector<app::ComponentId> order;
+    std::size_t next = 0;  ///< position in `order` of the next component
+    TimePoint begin;
+    TimePoint invoked;  ///< when the current remote component was invoked
+    ExecutionReport report;
+    Done done;
+    /// Where each already-executed component actually ran (differs from
+    /// the plan after an upload-failure fallback).
+    std::vector<bool> ran_remote;
+  };
+
   struct RadioResult {
     bool ok = true;
     Duration elapsed;
@@ -211,17 +217,15 @@ class OffloadController {
   RadioResult radio_with_retries(bool upload, DataSize bytes,
                                  ExecutionReport& report);
 
-  void step(std::shared_ptr<RunState> run);
-
-  // Parallel-mode machinery.
-  struct ParallelRun;
-  void par_component_ready(std::shared_ptr<ParallelRun> run,
-                           app::ComponentId v);
-  void par_start_local(std::shared_ptr<ParallelRun> run, app::ComponentId v);
-  void par_component_done(std::shared_ptr<ParallelRun> run,
-                          app::ComponentId v);
-  void par_deliver_flow(std::shared_ptr<ParallelRun> run, std::size_t flow);
-  void par_maybe_finish(const std::shared_ptr<ParallelRun>& run);
+  /// Runs the next component in order (its transfers now, its compute
+  /// as a scheduled event), or finishes the run after the last one.
+  void step(RunId id);
+  /// After the upload: invokes the current component's function.
+  void invoke_remote(RunId id);
+  /// The current component's invocation completed.
+  void remote_done(RunId id, const serverless::InvocationResult& r);
+  /// Releases the run's record, then delivers its report.
+  void finish(RunId id);
 
   void observe_run_end(const ExecutionReport& r);
 
@@ -248,6 +252,8 @@ class OffloadController {
   /// Deployed-function memo keyed by plan fingerprint (see prepare()):
   /// identical plans reuse their FunctionIds instead of redeploying.
   std::map<std::string, std::vector<serverless::FunctionId>> deployed_;
+  /// In-flight runs, one record each.
+  Slab<Run> runs_;
 };
 
 }  // namespace ntco::core

@@ -14,7 +14,7 @@
 /// with probability `failure_rate`. A failed transfer still costs wall time
 /// (the sender waits out a timeout) and radio energy; recovering is the
 /// caller's policy — core::OffloadController retries and falls back to
-/// local execution (see ControllerConfig::max_transfer_retries).
+/// local execution (see core::kMaxTransferRetries).
 
 namespace ntco::net {
 

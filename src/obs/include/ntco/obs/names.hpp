@@ -44,7 +44,7 @@ NTCO_OBS_NAME(kFaasPreempted, trace, "faas.preempted", "`fn`, `exec`")
 NTCO_OBS_NAME(kFaasCheckpoint, trace, "faas.checkpoint", "`fn`, `queued`")
 
 // --- core offload controller ----------------------------------------------
-NTCO_OBS_NAME(kCtlRunBegin, trace, "ctl.run.begin", "`app`, `mode`, `components`, `remote`")
+NTCO_OBS_NAME(kCtlRunBegin, trace, "ctl.run.begin", "`app`, `components`, `remote`")
 NTCO_OBS_NAME(kCtlRunEnd, trace, "ctl.run.end", "`makespan`, `failed`, `cloud_cost`, `remote_invocations`, `cold_starts`, `transfer_failures`, `local_fallbacks`")
 NTCO_OBS_NAME(kCtlTransferAttempt, trace, "ctl.transfer.attempt", "`dir`, `bytes`, `attempt`, `ok`, `elapsed`")
 NTCO_OBS_NAME(kCtlTransferRetry, trace, "ctl.transfer.retry", "`dir`, `bytes`, `next_attempt`")

@@ -1,9 +1,8 @@
 #pragma once
 
-#include <functional>
 #include <string>
-#include <vector>
 
+#include "ntco/common/slab.hpp"
 #include "ntco/common/units.hpp"
 #include "ntco/obs/metrics.hpp"
 #include "ntco/obs/trace.hpp"
@@ -86,16 +85,6 @@ class DeferredScheduler {
   Config cfg_;
 };
 
-/// Outcome of one executed deferred job.
-struct DeferredOutcome {
-  std::string name;
-  TimePoint released;
-  TimePoint started;
-  TimePoint finished;
-  bool met_deadline = false;
-  Money cost;
-};
-
 /// Aggregate report over an executed job stream.
 struct DeferredReport {
   std::uint64_t jobs = 0;
@@ -116,6 +105,9 @@ struct DeferredReport {
 
 /// Executes planned jobs on one serverless function and collects the
 /// report. Jobs submitted at simulated `now` are treated as released then.
+/// Each submitted job is one record in an executor-owned ntco::Slab until
+/// it completes; its start event and platform callbacks capture just
+/// [this, id].
 class DeferredExecutor {
  public:
   DeferredExecutor(sim::Simulator& sim, serverless::Platform& platform,
@@ -133,11 +125,22 @@ class DeferredExecutor {
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
 
  private:
-  void attempt(const DeferredJob& job, TimePoint released, TimePoint deadline,
-               Duration est, Money accrued, bool spotted);
-  void complete(const DeferredJob& job, TimePoint released,
-                TimePoint deadline, const serverless::InvocationResult& r,
-                Money accrued);
+  /// One submitted job, from submit() until it completes.
+  struct Job {
+    DeferredJob job;
+    TimePoint released;
+    TimePoint deadline;
+    Duration est;
+    Money accrued;         ///< billed cost of preempted attempts so far
+    bool spotted = false;  ///< an earlier attempt ran on spot
+  };
+
+  /// Invokes the job, on spot while the remaining slack allows it.
+  void attempt(SlabId id);
+  /// An attempt ended: retries a preempted one, else completes the job.
+  void attempt_done(SlabId id, const serverless::InvocationResult& r);
+  /// Books the finished job and releases its record.
+  void complete(SlabId id, const serverless::InvocationResult& r);
 
   /// Cached instrument pointers; null when no registry is attached.
   struct Instruments {
@@ -156,6 +159,8 @@ class DeferredExecutor {
   serverless::FunctionId fn_;
   DeferredScheduler scheduler_;
   DeferredReport report_;
+  /// Submitted jobs not yet completed, one record each.
+  Slab<Job> jobs_;
   obs::TraceSink* trace_ = nullptr;
   Instruments m_;
 };

@@ -1,6 +1,7 @@
 #include "ntco/sched/deferred_scheduler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace ntco::sched {
 
@@ -91,83 +92,86 @@ void DeferredExecutor::submit(DeferredJob job) {
                {"est", est}});
   if (m_.deferral_s) m_.deferral_s->add((start - released).to_seconds());
 
-  sim_.schedule_at(start,
-                   [this, job = std::move(job), released, deadline, est] {
-                     attempt(job, released, deadline, est, Money::zero(),
-                             /*spotted=*/false);
-                   });
+  const SlabId id = jobs_.acquire();
+  Job& j = jobs_[id];
+  j.job = std::move(job);
+  j.released = released;
+  j.deadline = deadline;
+  j.est = est;
+  j.accrued = Money::zero();
+  j.spotted = false;
+  sim_.schedule_at(start, [this, id] { attempt(id); });
 }
 
-void DeferredExecutor::attempt(const DeferredJob& job, TimePoint released,
-                               TimePoint deadline, Duration est, Money accrued,
-                               bool spotted) {
+void DeferredExecutor::attempt(SlabId id) {
+  Job& j = jobs_[id];
   // Spot is only safe while we could still absorb a preempted attempt and
   // an on-demand redo within the remaining slack.
   const bool use_spot =
       scheduler_.config().tier_policy == TierPolicy::SpotWithFallback &&
-      sim_.now() + est * scheduler_.config().fallback_safety <= deadline;
+      sim_.now() + j.est * scheduler_.config().fallback_safety <= j.deadline;
   if (use_spot) {
     ++report_.spot_attempts;
     if (m_.spot_attempts) m_.spot_attempts->add();
   }
-  if (spotted && !use_spot) {
+  if (j.spotted && !use_spot) {
     ++report_.fallbacks;
     if (m_.fallbacks) m_.fallbacks->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "sched.job.tier_fallback",
-                {{"job", std::string_view(job.name)}});
+                {{"job", std::string_view(j.job.name)}});
   }
 
   platform_.invoke(
-      fn_, job.work,
-      [this, job, released, deadline, est,
-       accrued](const serverless::InvocationResult& r) {
-        if (r.preempted) {
-          ++report_.spot_preemptions;
-          if (m_.spot_preemptions) m_.spot_preemptions->add();
-          if (trace_)
-            obs::emit(trace_, sim_.now(), "sched.job.spot_retry",
-                      {{"job", std::string_view(job.name)},
-                       {"wasted_cost", r.cost}});
-          // Retry immediately; the wasted partial execution stays on the
-          // bill.
-          attempt(job, released, deadline, est, accrued + r.cost,
-                  /*spotted=*/true);
-          return;
-        }
-        complete(job, released, deadline, r, accrued);
+      fn_, j.job.work,
+      [this, id](const serverless::InvocationResult& r) {
+        attempt_done(id, r);
       },
       use_spot ? serverless::Tier::Spot : serverless::Tier::OnDemand);
 }
 
-void DeferredExecutor::complete(const DeferredJob& job, TimePoint released,
-                                TimePoint deadline,
-                                const serverless::InvocationResult& r,
-                                Money accrued) {
-  DeferredOutcome out;
-  out.name = job.name;
-  out.released = released;
-  out.started = r.started;
-  out.finished = r.finished;
-  out.met_deadline = r.finished <= deadline;
-  out.cost = accrued + r.cost;
+void DeferredExecutor::attempt_done(SlabId id,
+                                    const serverless::InvocationResult& r) {
+  if (!r.preempted) {
+    complete(id, r);
+    return;
+  }
+  Job& j = jobs_[id];
+  ++report_.spot_preemptions;
+  if (m_.spot_preemptions) m_.spot_preemptions->add();
+  if (trace_)
+    obs::emit(trace_, sim_.now(), "sched.job.spot_retry",
+              {{"job", std::string_view(j.job.name)},
+               {"wasted_cost", r.cost}});
+  // Retry immediately; the wasted partial execution stays on the bill.
+  j.accrued += r.cost;
+  j.spotted = true;
+  attempt(id);
+}
+
+void DeferredExecutor::complete(SlabId id,
+                                const serverless::InvocationResult& r) {
+  const Job& j = jobs_[id];
+  const bool met_deadline = r.finished <= j.deadline;
+  const Money cost = j.accrued + r.cost;
 
   ++report_.jobs;
-  if (!out.met_deadline) ++report_.deadline_misses;
-  report_.total_cost += out.cost;
-  const double latency_s = (out.finished - out.released).to_seconds();
+  if (!met_deadline) ++report_.deadline_misses;
+  report_.total_cost += cost;
+  const double latency_s = (r.finished - j.released).to_seconds();
   report_.completion_latency_s.add(latency_s);
 
   if (m_.jobs) m_.jobs->add();
-  if (!out.met_deadline && m_.deadline_misses) m_.deadline_misses->add();
+  if (!met_deadline && m_.deadline_misses) m_.deadline_misses->add();
   if (m_.completion_latency_s) m_.completion_latency_s->add(latency_s);
-  if (m_.job_cost_usd) m_.job_cost_usd->add(out.cost.to_usd());
+  if (m_.job_cost_usd) m_.job_cost_usd->add(cost.to_usd());
   if (trace_)
     obs::emit(trace_, sim_.now(), "sched.job.complete",
-              {{"job", std::string_view(job.name)},
-               {"latency", out.finished - out.released},
-               {"met_deadline", out.met_deadline},
-               {"cost", out.cost}});
+              {{"job", std::string_view(j.job.name)},
+               {"latency", r.finished - j.released},
+               {"met_deadline", met_deadline},
+               {"cost", cost}});
+  jobs_.release(id);
 }
 
 }  // namespace ntco::sched

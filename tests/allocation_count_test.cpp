@@ -2,8 +2,8 @@
 //
 // This binary replaces the global operator new/delete with counting
 // versions, so every heap allocation anywhere in the process — the kernel,
-// the worker pool, the fabric, the broker, std::function, shared_ptr —
-// shows up in `allocations`. Each test warms its subject up, then pins how
+// the worker pool, the fabric, the controller, the broker, std::function,
+// shared_ptr — shows up in `allocations`. Each test warms its subject up, then pins how
 // many allocations one steady-state operation costs. The counter is a
 // plain integer: only the thread under test allocates inside a counting
 // window (pool workers run allocation-free shard bodies).
@@ -21,9 +21,11 @@
 #include "ntco/app/task_graph.hpp"
 #include "ntco/app/workloads.hpp"
 #include "ntco/broker/broker.hpp"
+#include "ntco/core/controller.hpp"
 #include "ntco/dataplane/engine.hpp"
 #include "ntco/fabric/fabric.hpp"
 #include "ntco/net/path.hpp"
+#include "ntco/obs/metrics.hpp"
 #include "ntco/sim/simulator.hpp"
 
 namespace {
@@ -163,6 +165,81 @@ TEST(AllocationCount, FabricAdmissionAllocatesOneDepartureNode) {
   EXPECT_GT(total, Duration::zero());
 }
 
+// -------------------------------------------------------------- Controller
+
+/// Requests per counting window. The platform queues invocations in a
+/// std::deque, which allocates a node every few pushes; a window of
+/// 840 = lcm(1..8) requests spans a whole number of nodes at any node
+/// capacity up to 8, so every window below sees the same deque cost.
+constexpr std::size_t kWindow = 840;
+
+/// Allocations the controller itself adds to kWindow runs of `g`:
+/// kWindow execute_async runs, each drained, minus the same platform work
+/// without the controller (kWindow rounds of direct Platform::invoke calls
+/// on the plan's functions, each drained) and kWindow topological_order()
+/// calls, whose allocations are the order's own.
+std::size_t controller_share(const app::TaskGraph& g,
+                             obs::MetricsRegistry* metrics) {
+  sim::Simulator sim;
+  serverless::Platform platform(sim, {});
+  device::Device ue(device::budget_phone());
+  net::NetworkPath path = net::make_fixed_path(net::profile_wifi());
+  core::OffloadController controller(sim, platform, ue, path, {});
+  controller.attach_observer(nullptr, metrics);
+  const core::DeploymentPlan plan =
+      controller.prepare(g, partition::MinCutPartitioner{});
+  const std::vector<app::ComponentId> order = g.topological_order();
+  std::size_t runs = 0;
+  std::size_t invocations = 0;
+  const auto execute = [&] {
+    controller.execute_async(
+        plan, g, [&runs](const core::ExecutionReport&) { ++runs; });
+    sim.run();
+  };
+  const auto invoke = [&] {
+    for (const app::ComponentId v : order) {
+      const auto fn = plan.function_for(v);
+      if (!fn.has_value()) continue;
+      platform.invoke(*fn, g.component(v).work,
+                      [&invocations](const serverless::InvocationResult&) {
+                        ++invocations;
+                      });
+      sim.run();
+    }
+  };
+  for (int i = 0; i < 8; ++i) {
+    execute();
+    invoke();
+  }
+  const std::size_t executed = allocations_in([&] {
+    for (std::size_t i = 0; i < kWindow; ++i) execute();
+  });
+  const std::size_t invoked = allocations_in([&] {
+    for (std::size_t i = 0; i < kWindow; ++i) invoke();
+  });
+  const std::size_t ordered = allocations_in([&] {
+    for (std::size_t i = 0; i < kWindow; ++i) (void)g.topological_order();
+  });
+  EXPECT_EQ(runs, 8 + kWindow) << g.name();
+  EXPECT_EQ(invocations, (8 + kWindow) * plan.partition.remote_count())
+      << g.name();
+  EXPECT_EQ(sim.heap_handlers(), 0u) << g.name();
+  return executed - invoked - ordered;
+}
+
+TEST(AllocationCount, ControllerRunAllocatesOnlyItsOrder) {
+  for (const app::TaskGraph& g : app::workloads::all())
+    EXPECT_EQ(controller_share(g, nullptr), 0u) << g.name();
+}
+
+TEST(AllocationCount, ObservedControllerRunAllocatesOnlyItsOrder) {
+  for (const app::TaskGraph& g : app::workloads::all()) {
+    obs::MetricsRegistry metrics;
+    EXPECT_EQ(controller_share(g, &metrics), 0u) << g.name();
+    EXPECT_EQ(metrics.counter("core.runs").value(), 8 + kWindow) << g.name();
+  }
+}
+
 // ------------------------------------------------------------------ Broker
 
 /// A full single-user world behind one broker.
@@ -193,12 +270,6 @@ broker::BrokerConfig warm_hit_config(bool batching) {
   cfg.cache.hours_per_window = 24;
   return cfg;
 }
-
-/// Requests per counting window. The platform queues invocations in a
-/// std::deque, which allocates a node every few pushes; a window of
-/// 840 = lcm(1..8) requests spans a whole number of nodes at any node
-/// capacity up to 8, so both windows below see the same deque cost.
-constexpr std::size_t kWindow = 840;
 
 struct ShareCounts {
   std::size_t served = 0;    ///< kWindow warm hits through Broker::serve

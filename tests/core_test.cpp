@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ntco/app/workloads.hpp"
 #include "ntco/common/error.hpp"
 #include "ntco/net/path.hpp"
@@ -117,6 +119,7 @@ TEST(Execute, OffloadedPlanBeatsLocalForComputeHeavyApp) {
   EXPECT_GT(cut_run.cloud_cost, Money::zero());
   EXPECT_GT(cut_run.remote_invocations, 0u);
   EXPECT_GT(cut_run.transfer, Duration::zero());
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(Execute, PredictionTracksMeasurementOnWarmRuns) {
@@ -166,6 +169,36 @@ TEST(Execute, AsyncRunsCanOverlap) {
                                 [&](const ExecutionReport&) { ++done; });
   fx.sim.run();
   EXPECT_EQ(done, 3);
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
+}
+
+// A run's record is released before `done` fires, so `done` may start the
+// next run, which takes the released slot and resets it. The report `done`
+// received must not be a view into that record.
+TEST(Execute, DoneMayStartTheNextRunOnTheReleasedSlot) {
+  Fixture fx;
+  const auto g = app::workloads::photo_backup();
+  const auto plan = fx.controller.prepare(g, partition::MinCutPartitioner{});
+  ASSERT_GT(plan.partition.remote_count(), 0u);
+  std::vector<ExecutionReport> reports;
+  fx.controller.execute_async(plan, g, [&](const ExecutionReport& first) {
+    const ExecutionReport before = first;
+    fx.controller.execute_async(
+        plan, g, [&](const ExecutionReport& r) { reports.push_back(r); });
+    EXPECT_EQ(first.makespan, before.makespan);
+    EXPECT_EQ(first.device_energy, before.device_energy);
+    EXPECT_EQ(first.local_compute, before.local_compute);
+    EXPECT_EQ(first.remote_invocations, before.remote_invocations);
+    EXPECT_EQ(first.cold_starts, before.cold_starts);
+    reports.push_back(first);
+  });
+  fx.sim.run();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].remote_invocations, plan.partition.remote_count());
+  EXPECT_EQ(reports[1].remote_invocations, plan.partition.remote_count());
+  EXPECT_GT(reports[0].cold_starts, 0u);
+  EXPECT_EQ(reports[1].cold_starts, 0u);  // the chained run found them warm
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(Execute, MismatchedPlanRejected) {
@@ -210,16 +243,6 @@ TEST(Prepare, DifferentPartitionDeploysFresh) {
   const std::size_t after_mincut = fx.platform.function_count();
   (void)fx.controller.prepare(g, partition::RemoteAllPartitioner{});
   EXPECT_GT(fx.platform.function_count(), after_mincut);
-}
-
-TEST(Controller, BadConfigRejected) {
-  sim::Simulator s;
-  serverless::Platform platform(s, {});
-  device::Device ue(device::budget_phone());
-  auto path = net::make_fixed_path(net::profile_4g());
-  ControllerConfig cfg;
-  cfg.expected_warm_rate = 1.5;
-  EXPECT_THROW(OffloadController(s, platform, ue, path, cfg), ConfigError);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Failure injection: flaky links, controller retries, local fallback, and
-// run-failure escalation.
+// stranded-download run failures.
 
 #include <gtest/gtest.h>
 
@@ -33,20 +33,12 @@ struct Fixture {
   net::NetworkPath path;
   core::OffloadController controller;
 
-  Fixture(double up_fail, double down_fail, std::uint64_t seed = 7,
-          core::ExecutionMode mode = core::ExecutionMode::Sequential)
+  Fixture(double up_fail, double down_fail, std::uint64_t seed = 7)
       : platform(sim, {}),
         ue(device::budget_phone()),
         path(flaky_path(up_fail, down_fail, seed)),
-        controller(sim, platform, ue, path, make_cfg(mode)) {}
-
-  static core::ControllerConfig make_cfg(core::ExecutionMode mode) {
-    core::ControllerConfig cfg;
-    cfg.objective = partition::Objective::latency();
-    cfg.execution_mode = mode;
-    cfg.max_transfer_retries = 2;
-    return cfg;
-  }
+        controller(sim, platform, ue, path,
+                   core::ControllerConfig{partition::Objective::latency()}) {}
 };
 
 TEST(FlakyLink, NeverFailsAtRateZero) {
@@ -123,6 +115,7 @@ TEST(FailureInjection, OccasionalFailuresAreRetriedTransparently) {
     const auto r = fx.controller.execute(plan, g);
     if (!r.failed) ++completed;
     if (r.transfer_failures > 0) ++with_retries;
+    EXPECT_EQ(fx.sim.heap_handlers(), 0u);
   }
   EXPECT_GE(completed, 16);
   // The ML plan crosses the boundary only a few times per run, but at 20%
@@ -145,6 +138,7 @@ TEST(FailureInjection, DeadUplinkFallsBackToLocalExecution) {
   // The run is slower than a clean offload (timeouts + local compute).
   const device::Device ref(device::budget_phone());
   EXPECT_GT(r.makespan, ref.exec_time(g.total_work()));
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(FailureInjection, DeadDownlinkAbortsTheRun) {
@@ -157,6 +151,7 @@ TEST(FailureInjection, DeadDownlinkAbortsTheRun) {
   EXPECT_GT(r.transfer_failures, 0u);
   // Work did run in the cloud before the results were stranded.
   EXPECT_GT(r.remote_invocations, 0u);
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(FailureInjection, FallbackEnergyIsAccounted) {
@@ -171,49 +166,24 @@ TEST(FailureInjection, FallbackEnergyIsAccounted) {
   EXPECT_GT(r.device_energy, local_only);
 }
 
-TEST(FailureInjection, ParallelModeEscalatesToRunFailure) {
-  Fixture fx(1.0, 0.0, 7, core::ExecutionMode::Parallel);
-  const auto g = app::workloads::ml_batch_training();
+TEST(FailureInjection, DeadUplinkBurnsEveryRetryBeforeEachFallback) {
+  Fixture fx(1.0, 0.0);
+  const auto g = app::workloads::photo_backup();
   const auto plan = fx.controller.prepare(g, partition::MinCutPartitioner{});
   ASSERT_GT(plan.partition.remote_count(), 0u);
-  bool done = false;
-  core::ExecutionReport r;
-  fx.controller.execute_async(plan, g, [&](const core::ExecutionReport& rep) {
-    r = rep;
-    done = true;
-  });
-  fx.sim.run();
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(r.failed);
-  EXPECT_GT(r.transfer_failures, 0u);
-}
-
-TEST(FailureInjection, ZeroRetriesFailsFaster) {
-  auto run_with_retries = [](std::size_t retries) {
-    core::ControllerConfig cfg;
-    cfg.objective = partition::Objective::latency();
-    cfg.max_transfer_retries = retries;
-    sim::Simulator sim;
-    serverless::Platform platform(sim, {});
-    device::Device ue(device::budget_phone());
-    auto path = flaky_path(1.0, 0.0, 55);
-    core::OffloadController ctl(sim, platform, ue, path, cfg);
-    const auto g = app::workloads::photo_backup();
-    const auto plan = ctl.prepare(g, partition::MinCutPartitioner{});
-    bool done = false;
-    core::ExecutionReport r;
-    ctl.execute_async(plan, g, [&](const core::ExecutionReport& rep) {
-      r = rep;
-      done = true;
-    });
-    while (!done && sim.step()) {
-    }
-    return r;
-  };
-  const auto eager = run_with_retries(0);
-  const auto patient = run_with_retries(4);
-  EXPECT_LT(eager.transfer_failures, patient.transfer_failures);
-  EXPECT_LT(eager.makespan, patient.makespan);  // fewer timeouts burned
+  const auto r = fx.controller.execute(plan, g);
+  // Every planned-remote component gives up on its first boundary upload
+  // after exactly 1 + kMaxTransferRetries attempts, each waiting out the
+  // 2 s timeout, and then runs on the UE; nothing else crosses the radio.
+  EXPECT_FALSE(r.failed);
+  EXPECT_EQ(r.local_fallbacks, plan.partition.remote_count());
+  EXPECT_EQ(r.transfer_failures,
+            (1 + core::kMaxTransferRetries) * r.local_fallbacks);
+  EXPECT_EQ(r.transfer,
+            Duration::seconds(2 * static_cast<std::int64_t>(
+                                      r.transfer_failures)));
+  EXPECT_EQ(r.makespan, r.transfer + r.local_compute);
+  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 }  // namespace

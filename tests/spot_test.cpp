@@ -136,6 +136,7 @@ TEST(SpotFallback, SavesMoneyWithoutMissingDeadlines) {
                                        Duration::hours(2)});
       });
     s.run();
+    EXPECT_EQ(s.heap_handlers(), 0u);
     return exec.report();
   };
 

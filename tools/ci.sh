@@ -14,10 +14,12 @@
 #      local `ctest` run gets the same gate, and allocation_count_test, the
 #      exact allocation counts that replaced the old hot-path lint rules)
 #   5. prove the fleet determinism contract end-to-end:
-#      bench_f5_scale_users, bench_f12_broker, bench_f13_fabric_contention,
-#      bench_f14_continuum, bench_f15_vehicular, and bench_f16_diurnal must
-#      emit byte-identical stdout and NTCO_BENCH_OUT artifacts with
-#      NTCO_THREADS=1 and NTCO_THREADS=8
+#      bench_f5_scale_users, bench_f9_resilience, bench_f12_broker,
+#      bench_f13_fabric_contention, bench_f14_continuum, bench_f15_vehicular,
+#      and bench_f16_diurnal must emit byte-identical stdout and
+#      NTCO_BENCH_OUT artifacts with NTCO_THREADS=1 and NTCO_THREADS=8 (F9
+#      is the one experiment that drives the controller's retry, fallback
+#      and abort paths)
 #   6. run bench_micro_sim and bench_micro_fabric and compare their gated
 #      loops against the checked-in BENCH_micro_sim.json /
 #      BENCH_micro_fabric.json baselines: a drop of more than 10% in
@@ -63,8 +65,8 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 echo "== [4/8] unit + integration tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== [5/8] fleet determinism: F5 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
-for det_bench in bench_f5_scale_users bench_f12_broker bench_f13_fabric_contention bench_f14_continuum bench_f15_vehicular bench_f16_diurnal; do
+echo "== [5/8] fleet determinism: F5, F9 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
+for det_bench in bench_f5_scale_users bench_f9_resilience bench_f12_broker bench_f13_fabric_contention bench_f14_continuum bench_f15_vehicular bench_f16_diurnal; do
   DET_DIR="$BUILD_DIR/fleet-determinism/$det_bench"
   rm -rf "$DET_DIR"
   mkdir -p "$DET_DIR/t1" "$DET_DIR/t8"
