@@ -45,8 +45,8 @@ struct DataFlow {
 ///
 /// Build with add_component()/add_flow(); structural invariants (valid ids,
 /// no self-loops) are checked on insertion and acyclicity on demand via
-/// topological_order(), which execution calls for every run (planning does
-/// not need an order).
+/// topological_order(), which planning calls once per plan (execution walks
+/// the order the plan carries).
 class TaskGraph {
  public:
   explicit TaskGraph(std::string name) : name_(std::move(name)) {}

@@ -135,17 +135,14 @@ void Broker::decide(RequestId id) {
   const app::TaskGraph& g = *r.req.app;
   const TimePoint now = sim_.now();
 
-  // The user's link quality perturbs the nominal planning environment;
-  // that perturbed environment is both what the partitioner sees and what
-  // the cache key quantizes.
-  partition::Environment env = controller_.make_environment(g);
-  env.uplink = env.uplink * r.req.bandwidth_scale;
-  env.downlink = env.downlink * r.req.bandwidth_scale;
-
+  // The user's link quality perturbs the nominal link figures; the
+  // perturbed figures are both what the cache key quantizes and, on a
+  // miss, what the partitioner sees.
+  const net::PathSpec& spec = controller_.transport().spec();
   DecisionContext ctx;
   ctx.workload = g.name();
-  ctx.uplink = env.uplink;
-  ctx.rtt = env.uplink_latency + env.downlink_latency;
+  ctx.uplink = spec.up.rate * r.req.bandwidth_scale;
+  ctx.rtt = spec.up.latency + spec.down.latency;
   ctx.battery = r.req.battery;
   ctx.hour = static_cast<int>(
       (now.since_origin().count_micros() / 3'600'000'000LL) % 24);
@@ -154,25 +151,30 @@ void Broker::decide(RequestId id) {
     r.plan = cache_.lookup(ctx, now);
     r.hit = r.plan != nullptr;
   }
-  if (r.plan == nullptr && cfg_.two_stage_enabled) {
-    // Stage 1: answer the miss *now* with the cheap heuristic placement
-    // and let the exact solver catch up in the background. The heuristic
-    // plan is deliberately not cached — the cache only ever publishes
-    // exact plans, so a bucket's quality ratchets up, never down.
-    r.plan = std::make_shared<const core::DeploymentPlan>(
-        controller_.prepare(g, stage1_partitioner(), env));
-    r.heuristic = true;
-    ++twostage_.fast_serves;
-    if (m_.fast_serves) m_.fast_serves->add();
-    if (trace_)
-      obs::emit(trace_, now, "broker.twostage.fast_serve",
-                {{"workload", std::string_view(g.name())}});
-    schedule_exact_resolve(ctx, g, env, r.plan->partition);
-  }
   if (r.plan == nullptr) {
-    r.plan = std::make_shared<const core::DeploymentPlan>(
-        controller_.prepare(g, partitioner_, env));
-    if (cfg_.cache_enabled) cache_.insert(ctx, r.plan, now);
+    partition::Environment env = controller_.make_environment(g);
+    env.uplink = env.uplink * r.req.bandwidth_scale;
+    env.downlink = env.downlink * r.req.bandwidth_scale;
+    if (cfg_.two_stage_enabled) {
+      // Stage 1: answer the miss *now* with the cheap heuristic placement
+      // and let the exact solver catch up in the background. The
+      // heuristic plan is deliberately not cached — the cache only ever
+      // publishes exact plans, so a bucket's quality ratchets up, never
+      // down.
+      r.plan = std::make_shared<const core::DeploymentPlan>(
+          controller_.prepare(g, stage1_partitioner(), env));
+      r.heuristic = true;
+      ++twostage_.fast_serves;
+      if (m_.fast_serves) m_.fast_serves->add();
+      if (trace_)
+        obs::emit(trace_, now, "broker.twostage.fast_serve",
+                  {{"workload", std::string_view(g.name())}});
+      schedule_exact_resolve(ctx, g, env, r.plan->partition);
+    } else {
+      r.plan = std::make_shared<const core::DeploymentPlan>(
+          controller_.prepare(g, partitioner_, env));
+      if (cfg_.cache_enabled) cache_.insert(ctx, r.plan, now);
+    }
   }
 
   r.decision = r.hit         ? kHitCost

@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ntco/app/task_graph.hpp"
@@ -46,12 +48,14 @@
 /// execute() runs against the true demands, so estimate error shows up as
 /// prediction-vs-measurement gap.
 ///
-/// Execution is sequential: one component at a time in topological order,
-/// each boundary transfer before the component that needs it — the
-/// completion-time model the separable cost objective and the min-cut
-/// partitioner assume. Each run is one record in a controller-owned
-/// ntco::Slab; its stages are member functions taking the record's id, so
-/// every simulator event and platform callback captures just [this, id].
+/// Execution is sequential: one component at a time in the topological
+/// order prepare() stored in the plan, each boundary transfer before the
+/// component that needs it — the completion-time model the separable cost
+/// objective and the min-cut partitioner assume. Each run is one record in
+/// a controller-owned ntco::Slab; its stages are member functions taking
+/// the record's id, so every simulator event and platform callback
+/// captures just [this, id]. A warm run allocates nothing in the
+/// controller.
 
 namespace ntco::core {
 
@@ -84,6 +88,9 @@ struct DeploymentPlan {
   /// Per-component chosen memory (meaningful for remote components).
   /// Direct access is discouraged — prefer memory_for().
   std::vector<DataSize> memory_of;
+  /// Topological order of the planned graph: the order execute_async()
+  /// runs the components in.
+  std::vector<app::ComponentId> order;
 
   static constexpr serverless::FunctionId kInvalidFunction =
       std::numeric_limits<serverless::FunctionId>::max();
@@ -143,7 +150,8 @@ class OffloadController {
 
   /// Partitions `g`, sizes a serverless function for every remote
   /// component, and deploys them. `g` is normally the profiler's estimated
-  /// graph.
+  /// graph. Throws ConfigError if `g` has a cycle, before anything is
+  /// deployed.
   ///
   /// Deployment is idempotent per plan fingerprint (graph identity +
   /// placement + per-function memory/image): preparing an identical plan
@@ -151,6 +159,9 @@ class OffloadController {
   /// warm instances — instead of registering fresh cold ones. This is what
   /// lets a plan-cache hit skip the redundant deploy cost (previously
   /// every prepare() cold-started a brand-new set of functions).
+  ///
+  /// Memory sizing is memoised on its exact inputs, so a component sized
+  /// before costs one lookup instead of a sweep.
   [[nodiscard]] DeploymentPlan prepare(
       const app::TaskGraph& g, const partition::Partitioner& partitioner);
 
@@ -161,9 +172,12 @@ class OffloadController {
       const app::TaskGraph& g, const partition::Partitioner& partitioner,
       const partition::Environment& env);
 
-  /// Executes `truth` once under `plan`, sequentially in topological
-  /// order; `done` fires with the measured report. Multiple concurrent
-  /// executions are allowed (they contend for warm instances naturally).
+  /// Executes `truth` once under `plan`, sequentially in `plan.order`;
+  /// `done` fires with the measured report. `truth` must have the planned
+  /// graph's components and flows (the same graph, a with_work_scaled()
+  /// copy or a profiler estimate); only its work may differ. Multiple
+  /// concurrent executions are allowed (they contend for warm instances
+  /// naturally).
   /// `plan` must stay valid until `done` fires. The run's record is
   /// released before `done` fires, so `done` may start the next run.
   void execute_async(const DeploymentPlan& plan, const app::TaskGraph& truth,
@@ -197,8 +211,7 @@ class OffloadController {
   struct Run {
     const DeploymentPlan* plan = nullptr;
     const app::TaskGraph* truth = nullptr;
-    std::vector<app::ComponentId> order;
-    std::size_t next = 0;  ///< position in `order` of the next component
+    std::size_t next = 0;  ///< position in plan->order of the next one
     TimePoint begin;
     TimePoint invoked;  ///< when the current remote component was invoked
     ExecutionReport report;
@@ -229,6 +242,10 @@ class OffloadController {
 
   void observe_run_end(const ExecutionReport& r);
 
+  /// MemoryOptimizer::choose's pick for `comp` under the deadline the
+  /// partitioner assumed, through the sized_ memo.
+  DataSize size_memory(const app::Component& comp, Frequency remote_speed);
+
   /// Cached instrument pointers; null when no registry is attached.
   struct Instruments {
     obs::Counter* runs = nullptr;
@@ -252,6 +269,15 @@ class OffloadController {
   /// Deployed-function memo keyed by plan fingerprint (see prepare()):
   /// identical plans reuse their FunctionIds instead of redeploying.
   std::map<std::string, std::vector<serverless::FunctionId>> deployed_;
+  /// Chosen memory per exact MemoryOptimizer::choose input: work in
+  /// cycles, memory floor in bytes, parallel fraction, deadline in µs. The
+  /// platform and the sweep step are fixed for the controller's lifetime,
+  /// so these determine the answer. Keyed on inputs, never on graph or
+  /// component identity: a with_work_scaled() copy keeps the names, and a
+  /// caller's environment may move the deadline.
+  std::map<std::tuple<std::uint64_t, std::uint64_t, double, std::int64_t>,
+           DataSize>
+      sized_;
   /// In-flight runs, one record each.
   Slab<Run> runs_;
 };

@@ -1,6 +1,7 @@
 #include "ntco/core/controller.hpp"
 
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -106,10 +107,32 @@ DeploymentPlan OffloadController::prepare(
   return prepare(g, partitioner, make_environment(g));
 }
 
+DataSize OffloadController::size_memory(const app::Component& comp,
+                                        Frequency remote_speed) {
+  // Keep the allocation coherent with the plan: the function must run no
+  // slower than the speed the partitioner assumed (plus 5% tolerance).
+  const Duration deadline = comp.work / remote_speed * 1.05;
+  // choose() rejects a fraction outside [0, 1]; check it before the lookup,
+  // where a NaN key would match an entry with the same work and floor.
+  NTCO_EXPECTS(comp.parallel_fraction >= 0.0 && comp.parallel_fraction <= 1.0);
+  const auto key =
+      std::make_tuple(comp.work.value(), comp.memory.count_bytes(),
+                      comp.parallel_fraction, deadline.count_micros());
+  if (const auto it = sized_.find(key); it != sized_.end()) return it->second;
+  const DataSize chosen =
+      alloc::MemoryOptimizer(platform_)
+          .choose(comp.work, comp.memory, comp.parallel_fraction, deadline,
+                  kMemoryStep)
+          .chosen.memory;
+  sized_.emplace(key, chosen);
+  return chosen;
+}
+
 DeploymentPlan OffloadController::prepare(
     const app::TaskGraph& g, const partition::Partitioner& partitioner,
     const partition::Environment& env) {
   DeploymentPlan plan;
+  plan.order = g.topological_order();  // a cycle throws before any deploy
   plan.environment = env;
   const partition::CostModel model(g, plan.environment, cfg_.objective);
   plan.partition = partitioner.plan(model);
@@ -120,32 +143,20 @@ DeploymentPlan OffloadController::prepare(
                           DeploymentPlan::kInvalidFunction);
   plan.memory_of.assign(g.component_count(), DataSize::zero());
 
-  // Size every remote component's function first; the resulting specs (not
+  // Size every remote component's function first; the resulting sizes (not
   // the environment that produced them) are what deployment must be
   // idempotent over.
-  const alloc::MemoryOptimizer optimizer(platform_);
-  std::vector<std::pair<app::ComponentId, serverless::FunctionSpec>> specs;
   std::string fingerprint = g.name();
   fingerprint += '|';
   fingerprint += plan.partition.to_string();
   for (app::ComponentId id = 0; id < g.component_count(); ++id) {
     if (!plan.partition.is_remote(id)) continue;
     const auto& comp = g.component(id);
-    // Keep the allocation coherent with the plan: the function must run no
-    // slower than the speed the partitioner assumed (plus 5% tolerance).
-    const Duration planned_exec = comp.work / plan.environment.remote_speed;
-    const auto choice =
-        optimizer.choose(comp.work, comp.memory, comp.parallel_fraction,
-                         planned_exec * 1.05, kMemoryStep);
-    plan.memory_of[id] = choice.chosen.memory;
-    specs.emplace_back(id, serverless::FunctionSpec{
-                               g.name() + "/" + comp.name,
-                               choice.chosen.memory, comp.image,
-                               comp.parallel_fraction});
+    plan.memory_of[id] = size_memory(comp, plan.environment.remote_speed);
     fingerprint += '|';
     fingerprint += comp.name;
     fingerprint += '@';
-    fingerprint += std::to_string(choice.chosen.memory.count_bytes());
+    fingerprint += std::to_string(plan.memory_of[id].count_bytes());
     fingerprint += '#';
     fingerprint += std::to_string(comp.image.count_bytes());
   }
@@ -154,21 +165,26 @@ DeploymentPlan OffloadController::prepare(
   if (memo != deployed_.end()) {
     // Same functions, same sizes: reuse the deployment (and its warm
     // instances) instead of registering cold duplicates.
-    NTCO_ENSURES(memo->second.size() == specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      plan.function_of[specs[i].first] = memo->second[i];
+    NTCO_ENSURES(memo->second.size() == plan.partition.remote_count());
+    auto fn = memo->second.begin();
+    for (app::ComponentId id = 0; id < g.component_count(); ++id)
+      if (plan.partition.is_remote(id)) plan.function_of[id] = *fn++;
     if (m_.plan_reuses) m_.plan_reuses->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "ctl.deploy.reuse",
                 {{"app", std::string_view(g.name())},
-                 {"functions", specs.size()}});
+                 {"functions", memo->second.size()}});
     return plan;
   }
 
   std::vector<serverless::FunctionId> ids;
-  ids.reserve(specs.size());
-  for (auto& [id, spec] : specs) {
-    plan.function_of[id] = platform_.deploy(std::move(spec));
+  ids.reserve(plan.partition.remote_count());
+  for (app::ComponentId id = 0; id < g.component_count(); ++id) {
+    if (!plan.partition.is_remote(id)) continue;
+    const auto& comp = g.component(id);
+    plan.function_of[id] = platform_.deploy(serverless::FunctionSpec{
+        g.name() + "/" + comp.name, plan.memory_of[id], comp.image,
+        comp.parallel_fraction});
     ids.push_back(plan.function_of[id]);
   }
   deployed_.emplace(std::move(fingerprint), std::move(ids));
@@ -216,17 +232,16 @@ void OffloadController::execute_async(const DeploymentPlan& plan,
                                       const app::TaskGraph& truth, Done done) {
   NTCO_EXPECTS(done != nullptr);
   NTCO_EXPECTS(plan.partition.placement.size() == truth.component_count());
+  NTCO_EXPECTS(plan.order.size() == truth.component_count());
   if (trace_)
     obs::emit(trace_, sim_.now(), "ctl.run.begin",
               {{"app", std::string_view(truth.name())},
                {"components", truth.component_count()},
                {"remote", plan.partition.remote_count()}});
-  std::vector<app::ComponentId> order = truth.topological_order();
   const RunId id = runs_.acquire();
   Run& run = runs_[id];
   run.plan = &plan;
   run.truth = &truth;
-  run.order = std::move(order);
   run.next = 0;
   run.begin = sim_.now();
   run.report = {};
@@ -237,15 +252,15 @@ void OffloadController::execute_async(const DeploymentPlan& plan,
 
 void OffloadController::step(RunId id) {
   Run& run = runs_[id];
-  if (run.next == run.order.size()) {
+  const auto& plan = *run.plan;
+  if (run.next == plan.order.size()) {
     run.report.makespan = sim_.now() - run.begin;
     finish(id);
     return;
   }
 
-  const app::ComponentId v = run.order[run.next++];
+  const app::ComponentId v = plan.order[run.next++];
   const auto& g = *run.truth;
-  const auto& plan = *run.plan;
 
   // Phase 1 — decide where v actually runs. If it is planned remote, its
   // local inputs must be uploaded first; an unrecoverable upload failure
@@ -310,7 +325,7 @@ void OffloadController::step(RunId id) {
 void OffloadController::invoke_remote(RunId id) {
   Run& run = runs_[id];
   run.invoked = sim_.now();
-  const app::ComponentId v = run.order[run.next - 1];
+  const app::ComponentId v = run.plan->order[run.next - 1];
   platform_.invoke(*run.plan->function_for(v), run.truth->component(v).work,
                    [this, id](const serverless::InvocationResult& r) {
                      remote_done(id, r);

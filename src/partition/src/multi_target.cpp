@@ -226,6 +226,7 @@ MultiPartition AlphaExpansionPartitioner::plan(const MultiCostModel& m) const {
     const std::size_t source = n, sink = n + 1;
     constexpr double kInf = std::numeric_limits<double>::infinity();
     MaxFlow flow(n + 2);
+    flow.reserve(g.flow_count() + 2 * n);  // upper bound on the arcs below
 
     // Accumulated t-link capacities per node (built up by unary terms from
     // both the data costs and the pairwise decomposition).

@@ -152,6 +152,7 @@ Partition MinCutPartitioner::plan(const CostModel& model) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   MaxFlow flow(n + 2);
+  flow.reserve(2 * n + 2 * g.flow_count());
   for (app::ComponentId id = 0; id < n; ++id) {
     // Arc s->v is cut exactly when v is on the sink (remote) side.
     flow.add_arc(source, id,

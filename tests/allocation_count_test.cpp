@@ -176,8 +176,7 @@ constexpr std::size_t kWindow = 840;
 /// Allocations the controller itself adds to kWindow runs of `g`:
 /// kWindow execute_async runs, each drained, minus the same platform work
 /// without the controller (kWindow rounds of direct Platform::invoke calls
-/// on the plan's functions, each drained) and kWindow topological_order()
-/// calls, whose allocations are the order's own.
+/// on the plan's functions, each drained).
 std::size_t controller_share(const app::TaskGraph& g,
                              obs::MetricsRegistry* metrics) {
   sim::Simulator sim;
@@ -188,7 +187,6 @@ std::size_t controller_share(const app::TaskGraph& g,
   controller.attach_observer(nullptr, metrics);
   const core::DeploymentPlan plan =
       controller.prepare(g, partition::MinCutPartitioner{});
-  const std::vector<app::ComponentId> order = g.topological_order();
   std::size_t runs = 0;
   std::size_t invocations = 0;
   const auto execute = [&] {
@@ -197,7 +195,7 @@ std::size_t controller_share(const app::TaskGraph& g,
     sim.run();
   };
   const auto invoke = [&] {
-    for (const app::ComponentId v : order) {
+    for (const app::ComponentId v : plan.order) {
       const auto fn = plan.function_for(v);
       if (!fn.has_value()) continue;
       platform.invoke(*fn, g.component(v).work,
@@ -217,22 +215,19 @@ std::size_t controller_share(const app::TaskGraph& g,
   const std::size_t invoked = allocations_in([&] {
     for (std::size_t i = 0; i < kWindow; ++i) invoke();
   });
-  const std::size_t ordered = allocations_in([&] {
-    for (std::size_t i = 0; i < kWindow; ++i) (void)g.topological_order();
-  });
   EXPECT_EQ(runs, 8 + kWindow) << g.name();
   EXPECT_EQ(invocations, (8 + kWindow) * plan.partition.remote_count())
       << g.name();
   EXPECT_EQ(sim.heap_handlers(), 0u) << g.name();
-  return executed - invoked - ordered;
+  return executed - invoked;
 }
 
-TEST(AllocationCount, ControllerRunAllocatesOnlyItsOrder) {
+TEST(AllocationCount, ControllerRunAllocatesNothing) {
   for (const app::TaskGraph& g : app::workloads::all())
     EXPECT_EQ(controller_share(g, nullptr), 0u) << g.name();
 }
 
-TEST(AllocationCount, ObservedControllerRunAllocatesOnlyItsOrder) {
+TEST(AllocationCount, ObservedControllerRunAllocatesNothing) {
   for (const app::TaskGraph& g : app::workloads::all()) {
     obs::MetricsRegistry metrics;
     EXPECT_EQ(controller_share(g, &metrics), 0u) << g.name();

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <vector>
 
+#include "ntco/alloc/memory_optimizer.hpp"
+#include "ntco/app/generators.hpp"
 #include "ntco/app/workloads.hpp"
 #include "ntco/common/error.hpp"
+#include "ntco/common/rng.hpp"
 #include "ntco/net/path.hpp"
 
 namespace ntco::core {
@@ -243,6 +249,93 @@ TEST(Prepare, DifferentPartitionDeploysFresh) {
   const std::size_t after_mincut = fx.platform.function_count();
   (void)fx.controller.prepare(g, partition::RemoteAllPartitioner{});
   EXPECT_GT(fx.platform.function_count(), after_mincut);
+}
+
+// Memory sizing is memoised on MemoryOptimizer::choose's exact inputs.
+// One long-lived controller plans a seeded interleaving of graphs that
+// share names and component ids but not work (with_work_scaled copies) and
+// of caller environments that move the remote speed, hence the deadline.
+// Every plan must size exactly as a fresh controller on a fresh platform
+// does, and as a direct choose() call does; a memo keyed on graph or
+// component identity fails here.
+TEST(Prepare, MemoisedSizingMatchesFreshSweeps) {
+  Rng rng(16);
+  std::vector<app::TaskGraph> graphs = app::workloads::all();
+  const std::size_t first_dag = graphs.size();
+  for (std::size_t i = 0; i < 8; ++i) {
+    app::GeneratorParams p;
+    p.components = 8 + 8 * i;
+    graphs.push_back(app::layered_random(4, p, rng.fork(i)));
+  }
+  for (std::size_t i = first_dag; i < first_dag + 8; ++i)
+    graphs.push_back(graphs[i].with_work_scaled(rng.uniform(0.005, 2.0)));
+  const Frequency speeds[] = {Frequency::gigahertz(1.25),
+                              Frequency::gigahertz(2.5),
+                              Frequency::gigahertz(5.0)};
+
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+
+  Fixture fx;
+  const partition::MinCutPartitioner mincut;
+  std::size_t sized = 0;
+  for (int round = 0; round < 240; ++round) {
+    const app::TaskGraph& g = graphs[pick(graphs.size())];
+    partition::Environment env = fx.controller.make_environment(g);
+    env.remote_speed = speeds[pick(std::size(speeds))];
+    const DeploymentPlan plan = fx.controller.prepare(g, mincut, env);
+
+    Fixture fresh;
+    const DeploymentPlan expected = fresh.controller.prepare(g, mincut, env);
+    ASSERT_EQ(plan.partition, expected.partition) << g.name();
+    EXPECT_EQ(plan.memory_of, expected.memory_of)
+        << g.name() << " at " << env.remote_speed.count_hertz() << " Hz";
+
+    const alloc::MemoryOptimizer optimizer(fresh.platform);
+    for (app::ComponentId id = 0; id < g.component_count(); ++id) {
+      if (!plan.is_remote(id)) continue;
+      const app::Component& c = g.component(id);
+      const auto choice =
+          optimizer.choose(c.work, c.memory, c.parallel_fraction,
+                           c.work / env.remote_speed * 1.05);
+      EXPECT_EQ(plan.memory_of[id], choice.chosen.memory)
+          << g.name() << " component " << c.name;
+      ++sized;
+    }
+  }
+  EXPECT_GT(sized, 1000u);
+}
+
+// A parallel fraction choose() would reject must not reach the sizing
+// memo: a NaN key compares equal to an entry with the same work, floor
+// and deadline, and would reuse its size instead of failing.
+TEST(Prepare, NanParallelFractionFailsWithAWarmMemo) {
+  Fixture fx;
+  const partition::RemoteAllPartitioner remote_all;
+  const app::TaskGraph photo = app::workloads::photo_backup();
+  ASSERT_FALSE(photo.component(1).pinned_local);
+  (void)fx.controller.prepare(photo, remote_all);  // sizes component 1
+  app::TaskGraph g("nan");
+  app::Component c = photo.component(1);
+  c.parallel_fraction = std::numeric_limits<double>::quiet_NaN();
+  (void)g.add_component(c);
+  EXPECT_THROW((void)fx.controller.prepare(g, remote_all), ContractViolation);
+}
+
+TEST(Controller, PrepareRejectsCyclicGraphBeforeDeploying) {
+  Fixture fx;
+  app::TaskGraph g("cycle");
+  const app::Component c{"c", Cycles::giga(5), DataSize::megabytes(256),
+                         DataSize::megabytes(25)};
+  const app::ComponentId a = g.add_component(c);
+  const app::ComponentId b = g.add_component(c);
+  g.add_flow(a, b, DataSize::kilobytes(1));
+  g.add_flow(b, a, DataSize::kilobytes(1));
+  const partition::RemoteAllPartitioner remote_all;
+  EXPECT_THROW((void)fx.controller.prepare(g, remote_all), ConfigError);
+  EXPECT_EQ(fx.platform.function_count(), 0u);
 }
 
 }  // namespace

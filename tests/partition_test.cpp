@@ -120,6 +120,59 @@ TEST(MaxFlow, InfiniteCapacityPathIsUnbounded) {
   EXPECT_TRUE(std::isinf(f.solve(0, 1)));
 }
 
+TEST(MaxFlow, ParallelArcsAddTheirCapacities) {
+  // Two arcs 0->1 (2 + 3) feed one wide arc 1->2: both must saturate.
+  MaxFlow f(3);
+  f.add_arc(0, 1, 2);
+  f.add_arc(1, 2, 10);
+  f.add_arc(0, 1, 3);
+  EXPECT_DOUBLE_EQ(f.solve(0, 2), 5.0);
+  EXPECT_EQ(f.min_cut_source_side(0), (std::vector<bool>{true, false, false}));
+}
+
+TEST(MaxFlow, ArcsInBothDirectionsBetweenOnePair) {
+  // s=0, a=1, b=2, t=3; a<->b carries 3 one way and 2 the other. The cut
+  // {s->a 1, b->a 2, b->t 1} = 4 leaves S = {s, b}: b's way to a is
+  // saturated, and a->b carries nothing, so its reverse residual is 0.
+  MaxFlow f(4);
+  f.add_arc(0, 1, 1);
+  f.add_arc(0, 2, 4);
+  f.add_arc(1, 2, 3);
+  f.add_arc(2, 1, 2);
+  f.add_arc(1, 3, 5);
+  f.add_arc(2, 3, 1);
+  EXPECT_DOUBLE_EQ(f.solve(0, 3), 4.0);
+  EXPECT_EQ(f.min_cut_source_side(0),
+            (std::vector<bool>{true, false, true, false}));
+}
+
+TEST(MaxFlow, ArcIntoTheSourceCarriesNothing) {
+  // 1->0 can never carry s-t flow; 0->1 keeps 1 unit of residual, so node
+  // 1 stays on the source side behind the saturated 1->2.
+  MaxFlow f(3);
+  f.add_arc(1, 0, 5);
+  f.add_arc(0, 1, 3);
+  f.add_arc(1, 2, 2);
+  EXPECT_DOUBLE_EQ(f.solve(0, 2), 2.0);
+  EXPECT_EQ(f.min_cut_source_side(0), (std::vector<bool>{true, true, false}));
+}
+
+TEST(MaxFlow, InterleavedInsertionGroupsEachNodesArcs) {
+  // s=0, a=1, b=2, t=3. Node a's arcs are added between s's and b's: the
+  // adjacency must still give a all of them. Flow 4 = a->t 2 + b->t 2,
+  // and a and b keep residual paths from s (s->a 3 of 4, a->b 1 of 2).
+  MaxFlow f(4);
+  f.add_arc(0, 1, 3);
+  f.add_arc(1, 3, 2);
+  f.add_arc(0, 2, 1);
+  f.add_arc(1, 2, 2);
+  f.add_arc(2, 3, 2);
+  f.add_arc(0, 1, 1);
+  EXPECT_DOUBLE_EQ(f.solve(0, 3), 4.0);
+  EXPECT_EQ(f.min_cut_source_side(0),
+            (std::vector<bool>{true, true, true, false}));
+}
+
 TEST(Partitioners, LocalAndRemoteBaselines) {
   const auto g = app::workloads::nightly_etl();
   const CostModel model(g, fast_cloud_env(), Objective::latency());

@@ -20,7 +20,13 @@
 #      NTCO_BENCH_OUT artifacts with NTCO_THREADS=1 and NTCO_THREADS=8 (F9
 #      is the one experiment that drives the controller's retry, fallback
 #      and abort paths)
-#   6. run bench_micro_sim and bench_micro_fabric and compare their gated
+#   6. run the serve-path benchmark's own checks: perfbench/run.py for
+#      diurnal_day, replan_burst and vehicular_churn (seed 1, 2 s, no
+#      trace). Each run checks its per-shard ledgers, the exact plan-call
+#      counts and digest identity at 1 vs N workers, and exits nonzero on a
+#      failed check. Its timings are not gated here; it builds into
+#      .bench_build/ at the repository root
+#   7. run bench_micro_sim and bench_micro_fabric and compare their gated
 #      loops against the checked-in BENCH_micro_sim.json /
 #      BENCH_micro_fabric.json baselines: a drop of more than 10% in
 #      items_per_second fails the gate (benchmarks are noisy; 10% is
@@ -28,44 +34,44 @@
 #      copying the build's JSON to the repo root after a deliberate
 #      kernel/fabric change. (The bench_micro_ring gate went with the
 #      lock-free rings it timed.)
-#   7. rebuild under ThreadSanitizer and rerun the fleet, broker,
+#   8. rebuild under ThreadSanitizer and rerun the fleet, broker,
 #      fabric-fleet, dataplane, and arrival-fleet suites (everything that
 #      exercises the worker pool, including its 20,000-shard stress test
 #      and the throwing-merge test) —
 #      ctest -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
-#   8. rebuild under ASan + UBSan and rerun the whole suite (including
+#   9. rebuild under ASan + UBSan and rerun the whole suite (including
 #      allocation_count_test: its counting operator new sits on top of the
 #      sanitizer allocator, and its counts hold there too)
 #
 #   tools/ci.sh [build-dir]             (default: build-ci)
 #
-# Steps 7 and 8 use their own build trees (NTCO_SANITIZE is a build-wide
+# Steps 8 and 9 use their own build trees (NTCO_SANITIZE is a build-wide
 # flag; ASan and TSan cannot share one). Set NTCO_CI_SKIP_SANITIZERS=1 to
-# stop after step 6 on machines where two extra builds are too slow.
+# stop after step 7 on machines where two extra builds are too slow.
 set -eu
 
 BUILD_DIR="${1:-build-ci}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "== [1/8] configure (NTCO_WERROR=ON) + build ntco-lint =="
+echo "== [1/9] configure (NTCO_WERROR=ON) + build ntco-lint =="
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DNTCO_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" --target ntco-lint -j "$JOBS"
 
-echo "== [2/8] ntco-lint: static determinism & layering gate =="
+echo "== [2/9] ntco-lint: static determinism & layering gate =="
 "$BUILD_DIR/tools/ntco-lint" \
   --root "$SRC_DIR" \
   --json-out "$BUILD_DIR/ntco-lint-report.json"
 
-echo "== [3/8] build everything =="
+echo "== [3/9] build everything =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
-echo "== [4/8] unit + integration tests =="
+echo "== [4/9] unit + integration tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== [5/8] fleet determinism: F5, F9 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
+echo "== [5/9] fleet determinism: F5, F9 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
 for det_bench in bench_f5_scale_users bench_f9_resilience bench_f12_broker bench_f13_fabric_contention bench_f14_continuum bench_f15_vehicular bench_f16_diurnal; do
   DET_DIR="$BUILD_DIR/fleet-determinism/$det_bench"
   rm -rf "$DET_DIR"
@@ -81,7 +87,14 @@ for det_bench in bench_f5_scale_users bench_f9_resilience bench_f12_broker bench
   echo "$det_bench: byte-identical across $(ls "$DET_DIR/t1" | wc -l) artifacts"
 done
 
-echo "== [6/8] kernel + fabric micro-benches vs checked-in baselines =="
+echo "== [6/9] serve-path benchmark checks: perfbench, three workloads =="
+for workload in diurnal_day replan_burst vehicular_churn; do
+  python3 "$SRC_DIR/perfbench/run.py" --workload "$workload" --seed 1 \
+    --seconds 2 --trace 0 > "$BUILD_DIR/perfbench-$workload.txt"
+  echo "$workload: ledgers, plan-call counts and digests check out"
+done
+
+echo "== [7/9] kernel + fabric micro-benches vs checked-in baselines =="
 # gate_micro <bench-binary> <baseline.json> <gated loop>...
 gate_micro() {
   mb="$1"; baseline="$2"; shift 2
@@ -118,7 +131,7 @@ if [ "${NTCO_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   exit 0
 fi
 
-echo "== [7/8] ThreadSanitizer: fleet + broker + continuum + dataplane + arrivals suites =="
+echo "== [8/9] ThreadSanitizer: fleet + broker + continuum + dataplane + arrivals suites =="
 cmake -B "$BUILD_DIR-tsan" -S "$SRC_DIR" \
   -DNTCO_SANITIZE=thread \
   -DNTCO_BUILD_BENCHMARKS=OFF -DNTCO_BUILD_EXAMPLES=OFF \
@@ -131,7 +144,7 @@ TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
   -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
 
-echo "== [8/8] ASan + UBSan: full suite =="
+echo "== [9/9] ASan + UBSan: full suite =="
 "$SRC_DIR/tools/sanitize.sh" address "$BUILD_DIR-asan"
 
 echo "== CI green =="
