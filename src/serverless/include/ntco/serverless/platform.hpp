@@ -1,15 +1,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "ntco/common/inline_function.hpp"
 #include "ntco/common/price_window.hpp"
 #include "ntco/common/rng.hpp"
+#include "ntco/common/slab.hpp"
 #include "ntco/common/units.hpp"
 #include "ntco/obs/metrics.hpp"
 #include "ntco/obs/trace.hpp"
@@ -39,10 +38,13 @@ namespace ntco::serverless {
 /// Handle to a deployed function.
 using FunctionId = std::uint32_t;
 
-/// Handle to one in-flight invocation (monotonic, never reused). Returned
+/// Handle to one in-flight invocation: the SlabId of its record. Returned
 /// by invoke()/resume() so callers holding delay-tolerant jobs can
-/// checkpoint them mid-run (see checkpoint_preempt()).
-using InvocationId = std::uint64_t;
+/// checkpoint them mid-run (see checkpoint_preempt()). It goes stale when
+/// the result is delivered, and its slot is then reused under a new
+/// generation, so a stale handle never names a later invocation. Never 0:
+/// callers may use 0 for "no live invocation".
+using InvocationId = SlabId;
 
 /// Time-of-day pricing window — the shared definition in
 /// <ntco/common/price_window.hpp>, re-exported so existing
@@ -147,7 +149,9 @@ struct PlatformStats {
 /// sim::Simulator.
 class Platform {
  public:
-  using Callback = std::function<void(const InvocationResult&)>;
+  /// Completion callback, stored inline in the invocation's record: a
+  /// capture of up to 48 bytes (e.g. [this, id]) never allocates.
+  using Callback = InlineFunction<void(const InvocationResult&), 48>;
 
   Platform(sim::Simulator& sim, PlatformConfig cfg);
 
@@ -166,7 +170,10 @@ class Platform {
   FunctionId deploy(FunctionSpec spec);
 
   /// Replaces the spec of a deployed function (new version): existing warm
-  /// instances are invalidated, so the next invocation is cold.
+  /// instances are invalidated, so the next invocation is cold. An
+  /// instance still running the old version when redeploy() is called is
+  /// torn down when that invocation finishes, never pooled or counted as
+  /// provisioned capacity of the new version.
   void redeploy(FunctionId id, FunctionSpec spec);
 
   /// Keeps `n` instances permanently warm for the function. Takes effect
@@ -198,11 +205,13 @@ class Platform {
   /// tier rate — indistinguishable from a spot preemption, so one caller
   /// path handles both. A queued (still-throttled) invocation is removed
   /// and completes with zero exec and zero cost. Returns false when the
-  /// handle is unknown (already completed). The executing instance is torn
-  /// down, exactly like a spot preemption.
+  /// handle names no invocation in flight (its result was delivered, or it
+  /// was never minted). The executing instance is torn down, exactly like
+  /// a spot preemption.
   bool checkpoint_preempt(InvocationId id);
 
-  /// Progress of an in-flight invocation; nullopt once completed.
+  /// Progress of an in-flight invocation; nullopt once its result was
+  /// delivered, or for a handle never minted.
   /// `remaining` reports the planned tail at this memory configuration and
   /// does not anticipate a pending spot-preemption draw.
   [[nodiscard]] std::optional<InFlightStatus> in_flight(
@@ -271,43 +280,48 @@ class Platform {
     std::vector<IdleInstance> idle;  ///< LIFO warm pool
     std::size_t provisioned_target = 0;
     std::size_t provisioned_total = 0;  ///< provisioned instances in existence
+    std::uint32_t version = 0;  ///< bumped by redeploy()
   };
 
-  struct PendingInvocation {
-    InvocationId id = 0;
-    FunctionId fn;
+  /// One invocation from invoke()/resume() until its result is delivered:
+  /// queued behind the account concurrency limit, then executing. The
+  /// record is released just before `done` fires.
+  struct Invocation {
+    Callback done;
+    FunctionId fn = 0;
     Cycles work;
-    Callback done;
     TimePoint submitted;
-    Tier tier = Tier::OnDemand;
     Duration exec_credit;  ///< prior exec credited by resume()
-  };
-
-  /// One admitted (executing) invocation, keyed by InvocationId in
-  /// `running_` so checkpoint_preempt() can find and stop it mid-run.
-  struct RunningInvocation {
-    FunctionId fn;
-    Callback done;
-    TimePoint submitted;
-    TimePoint admission;   ///< when it left the throttle queue
-    Duration init;         ///< cold-start time ahead of exec
-    Duration planned_exec; ///< exec after credit, before any spot draw
-    Duration exec;         ///< exec this run will actually perform
-    Duration exec_credit;
+    Tier tier = Tier::OnDemand;
+    /// Next invocation in the throttle FIFO while queued.
+    InvocationId next_queued = kNoSlabId;
+    // Set at admission (begin()):
+    bool executing = false;
     bool cold = false;
     bool provisioned = false;
     bool preempted_by_clock = false;  ///< spot draw lost the race
-    Tier tier = Tier::OnDemand;
+    std::uint32_t version = 0;  ///< deploy version of its instance
+    TimePoint admission;    ///< when it left the throttle queue
+    Duration init;          ///< cold-start time ahead of exec
+    Duration planned_exec;  ///< exec after credit, before any spot draw
+    Duration exec;          ///< exec this run will actually perform
     sim::EventId completion = sim::kNoEvent;
   };
 
   InvocationId enqueue(FunctionId id, Cycles work, Duration exec_credit,
                        Callback done, Tier tier);
   void pump();  ///< admits queued invocations while concurrency allows
-  void begin(PendingInvocation inv);
-  /// Delivers the result of `running_[id]`; `forced` marks a
-  /// checkpoint_preempt() (exec truncated to what actually ran).
+  /// Admits queued invocation `id`: takes an instance, schedules the end.
+  void begin(InvocationId id);
+  /// Delivers the result of the executing invocation `id`; `forced` marks
+  /// a checkpoint_preempt() (exec truncated to what actually ran).
   void complete(InvocationId id, bool forced);
+  /// Unlinks queued invocation `id` from the throttle FIFO.
+  void unqueue(InvocationId id);
+  /// Releases `id`'s record, then hands `r` to its callback and admits
+  /// what the freed capacity allows.
+  void deliver(InvocationId id, const InvocationResult& r);
+  /// Returns a finished instance of the current version to the warm pool.
   void finish_instance(FunctionId fn, bool provisioned);
   void accrue_provisioned() const;
   [[nodiscard]] double provisioned_gb() const;
@@ -331,14 +345,14 @@ class Platform {
   obs::TraceSink* trace_ = nullptr;
   Instruments m_;
   std::vector<Function> fns_;
-  std::deque<PendingInvocation> queue_;
-  /// Executing invocations (ordered map: deterministic iteration, stable
-  /// handles). Entries move queue_ -> running_ at admission and are erased
-  /// when their result is delivered.
-  std::map<InvocationId, RunningInvocation> running_;
+  /// Every invocation not yet delivered, queued or executing.
+  Slab<Invocation> invocations_;
+  /// Throttle FIFO, linked through Invocation::next_queued.
+  InvocationId queue_head_ = kNoSlabId;
+  InvocationId queue_tail_ = kNoSlabId;
+  std::size_t queued_ = 0;
   std::size_t busy_ = 0;
   std::uint64_t next_instance_ = 1;
-  InvocationId next_invocation_ = 1;
 
   mutable PlatformStats stats_;
   mutable TimePoint provisioned_accrued_until_;

@@ -37,7 +37,7 @@ FunctionId Platform::deploy(FunctionSpec spec) {
   if (spec.parallel_fraction < 0.0 || spec.parallel_fraction > 1.0)
     throw ConfigError("function '" + spec.name +
                       "' parallel_fraction outside [0, 1]");
-  fns_.push_back(Function{std::move(spec), {}, 0, 0});
+  fns_.push_back(Function{std::move(spec), {}, 0, 0, 0});
   return static_cast<FunctionId>(fns_.size() - 1);
 }
 
@@ -52,8 +52,11 @@ void Platform::redeploy(FunctionId id, FunctionSpec spec) {
   for (const auto& inst : fn.idle)
     if (!inst.provisioned) sim_.cancel(inst.expiry_event);
   fn.idle.clear();
+  // Busy instances run the old version: they are torn down as they finish
+  // (see complete()), so none of them counts as provisioned any more.
   fn.provisioned_total = 0;
   fn.spec = std::move(spec);
+  ++fn.version;
   // Provisioned capacity is re-established for the new version immediately
   // (the provider pre-initialises the new instances before cutover).
   const std::size_t target = fn.provisioned_target;
@@ -133,16 +136,29 @@ InvocationId Platform::enqueue(FunctionId id, Cycles work,
                  {"credit", exec_credit},
                  {"tier", tier == Tier::Spot ? "spot" : "on_demand"}});
   }
-  if (busy_ >= cfg_.account_concurrency || !queue_.empty()) {
+  if (busy_ >= cfg_.account_concurrency || queued_ > 0) {
     ++stats_.throttled;
     if (m_.throttled) m_.throttled->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "faas.throttled",
-                {{"fn", id}, {"queue_depth", queue_.size()}});
+                {{"fn", id}, {"queue_depth", queued_}});
   }
-  const InvocationId inv_id = next_invocation_++;
-  queue_.push_back(PendingInvocation{inv_id, id, work, std::move(done),
-                                     sim_.now(), tier, exec_credit});
+  const InvocationId inv_id = invocations_.acquire();
+  Invocation& inv = invocations_[inv_id];
+  inv.done = std::move(done);
+  inv.fn = id;
+  inv.work = work;
+  inv.submitted = sim_.now();
+  inv.exec_credit = exec_credit;
+  inv.tier = tier;
+  inv.next_queued = kNoSlabId;
+  inv.executing = false;
+  if (queue_tail_ == kNoSlabId)
+    queue_head_ = inv_id;
+  else
+    invocations_[queue_tail_].next_queued = inv_id;
+  queue_tail_ = inv_id;
+  ++queued_;
   pump();
   return inv_id;
 }
@@ -209,14 +225,29 @@ Money Platform::invocation_cost(DataSize memory, Duration billed,
 }
 
 void Platform::pump() {
-  while (busy_ < cfg_.account_concurrency && !queue_.empty()) {
-    PendingInvocation inv = std::move(queue_.front());
-    queue_.pop_front();
-    begin(std::move(inv));
+  while (busy_ < cfg_.account_concurrency && queue_head_ != kNoSlabId) {
+    const InvocationId id = queue_head_;
+    unqueue(id);
+    begin(id);
   }
 }
 
-void Platform::begin(PendingInvocation inv) {
+void Platform::unqueue(InvocationId id) {
+  InvocationId prev = kNoSlabId;
+  for (InvocationId at = queue_head_; at != id;
+       at = invocations_[at].next_queued)
+    prev = at;
+  const InvocationId next = invocations_[id].next_queued;
+  if (prev == kNoSlabId)
+    queue_head_ = next;
+  else
+    invocations_[prev].next_queued = next;
+  if (queue_tail_ == id) queue_tail_ = prev;
+  --queued_;
+}
+
+void Platform::begin(InvocationId id) {
+  Invocation& inv = invocations_[id];
   Function& fn = fns_[inv.fn];
 
   bool provisioned = false;
@@ -270,60 +301,48 @@ void Platform::begin(PendingInvocation inv) {
     }
   }
 
-  RunningInvocation run;
-  run.fn = inv.fn;
-  run.done = std::move(inv.done);
-  run.submitted = inv.submitted;
-  run.admission = sim_.now();
-  run.init = init;
-  run.planned_exec = planned;
-  run.exec = exec;
-  run.exec_credit = inv.exec_credit;
-  run.cold = cold;
-  run.provisioned = provisioned;
-  run.preempted_by_clock = preempted;
-  run.tier = inv.tier;
-  const InvocationId id = inv.id;
-  run.completion =
+  inv.executing = true;
+  inv.cold = cold;
+  inv.provisioned = provisioned;
+  inv.preempted_by_clock = preempted;
+  inv.version = fn.version;
+  inv.admission = sim_.now();
+  inv.init = init;
+  inv.planned_exec = planned;
+  inv.exec = exec;
+  inv.completion =
       sim_.schedule_after(init + exec, [this, id] { complete(id, false); });
-  running_.emplace(id, std::move(run));
 }
 
 void Platform::complete(InvocationId id, bool forced) {
-  const auto it = running_.find(id);
-  NTCO_EXPECTS(it != running_.end());
-  RunningInvocation run = std::move(it->second);
-  running_.erase(it);
-  if (forced) sim_.cancel(run.completion);
+  const Invocation& inv = invocations_[id];
+  if (forced) sim_.cancel(inv.completion);
 
   const TimePoint now = sim_.now();
-  Duration init = run.init;
-  Duration exec = run.exec;
-  bool preempted = run.preempted_by_clock;
+  Duration init = inv.init;
+  Duration exec = inv.exec;
+  bool preempted = inv.preempted_by_clock;
   if (forced) {
     // Truncate to what actually ran: init completes first, then exec.
-    const Duration elapsed = now - run.admission;
+    const Duration elapsed = now - inv.admission;
     init = std::min(init, elapsed);
-    exec = std::max(Duration::zero(), std::min(elapsed - init, run.exec));
+    exec = std::max(Duration::zero(), std::min(elapsed - init, inv.exec));
     preempted = true;
   }
-  const FunctionId fn_id = run.fn;
-  const bool cold = run.cold;
-  const bool provisioned = run.provisioned;
-  const Tier tier = run.tier;
+  const FunctionId fn_id = inv.fn;
 
   InvocationResult r;
-  r.submitted = run.submitted;
-  r.started = run.admission + init;
+  r.submitted = inv.submitted;
+  r.started = inv.admission + init;
   r.finished = now;
-  r.cold_start = cold;
+  r.cold_start = inv.cold;
   r.preempted = preempted;
-  r.tier = tier;
-  r.queue_wait = run.admission - run.submitted;
+  r.tier = inv.tier;
+  r.queue_wait = inv.admission - inv.submitted;
   r.init_time = init;
   r.exec_time = exec;
-  r.exec_credit = run.exec_credit;
-  r.cost = invocation_cost(fns_[fn_id].spec.memory, exec, r.started, tier);
+  r.exec_credit = inv.exec_credit;
+  r.cost = invocation_cost(fns_[fn_id].spec.memory, exec, r.started, r.tier);
 
   stats_.total_exec += exec;
   stats_.total_init += init;
@@ -343,81 +362,79 @@ void Platform::complete(InvocationId id, bool forced) {
               {{"fn", fn_id},
                {"exec", exec},
                {"queue_wait", r.queue_wait},
-               {"cold", cold},
+               {"cold", r.cold_start},
                {"cost", r.cost}});
   }
 
-  if (preempted) {
-    // Torn down: release concurrency without returning an instance.
-    NTCO_EXPECTS(busy_ > 0);
-    --busy_;
-    if (provisioned) {
-      Function& f = fns_[fn_id];
+  NTCO_EXPECTS(busy_ > 0);
+  --busy_;
+  // A preempted instance is torn down, and so is one whose function was
+  // redeployed while it ran: redeploy() already stopped counting it.
+  Function& f = fns_[fn_id];
+  if (inv.version == f.version) {
+    if (!preempted) {
+      finish_instance(fn_id, inv.provisioned);
+    } else if (inv.provisioned) {
       if (f.provisioned_total > 0) --f.provisioned_total;
       // Re-establish the provisioned target with a fresh instance.
       const std::size_t target = f.provisioned_target;
       f.provisioned_target = 0;
       set_provisioned_concurrency(fn_id, target);
     }
-  } else {
-    finish_instance(fn_id, provisioned);
   }
-  run.done(r);
+  deliver(id, r);
+}
+
+void Platform::deliver(InvocationId id, const InvocationResult& r) {
+  // `done` may invoke again and take this very slot: move it out first.
+  Callback done = std::move(invocations_[id].done);
+  invocations_.release(id);
+  done(r);
   pump();
 }
 
 bool Platform::checkpoint_preempt(InvocationId id) {
-  // Still throttled: remove from the queue and complete with zero exec.
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->id != id) continue;
-    PendingInvocation inv = std::move(*it);
-    queue_.erase(it);
-    if (trace_)
-      obs::emit(trace_, sim_.now(), "faas.checkpoint",
-                {{"fn", inv.fn}, {"queued", true}});
-    InvocationResult r;
-    r.submitted = inv.submitted;
-    r.started = sim_.now();
-    r.finished = sim_.now();
-    r.preempted = true;
-    r.tier = inv.tier;
-    r.queue_wait = sim_.now() - inv.submitted;
-    r.exec_credit = inv.exec_credit;
-    inv.done(r);
-    pump();
-    return true;
-  }
-  const auto it = running_.find(id);
-  if (it == running_.end()) return false;
+  const Invocation* inv = invocations_.find(id);
+  if (inv == nullptr) return false;
   if (trace_)
     obs::emit(trace_, sim_.now(), "faas.checkpoint",
-              {{"fn", it->second.fn}, {"queued", false}});
-  complete(id, /*forced=*/true);
+              {{"fn", inv->fn}, {"queued", !inv->executing}});
+  if (inv->executing) {
+    complete(id, /*forced=*/true);
+    return true;
+  }
+  // Still throttled: leave the queue and complete with zero exec.
+  unqueue(id);
+  InvocationResult r;
+  r.submitted = inv->submitted;
+  r.started = sim_.now();
+  r.finished = sim_.now();
+  r.preempted = true;
+  r.tier = inv->tier;
+  r.queue_wait = sim_.now() - inv->submitted;
+  r.exec_credit = inv->exec_credit;
+  deliver(id, r);
   return true;
 }
 
 std::optional<InFlightStatus> Platform::in_flight(InvocationId id) const {
-  for (const auto& p : queue_) {
-    if (p.id != id) continue;
-    const Function& fn = fns_[p.fn];
+  const Invocation* inv = invocations_.find(id);
+  if (inv == nullptr) return std::nullopt;
+  if (!inv->executing) {
+    const Function& fn = fns_[inv->fn];
     const Duration full =
-        exec_time(fn.spec.memory, p.work, fn.spec.parallel_fraction);
+        exec_time(fn.spec.memory, inv->work, fn.spec.parallel_fraction);
     const Duration planned =
-        p.exec_credit < full ? full - p.exec_credit : Duration::zero();
+        inv->exec_credit < full ? full - inv->exec_credit : Duration::zero();
     return InFlightStatus{false, Duration::zero(), planned};
   }
-  const auto it = running_.find(id);
-  if (it == running_.end()) return std::nullopt;
-  const RunningInvocation& run = it->second;
-  const Duration elapsed = sim_.now() - run.admission;
+  const Duration elapsed = sim_.now() - inv->admission;
   const Duration consumed = std::max(
-      Duration::zero(), std::min(elapsed - run.init, run.planned_exec));
-  return InFlightStatus{true, consumed, run.planned_exec - consumed};
+      Duration::zero(), std::min(elapsed - inv->init, inv->planned_exec));
+  return InFlightStatus{true, consumed, inv->planned_exec - consumed};
 }
 
 void Platform::finish_instance(FunctionId fn_id, bool provisioned) {
-  NTCO_EXPECTS(busy_ > 0);
-  --busy_;
   Function& fn = fns_[fn_id];
   if (provisioned) {
     if (fn.provisioned_total > fn.provisioned_target) {

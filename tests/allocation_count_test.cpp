@@ -26,6 +26,7 @@
 #include "ntco/fabric/fabric.hpp"
 #include "ntco/net/path.hpp"
 #include "ntco/obs/metrics.hpp"
+#include "ntco/serverless/platform.hpp"
 #include "ntco/sim/simulator.hpp"
 
 namespace {
@@ -165,20 +166,55 @@ TEST(AllocationCount, FabricAdmissionAllocatesOneDepartureNode) {
   EXPECT_GT(total, Duration::zero());
 }
 
-// -------------------------------------------------------------- Controller
+// ---------------------------------------------------------------- Platform
 
-/// Requests per counting window. The platform queues invocations in a
-/// std::deque, which allocates a node every few pushes; a window of
-/// 840 = lcm(1..8) requests spans a whole number of nodes at any node
-/// capacity up to 8, so every window below sees the same deque cost.
+/// Requests (or rounds) per counting window.
 constexpr std::size_t kWindow = 840;
 
-/// Allocations the controller itself adds to kWindow runs of `g`:
-/// kWindow execute_async runs, each drained, minus the same platform work
-/// without the controller (kWindow rounds of direct Platform::invoke calls
-/// on the plan's functions, each drained).
-std::size_t controller_share(const app::TaskGraph& g,
-                             obs::MetricsRegistry* metrics) {
+TEST(AllocationCount, WarmInvocationAllocatesNothing) {
+  // Bursts of 8 at an account limit of 3: five of each burst queue behind
+  // the throttle, and every invocation after the first three runs on a
+  // warm instance (a round ends well inside the keep-alive).
+  sim::Simulator sim;
+  serverless::PlatformConfig cfg;
+  cfg.account_concurrency = 3;
+  serverless::Platform platform(sim, cfg);
+  const serverless::FunctionId fn = platform.deploy(
+      {"fn", DataSize::megabytes(1792), DataSize::megabytes(10)});
+  constexpr std::size_t kBurst = 8;
+  std::size_t done = 0;
+  const auto round = [&] {
+    for (std::size_t i = 0; i < kBurst; ++i)
+      platform.invoke(fn, Cycles::giga(1),
+                      [&done](const serverless::InvocationResult&) { ++done; });
+    sim.run_until(sim.now() + Duration::minutes(1));
+  };
+  // Cancelled keep-alive events leave the heap ten minutes on, so its size
+  // settles after ten rounds.
+  constexpr std::size_t kWarmup = 16;
+  for (std::size_t i = 0; i < kWarmup; ++i) round();
+  const std::size_t n = allocations_in([&] {
+    for (std::size_t i = 0; i < kWindow; ++i) round();
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(done, kBurst * (kWarmup + kWindow));
+  const serverless::PlatformStats st = platform.stats();
+  EXPECT_EQ(st.cold_starts, 3u);
+  EXPECT_EQ(st.throttled, (kBurst - 3) * (kWarmup + kWindow));
+  EXPECT_EQ(sim.heap_handlers(), 0u);
+}
+
+// -------------------------------------------------------------- Controller
+
+struct RunCounts {
+  std::size_t invoked = 0;   ///< kWindow rounds of direct invocations
+  std::size_t executed = 0;  ///< kWindow execute_async runs
+};
+
+/// Allocations of kWindow rounds of direct Platform::invoke calls on the
+/// functions of `g`'s plan, and of kWindow execute_async runs of `g`, each
+/// drained, after both have warmed up.
+RunCounts run_counts(const app::TaskGraph& g, obs::MetricsRegistry* metrics) {
   sim::Simulator sim;
   serverless::Platform platform(sim, {});
   device::Device ue(device::budget_phone());
@@ -209,28 +245,34 @@ std::size_t controller_share(const app::TaskGraph& g,
     execute();
     invoke();
   }
-  const std::size_t executed = allocations_in([&] {
+  RunCounts c;
+  c.executed = allocations_in([&] {
     for (std::size_t i = 0; i < kWindow; ++i) execute();
   });
-  const std::size_t invoked = allocations_in([&] {
+  c.invoked = allocations_in([&] {
     for (std::size_t i = 0; i < kWindow; ++i) invoke();
   });
   EXPECT_EQ(runs, 8 + kWindow) << g.name();
   EXPECT_EQ(invocations, (8 + kWindow) * plan.partition.remote_count())
       << g.name();
   EXPECT_EQ(sim.heap_handlers(), 0u) << g.name();
-  return executed - invoked;
+  return c;
 }
 
 TEST(AllocationCount, ControllerRunAllocatesNothing) {
-  for (const app::TaskGraph& g : app::workloads::all())
-    EXPECT_EQ(controller_share(g, nullptr), 0u) << g.name();
+  for (const app::TaskGraph& g : app::workloads::all()) {
+    const RunCounts c = run_counts(g, nullptr);
+    EXPECT_EQ(c.invoked, 0u) << g.name();
+    EXPECT_EQ(c.executed, 0u) << g.name();
+  }
 }
 
 TEST(AllocationCount, ObservedControllerRunAllocatesNothing) {
   for (const app::TaskGraph& g : app::workloads::all()) {
     obs::MetricsRegistry metrics;
-    EXPECT_EQ(controller_share(g, &metrics), 0u) << g.name();
+    const RunCounts c = run_counts(g, &metrics);
+    EXPECT_EQ(c.invoked, 0u) << g.name();
+    EXPECT_EQ(c.executed, 0u) << g.name();
     EXPECT_EQ(metrics.counter("core.runs").value(), 8 + kWindow) << g.name();
   }
 }
@@ -266,46 +308,27 @@ broker::BrokerConfig warm_hit_config(bool batching) {
   return cfg;
 }
 
-struct ShareCounts {
-  std::size_t served = 0;    ///< kWindow warm hits through Broker::serve
-  std::size_t executed = 0;  ///< kWindow execute_async runs, same plan
-  std::size_t outcomes = 0;
-};
-
-/// Allocations of kWindow warm cache-hit requests served to completion
-/// with batching off, next to those of kWindow direct execute_async runs of
-/// the same plan. Their difference is the broker's share.
-ShareCounts broker_share(const app::TaskGraph& g) {
+/// Allocations of kWindow warm cache-hit requests for `g`, each served to
+/// completion with batching off.
+std::size_t warm_serve_allocations(const app::TaskGraph& g) {
   BrokerWorld w(warm_hit_config(/*batching=*/false));
-  ShareCounts c;
+  std::size_t outcomes = 0;
   broker::ServeRequest req;
   req.app = &g;
   const auto serve = [&] {
-    w.broker.serve(req, [&c](const broker::ServeOutcome&) { ++c.outcomes; });
+    w.broker.serve(req,
+                   [&outcomes](const broker::ServeOutcome&) { ++outcomes; });
     w.sim.run();
   };
-  // The same environment the broker plans under, so the deployment memo
-  // hands back the broker's functions (and their warm instances).
-  const core::DeploymentPlan plan = w.controller.prepare(g, w.mincut);
-  const auto execute = [&] {
-    w.controller.execute_async(
-        plan, g, [&c](const core::ExecutionReport&) { ++c.outcomes; });
-    w.sim.run();
-  };
-  for (int i = 0; i < 8; ++i) {
-    serve();
-    execute();
-  }
-  c.served = allocations_in([&] {
+  for (int i = 0; i < 8; ++i) serve();
+  const std::size_t n = allocations_in([&] {
     for (std::size_t i = 0; i < kWindow; ++i) serve();
   });
-  c.executed = allocations_in([&] {
-    for (std::size_t i = 0; i < kWindow; ++i) execute();
-  });
-  EXPECT_EQ(w.broker.stats().completed, 8 + kWindow);
-  EXPECT_EQ(w.broker.cache().stats().misses, 1u);
-  EXPECT_EQ(w.sim.heap_handlers(), 0u);
-  return c;
+  EXPECT_EQ(outcomes, 8 + kWindow) << g.name();
+  EXPECT_EQ(w.broker.stats().completed, 8 + kWindow) << g.name();
+  EXPECT_EQ(w.broker.cache().stats().misses, 1u) << g.name();
+  EXPECT_EQ(w.sim.heap_handlers(), 0u) << g.name();
+  return n;
 }
 
 /// `g` under another name: same components and flows.
@@ -317,13 +340,12 @@ app::TaskGraph renamed(const app::TaskGraph& g, std::string name) {
 }
 
 TEST(AllocationCount, WarmCacheHitServeAddsNoBrokerAllocations) {
+  // Nothing on the serve path allocates: not the broker, the controller
+  // or the platform.
   for (const app::TaskGraph& g :
        {app::workloads::photo_backup(), app::workloads::video_transcode(),
-        app::workloads::nightly_etl()}) {
-    const ShareCounts c = broker_share(g);
-    EXPECT_EQ(c.served, c.executed) << g.name();
-    EXPECT_EQ(c.outcomes, 2 * (8 + kWindow)) << g.name();
-  }
+        app::workloads::nightly_etl()})
+    EXPECT_EQ(warm_serve_allocations(g), 0u) << g.name();
 }
 
 TEST(AllocationCount, LongWorkloadNamesCostOnlyTheirCopies) {
@@ -332,17 +354,12 @@ TEST(AllocationCount, LongWorkloadNamesCostOnlyTheirCopies) {
   // Under a short name the same graph costs nothing.
   const app::TaskGraph long_name = app::workloads::ml_batch_training();
   const app::TaskGraph short_name = renamed(long_name, "ml-batch");
-  const ShareCounts l = broker_share(long_name);
-  const ShareCounts s = broker_share(short_name);
-  EXPECT_EQ(s.served, s.executed);
-  EXPECT_EQ(l.served - l.executed, 2 * kWindow);
+  EXPECT_EQ(warm_serve_allocations(short_name), 0u);
+  EXPECT_EQ(warm_serve_allocations(long_name), 2 * kWindow);
 }
 
 TEST(AllocationCount, BatchedBrokerAllocatesPerBatchNotPerJob) {
   const app::TaskGraph g = app::workloads::photo_backup();
-  // What kWindow executions of the plan cost on their own.
-  const std::size_t executions = broker_share(g).executed;
-
   broker::BrokerConfig cfg = warm_hit_config(/*batching=*/true);
   cfg.admission.burst = 64.0;  // a round is admitted at once, no deferrals
   BrokerWorld w(std::move(cfg));
@@ -369,8 +386,8 @@ TEST(AllocationCount, BatchedBrokerAllocatesPerBatchNotPerJob) {
   ASSERT_EQ(batches, kWindow / kPerRound);
   EXPECT_EQ(outcomes, kWindow + 2 * kPerRound);
   // Two per batch: its map node and its id vector, sized once.
-  EXPECT_EQ(total - executions, 2 * batches)
-      << "broker allocations for " << kWindow << " requests in " << batches
+  EXPECT_EQ(total, 2 * batches)
+      << "allocations for " << kWindow << " requests in " << batches
       << " batches";
   EXPECT_EQ(w.sim.heap_handlers(), 0u);
 }

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "ntco/common/error.hpp"
+#include "ntco/common/rng.hpp"
 
 namespace ntco::serverless {
 namespace {
@@ -248,6 +255,54 @@ TEST(Platform, RedeployInvalidatesWarmInstances) {
   EXPECT_EQ(p.spec(id).name, "fn-v2");
 }
 
+TEST(Platform, RedeployTearsDownAProvisionedInstanceStillRunningTheOldVersion) {
+  sim::Simulator s;
+  auto cfg = fast_config();
+  cfg.provisioned_price_per_gb_second = Money::nano_usd(4'167);
+  cfg.memory_quantum = DataSize::megabytes(1);  // allow an exact 1 GB config
+  Platform p(s, cfg);
+  const auto id = p.deploy({"fn", DataSize::gigabytes(1),
+                            DataSize::megabytes(10)});
+  p.set_provisioned_concurrency(id, 1);
+  bool cold = true;
+  p.invoke(id, Cycles::giga(2),
+           [&cold](const InvocationResult& r) { cold = r.cold_start; });
+  s.run_until(TimePoint::origin() + Duration::millis(500));
+  p.redeploy(id, {"fn-v2", DataSize::gigabytes(1), DataSize::megabytes(10)});
+  EXPECT_EQ(p.warm_count(id), 1u);  // the new version's provisioned instance
+  s.run();
+  EXPECT_FALSE(cold);
+  // The old version's instance is gone rather than pooled: one warm
+  // instance, the one provisioned_cost bills.
+  EXPECT_EQ(p.warm_count(id), 1u);
+  const Money before = p.stats().provisioned_cost;
+  s.schedule_after(Duration::seconds(100), [] {});
+  s.run();
+  // 1 instance x 1 GB x 100 s x 4167 nano$/GB-s.
+  EXPECT_EQ((p.stats().provisioned_cost - before).count_nano_usd(),
+            100 * 4'167);
+}
+
+TEST(Platform, RedeployDuringAnInvocationLeavesTheNextOneCold) {
+  sim::Simulator s;
+  Platform p(s, fast_config());
+  const auto id = p.deploy(small_fn());
+  p.invoke(id, Cycles::giga(2), [](const InvocationResult&) {});
+  s.run_until(TimePoint::origin() + Duration::millis(500));
+  p.redeploy(id, small_fn("fn-v2"));
+  // The v1 invocation finishes after the redeploy; its instance is not
+  // kept warm for v2.
+  s.run_until(TimePoint::origin() + Duration::seconds(2));
+  EXPECT_EQ(p.warm_count(id), 0u);
+  bool cold = false;
+  p.invoke(id, Cycles::giga(2),
+           [&cold](const InvocationResult& r) { cold = r.cold_start; });
+  s.run_until(TimePoint::origin() + Duration::seconds(5));
+  EXPECT_TRUE(cold);
+  EXPECT_EQ(p.stats().cold_starts, 2u);
+  EXPECT_EQ(p.warm_count(id), 1u);  // the v2 instance is pooled as usual
+}
+
 TEST(Platform, PriceWindowsDiscountOffPeak) {
   sim::Simulator s;
   auto cfg = fast_config();
@@ -413,6 +468,222 @@ TEST(PlatformCheckpoint, UnknownHandleReturnsFalse) {
   s.run();
   EXPECT_FALSE(p.checkpoint_preempt(inv));  // already completed
   EXPECT_FALSE(p.checkpoint_preempt(inv + 17));
+}
+
+/// Coverage of one randomized throttle scenario.
+struct ThrottleCoverage {
+  std::size_t queued_checkpoints[3] = {0, 0, 0};  ///< head, middle, tail
+  std::size_t running_checkpoints = 0;
+  std::size_t stale_ids_on_reused_slots = 0;
+  std::size_t never_minted_ids = 0;
+};
+
+/// Interleaves invoke/resume, checkpoints of queued (head, middle, tail)
+/// and executing invocations, in_flight() polls and completions at an
+/// account limit of `limit`, checking the throttle after every action.
+void run_throttle_scenario(std::uint64_t seed, std::size_t limit,
+                           ThrottleCoverage& cov) {
+  SCOPED_TRACE(testing::Message() << "seed " << seed << " limit " << limit);
+  sim::Simulator s;
+  auto cfg = fast_config();
+  cfg.account_concurrency = limit;
+  Platform p(s, cfg);
+  const auto fn = p.deploy(small_fn());
+  Rng rng(seed);
+
+  constexpr std::size_t kSteps = 300;
+  std::vector<InvocationId> ids;  // by submission order
+  std::vector<int> fired;         // callbacks per submission
+  std::vector<bool> queued_checkpoint;
+  std::vector<InvocationResult> results;
+  std::map<InvocationId, std::size_t> live;  // id -> submission order
+  std::set<InvocationId> minted;      // every id handed out so far
+  std::vector<InvocationId> retired;  // delivered: completed or checkpointed
+  std::size_t last_admitted = 0;      // 1 + order of the last admission
+  std::set<std::size_t> admitted;
+  results.resize(kSteps);  // at most one submission per step
+
+  // Live invocations in submission order, split by state.
+  const auto partition = [&](std::vector<std::size_t>& executing,
+                             std::vector<std::size_t>& queued) {
+    executing.clear();
+    queued.clear();
+    for (const auto& [id, k] : live) {
+      const auto st = p.in_flight(id);
+      ASSERT_TRUE(st.has_value()) << "live invocation " << k;
+      (st->executing ? executing : queued).push_back(k);
+    }
+    std::sort(executing.begin(), executing.end());
+    std::sort(queued.begin(), queued.end());
+  };
+
+  const auto check = [&] {
+    std::vector<std::size_t> executing;
+    std::vector<std::size_t> queued;
+    partition(executing, queued);
+    ASSERT_EQ(executing.size(), p.concurrency_in_use());
+    ASSERT_LE(p.concurrency_in_use(), limit);
+    // FIFO: every executing invocation was submitted before every queued
+    // one, and admissions happen in submission order.
+    if (!queued.empty()) {
+      ASSERT_EQ(executing.size(), limit);
+      ASSERT_LT(executing.back(), queued.front());
+    }
+    for (const std::size_t k : executing) {
+      if (!admitted.insert(k).second) continue;
+      ASSERT_GE(k, last_admitted) << "admitted out of order";
+      last_admitted = k + 1;
+    }
+    // Delivered and never-minted handles answer nothing, even once their
+    // slots hold other invocations.
+    std::set<std::uint64_t> live_slots;
+    for (const auto& [id, k] : live) live_slots.insert(id & 0xFFFFFFFFu);
+    for (const InvocationId id : retired) {
+      ASSERT_FALSE(p.in_flight(id).has_value());
+      ASSERT_FALSE(p.checkpoint_preempt(id));
+      if (live_slots.count(id & 0xFFFFFFFFu) != 0)
+        ++cov.stale_ids_on_reused_slots;
+    }
+    for (const InvocationId id : ids) {
+      const InvocationId forged = id + 17;
+      if (live.count(forged) != 0) continue;
+      ASSERT_FALSE(p.in_flight(forged).has_value());
+      ASSERT_FALSE(p.checkpoint_preempt(forged));
+      if (minted.count(forged) == 0) ++cov.never_minted_ids;
+    }
+  };
+
+  const auto submit = [&] {
+    const std::size_t k = ids.size();
+    fired.push_back(0);
+    queued_checkpoint.push_back(false);
+    auto done = [&, k](const InvocationResult& r) {
+      ++fired[k];
+      results[k] = r;
+    };
+    const Cycles work =
+        Cycles::giga(static_cast<std::uint64_t>(rng.uniform_int(1, 3)));
+    const InvocationId id =
+        rng.bernoulli(0.25)
+            ? p.resume(fn, work, Duration::millis(rng.uniform_int(0, 1500)),
+                       done)
+            : p.invoke(fn, work, done);
+    ASSERT_NE(id, 0u);
+    ASSERT_TRUE(minted.insert(id).second) << "id minted twice";
+    ids.push_back(id);
+    live.emplace(id, k);
+  };
+
+  const auto retire_fired = [&] {
+    for (auto it = live.begin(); it != live.end();) {
+      if (fired[it->second] == 0) {
+        ++it;
+        continue;
+      }
+      retired.push_back(it->first);
+      it = live.erase(it);
+    }
+  };
+
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    const double action = rng.uniform(0.0, 1.0);
+    std::vector<std::size_t> executing;
+    std::vector<std::size_t> queued;
+    partition(executing, queued);
+    if (action < 0.45) {
+      submit();
+    } else if (action < 0.6 && !queued.empty()) {
+      // Checkpoint a queued invocation at the head, middle or tail.
+      const auto where = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const std::size_t pos = where == 0   ? 0
+                              : where == 1 ? queued.size() / 2
+                                           : queued.size() - 1;
+      const std::size_t k = queued[pos];
+      const std::size_t kind = pos == 0                   ? 0
+                               : pos + 1 == queued.size() ? 2
+                                                          : 1;
+      ++cov.queued_checkpoints[kind];
+      queued_checkpoint[k] = true;
+      ASSERT_TRUE(p.checkpoint_preempt(ids[k]));
+      ASSERT_EQ(fired[k], 1);
+      EXPECT_TRUE(results[k].preempted);
+      EXPECT_EQ(results[k].exec_time, Duration::zero());
+      EXPECT_EQ(results[k].cost, Money::zero());
+    } else if (action < 0.7 && !executing.empty()) {
+      const std::size_t k = executing[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(executing.size()) - 1))];
+      ++cov.running_checkpoints;
+      ASSERT_TRUE(p.checkpoint_preempt(ids[k]));
+      ASSERT_EQ(fired[k], 1);
+      EXPECT_TRUE(results[k].preempted);
+    } else {
+      s.step();  // a completion (or a keep-alive expiry)
+    }
+    retire_fired();
+    check();
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  while (s.step()) {
+    retire_fired();
+    check();
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(live.empty());
+  EXPECT_EQ(p.concurrency_in_use(), 0u);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(fired[k], 1) << "callback of invocation " << k;
+  }
+  // Admission times, from the results, rise with submission order among
+  // the invocations not checkpointed while queued.
+  TimePoint last;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    if (queued_checkpoint[k]) continue;
+    const TimePoint admission = results[k].submitted + results[k].queue_wait;
+    EXPECT_GE(admission, last) << "invocation " << k;
+    last = admission;
+  }
+  EXPECT_EQ(p.stats().invocations, ids.size());
+}
+
+TEST(PlatformThrottle, CallbackInvokesAgainIntoItsOwnSlotBehindTheQueue) {
+  sim::Simulator s;
+  auto cfg = fast_config();
+  cfg.account_concurrency = 1;
+  Platform p(s, cfg);
+  const auto fn = p.deploy(small_fn());
+  std::vector<char> order;
+  InvocationId a = 0;
+  InvocationId b = 0;
+  a = p.invoke(fn, Cycles::giga(2), [&](const InvocationResult&) {
+    order.push_back('a');
+    EXPECT_FALSE(p.in_flight(a).has_value());
+    // The account is free, but `c` still waits: `b` queues behind it.
+    b = p.invoke(fn, Cycles::giga(2),
+                 [&order](const InvocationResult&) { order.push_back('b'); });
+  });
+  p.invoke(fn, Cycles::giga(2),
+           [&order](const InvocationResult&) { order.push_back('c'); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'c', 'b'}));
+  EXPECT_EQ(p.stats().throttled, 2u);
+  // `b` took the slot `a` released, under a new generation.
+  EXPECT_EQ(b & 0xFFFFFFFFu, a & 0xFFFFFFFFu);
+  EXPECT_NE(b, a);
+  EXPECT_FALSE(p.checkpoint_preempt(a));
+}
+
+TEST(PlatformThrottle, RandomizedQueueIsFifoAndDeliversOnce) {
+  ThrottleCoverage cov;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    for (const std::size_t limit : {std::size_t{2}, std::size_t{3}})
+      run_throttle_scenario(seed, limit, cov);
+  // The scenarios reach every case they are meant to check.
+  EXPECT_GT(cov.queued_checkpoints[0], 0u) << "head";
+  EXPECT_GT(cov.queued_checkpoints[1], 0u) << "middle";
+  EXPECT_GT(cov.queued_checkpoints[2], 0u) << "tail";
+  EXPECT_GT(cov.running_checkpoints, 0u);
+  EXPECT_GT(cov.stale_ids_on_reused_slots, 0u);
+  EXPECT_GT(cov.never_minted_ids, 0u);
 }
 
 }  // namespace

@@ -27,6 +27,35 @@ TEST(Slab, StaleIdFailsItsCheck) {
   EXPECT_THROW((void)slab[kNoSlabId], ContractViolation);
 }
 
+TEST(Slab, FindRejectsReleasedNeverAcquiredAndForgedIds) {
+  Slab<int> slab;
+  const SlabId a = slab.acquire();
+  const SlabId b = slab.acquire();
+  EXPECT_NE(a, 0u);  // callers may use 0 for "none"
+  ASSERT_NE(slab.find(a), nullptr);
+  EXPECT_EQ(slab.find(a), &slab[a]);
+  slab.release(a);
+  EXPECT_EQ(slab.find(a), nullptr);  // released
+  EXPECT_EQ(slab.find(b + 1), nullptr);  // a slot never acquired
+  EXPECT_EQ(slab.find(kNoSlabId), nullptr);
+  // Forged: a's free slot under the generation it now has, and b's slot
+  // under the free generation it had before acquire(), under the one
+  // release() will give it, and under a later live one.
+  EXPECT_EQ(slab.find(a + (SlabId{1} << 32)), nullptr);
+  EXPECT_EQ(slab.find(b - (SlabId{1} << 32)), nullptr);
+  EXPECT_EQ(slab.find(b + (SlabId{1} << 32)), nullptr);
+  EXPECT_EQ(slab.find(b + (SlabId{2} << 32)), nullptr);
+  EXPECT_EQ(slab.find(0), nullptr);
+  // The reused slot answers only to its new id.
+  const SlabId c = slab.acquire();
+  EXPECT_EQ(c & 0xFFFFFFFFu, a & 0xFFFFFFFFu);
+  EXPECT_NE(slab.find(c), nullptr);
+  EXPECT_EQ(slab.find(a), nullptr);
+  const Slab<int>& view = slab;
+  EXPECT_EQ(view.find(c), &slab[c]);
+  EXPECT_EQ(view.find(a), nullptr);
+}
+
 TEST(Slab, GrowthNeverMovesLiveRecords) {
   Slab<std::vector<int>> slab;
   const SlabId first = slab.acquire();

@@ -24,8 +24,10 @@
 #      diurnal_day, replan_burst and vehicular_churn (seed 1, 2 s, no
 #      trace). Each run checks its per-shard ledgers, the exact plan-call
 #      counts and digest identity at 1 vs N workers, and exits nonzero on a
-#      failed check. Its timings are not gated here; it builds into
-#      .bench_build/ at the repository root
+#      failed check; then its printed simulated digest must equal the one
+#      pinned below, so any change to a simulated output fails here until
+#      the pin is updated on purpose. Its timings are not gated here; it
+#      builds into .bench_build/ at the repository root
 #   7. run bench_micro_sim and bench_micro_fabric and compare their gated
 #      loops against the checked-in BENCH_micro_sim.json /
 #      BENCH_micro_fabric.json baselines: a drop of more than 10% in
@@ -88,10 +90,20 @@ for det_bench in bench_f5_scale_users bench_f9_resilience bench_f12_broker bench
 done
 
 echo "== [6/9] serve-path benchmark checks: perfbench, three workloads =="
-for workload in diurnal_day replan_burst vehicular_churn; do
+# <workload>:<seed-1 simulated digest>
+for pin in diurnal_day:fc247581b2cbaaf6 replan_burst:92cda9805211c78b \
+    vehicular_churn:df35f79756cb7170; do
+  workload="${pin%%:*}"
+  want="${pin#*:}"
+  out="$BUILD_DIR/perfbench-$workload.txt"
   python3 "$SRC_DIR/perfbench/run.py" --workload "$workload" --seed 1 \
-    --seconds 2 --trace 0 > "$BUILD_DIR/perfbench-$workload.txt"
-  echo "$workload: ledgers, plan-call counts and digests check out"
+    --seconds 2 --trace 0 > "$out"
+  got="$(sed -n 's/^simulated digest: \([0-9a-f]*\).*/\1/p' "$out")"
+  if [ "$got" != "$want" ]; then
+    echo "FAIL: $workload simulated digest '$got', pinned $want" >&2
+    exit 1
+  fi
+  echo "$workload: ledgers, plan-call counts and digest $got check out"
 done
 
 echo "== [7/9] kernel + fabric micro-benches vs checked-in baselines =="
