@@ -2,8 +2,9 @@
 // simulation kernel. Covers the three hot verbs — schedule, fire, cancel —
 // separately and in the mixed schedule-fire-cancel churn that dominates
 // timer-heavy simulations (keep-alive expiries, batch flushes, retries).
-// BM_ScheduleFireCancel is the loop tools/ci.sh gates against the
-// checked-in BENCH_micro_sim.json baseline (>10% regression fails).
+// BM_ScheduleFireCancel and BM_CancelReschedule/32768 are the loops
+// tools/ci.sh gates against the checked-in BENCH_micro_sim.json baseline
+// (>10% regression fails).
 //
 // Unlike the other microbenches this binary carries its own main: when
 // NTCO_BENCH_OUT names a directory it mirrors every result into
@@ -41,30 +42,6 @@ void BM_ScheduleAndRun_Small(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_ScheduleAndRun_Small)->Arg(1024)->Arg(8192);
-
-// Big capture: 64 bytes of payload defeats the small-buffer optimisation,
-// so this pins the cost of the heap-fallback path per event.
-void BM_ScheduleAndRun_Big(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  struct Payload {
-    std::uint64_t data[8];
-  };
-  for (auto _ : state) {
-    sim::Simulator sim;
-    std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Payload p{};
-      p.data[0] = i;
-      sim.schedule_at(TimePoint::at(Duration::micros(
-                          static_cast<std::int64_t>(i))),
-                      [&acc, p] { acc += p.data[0]; });
-    }
-    sim.run();
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_ScheduleAndRun_Big)->Arg(1024)->Arg(8192);
 
 // Same loop with a sink attached: bounds the cost of the tracing hooks
 // when observability is actually on (a counting sink, no serialisation).
@@ -115,7 +92,9 @@ BENCHMARK(BM_ScheduleFireCancel)->Arg(1024)->Arg(8192);
 // Timer churn: a fixed population of pending timeouts, each repeatedly
 // cancelled and re-armed (the reset-the-timeout pattern of keep-alive and
 // retry timers), then drained. Cancel cost dominates; items counts
-// cancel+reschedule pairs.
+// cancel+reschedule pairs. At 32768 rounds a kernel that cancelled lazily
+// would carry 128 dead heap nodes per live timer, so the gated /32768 row
+// is the one that shows whether cancel really removes the timer.
 void BM_CancelReschedule(benchmark::State& state) {
   constexpr std::uint64_t kTimers = 256;
   const auto rounds = static_cast<std::uint64_t>(state.range(0));

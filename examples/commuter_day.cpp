@@ -52,31 +52,40 @@ DayResult run_day(sched::UploadPlanner::Policy policy) {
   int completed = 0;
   double completion_min_sum = 0.0;
 
+  // A kernel handler holds at most 48 bytes, so each one below captures
+  // the stage it runs and its batch's release time, and the stages
+  // capture the day's state by reference.
+  const auto finish = [&](TimePoint release, const core::ExecutionReport& r) {
+    day.cloud_spend += r.cloud_cost;
+    day.battery += r.device_energy;
+    // Release-to-finish latency includes any WiFi-wait deferral.
+    completion_min_sum += (sim.now() - release).to_seconds() / 60.0;
+    ++completed;
+  };
+  const auto start = [&](TimePoint release) {
+    controller.execute_async(
+        plan, app, [&finish, release](const core::ExecutionReport& r) {
+          finish(release, r);
+        });
+  };
+  const auto upload = [&](TimePoint release) {
+    // Plan the (4 MB raw-photo) upload within its slack...
+    const auto decision = planner.plan(
+        release,
+        sched::UploadJob{"batch", DataSize::megabytes(4), Duration::hours(6)});
+    day.cellular_spend += decision.data_cost;
+    // ...then run the full pipeline at the planned start, over whatever
+    // network the schedule provides then.
+    sim.schedule_at(decision.start, [&start, release] { start(release); });
+  };
+
   // 16 photo batches through the day (07:00-22:30, every hour), each with
   // 6 h of slack on its boundary upload.
   for (int i = 0; i < 16; ++i) {
     const auto release =
         TimePoint::origin() +
         Duration::from_seconds((7.0 + static_cast<double>(i)) * 3600.0);
-    sim.schedule_at(release, [&, release] {
-      // Plan the (4 MB raw-photo) upload within its slack...
-      const auto decision = planner.plan(
-          release, sched::UploadJob{"batch", DataSize::megabytes(4),
-                                    Duration::hours(6)});
-      day.cellular_spend += decision.data_cost;
-      // ...then run the full pipeline at the planned start, over whatever
-      // network the schedule provides then.
-      sim.schedule_at(decision.start, [&, release] {
-        controller.execute_async(
-            plan, app, [&, release](const core::ExecutionReport& r) {
-              day.cloud_spend += r.cloud_cost;
-              day.battery += r.device_energy;
-              // Release-to-finish latency includes any WiFi-wait deferral.
-              completion_min_sum += (sim.now() - release).to_seconds() / 60.0;
-              ++completed;
-            });
-      });
-    });
+    sim.schedule_at(release, [&upload, release] { upload(release); });
   }
   sim.run();
   day.mean_completion_min = completion_min_sum / completed;

@@ -16,10 +16,12 @@
 /// the typical capture set (`this` + a shared_ptr + an id), so almost every
 /// schedule paid a heap allocation. `InlineFunction<void(), 48>` stores any
 /// callable of at most `Capacity` bytes (and pointer alignment, and a
-/// non-throwing move) directly in the object; larger, over-aligned, or
-/// throwing-move callables fall back to a single heap allocation. Because the wrapper is
-/// move-only it also accepts move-only captures (`std::unique_ptr`,
-/// moved-in `std::function`s), which `std::function` rejects outright.
+/// non-throwing move) directly in the object and never allocates. A
+/// larger, over-aligned, or throwing-move callable does not convert: the
+/// constructor is constrained on stores_inline(), so "this capture set
+/// fits" is checked by the compiler. Because the wrapper is move-only it
+/// also accepts move-only captures (`std::unique_ptr`, moved-in
+/// `std::function`s), which `std::function` rejects outright.
 ///
 /// Dispatch is one vtable pointer per object (invoke / relocate / destroy),
 /// so an engaged check is a null test and a moved-from object is empty.
@@ -31,28 +33,31 @@ class InlineFunction;  // primary template: only R(Args...) is specialised
 
 template <class R, class... Args, std::size_t Capacity>
 class InlineFunction<R(Args...), Capacity> {
-  static_assert(Capacity >= sizeof(void*),
-                "capacity must at least hold the heap-fallback pointer");
-
  public:
+  /// Whether a callable of type D fits, i.e. whether the wrapper accepts
+  /// it. Inline storage is pointer-aligned (keeps sizeof tight for arena
+  /// embedding), so over-aligned callables do not fit.
+  template <class D>
+  [[nodiscard]] static constexpr bool stores_inline() {
+    return sizeof(D) <= Capacity && alignof(D) <= alignof(void*) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
+
+  [[nodiscard]] static constexpr std::size_t capacity() { return Capacity; }
+
   InlineFunction() noexcept = default;
   InlineFunction(std::nullptr_t) noexcept {}
 
-  /// Wraps any callable invocable as R(Args...). Callables that fit the
-  /// inline buffer (size, alignment, nothrow-move) never allocate.
+  /// Wraps any callable invocable as R(Args...) that fits the inline
+  /// buffer (size, alignment, nothrow-move); anything else does not
+  /// compile. Never allocates.
   template <class F, class D = std::decay_t<F>,
             class = std::enable_if_t<
                 !std::is_same_v<D, InlineFunction> &&
-                std::is_invocable_r_v<R, D&, Args...>>>
+                std::is_invocable_r_v<R, D&, Args...> && stores_inline<D>()>>
   InlineFunction(F&& f) {  // NOLINT(bugprone-forwarding-reference-overload)
-    if constexpr (stores_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      vt_ = &kVTable<D, /*Inline=*/true>;
-    } else {
-      using Ptr = D*;
-      ::new (static_cast<void*>(buf_)) Ptr(new D(std::forward<F>(f)));
-      vt_ = &kVTable<D, /*Inline=*/false>;
-    }
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    vt_ = &kVTable<D>;
   }
 
   InlineFunction(InlineFunction&& o) noexcept : vt_(o.vt_) {
@@ -85,8 +90,8 @@ class InlineFunction<R(Args...), Capacity> {
   ~InlineFunction() { reset(); }
 
   /// Destroys the stored callable (and its captures) immediately; the
-  /// object becomes empty. Used by the kernel to release a cancelled
-  /// handler's resources before its heap slot drains.
+  /// object becomes empty. Used by the kernel to release a cancelled or
+  /// fired handler's resources when it frees the handler's slot.
   void reset() noexcept {
     if (vt_ != nullptr) {
       vt_->destroy(buf_);
@@ -101,25 +106,6 @@ class InlineFunction<R(Args...), Capacity> {
     return f.vt_ == nullptr;
   }
 
-  /// True when the stored callable lives in the inline buffer (test hook
-  /// for the no-allocation contract). Pre: engaged.
-  [[nodiscard]] bool is_inline() const {
-    NTCO_EXPECTS(vt_ != nullptr);
-    return vt_->is_inline;
-  }
-
-  /// Whether a callable of type D would be stored inline (no allocation).
-  /// Inline storage is pointer-aligned (keeps sizeof tight for arena
-  /// embedding); over-aligned callables take the heap fallback, whose
-  /// operator new honours any extended alignment.
-  template <class D>
-  [[nodiscard]] static constexpr bool stores_inline() {
-    return sizeof(D) <= Capacity && alignof(D) <= alignof(void*) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
-
-  [[nodiscard]] static constexpr std::size_t capacity() { return Capacity; }
-
   R operator()(Args... args) {
     NTCO_EXPECTS(vt_ != nullptr);
     return vt_->invoke(buf_, std::forward<Args>(args)...);
@@ -128,19 +114,14 @@ class InlineFunction<R(Args...), Capacity> {
  private:
   struct VTable {
     R (*invoke)(unsigned char*, Args&&...);
-    /// Move-constructs dst's payload from src's and destroys src's. For
-    /// heap-stored callables this is a pointer copy, hence noexcept for
-    /// every storage mode (what makes the wrapper's moves noexcept).
+    /// Move-constructs dst's payload from src's and destroys src's;
+    /// noexcept because stored callables have a non-throwing move.
     void (*relocate)(unsigned char* src, unsigned char* dst) noexcept;
     void (*destroy)(unsigned char*) noexcept;
-    bool is_inline;
   };
 
-  template <class D, bool Inline>
-  struct Ops;
-
   template <class D>
-  struct Ops<D, true> {
+  struct Ops {
     static D* get(unsigned char* b) {
       return std::launder(reinterpret_cast<D*>(b));
     }
@@ -155,25 +136,8 @@ class InlineFunction<R(Args...), Capacity> {
   };
 
   template <class D>
-  struct Ops<D, false> {
-    using Ptr = D*;
-    static Ptr* get(unsigned char* b) {
-      return std::launder(reinterpret_cast<Ptr*>(b));
-    }
-    static R invoke(unsigned char* b, Args&&... args) {
-      return (**get(b))(std::forward<Args>(args)...);
-    }
-    static void relocate(unsigned char* src, unsigned char* dst) noexcept {
-      // Pointer relocation is a copy; the pointer itself needs no cleanup.
-      ::new (static_cast<void*>(dst)) Ptr(*get(src));
-    }
-    static void destroy(unsigned char* b) noexcept { delete *get(b); }
-  };
-
-  template <class D, bool Inline>
-  static constexpr VTable kVTable{&Ops<D, Inline>::invoke,
-                                  &Ops<D, Inline>::relocate,
-                                  &Ops<D, Inline>::destroy, Inline};
+  static constexpr VTable kVTable{&Ops<D>::invoke, &Ops<D>::relocate,
+                                  &Ops<D>::destroy};
 
   alignas(void*) unsigned char buf_[Capacity];
   const VTable* vt_ = nullptr;

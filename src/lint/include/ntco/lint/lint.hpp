@@ -47,8 +47,8 @@
 ///
 /// Allocation on the serving path and kernel-handler size are not lint
 /// rules: tests/allocation_count_test.cpp counts every `operator new`, and
-/// sim::Simulator::heap_handlers() counts handlers that overflow the inline
-/// buffer — exact checks instead of token patterns.
+/// a handler that overflows InlineFunction's inline buffer does not
+/// compile — exact checks instead of token patterns.
 ///
 /// Diagnostics are `file:line: [Rn] message`. Inline suppression:
 ///

@@ -20,25 +20,31 @@
 /// (serverless, edge, network, scheduler, CI/CD) are built on this kernel, in
 /// the role EdgeCloudSim / iFogSim play for published offloading studies.
 ///
-/// Storage layout (see DESIGN.md "Event kernel"):
+/// Storage layout (see DESIGN.md "Simulator event kernel"):
 ///  - Handlers live in a chunked slot arena (512 slots per chunk, one
 ///    cache line per slot), so growth never moves a live handler and a
 ///    slot address is stable for the event's lifetime. Free slots are
 ///    threaded into an intrusive free list through the seq field.
 ///  - Per-slot lifecycle state and the recycle generation are packed into
-///    a parallel 4-byte meta word ((generation << 2) | state), so cancel
-///    and the heap's skip test read one word instead of a 64-byte slot.
+///    a parallel 4-byte meta word ((generation << 2) | state, states
+///    free / pending / firing), so cancel() checks an id with one load
+///    instead of touching a 64-byte slot.
 ///  - The ready queue is an implicit 4-ary min-heap of 16-byte
-///    (time, seq-low, slot) nodes ordered by (time, seq).
+///    (time, seq-low, slot) nodes ordered by (time, seq), holding exactly
+///    the pending events. A parallel 4-byte word per slot records where
+///    its node sits in the heap; every sift keeps it current.
 ///
-/// An EventId packs (generation << 32) | slot, so cancel() is two array
-/// reads and a state flip — O(1), no hash sets — and a stale id from a
-/// recycled slot is rejected by its generation mismatch. Cancellation is
-/// lazy: the heap node of a cancelled event is skipped (and its slot
-/// recycled) when it reaches the top, though the handler itself is
-/// destroyed eagerly at cancel() so captures are released immediately.
-/// Handlers are InlineHandler — a 48-byte small-buffer callable — so
-/// typical capture sets schedule without touching the allocator.
+/// An EventId packs (generation << 32) | slot, so cancel() finds its event
+/// in O(1), no hash sets, and a stale id from a recycled slot is rejected
+/// by its generation mismatch. Cancellation is eager: cancel() takes the
+/// node out of the heap in O(log n), destroys the handler and frees the
+/// slot at once, so a cancelled timer costs nothing afterwards. An event
+/// fires in place: its node is popped, its slot is marked firing (a
+/// cancel() of its own id returns false), the handler runs from the arena
+/// slot, and the slot is released when the handler returns or throws.
+/// Handlers are InlineHandler, a 48-byte small-buffer callable; a larger
+/// capture set does not compile, so scheduling never touches the
+/// allocator once the arena and the heap have grown.
 ///
 /// Observability: attach an obs::TraceSink to log every event lifecycle
 /// transition ("sim.event.scheduled" / "sim.event.fired" /
@@ -61,9 +67,9 @@ using EventId = std::uint64_t;
 /// cancel(kNoEvent) is a safe no-op that returns false.
 inline constexpr EventId kNoEvent = 0xFFFFFFFFu;
 
-/// Handler storage for scheduled events: move-only with a 48-byte inline
-/// buffer (covers this + shared_ptr + an id without allocating) and heap
-/// fallback for larger captures. Move-only captures are allowed.
+/// Handler storage for scheduled events: move-only, with a 48-byte inline
+/// buffer that covers this + shared_ptr + an id. A callable that does not
+/// fit is a compile error. Move-only captures are allowed.
 using InlineHandler = InlineFunction<void(), 48>;
 
 /// Single-threaded discrete-event simulator.
@@ -97,10 +103,10 @@ class Simulator : public obs::TraceClock {
     const std::uint64_t seq = next_seq_++;
     s.seq = seq;
     s.fn = std::move(fn);
-    if (!s.fn.is_inline()) ++heap_handlers_;
     meta_[slot] |= kPending;  // state was Free (0); generation unchanged
-    heap_push(HeapNode{t, static_cast<std::uint32_t>(seq), slot});
-    ++pending_count_;
+    const HeapNode node{t, static_cast<std::uint32_t>(seq), slot};
+    heap_.push_back(node);
+    sift_up(heap_.size() - 1, node);
     if (trace_)
       obs::emit(trace_, now_, "sim.event.scheduled", {{"seq", seq}, {"at", t}});
     return make_id(slot, meta_[slot] >> kStateBits);
@@ -112,48 +118,37 @@ class Simulator : public obs::TraceClock {
     return schedule_at(now_ + d, std::move(fn));
   }
 
-  /// Cancels a pending event in O(1). Returns false if the event already
-  /// fired, was already cancelled, or never existed — a stale id whose
-  /// slot has been recycled fails the generation check and is rejected.
-  /// The handler (and its captures) is destroyed immediately; the heap
-  /// node drains lazily.
+  /// Cancels a pending event: its heap node is removed in O(log n), its
+  /// handler (and the captures) destroyed and its slot freed, all before
+  /// cancel() returns. Returns false if the event already fired, is firing
+  /// now (a handler cancelling its own id), was already cancelled, or
+  /// never existed; a stale id whose slot has been recycled fails the
+  /// generation check.
   bool cancel(EventId id) {
     const std::uint32_t slot = slot_of(id);
     if (slot >= slot_count_) return false;
     const std::uint32_t m = meta_[slot];
     if ((m & kStateMask) != kPending || (m >> kStateBits) != generation_of(id))
       return false;
-    meta_[slot] = (m & ~kStateMask) | kCancelled;
-    Slot& s = slot_ref(slot);
-    s.fn.reset();
-    --pending_count_;
-    if (trace_) obs::emit(trace_, now_, "sim.event.cancelled", {{"seq", s.seq}});
+    heap_erase(heap_pos_[slot]);
+    const std::uint64_t seq = slot_ref(slot).seq;
+    release_slot(slot);
+    if (trace_) obs::emit(trace_, now_, "sim.event.cancelled", {{"seq", seq}});
     return true;
   }
 
-  /// Number of events still pending (excludes cancelled ones).
-  [[nodiscard]] std::size_t pending() const { return pending_count_; }
+  /// Number of events still pending (neither fired nor cancelled).
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
-  /// Handlers scheduled so far that did not fit InlineHandler's inline
-  /// buffer and took its heap fallback (one allocation each). This is the
-  /// exact check that a capture set fits: tests assert it stays 0 on the
-  /// paths they drive (see DESIGN.md "Static analysis & determinism
-  /// contract").
-  [[nodiscard]] std::uint64_t heap_handlers() const { return heap_handlers_; }
-
-  /// Ids of all pending events, in scheduling order. Produced by scanning
-  /// the arena meta words (slot order — deterministic, but arbitrary
-  /// relative to schedule time once slots recycle) and sorting by each
-  /// event's schedule sequence number, so the output order matches the
-  /// old sequential-id kernel exactly.
+  /// Ids of all pending events, in scheduling order: the heap's nodes
+  /// sorted by each event's schedule sequence number, so the output order
+  /// matches the old sequential-id kernel exactly.
   [[nodiscard]] std::vector<EventId> pending_event_ids() const {
     std::vector<std::pair<std::uint64_t, EventId>> by_seq;
-    by_seq.reserve(pending_count_);
-    for (std::uint32_t slot = 0; slot < slot_count_; ++slot) {
-      const std::uint32_t m = meta_[slot];
-      if ((m & kStateMask) == kPending)
-        by_seq.emplace_back(slot_ref(slot).seq, make_id(slot, m >> kStateBits));
-    }
+    by_seq.reserve(heap_.size());
+    for (const HeapNode& node : heap_)
+      by_seq.emplace_back(slot_ref(node.slot).seq,
+                          make_id(node.slot, meta_[node.slot] >> kStateBits));
     std::sort(by_seq.begin(), by_seq.end());
     std::vector<EventId> ids;
     ids.reserve(by_seq.size());
@@ -163,28 +158,9 @@ class Simulator : public obs::TraceClock {
 
   /// Fires the earliest pending event. Returns false if none remain.
   bool step() {
-    while (!heap_.empty()) {
-      const HeapNode top = heap_[0];
-      if ((meta_[top.slot] & kStateMask) == kCancelled) {
-        heap_pop();
-        release_slot(top.slot);
-        continue;
-      }
-      now_ = top.time;
-      Slot& s = slot_ref(top.slot);
-      const std::uint64_t seq = s.seq;
-      // Move the handler out before popping: it may schedule new events,
-      // which can grow the arena and the heap, so it must not be invoked
-      // through arena or heap storage.
-      Handler fn = std::move(s.fn);
-      heap_pop();
-      release_slot(top.slot);
-      --pending_count_;
-      if (trace_) obs::emit(trace_, now_, "sim.event.fired", {{"seq", seq}});
-      fn();
-      return true;
-    }
-    return false;
+    if (heap_.empty()) return false;
+    fire_top();
+    return true;
   }
 
   /// Runs until no events remain. Returns the number of events fired.
@@ -199,21 +175,9 @@ class Simulator : public obs::TraceClock {
   std::size_t run_until(TimePoint horizon) {
     NTCO_EXPECTS(horizon >= now_);
     std::size_t n = 0;
-    for (;;) {
-      drop_cancelled_head();
-      if (heap_.empty() || heap_[0].time > horizon) break;
-      if (step()) ++n;
-    }
+    for (; !heap_.empty() && heap_[0].time <= horizon; ++n) fire_top();
     now_ = horizon;
     return n;
-  }
-
-  /// Time of the earliest pending (non-cancelled) event.
-  /// Pre: pending() > 0.
-  [[nodiscard]] TimePoint next_event_time() {
-    drop_cancelled_head();
-    NTCO_EXPECTS(!heap_.empty());
-    return heap_[0].time;
   }
 
  private:
@@ -239,16 +203,31 @@ class Simulator : public obs::TraceClock {
     std::uint32_t slot;
   };
 
+  /// Frees a firing slot when its handler returns or throws.
+  class ReleaseOnExit {
+   public:
+    ReleaseOnExit(Simulator& sim, std::uint32_t slot)
+        : sim_(sim), slot_(slot) {}
+    ReleaseOnExit(const ReleaseOnExit&) = delete;
+    ReleaseOnExit& operator=(const ReleaseOnExit&) = delete;
+    ~ReleaseOnExit() { sim_.release_slot(slot_); }
+
+   private:
+    Simulator& sim_;
+    std::uint32_t slot_;
+  };
+
   // Per-slot meta word: (generation << 2) | state. The generation counts
   // slot recycles (bumped at release), which invalidates every
   // outstanding EventId minted for a previous occupant — ABA protection,
   // wrapping after 2^30 reuses of one slot, far beyond any simulated
-  // workload. Packing state into the same word keeps the cancel fast
-  // path (bounds check + state check + generation check) to a single
-  // 4-byte load.
+  // workload. Packing state into the same word keeps the cancel check
+  // (bounds check + state check + generation check) to a single 4-byte
+  // load. A pending slot has a heap node; a firing one is running its
+  // handler and has none.
   static constexpr std::uint32_t kFree = 0;
   static constexpr std::uint32_t kPending = 1;
-  static constexpr std::uint32_t kCancelled = 2;
+  static constexpr std::uint32_t kFiring = 2;
   static constexpr std::uint32_t kStateBits = 2;
   static constexpr std::uint32_t kStateMask = (1u << kStateBits) - 1;
 
@@ -257,7 +236,8 @@ class Simulator : public obs::TraceClock {
   // never relocates existing slots, so live handlers are move-free for
   // the arena's whole lifetime (a vector-of-Slot would move every live
   // handler through its type-erased relocate on each capacity doubling —
-  // the dominant cost of the schedule path for cold arenas).
+  // the dominant cost of the schedule path for cold arenas), and a firing
+  // handler can schedule any number of events from its own slot.
   static constexpr std::uint32_t kChunkShift = 9;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
@@ -303,40 +283,57 @@ class Simulator : public obs::TraceClock {
     if ((slot_count_ & (kChunkSize - 1)) == 0)
       chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
     meta_.push_back(kFree);
+    heap_pos_.push_back(0);
     return slot_count_++;
   }
 
   void release_slot(std::uint32_t slot) {
+    meta_[slot] = ((meta_[slot] >> kStateBits) + 1) << kStateBits;  // -> Free
     Slot& s = slot_ref(slot);
     s.fn.reset();
     s.seq = free_head_;  // thread into the free list
-    meta_[slot] = ((meta_[slot] >> kStateBits) + 1) << kStateBits;  // -> Free
     free_head_ = slot;
+  }
+
+  /// Pops the earliest event and runs its handler from its arena slot,
+  /// which stays firing, so neither reusable nor cancellable, until the
+  /// handler is done. The handler may schedule and cancel freely: slots
+  /// never move, and the heap no longer holds this event.
+  void fire_top() {
+    const HeapNode top = heap_[0];
+    heap_erase(0);
+    now_ = top.time;
+    meta_[top.slot] = (meta_[top.slot] & ~kStateMask) | kFiring;
+    const ReleaseOnExit release{*this, top.slot};
+    Slot& s = slot_ref(top.slot);
+    if (trace_) obs::emit(trace_, now_, "sim.event.fired", {{"seq", s.seq}});
+    s.fn();
   }
 
   // 4-ary implicit heap: shallower than binary (log4 vs log2 levels), and
   // the 4-child minimum scan stays within one cache line of HeapNodes —
   // measurably faster for the sift-down-heavy pop pattern here. Both sifts
   // shift nodes into the hole and place the moving node once at the end,
-  // instead of swapping at every level (half the data movement).
-  void heap_push(HeapNode node) {
-    heap_.push_back(node);
-    std::size_t i = heap_.size() - 1;
+  // instead of swapping at every level (half the data movement). Every
+  // placement records the node's index in heap_pos_, which is what lets
+  // cancel() find a node without searching.
+  void place(std::size_t i, const HeapNode& node) {
+    heap_[i] = node;
+    heap_pos_[node.slot] = static_cast<std::uint32_t>(i);
+  }
+
+  void sift_up(std::size_t i, const HeapNode& node) {
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
       if (!earlier(node, heap_[parent])) break;
-      heap_[i] = heap_[parent];
+      place(i, heap_[parent]);
       i = parent;
     }
-    heap_[i] = node;
+    place(i, node);
   }
 
-  void heap_pop() {
-    const HeapNode node = heap_.back();
-    heap_.pop_back();
+  void sift_down(std::size_t i, const HeapNode& node) {
     const std::size_t n = heap_.size();
-    if (n == 0) return;
-    std::size_t i = 0;
     for (;;) {
       const std::size_t first = 4 * i + 1;
       if (first >= n) break;
@@ -345,29 +342,31 @@ class Simulator : public obs::TraceClock {
       for (std::size_t c = first + 1; c < last; ++c)
         if (earlier(heap_[c], heap_[best])) best = c;
       if (!earlier(heap_[best], node)) break;
-      heap_[i] = heap_[best];
+      place(i, heap_[best]);
       i = best;
     }
-    heap_[i] = node;
+    place(i, node);
   }
 
-  void drop_cancelled_head() {
-    while (!heap_.empty()) {
-      const std::uint32_t slot = heap_[0].slot;
-      if ((meta_[slot] & kStateMask) != kCancelled) break;
-      heap_pop();
-      release_slot(slot);
-    }
+  /// Removes the node at index `i`: the last node fills the hole and
+  /// sifts up or down, whichever restores the order there.
+  void heap_erase(std::size_t i) {
+    const HeapNode last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) return;
+    if (i > 0 && earlier(last, heap_[(i - 1) / 4]))
+      sift_up(i, last);
+    else
+      sift_down(i, last);
   }
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t heap_handlers_ = 0;
-  std::size_t pending_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   std::uint32_t slot_count_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> meta_;
+  std::vector<std::uint32_t> heap_pos_;  // per pending slot: its heap index
   std::vector<HeapNode> heap_;
   obs::TraceSink* trace_ = nullptr;
 };

@@ -49,6 +49,12 @@ void* or_throw(void* p) {
   return p;
 }
 
+// Out of line on purpose: once GCC inlines a replacement operator delete
+// into a caller that also shows the matching operator new, it reports
+// free() on a pointer from operator new (-Wmismatched-new-delete), not
+// knowing this operator new allocates with malloc.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t n) { return or_throw(counted_alloc(n)); }
@@ -65,17 +71,17 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return or_throw(counted_aligned_alloc(n, al));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace ntco {
@@ -119,7 +125,6 @@ TEST(AllocationCount, SimulatorScheduleFireCancelIsAllocationFree) {
   });
   EXPECT_EQ(n, 0u);
   EXPECT_GT(fired, 0u);
-  EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
 // --------------------------------------------------------------- Dataplane
@@ -201,7 +206,6 @@ TEST(AllocationCount, WarmInvocationAllocatesNothing) {
   const serverless::PlatformStats st = platform.stats();
   EXPECT_EQ(st.cold_starts, 3u);
   EXPECT_EQ(st.throttled, (kBurst - 3) * (kWarmup + kWindow));
-  EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
 // -------------------------------------------------------------- Controller
@@ -255,7 +259,6 @@ RunCounts run_counts(const app::TaskGraph& g, obs::MetricsRegistry* metrics) {
   EXPECT_EQ(runs, 8 + kWindow) << g.name();
   EXPECT_EQ(invocations, (8 + kWindow) * plan.partition.remote_count())
       << g.name();
-  EXPECT_EQ(sim.heap_handlers(), 0u) << g.name();
   return c;
 }
 
@@ -327,7 +330,6 @@ std::size_t warm_serve_allocations(const app::TaskGraph& g) {
   EXPECT_EQ(outcomes, 8 + kWindow) << g.name();
   EXPECT_EQ(w.broker.stats().completed, 8 + kWindow) << g.name();
   EXPECT_EQ(w.broker.cache().stats().misses, 1u) << g.name();
-  EXPECT_EQ(w.sim.heap_handlers(), 0u) << g.name();
   return n;
 }
 
@@ -389,7 +391,6 @@ TEST(AllocationCount, BatchedBrokerAllocatesPerBatchNotPerJob) {
   EXPECT_EQ(total, 2 * batches)
       << "allocations for " << kWindow << " requests in " << batches
       << " batches";
-  EXPECT_EQ(w.sim.heap_handlers(), 0u);
 }
 
 }  // namespace

@@ -465,7 +465,6 @@ TEST(BrokerBatch, FlushesAtTheAlignedInstant) {
   EXPECT_EQ(d.stats().batches, 1u);
   EXPECT_EQ(d.stats().jobs_dispatched, 3u);
   EXPECT_EQ(d.open_batches(), 0u);
-  EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerBatch, SealedBatchKeepsItsFlushInstant) {
@@ -484,7 +483,6 @@ TEST(BrokerBatch, SealedBatchKeepsItsFlushInstant) {
   EXPECT_EQ(d.stats().batches, 2u);
   EXPECT_EQ(d.stats().sealed, 1u);
   // The sealed batch's map node moved into its release handler inline.
-  EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerBatch, LanesChainOnCompletion) {
@@ -505,7 +503,6 @@ TEST(BrokerBatch, LanesChainOnCompletion) {
               Duration::minutes(10) +
                   Duration::seconds(static_cast<std::int64_t>(i)));
   }
-  EXPECT_EQ(sim.heap_handlers(), 0u);
 }
 
 // ------------------------------------------------------------------- Serve
@@ -557,7 +554,6 @@ TEST(BrokerServe, CompletesAndCachesAcrossUsers) {
   EXPECT_EQ(hit.decision_latency, kHitCost);
   EXPECT_EQ(fx.broker.stats().completed, 2u);
   EXPECT_EQ(fx.broker.cache().stats().hits, 1u);
-  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerServe, NoCacheModeAlwaysReplans) {
@@ -578,7 +574,6 @@ TEST(BrokerServe, NoCacheModeAlwaysReplans) {
   EXPECT_FALSE(outcomes[1].cache_hit);
   EXPECT_EQ(fx.broker.cache().stats().hits + fx.broker.cache().stats().misses,
             0u);
-  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerServe, ShedOutcomeIsDelivered) {
@@ -604,7 +599,6 @@ TEST(BrokerServe, ShedOutcomeIsDelivered) {
   EXPECT_EQ(outcomes[0].shed_reason, ShedReason::DeadlineTooTight);
   EXPECT_EQ(outcomes[1].status, ServeStatus::Completed);
   EXPECT_EQ(fx.broker.stats().shed, 1u);
-  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerServe, DeferredRequestRetriesThenCompletes) {
@@ -626,7 +620,6 @@ TEST(BrokerServe, DeferredRequestRetriesThenCompletes) {
   EXPECT_EQ(outcomes[0].deferrals + outcomes[1].deferrals, 1u);
   for (const auto& o : outcomes) EXPECT_EQ(o.status, ServeStatus::Completed);
   EXPECT_EQ(fx.broker.admission().stats().deferrals, 1u);
-  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 // -------------------------------------------------------------- Two-stage
@@ -693,7 +686,6 @@ TEST(BrokerTwoStage, MissServedByHeuristicThenExactPublishes) {
   EXPECT_FALSE(outcomes[1].heuristic_serve);
   EXPECT_EQ(outcomes[1].decision_latency, kHitCost);
   EXPECT_EQ(fx.broker.twostage().fast_serves, 1u);  // no second fast serve
-  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 TEST(BrokerTwoStage, SameBucketBurstResolvesOnce) {
@@ -715,7 +707,6 @@ TEST(BrokerTwoStage, SameBucketBurstResolvesOnce) {
   EXPECT_EQ(fx.broker.twostage().fast_serves, 3u);
   EXPECT_EQ(fx.broker.twostage().resolves, 1u);
   EXPECT_EQ(fx.broker.cache().stats().misses, 3u);
-  EXPECT_EQ(fx.sim.heap_handlers(), 0u);
 }
 
 // ------------------------------------------------------------ Determinism
@@ -724,7 +715,6 @@ TEST(BrokerTwoStage, SameBucketBurstResolvesOnce) {
 struct FleetOut {
   obs::MetricsRegistry metrics;
   obs::JsonlTraceWriter trace;
-  std::uint64_t heap_handlers = 0;
 };
 
 FleetOut run_fleet(std::size_t threads) {
@@ -751,13 +741,11 @@ FleetOut run_fleet(std::size_t threads) {
           });
         }
         fx.sim.run();
-        out.heap_handlers = fx.sim.heap_handlers();
         return out;
       },
       [](FleetOut& acc, FleetOut&& shard, std::size_t) {
         acc.metrics.merge_from(shard.metrics);
         acc.trace.append_from(shard.trace);
-        acc.heap_handlers += shard.heap_handlers;
       });
 }
 
@@ -767,7 +755,6 @@ TEST(BrokerDeterminism, FleetMergeByteIdenticalAcrossThreads) {
   EXPECT_FALSE(one.trace.str().empty());
   EXPECT_EQ(one.metrics.to_csv(), eight.metrics.to_csv());
   EXPECT_EQ(one.trace.str(), eight.trace.str());
-  EXPECT_EQ(one.heap_handlers, 0u);
 }
 
 }  // namespace

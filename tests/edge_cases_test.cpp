@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ntco/app/workloads.hpp"
 #include "ntco/common/error.hpp"
 #include "ntco/partition/partitioners.hpp"
@@ -25,11 +27,15 @@ TEST(SimulatorEdge, CancelFromWithinASimultaneousHandler) {
 
 TEST(SimulatorEdge, HandlerExceptionPropagatesAndStateStaysSane) {
   sim::Simulator sim;
-  sim.schedule_after(Duration::millis(1),
-                     [] { throw Error("handler blew up"); });
+  auto token = std::make_shared<int>(1);
+  sim.schedule_after(Duration::millis(1), [token] {
+    if (*token > 0) throw Error("handler blew up");
+  });
   sim.schedule_after(Duration::millis(2), [] {});
   EXPECT_THROW(sim.run(), Error);
-  // The failed event was consumed; the remaining one still runs.
+  // The failed event was consumed and its handler destroyed with its
+  // captures; the remaining one still runs.
+  EXPECT_EQ(token.use_count(), 1);
   EXPECT_EQ(sim.pending(), 1u);
   EXPECT_EQ(sim.run(), 1u);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <queue>
 #include <unordered_set>
@@ -91,9 +92,9 @@ TEST(Simulator, PendingExcludesCancelled) {
 }
 
 TEST(Simulator, PendingEventIdsAreSortedAndExcludeCancelledAndFired) {
-  // pending_ids_ is a membership-only unordered set; the ordered view must
-  // come out sorted (ascending EventId == scheduling order) regardless of
-  // hash order, with cancelled and already-fired events absent.
+  // The ordered view comes from the heap's nodes, which sit in heap order;
+  // it must come out in scheduling order, with cancelled and already-fired
+  // events absent.
   Simulator sim;
   std::vector<EventId> ids;
   for (int i = 0; i < 8; ++i)
@@ -142,14 +143,6 @@ TEST(Simulator, SchedulingInThePastThrows) {
                ContractViolation);
   EXPECT_THROW(sim.schedule_after(-Duration::millis(1), [] {}),
                ContractViolation);
-}
-
-TEST(Simulator, NextEventTimeSkipsCancelled) {
-  Simulator sim;
-  const auto id = sim.schedule_after(Duration::millis(1), [] {});
-  sim.schedule_after(Duration::millis(9), [] {});
-  sim.cancel(id);
-  EXPECT_EQ(sim.next_event_time(), TimePoint::origin() + Duration::millis(9));
 }
 
 TEST(ServerPool, SingleServerSerialisesJobs) {
@@ -300,12 +293,32 @@ TEST(SimulatorArena, StaleIdAfterCancelAndDrainIsRejected) {
   int fired = 0;
   const EventId a = sim.schedule_after(Duration::millis(2), [&] { ++fired; });
   EXPECT_TRUE(sim.cancel(a));
-  EXPECT_FALSE(sim.cancel(a));  // double-cancel, slot still Cancelled
-  EXPECT_EQ(sim.run(), 0u);     // drains the lazy heap node, frees the slot
+  EXPECT_FALSE(sim.cancel(a));  // double-cancel: the slot is already free
+  EXPECT_EQ(sim.run(), 0u);     // the cancelled event left nothing to fire
   const EventId b = sim.schedule_after(Duration::millis(2), [&] { ++fired; });
   EXPECT_FALSE(sim.cancel(a));  // recycled slot, bumped generation
   EXPECT_TRUE(sim.cancel(b));
   EXPECT_EQ(fired, 0);
+}
+
+TEST(SimulatorArena, CancelFreesSlotAtOnce) {
+  // cancel() frees the slot before it returns, long before the cancelled
+  // event's time, so the very next schedule reuses the slot under a new
+  // generation and the old id stays dead.
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_after(Duration::millis(1), [&] { ++fired; });
+  const EventId a = sim.schedule_after(Duration::millis(5), [&] { ++fired; });
+  sim.schedule_after(Duration::millis(9), [&] { ++fired; });
+  EXPECT_TRUE(sim.cancel(a));
+  EXPECT_EQ(sim.pending(), 2u);
+  const EventId b = sim.schedule_after(Duration::millis(3), [&] { ++fired; });
+  EXPECT_EQ(b & 0xFFFFFFFFu, a & 0xFFFFFFFFu);  // same slot
+  EXPECT_NE(b >> 32, a >> 32);                  // new generation
+  EXPECT_FALSE(sim.cancel(a));
+  EXPECT_EQ(sim.pending(), 3u);
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(fired, 3);
 }
 
 TEST(SimulatorArena, GrowthAcrossChunksPreservesFifoOrder) {
@@ -343,7 +356,7 @@ TEST(SimulatorArena, CancelDestroysHandlerCapturesEagerly) {
   EXPECT_EQ(token.use_count(), 3);
   EXPECT_TRUE(sim.cancel(id));
   // The cancelled handler's capture must be released at cancel, not when
-  // the heap node eventually drains.
+  // the cancelled event's time comes.
   EXPECT_EQ(token.use_count(), 2);
   sim.run();
   EXPECT_EQ(token.use_count(), 1);
@@ -364,9 +377,11 @@ TEST(SimulatorArena, MoveOnlyCapturesAreSchedulable) {
 
 /// Verbatim behavioural copy of the hash-set + priority_queue kernel this
 /// kernel replaced. It is the executable specification for the randomized
-/// equivalence test below: same FIFO tie-break, same lazy cancellation
-/// semantics, and byte-identical trace emission (trace "seq" is the
-/// schedule counter, which the reference also uses as its EventId).
+/// equivalence test below: same FIFO tie-break, same cancel results, and
+/// byte-identical trace emission (trace "seq" is the schedule counter,
+/// which the reference also uses as its EventId). It drops cancelled
+/// entries lazily where the arena kernel removes them at once; no caller
+/// can tell the two apart except by the opaque id values.
 class ReferenceSimulator {
  public:
   using Handler = std::function<void()>;
@@ -464,60 +479,108 @@ class ReferenceSimulator {
   obs::TraceSink* trace_ = nullptr;
 };
 
+/// One kernel driven through the randomized history, with what its
+/// handlers did. The arena kernel and the reference each get one. A handler
+/// acts only through its own Driven and draws its choices from a stream of
+/// its label, so both kernels see the same schedule/cancel/fire history as
+/// long as they fire events in the same order.
+template <class Kernel, class Id>
+struct Driven {
+  explicit Driven(std::uint64_t s) : seed(s) { kernel.set_trace_sink(&trace); }
+  Driven(const Driven&) = delete;  // handlers hold `this`
+  Driven& operator=(const Driven&) = delete;
+
+  /// Schedules the event with the next label.
+  void schedule(Duration d) {
+    const std::uint64_t lbl = ids.size();
+    ids.push_back(kernel.schedule_after(d, [this, lbl] { fire(lbl); }));
+  }
+
+  void fire(std::uint64_t lbl) {
+    fired.push_back(lbl);
+    // A firing event is no longer pending: its own id cannot cancel it.
+    EXPECT_FALSE(kernel.cancel(ids[lbl])) << "label " << lbl;
+    Rng r = Rng::stream(seed, lbl);
+    if (!burst_done) {
+      // The first event to fire schedules more events than one 512-slot
+      // chunk holds while the arena has at most one chunk, so the arena
+      // grows while this handler runs from its slot.
+      burst_done = true;
+      EXPECT_LE(ids.size(), 512u);
+      for (int i = 0; i < 600; ++i)
+        schedule(Duration::micros(r.uniform_int(0, 300)));
+      return;
+    }
+    if (r.uniform(0.0, 1.0) < 0.3) schedule(Duration::zero());
+    if (r.uniform(0.0, 1.0) < 0.3)
+      schedule(Duration::micros(r.uniform_int(1, 300)));
+    if (r.uniform(0.0, 1.0) < 0.4) {
+      // A sibling among the latest labels, often still pending.
+      const std::int64_t newest = static_cast<std::int64_t>(ids.size()) - 1;
+      const auto k = static_cast<std::size_t>(
+          r.uniform_int(std::max<std::int64_t>(0, newest - 15), newest));
+      handler_cancels.push_back(kernel.cancel(ids[k]));
+    }
+  }
+
+  Kernel kernel;
+  obs::JsonlTraceWriter trace;
+  std::uint64_t seed;
+  std::vector<Id> ids;                // by label, fired and cancelled too
+  std::vector<std::uint64_t> fired;   // labels, in fire order
+  std::vector<bool> handler_cancels;  // what the handlers' cancels returned
+  bool burst_done = false;
+};
+
 TEST(SimulatorRandomized, MatchesReferenceKernelAndTraceBytes) {
   for (const std::uint64_t seed : {1ULL, 42ULL, 20260805ULL}) {
-    Simulator sim;
-    ReferenceSimulator ref;
-    obs::JsonlTraceWriter sim_trace;
-    obs::JsonlTraceWriter ref_trace;
-    sim.set_trace_sink(&sim_trace);
-    ref.set_trace_sink(&ref_trace);
+    Driven<Simulator, EventId> sim(seed);
+    Driven<ReferenceSimulator, std::uint64_t> ref(seed);
 
     Rng rng(seed);
-    // Every scheduled event, as (arena id, reference id, schedule index).
-    // Ids stay in this list after firing, so cancels regularly target
+    // Ids stay in the log after firing, so cancels regularly target
     // already-fired and slot-recycled ids — the stale-id surface.
-    std::vector<std::pair<EventId, std::uint64_t>> all;
-    std::vector<std::uint64_t> fired_sim;
-    std::vector<std::uint64_t> fired_ref;
-    std::uint64_t label = 0;
-
     for (int op = 0; op < 3000; ++op) {
+      ASSERT_EQ(sim.ids.size(), ref.ids.size());
       const double r = rng.uniform(0.0, 1.0);
       if (r < 0.55) {
         const Duration d = Duration::micros(rng.uniform_int(0, 300));
-        const std::uint64_t lbl = label++;
-        all.emplace_back(
-            sim.schedule_after(d, [&fired_sim, lbl] {
-              fired_sim.push_back(lbl);
-            }),
-            ref.schedule_after(d, [&fired_ref, lbl] {
-              fired_ref.push_back(lbl);
-            }));
-      } else if (r < 0.80 && !all.empty()) {
-        const auto k = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(all.size()) - 1));
-        ASSERT_EQ(sim.cancel(all[k].first), ref.cancel(all[k].second));
+        sim.schedule(d);
+        ref.schedule(d);
+      } else if (r < 0.80 && !sim.ids.empty()) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(sim.ids.size()) - 1));
+        ASSERT_EQ(sim.kernel.cancel(sim.ids[k]), ref.kernel.cancel(ref.ids[k]));
       } else if (r < 0.95) {
-        const TimePoint h = sim.now() + Duration::micros(rng.uniform_int(0, 250));
-        ASSERT_EQ(sim.run_until(h), ref.run_until(h));
-        ASSERT_EQ(sim.now(), ref.now());
+        const TimePoint h =
+            sim.kernel.now() + Duration::micros(rng.uniform_int(0, 250));
+        ASSERT_EQ(sim.kernel.run_until(h), ref.kernel.run_until(h));
+        ASSERT_EQ(sim.kernel.now(), ref.kernel.now());
       } else {
-        ASSERT_EQ(sim.pending(), ref.pending());
+        ASSERT_EQ(sim.kernel.pending(), ref.kernel.pending());
         // Reference ids are schedule-ordered, so mapping the arena ids
-        // through the schedule log must reproduce them exactly.
-        const std::vector<EventId> got = sim.pending_event_ids();
+        // through the label log must reproduce them exactly.
+        std::map<EventId, std::size_t> label_of;
+        for (std::size_t l = 0; l < sim.ids.size(); ++l)
+          label_of.emplace(sim.ids[l], l);
+        ASSERT_EQ(label_of.size(), sim.ids.size());  // ids are never reused
         std::vector<std::uint64_t> mapped;
-        mapped.reserve(got.size());
-        for (const EventId id : got)
-          for (const auto& [sim_id, ref_id] : all)
-            if (sim_id == id) mapped.push_back(ref_id);
-        ASSERT_EQ(mapped, ref.pending_event_ids());
+        for (const EventId id : sim.kernel.pending_event_ids())
+          mapped.push_back(ref.ids[label_of.at(id)]);
+        ASSERT_EQ(mapped, ref.kernel.pending_event_ids());
       }
     }
-    ASSERT_EQ(sim.run(), ref.run());
-    ASSERT_EQ(fired_sim, fired_ref);
-    ASSERT_EQ(sim_trace.str(), ref_trace.str());
+    ASSERT_EQ(sim.kernel.run(), ref.kernel.run());
+    ASSERT_EQ(sim.fired, ref.fired);
+    ASSERT_EQ(sim.handler_cancels, ref.handler_cancels);
+    ASSERT_EQ(sim.trace.str(), ref.trace.str());
+    // The handlers did act: the burst ran, and their sibling cancels both
+    // hit pending events and missed fired or cancelled ones.
+    EXPECT_TRUE(sim.burst_done);
+    const auto hits = std::count(sim.handler_cancels.begin(),
+                                 sim.handler_cancels.end(), true);
+    EXPECT_GT(hits, 0);
+    EXPECT_LT(hits, static_cast<std::ptrdiff_t>(sim.handler_cancels.size()));
   }
 }
 

@@ -134,7 +134,8 @@ gate_micro() {
   done
 }
 gate_micro bench_micro_sim BENCH_micro_sim.json \
-  "BM_ScheduleFireCancel/1024" "BM_ScheduleFireCancel/8192"
+  "BM_ScheduleFireCancel/1024" "BM_ScheduleFireCancel/8192" \
+  "BM_CancelReschedule/32768"
 gate_micro bench_micro_fabric BENCH_micro_fabric.json \
   "BM_AdmitExpireChurn/1024" "BM_AdmitExpireChurn/8192"
 
