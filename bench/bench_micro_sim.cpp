@@ -4,7 +4,8 @@
 // timer-heavy simulations (keep-alive expiries, batch flushes, retries).
 // BM_ScheduleFireCancel and BM_CancelReschedule/32768 are the loops
 // tools/ci.sh gates against the checked-in BENCH_micro_sim.json baseline
-// (>10% regression fails).
+// (>10% regression fails). BM_ServeShapedMix is ungated: it times the
+// serve path's sparse, far-future event shape.
 //
 // Unlike the other microbenches this binary carries its own main: when
 // NTCO_BENCH_OUT names a directory it mirrors every result into
@@ -13,11 +14,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "ntco/common/rng.hpp"
 #include "ntco/obs/trace.hpp"
 #include "ntco/sim/simulator.hpp"
 
@@ -93,8 +96,8 @@ BENCHMARK(BM_ScheduleFireCancel)->Arg(1024)->Arg(8192);
 // cancelled and re-armed (the reset-the-timeout pattern of keep-alive and
 // retry timers), then drained. Cancel cost dominates; items counts
 // cancel+reschedule pairs. At 32768 rounds a kernel that cancelled lazily
-// would carry 128 dead heap nodes per live timer, so the gated /32768 row
-// is the one that shows whether cancel really removes the timer.
+// would carry 128 dead queue entries per live timer, so the gated /32768
+// row is the one that shows whether cancel really removes the timer.
 void BM_CancelReschedule(benchmark::State& state) {
   constexpr std::uint64_t kTimers = 256;
   const auto rounds = static_cast<std::uint64_t>(state.range(0));
@@ -148,6 +151,49 @@ void BM_FireChain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_FireChain)->Arg(8192);
+
+// The serve path's shape, which the dense loops above lack: a day of
+// arrivals scheduled up front, each followed by a completion 0.1–5 s
+// later, and a warm-pool keep-alive that each completion cancels and
+// re-arms for 10 minutes, so most timers die long before they are due.
+// Times are drawn once, outside the timed loop. Items count arrivals.
+void BM_ServeShapedMix(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::int64_t> arrival_us(n);
+  std::vector<std::int64_t> service_us(n);
+  Rng rng(1);
+  for (std::size_t i = 0; i < n; ++i) {
+    arrival_us[i] = rng.uniform_int(0, Duration::hours(24).count_micros());
+    service_us[i] = rng.uniform_int(100'000, 5'000'000);
+  }
+  std::sort(arrival_us.begin(), arrival_us.end());
+  struct Pool {
+    sim::Simulator& sim;
+    const std::vector<std::int64_t>& service_us;
+    sim::EventId keep_alive = sim::kNoEvent;
+    std::uint64_t expiries = 0;
+    void arrive(std::size_t i) {
+      sim.schedule_after(Duration::micros(service_us[i]),
+                         [this] { complete(); });
+    }
+    void complete() {
+      sim.cancel(keep_alive);
+      keep_alive =
+          sim.schedule_after(Duration::minutes(10), [this] { ++expiries; });
+    }
+  };
+  for (auto _ : state) {
+    sim::Simulator sim;
+    Pool pool{sim, service_us};
+    for (std::size_t i = 0; i < n; ++i)
+      sim.schedule_at(TimePoint::at(Duration::micros(arrival_us[i])),
+                      [&pool, i] { pool.arrive(i); });
+    sim.run();
+    benchmark::DoNotOptimize(pool.expiries);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_ServeShapedMix)->Arg(4096);
 
 // ---------------------------------------------------------------------------
 // Reporting: forward everything to the console reporter and, when

@@ -33,7 +33,7 @@
 /// and each owner resets its own fields (the broker clears its record on
 /// release; the controller keeps a vector's capacity for the next run).
 /// sim::Simulator keeps its own arena: its slot layout is specialised for
-/// the event heap.
+/// the event queue.
 
 namespace ntco {
 

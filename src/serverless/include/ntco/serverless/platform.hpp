@@ -269,15 +269,18 @@ class Platform {
   [[nodiscard]] const PlatformConfig& config() const { return cfg_; }
 
  private:
+  /// An idle on-demand instance, warm until its keep-alive expires.
   struct IdleInstance {
     std::uint64_t instance_id;
-    sim::EventId expiry_event;  ///< sim::kNoEvent for provisioned (none)
-    bool provisioned;
+    sim::EventId expiry_event;
   };
 
   struct Function {
     FunctionSpec spec;
-    std::vector<IdleInstance> idle;  ///< LIFO warm pool
+    std::vector<IdleInstance> idle;  ///< LIFO on-demand warm pool
+    /// Idle provisioned instances: identical and never expiring, so a
+    /// count stands for them.
+    std::size_t provisioned_idle = 0;
     std::size_t provisioned_target = 0;
     std::size_t provisioned_total = 0;  ///< provisioned instances in existence
     std::uint32_t version = 0;  ///< bumped by redeploy()

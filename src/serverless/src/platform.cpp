@@ -37,7 +37,7 @@ FunctionId Platform::deploy(FunctionSpec spec) {
   if (spec.parallel_fraction < 0.0 || spec.parallel_fraction > 1.0)
     throw ConfigError("function '" + spec.name +
                       "' parallel_fraction outside [0, 1]");
-  fns_.push_back(Function{std::move(spec), {}, 0, 0, 0});
+  fns_.push_back(Function{std::move(spec), {}, 0, 0, 0, 0});
   return static_cast<FunctionId>(fns_.size() - 1);
 }
 
@@ -49,9 +49,9 @@ void Platform::redeploy(FunctionId id, FunctionSpec spec) {
   accrue_provisioned();
   Function& fn = fns_[id];
   // Invalidate every warm instance: next on-demand invocation is cold.
-  for (const auto& inst : fn.idle)
-    if (!inst.provisioned) sim_.cancel(inst.expiry_event);
+  for (const auto& inst : fn.idle) sim_.cancel(inst.expiry_event);
   fn.idle.clear();
+  fn.provisioned_idle = 0;
   // Busy instances run the old version: they are torn down as they finish
   // (see complete()), so none of them counts as provisioned any more.
   fn.provisioned_total = 0;
@@ -69,23 +69,17 @@ void Platform::set_provisioned_concurrency(FunctionId id, std::size_t n) {
   accrue_provisioned();
   Function& fn = fns_[id];
   fn.provisioned_target = n;
-  // Grow: create idle provisioned instances.
-  while (fn.provisioned_total < n) {
-    fn.idle.push_back(IdleInstance{next_instance_++, sim::kNoEvent, true});
-    ++fn.provisioned_total;
-  }
-  // Shrink: retire idle provisioned instances now; busy ones retire on
-  // completion (see finish_instance()).
-  if (fn.provisioned_total > n) {
-    auto it = fn.idle.begin();
-    while (it != fn.idle.end() && fn.provisioned_total > n) {
-      if (it->provisioned) {
-        it = fn.idle.erase(it);
-        --fn.provisioned_total;
-      } else {
-        ++it;
-      }
-    }
+  if (fn.provisioned_total < n) {
+    // Grow: create idle provisioned instances.
+    fn.provisioned_idle += n - fn.provisioned_total;
+    fn.provisioned_total = n;
+  } else {
+    // Shrink: retire idle provisioned instances now; busy ones retire on
+    // completion (see finish_instance()).
+    const std::size_t retired =
+        std::min(fn.provisioned_idle, fn.provisioned_total - n);
+    fn.provisioned_idle -= retired;
+    fn.provisioned_total -= retired;
   }
 }
 
@@ -254,15 +248,16 @@ void Platform::begin(InvocationId id) {
   bool cold = false;
   Duration init;
 
-  if (!fn.idle.empty()) {
+  if (fn.provisioned_idle > 0 || !fn.idle.empty()) {
     // Prefer a provisioned instance; otherwise reuse most-recently-used
     // (LIFO), which maximises the chance older instances expire.
-    auto it = std::find_if(fn.idle.rbegin(), fn.idle.rend(),
-                           [](const IdleInstance& i) { return i.provisioned; });
-    if (it == fn.idle.rend()) it = fn.idle.rbegin();
-    provisioned = it->provisioned;
-    if (!provisioned) sim_.cancel(it->expiry_event);
-    fn.idle.erase(std::next(it).base());
+    provisioned = fn.provisioned_idle > 0;
+    if (provisioned) {
+      --fn.provisioned_idle;
+    } else {
+      sim_.cancel(fn.idle.back().expiry_event);
+      fn.idle.pop_back();
+    }
     if (m_.warm_reuses) m_.warm_reuses->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "faas.warm_reuse",
@@ -437,11 +432,10 @@ std::optional<InFlightStatus> Platform::in_flight(InvocationId id) const {
 void Platform::finish_instance(FunctionId fn_id, bool provisioned) {
   Function& fn = fns_[fn_id];
   if (provisioned) {
-    if (fn.provisioned_total > fn.provisioned_target) {
+    if (fn.provisioned_total > fn.provisioned_target)
       --fn.provisioned_total;  // retire excess provisioned capacity
-    } else {
-      fn.idle.push_back(IdleInstance{next_instance_++, sim::kNoEvent, true});
-    }
+    else
+      ++fn.provisioned_idle;
     return;
   }
   // On-demand instance stays warm for the keep-alive window.
@@ -455,7 +449,7 @@ void Platform::finish_instance(FunctionId fn_id, bool provisioned) {
                                      });
         if (it != idle.end()) idle.erase(it);
       });
-  fn.idle.push_back(IdleInstance{instance_id, expiry, false});
+  fn.idle.push_back(IdleInstance{instance_id, expiry});
 }
 
 void Platform::accrue_provisioned() const {
@@ -479,7 +473,7 @@ double Platform::provisioned_gb() const {
 
 std::size_t Platform::warm_count(FunctionId id) const {
   NTCO_EXPECTS(id < fns_.size());
-  return fns_[id].idle.size();
+  return fns_[id].idle.size() + fns_[id].provisioned_idle;
 }
 
 PlatformStats Platform::stats() const {

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -29,22 +31,30 @@
 ///    a parallel 4-byte meta word ((generation << 2) | state, states
 ///    free / pending / firing), so cancel() checks an id with one load
 ///    instead of touching a 64-byte slot.
-///  - The ready queue is an implicit 4-ary min-heap of 16-byte
-///    (time, seq-low, slot) nodes ordered by (time, seq), holding exactly
-///    the pending events. A parallel 4-byte word per slot records where
-///    its node sits in the heap; every sift keeps it current.
+///  - The ready queue is a monotone radix bucket queue keyed on the event
+///    time in microseconds (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990).
+///    Simulated time never moves backwards, so every pending time is at
+///    or above a base, the time of the last refill. Bucket (level L,
+///    6-bit digit d) holds the events whose time agrees with the base
+///    above digit L and has digit d there: 11 levels x 64 digits cover
+///    every non-negative 64-bit time, and a level-0 bucket holds exactly
+///    one time. One occupancy mask per level plus a level mask find the
+///    lowest non-empty bucket, which holds the earliest events. Each
+///    bucket is an intrusive doubly linked list through a parallel
+///    16-byte per-slot link (time, next, prev), appended in schedule
+///    order, so list order is the FIFO tie-break and no seq is compared.
 ///
 /// An EventId packs (generation << 32) | slot, so cancel() finds its event
 /// in O(1), no hash sets, and a stale id from a recycled slot is rejected
-/// by its generation mismatch. Cancellation is eager: cancel() takes the
-/// node out of the heap in O(log n), destroys the handler and frees the
-/// slot at once, so a cancelled timer costs nothing afterwards. An event
-/// fires in place: its node is popped, its slot is marked firing (a
-/// cancel() of its own id returns false), the handler runs from the arena
-/// slot, and the slot is released when the handler returns or throws.
-/// Handlers are InlineHandler, a 48-byte small-buffer callable; a larger
-/// capture set does not compile, so scheduling never touches the
-/// allocator once the arena and the heap have grown.
+/// by its generation mismatch. Cancellation is eager: cancel() unlinks the
+/// event from its bucket in O(1), destroys the handler and frees the slot
+/// at once, so a cancelled timer costs nothing afterwards. An event fires
+/// in place: it is unlinked from its level-0 bucket, its slot is marked
+/// firing (a cancel() of its own id returns false), the handler runs from
+/// the arena slot, and the slot is released when the handler returns or
+/// throws. Handlers are InlineHandler, a 48-byte small-buffer callable; a
+/// larger capture set does not compile, so scheduling never touches the
+/// allocator once the arena has grown.
 ///
 /// Observability: attach an obs::TraceSink to log every event lifecycle
 /// transition ("sim.event.scheduled" / "sim.event.fired" /
@@ -104,9 +114,10 @@ class Simulator : public obs::TraceClock {
     s.seq = seq;
     s.fn = std::move(fn);
     meta_[slot] |= kPending;  // state was Free (0); generation unchanged
-    const HeapNode node{t, static_cast<std::uint32_t>(seq), slot};
-    heap_.push_back(node);
-    sift_up(heap_.size() - 1, node);
+    const std::uint64_t key = key_of(t);
+    links_[slot].time = key;
+    append(bucket_of(key), slot);
+    ++pending_;
     if (trace_)
       obs::emit(trace_, now_, "sim.event.scheduled", {{"seq", seq}, {"at", t}});
     return make_id(slot, meta_[slot] >> kStateBits);
@@ -118,7 +129,7 @@ class Simulator : public obs::TraceClock {
     return schedule_at(now_ + d, std::move(fn));
   }
 
-  /// Cancels a pending event: its heap node is removed in O(log n), its
+  /// Cancels a pending event: it is unlinked from its bucket in O(1), its
   /// handler (and the captures) destroyed and its slot freed, all before
   /// cancel() returns. Returns false if the event already fired, is firing
   /// now (a handler cancelling its own id), was already cancelled, or
@@ -130,7 +141,8 @@ class Simulator : public obs::TraceClock {
     const std::uint32_t m = meta_[slot];
     if ((m & kStateMask) != kPending || (m >> kStateBits) != generation_of(id))
       return false;
-    heap_erase(heap_pos_[slot]);
+    unlink(bucket_of(links_[slot].time), slot);
+    --pending_;
     const std::uint64_t seq = slot_ref(slot).seq;
     release_slot(slot);
     if (trace_) obs::emit(trace_, now_, "sim.event.cancelled", {{"seq", seq}});
@@ -138,17 +150,18 @@ class Simulator : public obs::TraceClock {
   }
 
   /// Number of events still pending (neither fired nor cancelled).
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
 
-  /// Ids of all pending events, in scheduling order: the heap's nodes
+  /// Ids of all pending events, in scheduling order: the pending slots
   /// sorted by each event's schedule sequence number, so the output order
   /// matches the old sequential-id kernel exactly.
   [[nodiscard]] std::vector<EventId> pending_event_ids() const {
     std::vector<std::pair<std::uint64_t, EventId>> by_seq;
-    by_seq.reserve(heap_.size());
-    for (const HeapNode& node : heap_)
-      by_seq.emplace_back(slot_ref(node.slot).seq,
-                          make_id(node.slot, meta_[node.slot] >> kStateBits));
+    by_seq.reserve(pending_);
+    for (std::uint32_t slot = 0; slot < slot_count_; ++slot)
+      if ((meta_[slot] & kStateMask) == kPending)
+        by_seq.emplace_back(slot_ref(slot).seq,
+                            make_id(slot, meta_[slot] >> kStateBits));
     std::sort(by_seq.begin(), by_seq.end());
     std::vector<EventId> ids;
     ids.reserve(by_seq.size());
@@ -158,8 +171,8 @@ class Simulator : public obs::TraceClock {
 
   /// Fires the earliest pending event. Returns false if none remain.
   bool step() {
-    if (heap_.empty()) return false;
-    fire_top();
+    if (pending_ == 0) return false;
+    fire_next();
     return true;
   }
 
@@ -171,11 +184,15 @@ class Simulator : public obs::TraceClock {
   }
 
   /// Fires every event with time <= `horizon`, then advances the clock to
-  /// `horizon`. Returns the number of events fired.
+  /// `horizon`. Returns the number of events fired. The next event's time
+  /// is read without moving the queue's base: raising the base to an
+  /// event past the horizon would strand a later schedule_at() in
+  /// [horizon, that event) below it.
   std::size_t run_until(TimePoint horizon) {
     NTCO_EXPECTS(horizon >= now_);
+    const std::uint64_t h = key_of(horizon);
     std::size_t n = 0;
-    for (; !heap_.empty() && heap_[0].time <= horizon; ++n) fire_top();
+    for (; pending_ > 0 && min_key(lowest_bucket()) <= h; ++n) fire_next();
     now_ = horizon;
     return n;
   }
@@ -183,9 +200,9 @@ class Simulator : public obs::TraceClock {
  private:
   /// Arena slot: exactly one cache line (48-byte handler buffer + vtable
   /// pointer + seq). `seq` is the global schedule counter value at
-  /// schedule time — the FIFO tie-break and the value traces report —
-  /// and doubles as the next-free link while the slot sits on the free
-  /// list (a free slot has no seq).
+  /// schedule time — the value traces report and the order
+  /// pending_event_ids() returns — and doubles as the next-free link
+  /// while the slot sits on the free list (a free slot has no seq).
   struct alignas(64) Slot {
     Handler fn;
     std::uint64_t seq = 0;
@@ -194,13 +211,23 @@ class Simulator : public obs::TraceClock {
                 "Slot is sized and aligned to one cache line; if the "
                 "InlineHandler capacity changes, revisit this layout");
 
-  /// Ready-queue node (16 bytes). Carries the time and the low 32 bits of
-  /// the schedule seq, so ordering never touches the arena; `slot`
-  /// locates the handler on pop.
-  struct HeapNode {
-    TimePoint time;
-    std::uint32_t seq_lo;
-    std::uint32_t slot;
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// A pending slot's place in the queue (16 bytes, parallel to the
+  /// arena): its event time in microseconds and its neighbours in its
+  /// bucket's list (kNoSlot at either end). Meaningless once the slot
+  /// leaves the pending state.
+  struct Link {
+    std::uint64_t time = 0;
+    std::uint32_t next = kNoSlot;
+    std::uint32_t prev = kNoSlot;
+  };
+
+  /// Ends of one bucket's list; read only while the bucket's occupancy
+  /// bit is set.
+  struct Bucket {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
   };
 
   /// Frees a firing slot when its handler returns or throws.
@@ -223,15 +250,14 @@ class Simulator : public obs::TraceClock {
   // wrapping after 2^30 reuses of one slot, far beyond any simulated
   // workload. Packing state into the same word keeps the cancel check
   // (bounds check + state check + generation check) to a single 4-byte
-  // load. A pending slot has a heap node; a firing one is running its
-  // handler and has none.
+  // load. A pending slot is linked into a bucket; a firing one is running
+  // its handler and is in none.
   static constexpr std::uint32_t kFree = 0;
   static constexpr std::uint32_t kPending = 1;
   static constexpr std::uint32_t kFiring = 2;
   static constexpr std::uint32_t kStateBits = 2;
   static constexpr std::uint32_t kStateMask = (1u << kStateBits) - 1;
 
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   // Chunked arena: 512 slots per chunk. Growth allocates one chunk and
   // never relocates existing slots, so live handlers are move-free for
   // the arena's whole lifetime (a vector-of-Slot would move every live
@@ -241,11 +267,18 @@ class Simulator : public obs::TraceClock {
   static constexpr std::uint32_t kChunkShift = 9;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
+  // Radix queue geometry: 6-bit digits, so one 64-bit occupancy mask
+  // covers a level, and 11 levels cover every non-negative 64-bit time.
+  static constexpr std::uint32_t kDigitBits = 6;
+  static constexpr std::uint32_t kDigits = 1u << kDigitBits;
+  static constexpr std::uint32_t kLevels = 11;
+  static_assert(kLevels * kDigitBits >= 64 && kLevels <= 32,
+                "every time needs a level, and the level mask is 32 bits");
+
   static_assert(std::is_unsigned_v<EventId>,
                 "EventId must be an unsigned integer: it packs "
-                "(generation << 32) | slot, pending_event_ids() sorts "
-                "extracted ids, and the (time, seq) event ordering relies "
-                "on well-defined unsigned comparison");
+                "(generation << 32) | slot, and pending_event_ids() sorts "
+                "extracted ids");
 
   static EventId make_id(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(generation) << 32) | slot;
@@ -257,13 +290,10 @@ class Simulator : public obs::TraceClock {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
-  /// Heap order: (time, seq). Nodes carry only the low 32 bits of seq, so
-  /// the tie-break is the wraparound-aware sequence comparison (RFC 1982
-  /// style): exact as long as fewer than 2^31 events share one timestamp,
-  /// which memory rules out long before it could happen.
-  static bool earlier(const HeapNode& a, const HeapNode& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return static_cast<std::int32_t>(a.seq_lo - b.seq_lo) < 0;
+  /// Queue key of a time: its microseconds since the origin. Every time
+  /// the queue sees is >= now() >= the origin, so the cast is exact.
+  static std::uint64_t key_of(TimePoint t) {
+    return static_cast<std::uint64_t>(t.since_origin().count_micros());
   }
 
   [[nodiscard]] Slot& slot_ref(std::uint32_t slot) {
@@ -283,7 +313,7 @@ class Simulator : public obs::TraceClock {
     if ((slot_count_ & (kChunkSize - 1)) == 0)
       chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
     meta_.push_back(kFree);
-    heap_pos_.push_back(0);
+    links_.emplace_back();
     return slot_count_++;
   }
 
@@ -295,80 +325,137 @@ class Simulator : public obs::TraceClock {
     free_head_ = slot;
   }
 
-  /// Pops the earliest event and runs its handler from its arena slot,
-  /// which stays firing, so neither reusable nor cancellable, until the
-  /// handler is done. The handler may schedule and cancel freely: slots
-  /// never move, and the heap no longer holds this event.
-  void fire_top() {
-    const HeapNode top = heap_[0];
-    heap_erase(0);
-    now_ = top.time;
-    meta_[top.slot] = (meta_[top.slot] & ~kStateMask) | kFiring;
-    const ReleaseOnExit release{*this, top.slot};
-    Slot& s = slot_ref(top.slot);
+  /// Bucket index (level * 64 + digit) of time `key` against the base:
+  /// the level is the highest digit at which they differ (0 when they
+  /// agree above digit 0), the digit is `key`'s digit there. Every
+  /// pending event sits in bucket_of(its time), so no slot stores it.
+  /// A time in the base's level-0 window skips the width computation: a
+  /// handler's near successor is then on the queue a few cycles sooner,
+  /// which is what a schedule-then-fire chain waits on.
+  [[nodiscard]] std::uint32_t bucket_of(std::uint64_t key) const {
+    if ((key ^ base_) < kDigits)
+      return static_cast<std::uint32_t>(key & (kDigits - 1));
+    const auto level =
+        static_cast<std::uint32_t>(std::bit_width((key ^ base_) | 1u) - 1) /
+        kDigitBits;
+    return level * kDigits +
+           static_cast<std::uint32_t>((key >> (level * kDigitBits)) &
+                                      (kDigits - 1));
+  }
+
+  /// Appends `slot` to bucket `b`'s list, so list order is schedule order.
+  void append(std::uint32_t b, std::uint32_t slot) {
+    const std::uint32_t level = b / kDigits;
+    const std::uint64_t bit = std::uint64_t{1} << (b % kDigits);
+    Link& link = links_[slot];
+    link.next = kNoSlot;
+    if ((occupied_[level] & bit) != 0) {
+      Bucket& bucket = buckets_[b];
+      link.prev = bucket.tail;
+      links_[bucket.tail].next = slot;
+      bucket.tail = slot;
+    } else {
+      occupied_[level] |= bit;
+      level_mask_ |= 1u << level;
+      link.prev = kNoSlot;
+      buckets_[b] = Bucket{slot, slot};
+    }
+  }
+
+  /// Takes `slot` out of bucket `b`'s list in O(1).
+  void unlink(std::uint32_t b, std::uint32_t slot) {
+    const Link& link = links_[slot];
+    Bucket& bucket = buckets_[b];
+    if (link.prev == kNoSlot)
+      bucket.head = link.next;
+    else
+      links_[link.prev].next = link.next;
+    if (link.next == kNoSlot)
+      bucket.tail = link.prev;
+    else
+      links_[link.next].prev = link.prev;
+    if (bucket.head == kNoSlot) mark_empty(b);
+  }
+
+  void mark_empty(std::uint32_t b) {
+    const std::uint32_t level = b / kDigits;
+    occupied_[level] &= ~(std::uint64_t{1} << (b % kDigits));
+    if (occupied_[level] == 0) level_mask_ &= ~(1u << level);
+  }
+
+  /// The lowest non-empty bucket, which holds the earliest pending
+  /// events. Pre: pending_ > 0.
+  [[nodiscard]] std::uint32_t lowest_bucket() const {
+    const auto level =
+        static_cast<std::uint32_t>(std::countr_zero(level_mask_));
+    return level * kDigits +
+           static_cast<std::uint32_t>(std::countr_zero(occupied_[level]));
+  }
+
+  /// Earliest time in non-empty bucket `b`: a level-0 bucket holds one
+  /// time; a higher one is scanned.
+  [[nodiscard]] std::uint64_t min_key(std::uint32_t b) const {
+    std::uint32_t s = buckets_[b].head;
+    std::uint64_t key = links_[s].time;
+    if (b >= kDigits)
+      for (s = links_[s].next; s != kNoSlot; s = links_[s].next)
+        key = std::min(key, links_[s].time);
+    return key;
+  }
+
+  /// Raises the base to the earliest pending time and moves the lowest
+  /// non-empty bucket's events, in list order, down into the levels below
+  /// it, which are all empty; the earliest land in a level-0 bucket.
+  /// Every other bucket keeps its events, since they agree with the new
+  /// base wherever they agreed with the old one. Pre: pending_ > 0 and
+  /// level 0 is empty.
+  void refill() {
+    const std::uint32_t b = lowest_bucket();
+    base_ = min_key(b);
+    std::uint32_t s = buckets_[b].head;
+    mark_empty(b);
+    while (s != kNoSlot) {
+      const std::uint32_t next = links_[s].next;
+      append(bucket_of(links_[s].time), s);
+      s = next;
+    }
+  }
+
+  /// Takes the earliest event (refilling level 0 first if it is empty)
+  /// and runs its handler from its arena slot, which stays firing, so
+  /// neither reusable nor cancellable, until the handler is done. The
+  /// handler may schedule and cancel freely: slots never move, and the
+  /// queue no longer holds this event.
+  void fire_next() {
+    if (occupied_[0] == 0) refill();
+    const auto b = static_cast<std::uint32_t>(std::countr_zero(occupied_[0]));
+    const std::uint32_t slot = buckets_[b].head;
+    unlink(b, slot);
+    --pending_;
+    now_ = TimePoint::at(
+        Duration::micros(static_cast<std::int64_t>(links_[slot].time)));
+    meta_[slot] = (meta_[slot] & ~kStateMask) | kFiring;
+    const ReleaseOnExit release{*this, slot};
+    Slot& s = slot_ref(slot);
     if (trace_) obs::emit(trace_, now_, "sim.event.fired", {{"seq", s.seq}});
     s.fn();
   }
 
-  // 4-ary implicit heap: shallower than binary (log4 vs log2 levels), and
-  // the 4-child minimum scan stays within one cache line of HeapNodes —
-  // measurably faster for the sift-down-heavy pop pattern here. Both sifts
-  // shift nodes into the hole and place the moving node once at the end,
-  // instead of swapping at every level (half the data movement). Every
-  // placement records the node's index in heap_pos_, which is what lets
-  // cancel() find a node without searching.
-  void place(std::size_t i, const HeapNode& node) {
-    heap_[i] = node;
-    heap_pos_[node.slot] = static_cast<std::uint32_t>(i);
-  }
-
-  void sift_up(std::size_t i, const HeapNode& node) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!earlier(node, heap_[parent])) break;
-      place(i, heap_[parent]);
-      i = parent;
-    }
-    place(i, node);
-  }
-
-  void sift_down(std::size_t i, const HeapNode& node) {
-    const std::size_t n = heap_.size();
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t last = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < last; ++c)
-        if (earlier(heap_[c], heap_[best])) best = c;
-      if (!earlier(heap_[best], node)) break;
-      place(i, heap_[best]);
-      i = best;
-    }
-    place(i, node);
-  }
-
-  /// Removes the node at index `i`: the last node fills the hole and
-  /// sifts up or down, whichever restores the order there.
-  void heap_erase(std::size_t i) {
-    const HeapNode last = heap_.back();
-    heap_.pop_back();
-    if (i == heap_.size()) return;
-    if (i > 0 && earlier(last, heap_[(i - 1) / 4]))
-      sift_up(i, last);
-    else
-      sift_down(i, last);
-  }
-
   TimePoint now_;
+  /// Queue base: <= now() and <= every pending time; moved only by
+  /// refill(), to the earliest pending time.
+  std::uint64_t base_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::size_t pending_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   std::uint32_t slot_count_ = 0;
+  std::uint32_t level_mask_ = 0;  ///< bit L: a bucket of level L is non-empty
+  std::array<std::uint64_t, kLevels> occupied_{};  ///< bit d of [L]: (L, d)
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> meta_;
-  std::vector<std::uint32_t> heap_pos_;  // per pending slot: its heap index
-  std::vector<HeapNode> heap_;
+  std::vector<Link> links_;  ///< per slot, parallel to the arena
   obs::TraceSink* trace_ = nullptr;
+  std::array<Bucket, kLevels * kDigits> buckets_{};
 };
 
 }  // namespace ntco::sim

@@ -109,7 +109,7 @@ TEST(AllocationCount, SimulatorScheduleFireCancelIsAllocationFree) {
     for (std::size_t i = 0; i < ids.size(); i += 3) sim.cancel(ids[i]);
     sim.run();
   };
-  round();  // grows the arena, the heap, and `ids` once
+  round();  // grows the arena, its queue links, and `ids` once
   std::vector<sim::EventId> ids;
   ids.reserve(1024);
   const std::size_t n = allocations_in([&] {
@@ -194,8 +194,9 @@ TEST(AllocationCount, WarmInvocationAllocatesNothing) {
                       [&done](const serverless::InvocationResult&) { ++done; });
     sim.run_until(sim.now() + Duration::minutes(1));
   };
-  // Cancelled keep-alive events leave the heap ten minutes on, so its size
-  // settles after ten rounds.
+  // Keep-alive timers fire ten minutes after they are armed, so the number
+  // of pending events, and with it the event arena, settles after ten
+  // rounds.
   constexpr std::size_t kWarmup = 16;
   for (std::size_t i = 0; i < kWarmup; ++i) round();
   const std::size_t n = allocations_in([&] {

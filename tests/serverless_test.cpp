@@ -217,6 +217,32 @@ TEST(Platform, ProvisionedConcurrencySkipsColdStart) {
   EXPECT_EQ(p.warm_count(id), 2u);  // provisioned instances return to pool
 }
 
+TEST(Platform, MixedPoolTakesProvisionedFirstAndOnDemandStillExpires) {
+  sim::Simulator s;
+  auto cfg = fast_config();
+  cfg.keep_alive = Duration::seconds(5);
+  Platform p(s, cfg);
+  const auto id = p.deploy(small_fn());
+  // Two on-demand instances: a burst of two cold starts, both done at
+  // 1.3 s, so their keep-alives lapse at 6.3 s.
+  for (int i = 0; i < 2; ++i)
+    p.invoke(id, Cycles::giga(2), [](const InvocationResult&) {});
+  s.run_until(TimePoint::origin() + Duration::seconds(2));
+  p.set_provisioned_concurrency(id, 1);
+  EXPECT_EQ(p.warm_count(id), 3u);
+  bool cold = true;
+  p.invoke(id, Cycles::giga(2),
+           [&](const InvocationResult& r) { cold = r.cold_start; });
+  EXPECT_EQ(p.warm_count(id), 2u);
+  s.run_until(TimePoint::origin() + Duration::millis(6200));
+  EXPECT_FALSE(cold);
+  EXPECT_EQ(p.warm_count(id), 3u);
+  // Had the warm start taken an on-demand instance, its keep-alive would
+  // have been re-armed at 3 s and one on-demand instance would remain.
+  s.run_until(TimePoint::origin() + Duration::millis(6400));
+  EXPECT_EQ(p.warm_count(id), 1u);
+}
+
 TEST(Platform, ProvisionedCapacityAccruesCostWhileIdle) {
   sim::Simulator s;
   auto cfg = fast_config();

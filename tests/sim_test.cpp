@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -92,9 +93,9 @@ TEST(Simulator, PendingExcludesCancelled) {
 }
 
 TEST(Simulator, PendingEventIdsAreSortedAndExcludeCancelledAndFired) {
-  // The ordered view comes from the heap's nodes, which sit in heap order;
-  // it must come out in scheduling order, with cancelled and already-fired
-  // events absent.
+  // The ordered view comes from the pending slots, which sit in arena
+  // order; it must come out in scheduling order, with cancelled and
+  // already-fired events absent.
   Simulator sim;
   std::vector<EventId> ids;
   for (int i = 0; i < 8; ++i)
@@ -479,6 +480,20 @@ class ReferenceSimulator {
   obs::TraceSink* trace_ = nullptr;
 };
 
+/// Draws one delay or run_until step of a randomized history.
+using DelayDraw = Duration (*)(Rng&);
+
+/// 0–300 µs: dense, nearby times, which exercise only the queue's two
+/// lowest digit levels.
+Duration dense_delay(Rng& r) { return Duration::micros(r.uniform_int(0, 300)); }
+
+/// Log-uniform over 0 to 2^42 µs: far-future events wait in high-level
+/// buckets while near ones fire, and refills cascade across many levels.
+Duration multiscale_delay(Rng& r) {
+  return Duration::micros(
+      static_cast<std::int64_t>(std::exp2(r.uniform(0.0, 42.0))) - 1);
+}
+
 /// One kernel driven through the randomized history, with what its
 /// handlers did. The arena kernel and the reference each get one. A handler
 /// acts only through its own Driven and draws its choices from a stream of
@@ -486,18 +501,41 @@ class ReferenceSimulator {
 /// long as they fire events in the same order.
 template <class Kernel, class Id>
 struct Driven {
-  explicit Driven(std::uint64_t s) : seed(s) { kernel.set_trace_sink(&trace); }
+  Driven(std::uint64_t s, DelayDraw d) : seed(s), draw(d) {
+    kernel.set_trace_sink(&trace);
+  }
   Driven(const Driven&) = delete;  // handlers hold `this`
   Driven& operator=(const Driven&) = delete;
 
   /// Schedules the event with the next label.
   void schedule(Duration d) {
     const std::uint64_t lbl = ids.size();
+    if (d >= Duration::micros(std::int64_t{1} << 24)) ++far_delays;
+    at.push_back(kernel.now() + d);
+    ++pending_at[at.back()];
     ids.push_back(kernel.schedule_after(d, [this, lbl] { fire(lbl); }));
+  }
+
+  /// Cancels the event with label `lbl`, counting a hit on an event that
+  /// shares its time with another pending one.
+  bool cancel(std::size_t lbl) {
+    const bool hit = kernel.cancel(ids[lbl]);
+    if (hit) {
+      if (pending_at[at[lbl]] > 1) ++tied_cancels;
+      unpend(at[lbl]);
+    }
+    return hit;
+  }
+
+  /// Earliest pending time. Pre: some event is pending.
+  [[nodiscard]] TimePoint next_pending() const {
+    return pending_at.begin()->first;
   }
 
   void fire(std::uint64_t lbl) {
     fired.push_back(lbl);
+    last_fired_at = kernel.now();
+    unpend(at[lbl]);
     // A firing event is no longer pending: its own id cannot cancel it.
     EXPECT_FALSE(kernel.cancel(ids[lbl])) << "label " << lbl;
     Rng r = Rng::stream(seed, lbl);
@@ -507,81 +545,133 @@ struct Driven {
       // grows while this handler runs from its slot.
       burst_done = true;
       EXPECT_LE(ids.size(), 512u);
-      for (int i = 0; i < 600; ++i)
-        schedule(Duration::micros(r.uniform_int(0, 300)));
+      for (int i = 0; i < 600; ++i) schedule(draw(r));
       return;
     }
     if (r.uniform(0.0, 1.0) < 0.3) schedule(Duration::zero());
-    if (r.uniform(0.0, 1.0) < 0.3)
-      schedule(Duration::micros(r.uniform_int(1, 300)));
+    if (r.uniform(0.0, 1.0) < 0.3) schedule(draw(r));
     if (r.uniform(0.0, 1.0) < 0.4) {
       // A sibling among the latest labels, often still pending.
       const std::int64_t newest = static_cast<std::int64_t>(ids.size()) - 1;
       const auto k = static_cast<std::size_t>(
           r.uniform_int(std::max<std::int64_t>(0, newest - 15), newest));
-      handler_cancels.push_back(kernel.cancel(ids[k]));
+      handler_cancels.push_back(cancel(k));
     }
+  }
+
+  void unpend(TimePoint t) {
+    const auto it = pending_at.find(t);
+    if (--it->second == 0) pending_at.erase(it);
   }
 
   Kernel kernel;
   obs::JsonlTraceWriter trace;
   std::uint64_t seed;
+  DelayDraw draw;
   std::vector<Id> ids;                // by label, fired and cancelled too
+  std::vector<TimePoint> at;          // by label: the time it was due
+  std::map<TimePoint, int> pending_at;  // pending events per time
   std::vector<std::uint64_t> fired;   // labels, in fire order
   std::vector<bool> handler_cancels;  // what the handlers' cancels returned
+  TimePoint last_fired_at;
   bool burst_done = false;
+  int far_delays = 0;    // delays >= 2^24 µs
+  int tied_cancels = 0;  // cancel hits on an event sharing its time
 };
 
-TEST(SimulatorRandomized, MatchesReferenceKernelAndTraceBytes) {
-  for (const std::uint64_t seed : {1ULL, 42ULL, 20260805ULL}) {
-    Driven<Simulator, EventId> sim(seed);
-    Driven<ReferenceSimulator, std::uint64_t> ref(seed);
+/// How often the histories reached cases that dense delays never do.
+struct Coverage {
+  int far_delays = 0;  ///< delays >= 2^24 µs
+  /// run_until horizons strictly between the last fired event and the
+  /// next pending one, followed by a schedule below that next event: the
+  /// case in which a horizon that moved the queue's base would strand the
+  /// new event.
+  int straddled_horizons = 0;
+  int tied_cancels = 0;  ///< cancel hits on an event sharing its time
+};
 
-    Rng rng(seed);
-    // Ids stay in the log after firing, so cancels regularly target
-    // already-fired and slot-recycled ids — the stale-id surface.
-    for (int op = 0; op < 3000; ++op) {
-      ASSERT_EQ(sim.ids.size(), ref.ids.size());
-      const double r = rng.uniform(0.0, 1.0);
-      if (r < 0.55) {
-        const Duration d = Duration::micros(rng.uniform_int(0, 300));
-        sim.schedule(d);
-        ref.schedule(d);
-      } else if (r < 0.80 && !sim.ids.empty()) {
-        const auto k = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(sim.ids.size()) - 1));
-        ASSERT_EQ(sim.kernel.cancel(sim.ids[k]), ref.kernel.cancel(ref.ids[k]));
-      } else if (r < 0.95) {
-        const TimePoint h =
-            sim.kernel.now() + Duration::micros(rng.uniform_int(0, 250));
-        ASSERT_EQ(sim.kernel.run_until(h), ref.kernel.run_until(h));
-        ASSERT_EQ(sim.kernel.now(), ref.kernel.now());
-      } else {
-        ASSERT_EQ(sim.kernel.pending(), ref.kernel.pending());
-        // Reference ids are schedule-ordered, so mapping the arena ids
-        // through the label log must reproduce them exactly.
-        std::map<EventId, std::size_t> label_of;
-        for (std::size_t l = 0; l < sim.ids.size(); ++l)
-          label_of.emplace(sim.ids[l], l);
-        ASSERT_EQ(label_of.size(), sim.ids.size());  // ids are never reused
-        std::vector<std::uint64_t> mapped;
-        for (const EventId id : sim.kernel.pending_event_ids())
-          mapped.push_back(ref.ids[label_of.at(id)]);
-        ASSERT_EQ(mapped, ref.kernel.pending_event_ids());
-      }
+/// Runs one seeded history on the arena kernel and the reference and
+/// requires the same fire order, cancel results, pending ids and trace
+/// bytes.
+void expect_matches_reference(std::uint64_t seed, DelayDraw draw,
+                              Coverage& cov) {
+  Driven<Simulator, EventId> sim(seed, draw);
+  Driven<ReferenceSimulator, std::uint64_t> ref(seed, draw);
+  // The next pending time after a straddled horizon; the origin when the
+  // last run_until did not straddle, since no schedule lands below it.
+  TimePoint next_after_horizon;
+
+  Rng rng(seed);
+  // Ids stay in the log after firing, so cancels regularly target
+  // already-fired and slot-recycled ids — the stale-id surface.
+  for (int op = 0; op < 3000; ++op) {
+    ASSERT_EQ(sim.ids.size(), ref.ids.size());
+    const double r = rng.uniform(0.0, 1.0);
+    if (r < 0.55) {
+      const Duration d = draw(rng);
+      if (sim.kernel.now() + d < next_after_horizon) ++cov.straddled_horizons;
+      next_after_horizon = TimePoint::origin();
+      sim.schedule(d);
+      ref.schedule(d);
+    } else if (r < 0.80 && !sim.ids.empty()) {
+      const auto k = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(sim.ids.size()) - 1));
+      ASSERT_EQ(sim.cancel(k), ref.cancel(k));
+    } else if (r < 0.95) {
+      const TimePoint h = sim.kernel.now() + draw(rng);
+      ASSERT_EQ(sim.kernel.run_until(h), ref.kernel.run_until(h));
+      ASSERT_EQ(sim.kernel.now(), ref.kernel.now());
+      next_after_horizon = TimePoint::origin();
+      if (!sim.pending_at.empty() && sim.last_fired_at < h &&
+          h < sim.next_pending())
+        next_after_horizon = sim.next_pending();
+    } else {
+      ASSERT_EQ(sim.kernel.pending(), ref.kernel.pending());
+      // Reference ids are schedule-ordered, so mapping the arena ids
+      // through the label log must reproduce them exactly.
+      std::map<EventId, std::size_t> label_of;
+      for (std::size_t l = 0; l < sim.ids.size(); ++l)
+        label_of.emplace(sim.ids[l], l);
+      ASSERT_EQ(label_of.size(), sim.ids.size());  // ids are never reused
+      std::vector<std::uint64_t> mapped;
+      for (const EventId id : sim.kernel.pending_event_ids())
+        mapped.push_back(ref.ids[label_of.at(id)]);
+      ASSERT_EQ(mapped, ref.kernel.pending_event_ids());
     }
-    ASSERT_EQ(sim.kernel.run(), ref.kernel.run());
-    ASSERT_EQ(sim.fired, ref.fired);
-    ASSERT_EQ(sim.handler_cancels, ref.handler_cancels);
-    ASSERT_EQ(sim.trace.str(), ref.trace.str());
-    // The handlers did act: the burst ran, and their sibling cancels both
-    // hit pending events and missed fired or cancelled ones.
-    EXPECT_TRUE(sim.burst_done);
-    const auto hits = std::count(sim.handler_cancels.begin(),
-                                 sim.handler_cancels.end(), true);
-    EXPECT_GT(hits, 0);
-    EXPECT_LT(hits, static_cast<std::ptrdiff_t>(sim.handler_cancels.size()));
   }
+  ASSERT_EQ(sim.kernel.run(), ref.kernel.run());
+  ASSERT_EQ(sim.fired, ref.fired);
+  ASSERT_EQ(sim.handler_cancels, ref.handler_cancels);
+  ASSERT_EQ(sim.trace.str(), ref.trace.str());
+  // The handlers did act: the burst ran, and their sibling cancels both
+  // hit pending events and missed fired or cancelled ones.
+  EXPECT_TRUE(sim.burst_done);
+  const auto hits = std::count(sim.handler_cancels.begin(),
+                               sim.handler_cancels.end(), true);
+  EXPECT_GT(hits, 0);
+  EXPECT_LT(hits, static_cast<std::ptrdiff_t>(sim.handler_cancels.size()));
+  cov.far_delays += sim.far_delays;
+  cov.tied_cancels += sim.tied_cancels;
+}
+
+TEST(SimulatorRandomized, MatchesReferenceKernelAndTraceBytes) {
+  Coverage dense;
+  for (const std::uint64_t seed : {1ULL, 42ULL, 20260805ULL}) {
+    SCOPED_TRACE(seed);
+    expect_matches_reference(seed, dense_delay, dense);
+    if (HasFatalFailure()) return;
+  }
+  // Multi-scale delays reach the high digit levels, which dense times
+  // never do. Each case below must have occurred at least once.
+  Coverage multiscale;
+  for (const std::uint64_t seed : {1ULL, 7ULL, 20261017ULL}) {
+    SCOPED_TRACE(seed);
+    expect_matches_reference(seed, multiscale_delay, multiscale);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(multiscale.far_delays, 0);
+  EXPECT_GT(multiscale.straddled_horizons, 0);
+  EXPECT_GT(multiscale.tied_cancels, 0);
 }
 
 }  // namespace

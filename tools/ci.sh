@@ -19,7 +19,10 @@
 #      and bench_f16_diurnal must emit byte-identical stdout and
 #      NTCO_BENCH_OUT artifacts with NTCO_THREADS=1 and NTCO_THREADS=8 (F9
 #      is the one experiment that drives the controller's retry, fallback
-#      and abort paths)
+#      and abort paths); then the sha256 of each bench's t1 output must
+#      equal the one pinned below, so a change that alters an artifact
+#      (an F5 sim.event.* trace, say) alike at both thread counts fails
+#      here until the pin is updated on purpose
 #   6. run the serve-path benchmark's own checks: perfbench/run.py for
 #      diurnal_day, replan_burst and vehicular_churn (seed 1, 2 s, no
 #      trace). Each run checks its per-shard ledgers, the exact plan-call
@@ -74,7 +77,18 @@ echo "== [4/9] unit + integration tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "== [5/9] fleet determinism: F5, F9 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
-for det_bench in bench_f5_scale_users bench_f9_resilience bench_f12_broker bench_f13_fabric_contention bench_f14_continuum bench_f15_vehicular bench_f16_diurnal; do
+# <bench>:<sha256 of its t1 output: the files of its t1 directory, stdout.txt
+# and the NTCO_BENCH_OUT artifacts, concatenated in C-locale name order>
+for pin in \
+    bench_f5_scale_users:61ec72986d64c1f93a070d0d09f348df26c6648790f1c7e359d66b927d236388 \
+    bench_f9_resilience:78c952a2601e64a533e3a627e055b915dd14b7da2fee54140dc7054362068883 \
+    bench_f12_broker:43d49680b1949470d992c6d685a5c5eef6302990f54ab519c91f138b2e7cd025 \
+    bench_f13_fabric_contention:698551a7eb1cc8c594252569cbcab93e84f8888b804ad92d74ba5f9661ab7765 \
+    bench_f14_continuum:69f042c0fa5cf43758cee63215a59d293e27f72a135ebd84cf4a95e1e6462d5b \
+    bench_f15_vehicular:a02600ab251a8c5dba7e12f3589f5126c61fc9ca4b121558fe3d8c499bc1a168 \
+    bench_f16_diurnal:233f491c6e76c083b839d185fd28c1b9ee491c7dc204d7f426e40e330fdfe80f; do
+  det_bench="${pin%%:*}"
+  want="${pin#*:}"
   DET_DIR="$BUILD_DIR/fleet-determinism/$det_bench"
   rm -rf "$DET_DIR"
   mkdir -p "$DET_DIR/t1" "$DET_DIR/t8"
@@ -86,7 +100,12 @@ for det_bench in bench_f5_scale_users bench_f9_resilience bench_f12_broker bench
     echo "FAIL: $det_bench output differs between NTCO_THREADS=1 and 8" >&2
     exit 1
   fi
-  echo "$det_bench: byte-identical across $(ls "$DET_DIR/t1" | wc -l) artifacts"
+  got="$(cd "$DET_DIR/t1" && LC_ALL=C ls | xargs cat | sha256sum | cut -d' ' -f1)"
+  if [ "$got" != "$want" ]; then
+    echo "FAIL: $det_bench t1 output sha256 $got, pinned $want" >&2
+    exit 1
+  fi
+  echo "$det_bench: byte-identical across $(ls "$DET_DIR/t1" | wc -l) artifacts, sha256 pin holds"
 done
 
 echo "== [6/9] serve-path benchmark checks: perfbench, three workloads =="
