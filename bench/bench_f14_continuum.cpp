@@ -23,7 +23,7 @@
 // Scale & determinism: each of the 8 shards owns its Simulator, platforms,
 // paths, and Federation; shards merge in shard order, so stdout and every
 // NTCO_BENCH_OUT artifact are byte-identical at any NTCO_THREADS (gated in
-// tools/ci.sh step 5). Tracing attaches on shard 0 only to bound the
+// tools/ci.sh step 3). Tracing attaches on shard 0 only to bound the
 // artifact.
 
 #include <memory>

@@ -35,7 +35,7 @@
 //
 // Scale: each fleet shard simulates one independent cell for a 15-minute
 // window; shards merge in shard order, so the table and NTCO_BENCH_OUT
-// artifacts are byte-identical at any NTCO_THREADS (ci.sh step-5 gate).
+// artifacts are byte-identical at any NTCO_THREADS (ci.sh step-3 gate).
 // Wall-clock goes to stderr only. Tracing attaches only at the smallest
 // point.
 

@@ -26,7 +26,7 @@
 // same diurnal day (mean ~1.1k arrivals/shard-day); the top point runs
 // 1024 shards — >1 M users through brokers in one run. Shards merge in
 // shard order, so the table and NTCO_BENCH_OUT artifacts are byte-
-// identical at any NTCO_THREADS (ci.sh step-5 gate). Wall-clock goes to
+// identical at any NTCO_THREADS (ci.sh step-3 gate). Wall-clock goes to
 // stderr only. Tracing attaches only up to the kTraceShardsCap point.
 
 #include <chrono>

@@ -283,7 +283,7 @@ class Broker : private BatchDispatcher::Runner {
   Slab<Request> requests_;
   /// Buckets with an exact solve in flight (stage-2 dedup): a burst of
   /// same-bucket misses triggers one solver run, not a storm. std::map
-  /// for deterministic iteration (lint R2).
+  /// for deterministic iteration.
   Resolves resolving_;
   BrokerStats stats_;
   TwoStageStats twostage_;

@@ -46,7 +46,7 @@
 /// like the real world's slow-start disadvantage for newcomers).
 ///
 /// Performance. Per-segment active sets are ordered containers
-/// (std::multiset keyed by committed departure time — lint R2 clean), so
+/// (std::multiset keyed by committed departure time), so
 /// admission costs O(route · log flows). The integrator is amortised: it
 /// steps at most `FabricConfig::max_reshare_steps` committed departures
 /// before holding the then-current share constant for the remainder

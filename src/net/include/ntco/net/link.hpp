@@ -78,13 +78,13 @@ class Link {
 
   /// Emits one record with the link label prepended; call only when
   /// traced().
-  void trace_event(std::string_view name,
+  void trace_event(obs::TraceName name,
                    std::initializer_list<obs::Field> extra) {
     std::vector<obs::Field> fields;
     fields.reserve(extra.size() + 1);
     fields.push_back({"link", std::string_view(label_)});
     fields.insert(fields.end(), extra.begin(), extra.end());
-    const obs::TraceEvent ev{clock_->trace_now(), name, fields.data(),
+    const obs::TraceEvent ev{clock_->trace_now(), name.view(), fields.data(),
                              fields.size()};
     trace_->record(ev);
   }

@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 
+#include "ntco/obs/names.hpp"
 #include "ntco/stats/accumulator.hpp"
 #include "ntco/stats/histogram.hpp"
 
@@ -16,9 +17,10 @@
 /// Components register their instruments once at attach time and cache the
 /// returned references (node-based storage keeps them stable for the
 /// registry's lifetime), so the per-event cost is one pointer check plus an
-/// integer add. Metric names are stable public API, documented in DESIGN.md
-/// ("Observability"); exporters emit them sorted by name so identical-seed
-/// runs dump byte-identical CSV/JSON.
+/// integer add. Metric names are stable public API: each instrument call
+/// takes a `Name` of its kind, which only a name registered in names.hpp as
+/// that kind converts to. Exporters emit them sorted by name so
+/// identical-seed runs dump byte-identical CSV/JSON.
 
 namespace ntco::obs {
 
@@ -47,13 +49,15 @@ class Gauge {
 /// kinds (exports carry a kind column).
 class MetricsRegistry {
  public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  stats::Accumulator& summary(const std::string& name) {
-    return summaries_[name];
+  Counter& counter(CounterName name) {
+    return counters_[std::string(name.view())];
+  }
+  Gauge& gauge(GaugeName name) { return gauges_[std::string(name.view())]; }
+  stats::Accumulator& summary(SummaryName name) {
+    return summaries_[std::string(name.view())];
   }
   /// Bin geometry is fixed by the first caller for a given name.
-  stats::Histogram& histogram(const std::string& name, double lo, double hi,
+  stats::Histogram& histogram(HistogramName name, double lo, double hi,
                               std::size_t bins);
 
   [[nodiscard]] const Counter* find_counter(const std::string& name) const;

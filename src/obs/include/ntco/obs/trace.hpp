@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "ntco/common/units.hpp"
+#include "ntco/obs/names.hpp"
 
 /// \file trace.hpp
 /// Simulator tracing: per-event logs as first-class experiment artifacts.
@@ -13,9 +14,10 @@
 /// Every traced component exposes an attach point taking a `TraceSink*`;
 /// a null sink (the default) costs one pointer compare per potential record
 /// and nothing else — call sites guard field construction behind the null
-/// check. Event names are part of the public API and documented in
-/// DESIGN.md ("Observability"); exporters render them deterministically so
-/// two identical-seed runs produce byte-identical traces.
+/// check. Event names are part of the public API: `emit` takes a
+/// `TraceName`, which only a name registered in names.hpp as a trace
+/// converts to. Exporters render them deterministically so two
+/// identical-seed runs produce byte-identical traces.
 
 namespace ntco::obs {
 
@@ -84,12 +86,12 @@ class TraceSink {
 
 /// Convenience emitter; a no-op on a null sink. Hot paths should still guard
 /// with `if (sink)` so the field array is never materialised when disabled.
-inline void emit(TraceSink* sink, TimePoint t, std::string_view name,
+inline void emit(TraceSink* sink, TimePoint t, TraceName name,
                  std::initializer_list<Field> fields = {}) {
   if (sink == nullptr) return;
   TraceEvent ev;
   ev.time = t;
-  ev.name = name;
+  ev.name = name.view();
   ev.fields = fields.begin();
   ev.field_count = fields.size();
   sink->record(ev);

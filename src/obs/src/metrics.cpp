@@ -33,10 +33,9 @@ struct Row {
 
 }  // namespace
 
-stats::Histogram& MetricsRegistry::histogram(const std::string& name,
-                                             double lo, double hi,
-                                             std::size_t bins) {
-  auto& slot = histograms_[name];
+stats::Histogram& MetricsRegistry::histogram(HistogramName name, double lo,
+                                             double hi, std::size_t bins) {
+  auto& slot = histograms_[std::string(name.view())];
   if (slot == nullptr)
     slot = std::make_unique<stats::Histogram>(lo, hi, bins);
   return *slot;

@@ -207,9 +207,12 @@ TEST(DataplaneEpoch, StreamingReduceMatchesSerialFold) {
         64, obs::MetricsRegistry{},
         [](fleet::ShardContext& ctx) {
           obs::MetricsRegistry shard;
-          shard.counter("fleet.events").add(ctx.rng.next_u64() % 100);
-          shard.summary("fleet.latency").add(ctx.rng.uniform(0.0, 5.0));
-          shard.gauge("fleet.last_shard").set(static_cast<double>(ctx.shard));
+          shard.counter(obs::UnregisteredName("fleet.events"))
+              .add(ctx.rng.next_u64() % 100);
+          shard.summary(obs::UnregisteredName("fleet.latency"))
+              .add(ctx.rng.uniform(0.0, 5.0));
+          shard.gauge(obs::UnregisteredName("fleet.last_shard"))
+              .set(static_cast<double>(ctx.shard));
           return shard;
         },
         [](obs::MetricsRegistry& acc, obs::MetricsRegistry&& shard,

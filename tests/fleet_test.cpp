@@ -86,10 +86,13 @@ TEST(FleetDeterminism, MergedRegistryDumpIsThreadCountInvariant) {
         10, obs::MetricsRegistry{},
         [](ShardContext& ctx) {
           obs::MetricsRegistry shard;
-          shard.counter("fleet.events").add(ctx.rng.next_u64() % 100);
-          shard.summary("fleet.latency").add(ctx.rng.uniform(0.0, 5.0));
-          shard.gauge("fleet.last_shard").set(static_cast<double>(ctx.shard));
-          shard.histogram("fleet.lat_s", 0.0, 5.0, 10)
+          shard.counter(obs::UnregisteredName("fleet.events"))
+              .add(ctx.rng.next_u64() % 100);
+          shard.summary(obs::UnregisteredName("fleet.latency"))
+              .add(ctx.rng.uniform(0.0, 5.0));
+          shard.gauge(obs::UnregisteredName("fleet.last_shard"))
+              .set(static_cast<double>(ctx.shard));
+          shard.histogram(obs::UnregisteredName("fleet.lat_s"), 0.0, 5.0, 10)
               .add(ctx.rng.uniform(0.0, 5.0));
           return shard;
         },

@@ -1,30 +1,110 @@
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "ntco/app/workloads.hpp"
 #include "ntco/broker/broker.hpp"
 #include "ntco/continuum/federation.hpp"
 #include "ntco/edgesim/edge_platform.hpp"
-#include "ntco/lint/lint.hpp"
 #include "ntco/net/path.hpp"
 #include "ntco/obs/metrics.hpp"
+#include "ntco/obs/names.hpp"
 #include "ntco/obs/trace.hpp"
 #include "ntco/serverless/platform.hpp"
 #include "ntco/sim/simulator.hpp"
 
-// Round-trip contract test for the telemetry-name registry: drive real
-// broker and continuum scenarios with live observers and assert that every
-// trace and metric name they emit exists in src/obs/include/ntco/obs/
-// names.hpp with the matching kind. This is the runtime side of lint rule
-// R7 (which checks the same contract statically at call sites): a name can
-// only reach an artifact if the registry documents it.
+// The telemetry-name registry, src/obs/include/ntco/obs/names.hpp. Call
+// sites are checked by the compiler (obs::Name's consteval constructor);
+// this file checks the registry itself: its lookup, that every row is used,
+// that DESIGN.md's tables are its rows rendered, and, at run time, that
+// real broker and continuum scenarios emit only registered names with their
+// registered kinds. NTCO_REPO_ROOT is injected by tests/CMakeLists.txt.
 
 namespace ntco {
 namespace {
+
+static_assert(obs::registered_kind("sim.event.fired") == obs::NameKind::trace);
+static_assert(!obs::registered_kind("sim.event.fried"));
+static_assert(obs::registered_kind("core.runs") == obs::NameKind::counter);
+
+std::string_view kind_name(obs::NameKind kind) {
+  switch (kind) {
+    case obs::NameKind::trace: return "trace";
+    case obs::NameKind::counter: return "counter";
+    case obs::NameKind::gauge: return "gauge";
+    case obs::NameKind::summary: return "summary";
+    case obs::NameKind::histogram: return "histogram";
+  }
+  return "?";
+}
+
+/// DESIGN.md's "Observability" tables: trace events with their fields, then
+/// metrics grouped by kind, each in registry order.
+std::string names_markdown() {
+  std::ostringstream o;
+  const auto row = [&](const obs::NameRow& r) {
+    o << "| `" << r.name << "` | " << (r.fields.empty() ? "—" : r.fields)
+      << " |\n";
+  };
+  o << "### Trace events\n\n| Event | Fields |\n|---|---|\n";
+  for (const obs::NameRow& r : obs::kNameRegistry)
+    if (r.kind == obs::NameKind::trace) row(r);
+  const std::pair<obs::NameKind, const char*> kMetricKinds[] = {
+      {obs::NameKind::counter, "Counters"},
+      {obs::NameKind::gauge, "Gauges"},
+      {obs::NameKind::summary, "Summaries"},
+      {obs::NameKind::histogram, "Histograms"},
+  };
+  for (const auto& [kind, heading] : kMetricKinds) {
+    const bool any = std::any_of(
+        std::begin(obs::kNameRegistry), std::end(obs::kNameRegistry),
+        [kind = kind](const obs::NameRow& r) { return r.kind == kind; });
+    if (!any) continue;
+    o << "\n### " << heading << "\n\n| Metric | Notes |\n|---|---|\n";
+    for (const obs::NameRow& r : obs::kNameRegistry)
+      if (r.kind == kind) row(r);
+  }
+  return o.str();
+}
+
+std::string read_file(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ObsNames, DesignTablesAreTheRegistryRendered) {
+  const std::string design =
+      read_file(std::filesystem::path(NTCO_REPO_ROOT) / "DESIGN.md");
+  ASSERT_FALSE(design.empty());
+  const std::string tables = names_markdown();
+  EXPECT_NE(design.find(tables), std::string::npos)
+      << "DESIGN.md's Observability tables differ from names.hpp; they "
+         "should read:\n"
+      << tables;
+}
+
+TEST(ObsNames, EveryRegistryRowIsUsedUnderSrc) {
+  // A row is live when its quoted literal appears in a file under src/
+  // other than the registry itself.
+  const auto src = std::filesystem::path(NTCO_REPO_ROOT) / "src";
+  std::string text;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(src))
+    if (entry.is_regular_file() && entry.path().filename() != "names.hpp")
+      text += read_file(entry.path());
+  ASSERT_FALSE(text.empty());
+  for (const obs::NameRow& r : obs::kNameRegistry)
+    EXPECT_NE(text.find("\"" + std::string(r.name) + "\""), std::string::npos)
+        << r.name << " is registered but nothing under src/ uses it";
+}
 
 /// TraceSink that records the distinct event names it sees.
 struct RecordingSink final : obs::TraceSink {
@@ -34,31 +114,17 @@ struct RecordingSink final : obs::TraceSink {
   }
 };
 
-/// name -> kinds registered for it (the registry allows one name under
-/// several kinds only as an error, but the loader reports what is there).
-std::map<std::string, std::set<std::string>> registry_kinds() {
-  const auto entries = lint::load_names_registry(
-      std::string(NTCO_LINT_REPO_ROOT) + "/src/obs/include/ntco/obs/names.hpp");
-  std::map<std::string, std::set<std::string>> kinds;
-  for (const auto& e : entries) kinds[e.name].insert(e.kind);
-  return kinds;
-}
-
-void expect_traces_registered(
-    const RecordingSink& sink,
-    const std::map<std::string, std::set<std::string>>& kinds) {
+void expect_traces_registered(const RecordingSink& sink) {
   ASSERT_FALSE(sink.names.empty()) << "scenario emitted no trace records";
   for (const auto& n : sink.names) {
-    const auto it = kinds.find(n);
-    ASSERT_NE(it, kinds.end()) << "unregistered trace name: " << n;
-    EXPECT_EQ(it->second.count("trace"), 1u)
+    const std::optional<obs::NameKind> kind = obs::registered_kind(n);
+    ASSERT_TRUE(kind) << "unregistered trace name: " << n;
+    EXPECT_EQ(*kind, obs::NameKind::trace)
         << n << " is registered but not as a trace";
   }
 }
 
-void expect_metrics_registered(
-    const obs::MetricsRegistry& metrics,
-    const std::map<std::string, std::set<std::string>>& kinds) {
+void expect_metrics_registered(const obs::MetricsRegistry& metrics) {
   ASSERT_GT(metrics.size(), 0u) << "scenario registered no metrics";
   std::istringstream csv(metrics.to_csv());
   std::string line;
@@ -71,17 +137,14 @@ void expect_metrics_registered(
     const std::string name = line.substr(0, c1);
     const std::string kind = line.substr(c1 + 1, c2 - c1 - 1);
     if (!checked.insert(name + "|" + kind).second) continue;
-    const auto it = kinds.find(name);
-    ASSERT_NE(it, kinds.end()) << "unregistered metric name: " << name;
-    EXPECT_EQ(it->second.count(kind), 1u)
+    const std::optional<obs::NameKind> registered = obs::registered_kind(name);
+    ASSERT_TRUE(registered) << "unregistered metric name: " << name;
+    EXPECT_EQ(kind_name(*registered), kind)
         << name << " is registered but not as a " << kind;
   }
 }
 
 TEST(ObsNames, BrokerServePathEmitsOnlyRegisteredNames) {
-  const auto kinds = registry_kinds();
-  ASSERT_FALSE(kinds.empty());
-
   sim::Simulator sim;
   serverless::Platform platform(sim, {});
   device::Device ue(device::budget_phone());
@@ -105,14 +168,11 @@ TEST(ObsNames, BrokerServePathEmitsOnlyRegisteredNames) {
   sim.run();
   ASSERT_EQ(done, 2);
 
-  expect_traces_registered(sink, kinds);
-  expect_metrics_registered(metrics, kinds);
+  expect_traces_registered(sink);
+  expect_metrics_registered(metrics);
 }
 
 TEST(ObsNames, ContinuumPlacementEmitsOnlyRegisteredNames) {
-  const auto kinds = registry_kinds();
-  ASSERT_FALSE(kinds.empty());
-
   sim::Simulator sim;
   edgesim::EdgeConfig ecfg;
   ecfg.servers = 1;
@@ -164,8 +224,8 @@ TEST(ObsNames, ContinuumPlacementEmitsOnlyRegisteredNames) {
   sim.run();
   ASSERT_EQ(done, 2);
 
-  expect_traces_registered(sink, kinds);
-  expect_metrics_registered(metrics, kinds);
+  expect_traces_registered(sink);
+  expect_metrics_registered(metrics);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST(JsonlTraceWriter, RendersRecordsExactly) {
 
 TEST(JsonlTraceWriter, EscapesStringsAndRendersAllKinds) {
   JsonlTraceWriter w;
-  emit(&w, TimePoint::origin(), "test",
+  emit(&w, TimePoint::origin(), UnregisteredName("test"),
        {{"s", "a\"b\\c\nd"},
         {"i", std::int64_t{-7}},
         {"d", 0.25},
@@ -45,9 +45,10 @@ TEST(JsonlTraceWriter, EscapesStringsAndRendersAllKinds) {
 }
 
 TEST(Emit, NullSinkIsANoOp) {
-  emit(nullptr, TimePoint::origin(), "never", {{"k", 1.0}});  // must not crash
+  // Must not crash.
+  emit(nullptr, TimePoint::origin(), UnregisteredName("never"), {{"k", 1.0}});
   CountingSink sink;
-  emit(&sink, TimePoint::origin(), "once");
+  emit(&sink, TimePoint::origin(), UnregisteredName("once"));
   EXPECT_EQ(sink.count(), 1u);
 }
 
@@ -56,31 +57,32 @@ TEST(Emit, NullSinkIsANoOp) {
 
 TEST(MetricsRegistry, CounterGaugeSummaryArithmetic) {
   MetricsRegistry reg;
-  reg.counter("a.hits").add();
-  reg.counter("a.hits").add(4);
-  EXPECT_EQ(reg.counter("a.hits").value(), 5u);
+  reg.counter(UnregisteredName("a.hits")).add();
+  reg.counter(UnregisteredName("a.hits")).add(4);
+  EXPECT_EQ(reg.counter(UnregisteredName("a.hits")).value(), 5u);
 
-  reg.gauge("a.depth").set(3.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("a.depth").value(), 3.5);
+  reg.gauge(UnregisteredName("a.depth")).set(3.5);
+  EXPECT_DOUBLE_EQ(reg.gauge(UnregisteredName("a.depth")).value(), 3.5);
 
-  auto& s = reg.summary("a.wait_ms");
+  auto& s = reg.summary(UnregisteredName("a.wait_ms"));
   s.add(1.0);
   s.add(3.0);
-  EXPECT_EQ(reg.summary("a.wait_ms").count(), 2u);
-  EXPECT_DOUBLE_EQ(reg.summary("a.wait_ms").mean(), 2.0);
+  EXPECT_EQ(reg.summary(UnregisteredName("a.wait_ms")).count(), 2u);
+  EXPECT_DOUBLE_EQ(reg.summary(UnregisteredName("a.wait_ms")).mean(), 2.0);
 
   // Same name -> same instrument, not a fresh one.
-  EXPECT_EQ(&reg.counter("a.hits"), &reg.counter("a.hits"));
+  EXPECT_EQ(&reg.counter(UnregisteredName("a.hits")),
+            &reg.counter(UnregisteredName("a.hits")));
   EXPECT_EQ(reg.size(), 3u);
 }
 
 TEST(MetricsRegistry, HistogramBinsAndLookups) {
   MetricsRegistry reg;
-  auto& h = reg.histogram("lat", 0.0, 10.0, 5);
+  auto& h = reg.histogram(UnregisteredName("lat"), 0.0, 10.0, 5);
   h.add(1.0);
   h.add(9.9);
   h.add(42.0);  // overflow
-  EXPECT_EQ(&reg.histogram("lat", 0.0, 10.0, 5), &h);
+  EXPECT_EQ(&reg.histogram(UnregisteredName("lat"), 0.0, 10.0, 5), &h);
 
   EXPECT_NE(reg.find_histogram("lat"), nullptr);
   EXPECT_EQ(reg.find_histogram("nope"), nullptr);
@@ -89,9 +91,9 @@ TEST(MetricsRegistry, HistogramBinsAndLookups) {
 
 TEST(MetricsRegistry, CsvIsSortedAndComplete) {
   MetricsRegistry reg;
-  reg.counter("z.last").add(2);
-  reg.counter("a.first").add(1);
-  reg.gauge("m.mid").set(-1.5);
+  reg.counter(UnregisteredName("z.last")).add(2);
+  reg.counter(UnregisteredName("a.first")).add(1);
+  reg.gauge(UnregisteredName("m.mid")).set(-1.5);
   const std::string csv = reg.to_csv();
   EXPECT_EQ(csv.rfind("metric,kind,field,value\n", 0), 0u);
   const auto a = csv.find("a.first,counter,value,1");
@@ -106,23 +108,24 @@ TEST(MetricsRegistry, CsvIsSortedAndComplete) {
 
 TEST(MetricsRegistry, MergeFromCombinesEveryKind) {
   MetricsRegistry a, b;
-  a.counter("hits").add(3);
-  b.counter("hits").add(4);
-  b.counter("only_b").add(1);
-  a.gauge("depth").set(1.0);
-  b.gauge("depth").set(2.5);
-  a.summary("wait").add(1.0);
-  b.summary("wait").add(3.0);
-  a.histogram("lat", 0.0, 10.0, 5).add(1.0);
-  b.histogram("lat", 0.0, 10.0, 5).add(1.5);
-  b.histogram("lat", 0.0, 10.0, 5).add(42.0);
+  a.counter(UnregisteredName("hits")).add(3);
+  b.counter(UnregisteredName("hits")).add(4);
+  b.counter(UnregisteredName("only_b")).add(1);
+  a.gauge(UnregisteredName("depth")).set(1.0);
+  b.gauge(UnregisteredName("depth")).set(2.5);
+  a.summary(UnregisteredName("wait")).add(1.0);
+  b.summary(UnregisteredName("wait")).add(3.0);
+  a.histogram(UnregisteredName("lat"), 0.0, 10.0, 5).add(1.0);
+  b.histogram(UnregisteredName("lat"), 0.0, 10.0, 5).add(1.5);
+  b.histogram(UnregisteredName("lat"), 0.0, 10.0, 5).add(42.0);
 
   a.merge_from(b);
-  EXPECT_EQ(a.counter("hits").value(), 7u);
-  EXPECT_EQ(a.counter("only_b").value(), 1u);
-  EXPECT_DOUBLE_EQ(a.gauge("depth").value(), 2.5);  // last write wins
-  EXPECT_EQ(a.summary("wait").count(), 2u);
-  EXPECT_DOUBLE_EQ(a.summary("wait").mean(), 2.0);
+  EXPECT_EQ(a.counter(UnregisteredName("hits")).value(), 7u);
+  EXPECT_EQ(a.counter(UnregisteredName("only_b")).value(), 1u);
+  // Last write wins.
+  EXPECT_DOUBLE_EQ(a.gauge(UnregisteredName("depth")).value(), 2.5);
+  EXPECT_EQ(a.summary(UnregisteredName("wait")).count(), 2u);
+  EXPECT_DOUBLE_EQ(a.summary(UnregisteredName("wait")).mean(), 2.0);
   const auto* h = a.find_histogram("lat");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->total(), 3u);
@@ -132,8 +135,8 @@ TEST(MetricsRegistry, MergeFromCombinesEveryKind) {
 
 TEST(MetricsRegistry, MergeFromRejectsHistogramGeometryMismatch) {
   MetricsRegistry a, b;
-  a.histogram("lat", 0.0, 10.0, 5).add(1.0);
-  b.histogram("lat", 0.0, 20.0, 5).add(1.0);
+  a.histogram(UnregisteredName("lat"), 0.0, 10.0, 5).add(1.0);
+  b.histogram(UnregisteredName("lat"), 0.0, 20.0, 5).add(1.0);
   EXPECT_THROW(a.merge_from(b), ContractViolation);
 }
 
@@ -143,11 +146,13 @@ TEST(MetricsRegistry, MergedDumpIsGroupingIndependent) {
   // relies on to make NTCO_THREADS invisible in merged artifacts.
   const auto shard = [](std::uint64_t i) {
     MetricsRegistry r;
-    r.counter("faas.invocations").add(10 + i);
-    r.gauge("pool.depth").set(static_cast<double>(i));
-    r.summary("exec_ms").add(static_cast<double>(1 + i));
-    r.summary("exec_ms").add(static_cast<double>(5 * (i + 1)));
-    r.histogram("lat_s", 0.0, 8.0, 4).add(static_cast<double>(i) * 2.5);
+    r.counter(UnregisteredName("faas.invocations")).add(10 + i);
+    r.gauge(UnregisteredName("pool.depth")).set(static_cast<double>(i));
+    r.summary(UnregisteredName("exec_ms")).add(static_cast<double>(1 + i));
+    r.summary(UnregisteredName("exec_ms"))
+        .add(static_cast<double>(5 * (i + 1)));
+    r.histogram(UnregisteredName("lat_s"), 0.0, 8.0, 4)
+        .add(static_cast<double>(i) * 2.5);
     return r;
   };
 
@@ -169,8 +174,8 @@ TEST(MetricsRegistry, MergedDumpIsGroupingIndependent) {
 
 TEST(JsonlTraceWriter, AppendFromStitchesInCallOrder) {
   JsonlTraceWriter s0, s1, all;
-  emit(&s0, TimePoint::at(Duration::micros(10)), "shard0.ev");
-  emit(&s1, TimePoint::at(Duration::micros(5)), "shard1.ev");
+  emit(&s0, TimePoint::at(Duration::micros(10)), UnregisteredName("shard0.ev"));
+  emit(&s1, TimePoint::at(Duration::micros(5)), UnregisteredName("shard1.ev"));
   all.append_from(s0);
   all.append_from(s1);
   EXPECT_EQ(all.record_count(), 2u);

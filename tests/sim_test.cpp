@@ -9,7 +9,7 @@
 #include <map>
 #include <memory>
 #include <queue>
-#include <unordered_set>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -413,9 +413,8 @@ class ReferenceSimulator {
   [[nodiscard]] std::size_t pending() const { return pending_ids_.size(); }
 
   [[nodiscard]] std::vector<std::uint64_t> pending_event_ids() const {
-    std::vector<std::uint64_t> ids(pending_ids_.begin(), pending_ids_.end());
-    std::sort(ids.begin(), ids.end());
-    return ids;
+    return std::vector<std::uint64_t>(pending_ids_.begin(),
+                                      pending_ids_.end());  // ascending
   }
 
   bool step() {
@@ -475,8 +474,8 @@ class ReferenceSimulator {
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::unordered_set<std::uint64_t> pending_ids_;
+  std::set<std::uint64_t> cancelled_;
+  std::set<std::uint64_t> pending_ids_;
   obs::TraceSink* trace_ = nullptr;
 };
 

@@ -1,19 +1,21 @@
 #!/usr/bin/env sh
 # The full CI gate, in dependency order:
 #
-#   1. configure (warnings are errors: NTCO_WERROR=ON) and build just the
-#      ntco-lint target — seconds, not minutes
-#   2. run ntco-lint, the static determinism & layering gate (rules R1-R5,
-#      R7, R8; see DESIGN.md "Static analysis & determinism contract"): any
-#      diagnostic or stale suppression fails here, before the expensive
-#      builds. A cold full-tree run takes well under a second, so there is
-#      no cache, no baseline and no SARIF output any more; the JSON report
-#      lands in the build dir
-#   3. build everything else (tests, benches, examples)
-#   4. run the unit/integration suite (ctest; includes LintClean again so a
-#      local `ctest` run gets the same gate, and allocation_count_test, the
-#      exact allocation counts that replaced the old hot-path lint rules)
-#   5. prove the fleet determinism contract end-to-end:
+#   1. configure with warnings as errors (NTCO_WERROR=ON) and build
+#      everything: libraries, tests, benches and examples. The build is
+#      also the layering check: configure fails on a DEPS entry that names
+#      a module added later (so DEPS cannot form a cycle), and each module
+#      compiles one generated TU of all its public headers with only its
+#      DEPS closure on the include path, so a back-edge include or a
+#      warning in any header fails here. An unregistered or wrong-kind
+#      telemetry name does not compile either (obs/names.hpp)
+#   2. run the unit/integration suite (ctest; includes source_bans_test,
+#      the raw-text ban on nondeterminism sources, stray threading and
+#      unordered containers; obs_names_test, the telemetry-name registry's
+#      dead rows and DESIGN.md tables; the two ctests that must fail to
+#      compile a bad telemetry name; and allocation_count_test, the exact
+#      allocation counts on the serving path)
+#   3. prove the fleet determinism contract end-to-end:
 #      bench_f5_scale_users, bench_f9_resilience, bench_f12_broker,
 #      bench_f13_fabric_contention, bench_f14_continuum, bench_f15_vehicular,
 #      and bench_f16_diurnal must emit byte-identical stdout and
@@ -23,7 +25,7 @@
 #      equal the one pinned below, so a change that alters an artifact
 #      (an F5 sim.event.* trace, say) alike at both thread counts fails
 #      here until the pin is updated on purpose
-#   6. run the serve-path benchmark's own checks: perfbench/run.py for
+#   4. run the serve-path benchmark's own checks: perfbench/run.py for
 #      diurnal_day, replan_burst and vehicular_churn (seed 1, 2 s, no
 #      trace). Each run checks its per-shard ledgers, the exact plan-call
 #      counts and digest identity at 1 vs N workers, and exits nonzero on a
@@ -31,7 +33,7 @@
 #      pinned below, so any change to a simulated output fails here until
 #      the pin is updated on purpose. Its timings are not gated here; it
 #      builds into .bench_build/ at the repository root
-#   7. run bench_micro_sim and bench_micro_fabric and compare their gated
+#   5. run bench_micro_sim and bench_micro_fabric and compare their gated
 #      loops against the checked-in BENCH_micro_sim.json /
 #      BENCH_micro_fabric.json baselines: a drop of more than 10% in
 #      items_per_second fails the gate (benchmarks are noisy; 10% is
@@ -39,44 +41,36 @@
 #      copying the build's JSON to the repo root after a deliberate
 #      kernel/fabric change. (The bench_micro_ring gate went with the
 #      lock-free rings it timed.)
-#   8. rebuild under ThreadSanitizer and rerun the fleet, broker,
+#   6. rebuild under ThreadSanitizer and rerun the fleet, broker,
 #      fabric-fleet, dataplane, and arrival-fleet suites (everything that
 #      exercises the worker pool, including its 20,000-shard stress test
 #      and the throwing-merge test) —
 #      ctest -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
-#   9. rebuild under ASan + UBSan and rerun the whole suite (including
+#   7. rebuild under ASan + UBSan and rerun the whole suite (including
 #      allocation_count_test: its counting operator new sits on top of the
 #      sanitizer allocator, and its counts hold there too)
 #
 #   tools/ci.sh [build-dir]             (default: build-ci)
 #
-# Steps 8 and 9 use their own build trees (NTCO_SANITIZE is a build-wide
+# Steps 6 and 7 use their own build trees (NTCO_SANITIZE is a build-wide
 # flag; ASan and TSan cannot share one). Set NTCO_CI_SKIP_SANITIZERS=1 to
-# stop after step 7 on machines where two extra builds are too slow.
+# stop after step 5 on machines where two extra builds are too slow.
 set -eu
 
 BUILD_DIR="${1:-build-ci}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "== [1/9] configure (NTCO_WERROR=ON) + build ntco-lint =="
+echo "== [1/7] configure (NTCO_WERROR=ON) + build everything =="
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DNTCO_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" --target ntco-lint -j "$JOBS"
-
-echo "== [2/9] ntco-lint: static determinism & layering gate =="
-"$BUILD_DIR/tools/ntco-lint" \
-  --root "$SRC_DIR" \
-  --json-out "$BUILD_DIR/ntco-lint-report.json"
-
-echo "== [3/9] build everything =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
-echo "== [4/9] unit + integration tests =="
+echo "== [2/7] unit + integration tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== [5/9] fleet determinism: F5, F9 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
+echo "== [3/7] fleet determinism: F5, F9 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
 # <bench>:<sha256 of its t1 output: the files of its t1 directory, stdout.txt
 # and the NTCO_BENCH_OUT artifacts, concatenated in C-locale name order>
 for pin in \
@@ -108,7 +102,7 @@ for pin in \
   echo "$det_bench: byte-identical across $(ls "$DET_DIR/t1" | wc -l) artifacts, sha256 pin holds"
 done
 
-echo "== [6/9] serve-path benchmark checks: perfbench, three workloads =="
+echo "== [4/7] serve-path benchmark checks: perfbench, three workloads =="
 # <workload>:<seed-1 simulated digest>
 for pin in diurnal_day:fc247581b2cbaaf6 replan_burst:92cda9805211c78b \
     vehicular_churn:df35f79756cb7170; do
@@ -125,7 +119,7 @@ for pin in diurnal_day:fc247581b2cbaaf6 replan_burst:92cda9805211c78b \
   echo "$workload: ledgers, plan-call counts and digest $got check out"
 done
 
-echo "== [7/9] kernel + fabric micro-benches vs checked-in baselines =="
+echo "== [5/7] kernel + fabric micro-benches vs checked-in baselines =="
 # gate_micro <bench-binary> <baseline.json> <gated loop>...
 gate_micro() {
   mb="$1"; baseline="$2"; shift 2
@@ -163,7 +157,7 @@ if [ "${NTCO_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   exit 0
 fi
 
-echo "== [8/9] ThreadSanitizer: fleet + broker + continuum + dataplane + arrivals suites =="
+echo "== [6/7] ThreadSanitizer: fleet + broker + continuum + dataplane + arrivals suites =="
 cmake -B "$BUILD_DIR-tsan" -S "$SRC_DIR" \
   -DNTCO_SANITIZE=thread \
   -DNTCO_BUILD_BENCHMARKS=OFF -DNTCO_BUILD_EXAMPLES=OFF \
@@ -176,7 +170,7 @@ TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
   -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
 
-echo "== [9/9] ASan + UBSan: full suite =="
+echo "== [7/7] ASan + UBSan: full suite =="
 "$SRC_DIR/tools/sanitize.sh" address "$BUILD_DIR-asan"
 
 echo "== CI green =="

@@ -12,10 +12,10 @@
 # time anything.
 #
 # These sanitizer runs are the *dynamic* half of the determinism story:
-# they only catch what the chosen inputs execute. The static half is
-# `ntco-lint` (tools/ci.sh step 2, ctest LintClean), which checks every
-# source file for nondeterminism sources, unordered-container iteration,
-# stray threading, and layering back-edges without running anything.
+# they only catch what the chosen inputs execute. The static half runs
+# without executing anything: ctest source_bans_test bans nondeterminism
+# sources, stray threading and unordered containers in every source file,
+# and the build itself rejects layering back-edges (tools/ci.sh step 1).
 set -eu
 
 if [ "${1:-}" = "--help" ] || [ "${1:-}" = "-h" ]; then
