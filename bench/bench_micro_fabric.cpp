@@ -32,7 +32,7 @@ struct Bed {
   fabric::SegmentId seg;
   std::unique_ptr<fabric::FabricPath> path;
 
-  explicit Bed(fabric::FabricConfig cfg = {}) : net(sim, cfg) {
+  Bed() : net(sim) {
     seg = net.add_segment({"lan.up", DataRate::megabits_per_second(100000),
                            Duration::zero()});
     net::PathSpec spec;
@@ -85,7 +85,7 @@ BENCHMARK(BM_AdmitExpireChurn)->Arg(1024)->Arg(8192);
 
 // Amortisation guard: admissions against a standing population of
 // `range(0)` concurrent flows (up to 100k). Cost per admission must stay
-// bounded by max_reshare_steps, not the population size.
+// bounded by kMaxReshareSteps, not the population size.
 void BM_AdmitUnderStandingLoad(benchmark::State& state) {
   const auto standing = static_cast<std::uint64_t>(state.range(0));
   Bed bed;
@@ -102,16 +102,13 @@ void BM_AdmitUnderStandingLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_AdmitUnderStandingLoad)->Arg(1024)->Arg(102400);
 
-// Re-share stepping: each admission walks departures of the flows ahead.
-// Deep ramps (max_reshare_steps) versus the pure snapshot (0) bound the
-// integrator's contribution to admission cost.
+// Re-share stepping: each admission walks up to kMaxReshareSteps
+// departures of the flows ahead, which bounds the integrator's
+// contribution to admission cost. The argument names that cap.
 void BM_ReshareStepping(benchmark::State& state) {
-  const auto steps = static_cast<std::size_t>(state.range(0));
-  fabric::FabricConfig cfg;
-  cfg.max_reshare_steps = steps;
   constexpr std::uint64_t kFlows = 512;
   for (auto _ : state) {
-    Bed bed(cfg);
+    Bed bed;
     Duration acc;
     for (std::uint64_t i = 0; i < kFlows; ++i)
       acc += bed.path->uplink_time(DataSize::megabytes(4));
@@ -120,7 +117,8 @@ void BM_ReshareStepping(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(kFlows) *
                           state.iterations());
 }
-BENCHMARK(BM_ReshareStepping)->Arg(0)->Arg(64);
+BENCHMARK(BM_ReshareStepping)
+    ->Arg(static_cast<std::int64_t>(fabric::kMaxReshareSteps));
 
 // ---------------------------------------------------------------------------
 // Reporting: identical mirroring scheme to bench_micro_sim.cpp.

@@ -16,17 +16,17 @@
 /// sched::Policy::Batched aligns one user's jobs; the dispatcher does the
 /// same across *users*. Admitted jobs that target the same group (same
 /// workload, hence the same deployed functions) and the same flush instant
-/// are collected and released together. A batch that reaches `max_batch`
+/// are collected and released together. A batch that reaches `kMaxBatch`
 /// is *sealed* — it stops accepting jobs (later arrivals open a fresh
 /// batch under the same key) but still waits for its flush instant, since
 /// flushing early would run the jobs outside the price window the instant
-/// was aligned to. Within a flushed batch, jobs are
-/// split round-robin over `lanes` sequential chains: each lane starts its
-/// next job only when the previous one completed, so at most `lanes`
-/// instances per function ever run concurrently and every job after a
-/// lane's first reuses a warm instance instead of paying a cold start. The
-/// lane count trades completion latency (fewer lanes = longer chains)
-/// against cold starts (more lanes = more first-in-lane colds).
+/// was aligned to. Within a flushed batch, jobs are split round-robin over
+/// `kBatchLanes` sequential chains: each lane starts its next job only
+/// when the previous one completed, so at most `kBatchLanes` instances per
+/// function ever run concurrently and every job after a lane's first
+/// reuses a warm instance instead of paying a cold start. The lane count
+/// trades completion latency (fewer lanes = longer chains) against cold
+/// starts (more lanes = more first-in-lane colds).
 ///
 /// Jobs are ids owned by a Runner (the broker's request records): the
 /// dispatcher queues ids, and at flush tells the runner which job follows
@@ -39,25 +39,25 @@
 
 namespace ntco::broker {
 
-struct BatchConfig {
-  /// Seal a batch once it holds this many jobs (it keeps its flush
-  /// instant; later arrivals start a new batch under the same key).
-  std::size_t max_batch = 32;
-  /// Sequential execution chains per flushed batch.
-  std::size_t lanes = 4;
-  /// Alignment grid for flush instants (callers round start times up to a
-  /// multiple of this; see Broker::serve).
-  Duration interval = Duration::minutes(10);
-};
+/// Seal a batch once it holds this many jobs (it keeps its flush instant;
+/// later arrivals start a new batch under the same key).
+inline constexpr std::size_t kMaxBatch = 32;
+/// Sequential execution chains per flushed batch.
+inline constexpr std::size_t kBatchLanes = 4;
+/// Alignment grid for flush instants (the broker rounds start times up to
+/// a multiple of this; see Broker::dispatch).
+inline constexpr Duration kBatchInterval = Duration::minutes(10);
+static_assert(kMaxBatch > 0 && kBatchLanes > 0);
+static_assert(kBatchInterval > Duration::zero());
 
 struct BatchStats {
   std::uint64_t batches = 0;  ///< flushes executed
   std::uint64_t jobs_dispatched = 0;
-  std::uint64_t sealed = 0;  ///< batches closed at max_batch before flushing
+  std::uint64_t sealed = 0;  ///< batches closed at kMaxBatch before flushing
 };
 
-/// Groups compatible jobs and releases each batch as `lanes` sequential
-/// chains on the simulator.
+/// Groups compatible jobs and releases each batch as `kBatchLanes`
+/// sequential chains on the simulator.
 class BatchDispatcher {
  public:
   /// A queued job, named by its runner.
@@ -77,7 +77,8 @@ class BatchDispatcher {
   };
 
   /// `runner` must outlive the dispatcher.
-  BatchDispatcher(sim::Simulator& sim, BatchConfig cfg, Runner& runner);
+  BatchDispatcher(sim::Simulator& sim, Runner& runner)
+      : sim_(sim), runner_(runner) {}
 
   BatchDispatcher(const BatchDispatcher&) = delete;
   BatchDispatcher& operator=(const BatchDispatcher&) = delete;
@@ -89,7 +90,6 @@ class BatchDispatcher {
   /// Batches currently waiting for their flush instant.
   [[nodiscard]] std::size_t open_batches() const { return pending_.size(); }
   [[nodiscard]] const BatchStats& stats() const { return stats_; }
-  [[nodiscard]] const BatchConfig& config() const { return cfg_; }
 
   /// Attaches observability. `trace` receives "broker.batch_flush";
   /// `metrics` hosts the "broker.batch.*" counters. Either may be null.
@@ -117,7 +117,6 @@ class BatchDispatcher {
   };
 
   sim::Simulator& sim_;
-  BatchConfig cfg_;
   Runner& runner_;
   std::map<Key, Pending> pending_;
   BatchStats stats_;

@@ -85,7 +85,6 @@ inline constexpr Duration kPlanCostPerComponent = Duration::micros(300);
 struct BrokerConfig {
   PlanCacheConfig cache;
   AdmissionConfig admission;
-  BatchConfig batch;
   sched::DeferredScheduler::Config defer;
   /// Disable to measure the no-cache baseline (every request replans).
   bool cache_enabled = true;
@@ -109,14 +108,17 @@ struct BrokerConfig {
 /// executes against it); it doubles as estimate and truth. Under
 /// `two_stage_enabled` it must also outlive the asynchronous exact
 /// resolve — in practice, keep task graphs alive until the simulator
-/// drains.
+/// drains. serve() rejects a request whose fields fall outside the ranges
+/// documented below (see RejectReason).
 struct ServeRequest {
   const app::TaskGraph* app = nullptr;
   /// Delay tolerance: the job may finish any time within release + slack.
+  /// Non-negative.
   Duration slack = Duration::hours(8);
   /// UE state of charge in [0, 1] (part of the decision context).
   double battery = 1.0;
-  /// This user's link quality relative to the path's nominal rates.
+  /// This user's link quality relative to the path's nominal rates; finite
+  /// and positive.
   double bandwidth_scale = 1.0;
 };
 
@@ -124,12 +126,23 @@ enum class ServeStatus : std::uint8_t {
   Completed,  ///< executed; report is the measured run
   Shed,       ///< rejected by admission (see shed_reason)
   Failed,     ///< executed but the run aborted (transfer loss)
+  Rejected,   ///< malformed request, never admitted (see reject_reason)
+};
+
+/// The ServeRequest field that made serve() reject a request.
+enum class RejectReason : std::uint8_t {
+  None,
+  App,             ///< null
+  Battery,         ///< outside [0, 1], or NaN
+  BandwidthScale,  ///< not finite and positive
+  Slack,           ///< negative
 };
 
 /// Final word on one request, delivered to serve()'s callback.
 struct ServeOutcome {
   ServeStatus status = ServeStatus::Completed;
   ShedReason shed_reason = ShedReason::None;
+  RejectReason reject_reason = RejectReason::None;
   bool cache_hit = false;       ///< plan came from the cache
   /// Served by the stage-1 heuristic while the exact solve resolved
   /// asynchronously (two-stage pipeline only).
@@ -138,14 +151,17 @@ struct ServeOutcome {
   TimePoint released;           ///< when serve() was called
   TimePoint finished;           ///< when the outcome fired
   std::uint64_t deferrals = 0;  ///< admission retries this request took
-  core::ExecutionReport report;  ///< valid unless status == Shed
+  core::ExecutionReport report;  ///< valid unless Shed or Rejected
 };
 
+/// Once the simulator drains, requests = completed + failed + shed +
+/// rejected.
 struct BrokerStats {
   std::uint64_t requests = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t shed = 0;
+  std::uint64_t rejected = 0;
 };
 
 /// Two-stage pipeline accounting (zero unless two_stage_enabled).
@@ -167,7 +183,8 @@ class Broker : private BatchDispatcher::Runner {
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
 
-  /// Serves one request. The outcome callback fires exactly once — at shed
+  /// Serves one request. The outcome callback fires exactly once — inside
+  /// this call for a malformed request (ServeStatus::Rejected), at shed
   /// time, or when the (possibly deferred, batched) execution completes.
   /// Drive the simulator (sim.run()) to make progress.
   void serve(ServeRequest req,
@@ -219,6 +236,9 @@ class Broker : private BatchDispatcher::Runner {
 
   /// Releases the record and delivers `out` to its callback.
   void finish(RequestId id, const ServeOutcome& out);
+  /// Completes a malformed request at once, without a record.
+  void reject(RejectReason why,
+              const std::function<void(const ServeOutcome&)>& done);
 
   /// (Re-)attempts admission; deferred requests loop back here.
   void admit(RequestId id, bool is_retry);
@@ -288,6 +308,9 @@ class Broker : private BatchDispatcher::Runner {
   BrokerStats stats_;
   TwoStageStats twostage_;
   obs::TraceSink* trace_ = nullptr;
+  /// Hosts "broker.rejected", registered at the first rejection: a run
+  /// without malformed requests dumps no row for it.
+  obs::MetricsRegistry* metrics_ = nullptr;
   Instruments m_;
 };
 

@@ -28,8 +28,8 @@
 /// from replanning on every request: a lookup that misses its exact bucket
 /// still reuses an adjacent bucket's plan while the *raw* drift from that
 /// plan's planning context stays within the drift envelope (relative
-/// bandwidth / RTT drift within `hysteresis`, absolute battery drift
-/// within `battery_hysteresis`). Only genuine regime changes replan.
+/// bandwidth / RTT drift within `kCacheHysteresis`, absolute battery drift
+/// within `kBatteryHysteresis`). Only genuine regime changes replan.
 ///
 /// Determinism: entries live in a std::map (sorted key order), LRU state is
 /// a monotonic use tick, and all inputs are simulated quantities — cache
@@ -38,6 +38,28 @@
 /// NTCO_THREADS (see tests/broker_test.cpp).
 
 namespace ntco::broker {
+
+/// Cache entries; the least recently used is evicted beyond this.
+inline constexpr std::size_t kCacheCapacity = 256;
+/// Relative bandwidth / RTT drift tolerated before a neighbouring-bucket
+/// plan stops being reusable.
+inline constexpr double kCacheHysteresis = 0.25;
+/// Absolute battery drift (state-of-charge points, battery is in [0, 1])
+/// tolerated before a neighbouring-bucket plan stops being reusable. A
+/// separate constant from `kCacheHysteresis`: a 5% bandwidth drift and a
+/// 5-percentage-point battery drift are different physical quantities.
+inline constexpr double kBatteryHysteresis = 0.25;
+/// Battery buckets of the cache key.
+inline constexpr int kBatteryBuckets = 4;
+/// Price-window width. It divides 24, so the final window of the day is
+/// not ragged (5 h windows would leave window 4 spanning only 4 h and skew
+/// hit rates across midnight).
+inline constexpr int kHoursPerWindow = 6;
+static_assert(kCacheCapacity > 0);
+static_assert(kCacheHysteresis >= 0.0 && kBatteryHysteresis >= 0.0);
+static_assert(kBatteryBuckets > 0);
+static_assert(kHoursPerWindow > 0 && 24 % kHoursPerWindow == 0,
+              "price windows must tile the day");
 
 /// Raw serving context one decision is made under.
 struct DecisionContext {
@@ -53,29 +75,14 @@ struct PlanKey {
   std::string workload;
   int bw_bucket = 0;       ///< round(log2(uplink Mbps))
   int rtt_bucket = 0;      ///< round(log2(RTT ms))
-  int battery_bucket = 0;  ///< floor(battery * battery_buckets), clamped
-  int window = 0;          ///< hour / hours_per_window
+  int battery_bucket = 0;  ///< floor(battery * kBatteryBuckets), clamped
+  int window = 0;          ///< hour / kHoursPerWindow
 
   auto operator<=>(const PlanKey&) const = default;
 };
 
 struct PlanCacheConfig {
-  std::size_t capacity = 256;          ///< entries; LRU eviction beyond
   Duration ttl = Duration::hours(1);   ///< staleness bound at simulated time
-  /// Relative bandwidth / RTT drift tolerated before a neighbouring-bucket
-  /// plan stops being reusable.
-  double hysteresis = 0.25;
-  /// Absolute battery drift (state-of-charge points, battery is in [0, 1])
-  /// tolerated before a neighbouring-bucket plan stops being reusable.
-  /// Deliberately a separate knob from `hysteresis`: a 5% bandwidth drift
-  /// and a 5-percentage-point battery drift are different physical
-  /// quantities, and a single knob silently conflated them.
-  double battery_hysteresis = 0.25;
-  int battery_buckets = 4;
-  /// Price-window width. Contract: must divide 24 evenly, otherwise the
-  /// final window of the day would be ragged (e.g. 5 h windows leave
-  /// window 4 spanning only 4 h) and skew hit rates across midnight.
-  int hours_per_window = 6;
 };
 
 /// Hit/miss accounting (also mirrored into obs instruments when attached).
@@ -94,9 +101,8 @@ struct PlanCacheStats {
   }
 };
 
-/// Quantizes a raw context under a config's bucket geometry.
-[[nodiscard]] PlanKey quantize(const DecisionContext& ctx,
-                               const PlanCacheConfig& cfg);
+/// Quantizes a raw context into its cache key.
+[[nodiscard]] PlanKey quantize(const DecisionContext& ctx);
 
 /// A cached plan. Plans are immutable once published, so a hit shares the
 /// row's plan instead of copying it, and an in-flight execution keeps its

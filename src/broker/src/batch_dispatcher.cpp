@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "ntco/common/contracts.hpp"
-
 namespace ntco::broker {
-
-BatchDispatcher::BatchDispatcher(sim::Simulator& sim, BatchConfig cfg,
-                                 Runner& runner)
-    : sim_(sim), cfg_(cfg), runner_(runner) {
-  NTCO_EXPECTS(cfg_.max_batch > 0);
-  NTCO_EXPECTS(cfg_.lanes > 0);
-  NTCO_EXPECTS(cfg_.interval > Duration::zero());
-}
 
 void BatchDispatcher::attach_observer(obs::TraceSink* trace,
                                       obs::MetricsRegistry* metrics) {
@@ -33,7 +23,7 @@ void BatchDispatcher::enqueue(const std::string& group, TimePoint flush_at,
       pending_.try_emplace(Key{group, at.since_origin().count_micros()});
   Pending& batch = it->second;
   if (inserted) {
-    batch.jobs.reserve(cfg_.max_batch);
+    batch.jobs.reserve(kMaxBatch);
     // Map iterators stay valid until erase, and the entry leaves the map
     // only in this event or when sealing, which cancels the event first.
     batch.flush_event = sim_.schedule_at(at, [this, it = it] {
@@ -42,7 +32,7 @@ void BatchDispatcher::enqueue(const std::string& group, TimePoint flush_at,
     });
   }
   batch.jobs.push_back(job);
-  if (batch.jobs.size() >= cfg_.max_batch) {
+  if (batch.jobs.size() >= kMaxBatch) {
     // Seal: the batch stops growing but still flushes at its aligned
     // instant — dispatching now would leave the price window the instant
     // was chosen for. Later arrivals re-open the key with a fresh event.
@@ -70,10 +60,11 @@ void BatchDispatcher::release(const std::string& group,
                {"jobs", jobs.size()},
                {"sealed", sealed}});
 
-  // Round-robin the batch over `lanes` sequential chains: lane l runs jobs
-  // l, l+lanes, l+2*lanes, ... back to back, so every job after the first
-  // in its lane finds the warm instances its predecessor just released.
-  const std::size_t lanes = std::min(cfg_.lanes, jobs.size());
+  // Round-robin the batch over kBatchLanes sequential chains: lane l runs
+  // jobs l, l+lanes, l+2*lanes, ... back to back, so every job after the
+  // first in its lane finds the warm instances its predecessor just
+  // released.
+  const std::size_t lanes = std::min(kBatchLanes, jobs.size());
   for (std::size_t i = lanes; i < jobs.size(); ++i)
     runner_.follow(jobs[i - lanes], jobs[i]);
   for (std::size_t l = 0; l < lanes; ++l) runner_.start(jobs[l]);

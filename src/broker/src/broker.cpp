@@ -1,6 +1,7 @@
 #include "ntco/broker/broker.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -17,6 +18,30 @@ Duration exact_plan_cost(const app::TaskGraph& g) {
          kPlanCostPerComponent * static_cast<double>(g.component_count());
 }
 
+/// The first field of `req` outside its documented range. Written so that
+/// a NaN fails every check it reaches.
+RejectReason validate(const ServeRequest& req) {
+  if (req.app == nullptr) return RejectReason::App;
+  if (!(req.battery >= 0.0 && req.battery <= 1.0))
+    return RejectReason::Battery;
+  if (!(req.bandwidth_scale > 0.0 && std::isfinite(req.bandwidth_scale)))
+    return RejectReason::BandwidthScale;
+  if (req.slack.is_negative()) return RejectReason::Slack;
+  return RejectReason::None;
+}
+
+/// The field name a rejection trace names.
+std::string_view field_name(RejectReason why) {
+  switch (why) {
+    case RejectReason::None: break;
+    case RejectReason::App: return "app";
+    case RejectReason::Battery: return "battery";
+    case RejectReason::BandwidthScale: return "bandwidth_scale";
+    case RejectReason::Slack: return "slack";
+  }
+  return "none";
+}
+
 }  // namespace
 
 Broker::Broker(sim::Simulator& sim, serverless::Platform& platform,
@@ -30,7 +55,7 @@ Broker::Broker(sim::Simulator& sim, serverless::Platform& platform,
       scheduler_(platform, cfg_.defer),
       cache_(cfg_.cache),
       admission_(cfg_.admission),
-      dispatcher_(sim, cfg_.batch, *this) {
+      dispatcher_(sim, *this) {
   // The cache is both the stage-1 lookup and the stage-2 publication
   // point; a two-stage broker without it would resolve into the void.
   NTCO_EXPECTS(!cfg_.two_stage_enabled || cfg_.cache_enabled);
@@ -39,6 +64,7 @@ Broker::Broker(sim::Simulator& sim, serverless::Platform& platform,
 void Broker::attach_observer(obs::TraceSink* trace,
                              obs::MetricsRegistry* metrics) {
   trace_ = trace;
+  metrics_ = metrics;
   m_ = {};
   if (metrics != nullptr) {
     m_.requests = &metrics->counter("broker.requests");
@@ -76,18 +102,36 @@ Duration Broker::admission_estimate(const app::TaskGraph& g,
 
 void Broker::serve(ServeRequest req,
                    std::function<void(const ServeOutcome&)> done) {
-  NTCO_EXPECTS(req.app != nullptr);
-  NTCO_EXPECTS(req.battery >= 0.0 && req.battery <= 1.0);
-  NTCO_EXPECTS(req.bandwidth_scale > 0.0);
-  NTCO_EXPECTS(!req.slack.is_negative());
   ++stats_.requests;
   if (m_.requests) m_.requests->add();
+  // A malformed request costs itself, never the run: it completes here
+  // instead of tripping a contract inside a simulator event.
+  if (const RejectReason why = validate(req); why != RejectReason::None) {
+    reject(why, done);
+    return;
+  }
   const RequestId id = requests_.acquire();
   Request& r = requests_[id];
   r.req = req;
   r.done = std::move(done);
   r.released = sim_.now();
   admit(id, /*is_retry=*/false);
+}
+
+void Broker::reject(RejectReason why,
+                    const std::function<void(const ServeOutcome&)>& done) {
+  const TimePoint now = sim_.now();
+  ++stats_.rejected;
+  if (metrics_ != nullptr) metrics_->counter("broker.rejected").add();
+  if (trace_)
+    obs::emit(trace_, now, "broker.request_rejected",
+              {{"field", field_name(why)}});
+  ServeOutcome out;
+  out.status = ServeStatus::Rejected;
+  out.reject_reason = why;
+  out.released = now;
+  out.finished = now;
+  if (done) done(out);
 }
 
 void Broker::finish(RequestId id, const ServeOutcome& out) {
@@ -201,7 +245,7 @@ void Broker::dispatch(RequestId id) {
     // Align the start up to the batch grid so compatible users flush
     // together, but never past the latest deadline-safe start.
     const TimePoint latest = scheduler_.latest_start(resumed, slack_left, est);
-    const std::int64_t grid = cfg_.batch.interval.count_micros();
+    const std::int64_t grid = kBatchInterval.count_micros();
     const std::int64_t s = planned.since_origin().count_micros();
     TimePoint flush_at =
         TimePoint::at(Duration::micros((s + grid - 1) / grid * grid));
@@ -258,7 +302,7 @@ void Broker::schedule_exact_resolve(const DecisionContext& ctx,
                                     const partition::Partition& heuristic) {
   // One exact solve in flight per bucket: a burst of same-bucket misses
   // (the vehicular regime) triggers one solver run, not a storm.
-  const auto [it, fresh] = resolving_.try_emplace(quantize(ctx, cfg_.cache));
+  const auto [it, fresh] = resolving_.try_emplace(quantize(ctx));
   if (!fresh) return;
   it->second = Resolve{ctx, &g, env, heuristic};
 

@@ -18,32 +18,19 @@ int log2_bucket(double v) {
 
 }  // namespace
 
-PlanKey quantize(const DecisionContext& ctx, const PlanCacheConfig& cfg) {
-  NTCO_EXPECTS(cfg.battery_buckets > 0);
-  NTCO_EXPECTS(cfg.hours_per_window > 0);
-  // A width that does not divide 24 would leave a ragged final window
-  // (5 h windows -> window 4 spans only 4 h) whose thinner population
-  // skews hit rates across midnight; reject it outright.
-  NTCO_EXPECTS(24 % cfg.hours_per_window == 0);
+PlanKey quantize(const DecisionContext& ctx) {
   PlanKey key;
   key.workload = ctx.workload;
   key.bw_bucket = log2_bucket(ctx.uplink.to_mbps());
   key.rtt_bucket = log2_bucket(ctx.rtt.to_millis());
   const int b = static_cast<int>(ctx.battery *
-                                 static_cast<double>(cfg.battery_buckets));
-  key.battery_bucket = std::clamp(b, 0, cfg.battery_buckets - 1);
-  key.window = ((ctx.hour % 24) + 24) % 24 / cfg.hours_per_window;
+                                 static_cast<double>(kBatteryBuckets));
+  key.battery_bucket = std::clamp(b, 0, kBatteryBuckets - 1);
+  key.window = ((ctx.hour % 24) + 24) % 24 / kHoursPerWindow;
   return key;
 }
 
-PlanCache::PlanCache(PlanCacheConfig cfg) : cfg_(cfg) {
-  NTCO_EXPECTS(cfg_.capacity > 0);
-  NTCO_EXPECTS(cfg_.battery_buckets > 0);
-  NTCO_EXPECTS(cfg_.hours_per_window > 0);
-  NTCO_EXPECTS(24 % cfg_.hours_per_window == 0);
-  NTCO_EXPECTS(cfg_.hysteresis >= 0.0);
-  NTCO_EXPECTS(cfg_.battery_hysteresis >= 0.0);
-}
+PlanCache::PlanCache(PlanCacheConfig cfg) : cfg_(cfg) {}
 
 void PlanCache::attach_observer(obs::TraceSink* trace,
                                 obs::MetricsRegistry* metrics) {
@@ -68,19 +55,19 @@ bool PlanCache::within_hysteresis(const DecisionContext& ctx,
     const double base = std::max(std::abs(b), 1e-9);
     return std::abs(a - b) / base;
   };
-  // Bandwidth and RTT drift are judged *relatively* against `hysteresis`;
-  // battery is an absolute state-of-charge delta with its own knob —
-  // conflating them under one threshold silently mixed "5% slower link"
-  // with "5 percentage points less charge".
+  // Bandwidth and RTT drift are judged *relatively*; battery is an
+  // absolute state-of-charge delta with its own threshold — one threshold
+  // for both would mix "5% slower link" with "5 percentage points less
+  // charge".
   return rel(ctx.uplink.to_mbps(), planned.uplink.to_mbps()) <=
-             cfg_.hysteresis &&
+             kCacheHysteresis &&
          rel(ctx.rtt.to_millis(), planned.rtt.to_millis()) <=
-             cfg_.hysteresis &&
-         std::abs(ctx.battery - planned.battery) <= cfg_.battery_hysteresis;
+             kCacheHysteresis &&
+         std::abs(ctx.battery - planned.battery) <= kBatteryHysteresis;
 }
 
 SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
-  const PlanKey exact = quantize(ctx, cfg_);
+  const PlanKey exact = quantize(ctx);
 
   // Probes a single key; erases (and counts) an expired occupant. Returns
   // the live entry or nullptr.
@@ -149,13 +136,13 @@ SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
 void PlanCache::insert(const DecisionContext& ctx, SharedPlan plan,
                        TimePoint now) {
   NTCO_EXPECTS(plan != nullptr);
-  const PlanKey key = quantize(ctx, cfg_);
+  const PlanKey key = quantize(ctx);
   Entry& e = entries_[key];
   e.plan = std::move(plan);
   e.planned = ctx;
   e.inserted = now;
   e.last_used = ++tick_;
-  if (entries_.size() > cfg_.capacity) evict_lru();
+  if (entries_.size() > kCacheCapacity) evict_lru();
 }
 
 void PlanCache::evict_lru() {

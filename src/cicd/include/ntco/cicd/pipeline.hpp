@@ -101,55 +101,10 @@ class ReleasePipeline {
   void wait(Duration d);  ///< advances simulated time synchronously
 };
 
-/// Measured-objective scalarisation shared by the canary and rollout
-/// gates: the controller's weights applied to a run's measured totals.
+/// Measured-objective scalarisation the canary gate judges by: the
+/// controller's weights applied to a run's measured totals.
 [[nodiscard]] double measured_objective(const partition::Objective& weights,
                                         const core::ExecutionReport& r);
-
-/// Progressive (blue/green) rollout: instead of a single canary verdict,
-/// traffic shifts to the candidate in steps (e.g. 5% -> 25% -> 50% ->
-/// 100%), each step gated on the measured objective. A regression aborts
-/// the rollout at the *current* traffic share, bounding the blast radius —
-/// the production-grade variant of the pipeline's canary stage.
-class ProgressiveRollout {
- public:
-  struct Config {
-    std::vector<double> traffic_steps{0.05, 0.25, 0.50, 1.00};
-    /// Executions per step (split candidate/incumbent by traffic share,
-    /// each side getting at least one run).
-    std::size_t runs_per_step = 20;
-    /// Candidate may be at most this much worse at any step.
-    double abort_tolerance = 0.10;
-  };
-
-  struct StepRecord {
-    double traffic = 0.0;
-    std::size_t candidate_runs = 0;
-    std::size_t incumbent_runs = 0;
-    double candidate_objective = 0.0;
-    double incumbent_objective = 0.0;
-    bool passed = false;
-  };
-
-  struct Report {
-    std::vector<StepRecord> steps;
-    bool completed = false;  ///< candidate reached 100% traffic
-    /// Share of production runs that hit the bad candidate before the
-    /// abort (the bounded blast radius); 0 for completed rollouts.
-    double exposure = 0.0;
-  };
-
-  ProgressiveRollout(core::OffloadController& controller, Config cfg);
-
-  /// Rolls `candidate` out against `incumbent` on live traffic of `truth`.
-  [[nodiscard]] Report roll(const app::TaskGraph& truth,
-                            const core::DeploymentPlan& candidate,
-                            const core::DeploymentPlan& incumbent);
-
- private:
-  core::OffloadController& controller_;
-  Config cfg_;
-};
 
 /// Watches a production demand stream and reports when a release should be
 /// triggered because the workload drifted from what the promoted plan was

@@ -1,7 +1,5 @@
 #include "ntco/cicd/pipeline.hpp"
 
-#include <algorithm>
-
 #include "ntco/common/error.hpp"
 
 namespace ntco::cicd {
@@ -42,68 +40,6 @@ double measured_objective(const partition::Objective& weights,
 double ReleasePipeline::measured_objective(
     const core::ExecutionReport& r) const {
   return cicd::measured_objective(controller_.config().objective, r);
-}
-
-ProgressiveRollout::ProgressiveRollout(core::OffloadController& controller,
-                                       Config cfg)
-    : controller_(controller), cfg_(std::move(cfg)) {
-  if (cfg_.traffic_steps.empty())
-    throw ConfigError("rollout needs at least one traffic step");
-  double prev = 0.0;
-  for (const double s : cfg_.traffic_steps) {
-    if (s <= prev || s > 1.0)
-      throw ConfigError("traffic steps must increase within (0, 1]");
-    prev = s;
-  }
-  if (cfg_.traffic_steps.back() != 1.0)
-    throw ConfigError("the final traffic step must be 1.0");
-  if (cfg_.runs_per_step < 2)
-    throw ConfigError("runs_per_step must be at least 2");
-}
-
-ProgressiveRollout::Report ProgressiveRollout::roll(
-    const app::TaskGraph& truth, const core::DeploymentPlan& candidate,
-    const core::DeploymentPlan& incumbent) {
-  Report report;
-  const auto& weights = controller_.config().objective;
-  std::size_t candidate_total = 0, total = 0;
-
-  for (const double traffic : cfg_.traffic_steps) {
-    StepRecord step;
-    step.traffic = traffic;
-    // Split the step's runs by traffic share; both sides get >= 1 run so
-    // the comparison is always defined (the 100% step measures the
-    // incumbent once as a reference).
-    step.candidate_runs = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               static_cast<double>(cfg_.runs_per_step) * traffic));
-    step.incumbent_runs =
-        std::max<std::size_t>(1, cfg_.runs_per_step - step.candidate_runs);
-
-    double cand = 0.0, inc = 0.0;
-    for (std::size_t i = 0; i < step.candidate_runs; ++i)
-      cand += measured_objective(weights,
-                                 controller_.execute(candidate, truth));
-    for (std::size_t i = 0; i < step.incumbent_runs; ++i)
-      inc += measured_objective(weights,
-                                controller_.execute(incumbent, truth));
-    step.candidate_objective = cand / static_cast<double>(step.candidate_runs);
-    step.incumbent_objective = inc / static_cast<double>(step.incumbent_runs);
-    step.passed = step.candidate_objective <=
-                  step.incumbent_objective * (1.0 + cfg_.abort_tolerance);
-
-    candidate_total += step.candidate_runs;
-    total += step.candidate_runs + step.incumbent_runs;
-    report.steps.push_back(step);
-    if (!step.passed) break;
-  }
-
-  report.completed = report.steps.back().passed;
-  report.exposure =
-      report.completed ? 0.0
-                       : static_cast<double>(candidate_total) /
-                             static_cast<double>(total);
-  return report;
 }
 
 ReleaseReport ReleasePipeline::run_release(

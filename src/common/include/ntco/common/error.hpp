@@ -31,16 +31,4 @@ class ConfigError : public Error {
   explicit ConfigError(const std::string& what) : Error(what) {}
 };
 
-/// A named entity (component, function, deployment, ...) was not found.
-class NotFoundError : public Error {
- public:
-  explicit NotFoundError(const std::string& what) : Error(what) {}
-};
-
-/// A platform-side limit was exceeded (concurrency, capacity, budget).
-class CapacityError : public Error {
- public:
-  explicit CapacityError(const std::string& what) : Error(what) {}
-};
-
 }  // namespace ntco

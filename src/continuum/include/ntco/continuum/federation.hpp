@@ -33,7 +33,7 @@
 /// (Edge < Regional < Cloud); the first tier holding an alive,
 /// under-threshold, deadline-feasible site wins, cheapest such site first.
 /// A price-aware override then routes to a strictly cheaper feasible site
-/// when the deadline leaves `price_slack_factor` of headroom. Everything is
+/// when the deadline leaves `kPriceSlackFactor` of headroom. Everything is
 /// computed from nominal estimates (`Site::est_*`, `Transport::spec()`), so
 /// comparing candidates consumes no randomness and placement is a pure
 /// function of registry state — byte-identical across thread counts.
@@ -67,17 +67,21 @@ struct JobOutcome {
   bool deadline_met = true;
 };
 
+/// Price-aware placement override: a cheaper site is taken only when
+/// `est_completion * kPriceSlackFactor <= deadline` (deadline-less jobs
+/// always qualify).
+inline constexpr double kPriceSlackFactor = 1.5;
+static_assert(kPriceSlackFactor >= 1.0,
+              "a cheaper site must never be taken past the deadline");
+/// Checkpoint deserialisation pause charged before any resumed run.
+inline constexpr Duration kResumeOverhead = Duration::millis(50);
+static_assert(!kResumeOverhead.is_negative());
+/// Minimum estimated gain before a mobility-triggered move interrupts a
+/// healthy run.
+inline constexpr Duration kMobilityMinGain = Duration::millis(10);
+
 /// Federation-wide policy knobs.
 struct FederationConfig {
-  /// Price-aware placement override: a cheaper site is taken only when
-  /// `est_completion * price_slack_factor <= deadline` (deadline-less jobs
-  /// always qualify).
-  double price_slack_factor = 1.5;
-  /// Checkpoint deserialisation pause charged before any resumed run.
-  Duration resume_overhead = Duration::millis(50);
-  /// Minimum estimated gain before a mobility-triggered move interrupts a
-  /// healthy run.
-  Duration mobility_min_gain = Duration::millis(10);
   /// When false, preempted jobs always restart from zero elsewhere (the
   /// ablation arm of bench F14): no state transfer, no exec credit.
   bool live_migration = true;

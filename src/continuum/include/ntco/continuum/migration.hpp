@@ -14,8 +14,8 @@
 /// credit. For each candidate the engine compares estimated
 /// time-to-completion:
 ///
-///   stay      resume_overhead + wait(src) + remaining(src)
-///   migrate   transfer(state, src->dst) + resume_overhead
+///   stay      kResumeOverhead + wait(src) + remaining(src)
+///   migrate   transfer(state, src->dst) + kResumeOverhead
 ///               + wait(dst) + remaining(dst)
 ///   restart   transfer(input, UE->dst) + wait(dst) + full_exec(dst)
 ///
@@ -52,7 +52,7 @@ class MigrationEngine {
   void evacuate(SiteId failed, bool graceful);
 
   /// Moves backend-queued (not yet executing) jobs off sites whose
-  /// utilisation exceeds their spill threshold, when another site would
+  /// utilisation reaches `kSpillThreshold`, when another site would
   /// finish them sooner. Running jobs are left alone — interrupting work
   /// to shuffle queues burns checkpoint transfers for nothing.
   void rebalance();
@@ -60,7 +60,7 @@ class MigrationEngine {
   /// Follows a UE mobility schedule until `until`: at each phase boundary
   /// `prefer` maps the connectivity phase to the UE's nearest site, and
   /// running jobs on other *edge* sites are live-migrated toward it when
-  /// the estimated gain exceeds `mobility_min_gain`. Cloud/regional
+  /// the estimated gain exceeds `kMobilityMinGain`. Cloud/regional
   /// placements are left where they are — distance to them is unchanged
   /// by roaming between access networks.
   void follow(const net::MobilitySchedule& schedule,

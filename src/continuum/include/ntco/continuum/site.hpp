@@ -46,10 +46,11 @@ enum class SiteTier : std::uint8_t { Edge = 0, Regional = 1, Cloud = 2 };
 /// Which platform kind backs the site.
 enum class BackendKind : std::uint8_t { Serverless, Edge };
 
+/// Utilisation at or above which placement spills past a site.
+inline constexpr double kSpillThreshold = 0.85;
+
 /// Per-site placement knobs.
 struct SiteConfig {
-  /// Utilisation above which placement spills past this site.
-  double spill_threshold = 0.85;
   /// Capacity tier used for serverless-backed submissions.
   serverless::Tier faas_tier = serverless::Tier::OnDemand;
   /// Time-of-day multipliers applied to edge-infra cost attribution
@@ -97,7 +98,6 @@ class Site {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] SiteTier tier() const { return tier_; }
   [[nodiscard]] BackendKind kind() const { return kind_; }
-  [[nodiscard]] const SiteConfig& config() const { return cfg_; }
 
   /// UE <-> site transport (stateful; estimate with `.spec()`).
   [[nodiscard]] net::Transport& ue_route() const { return *route_; }

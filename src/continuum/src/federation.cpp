@@ -4,18 +4,12 @@
 #include <tuple>
 
 #include "ntco/common/contracts.hpp"
-#include "ntco/common/error.hpp"
 #include "ntco/continuum/migration.hpp"
 
 namespace ntco::continuum {
 
 Federation::Federation(sim::Simulator& sim, FederationConfig cfg)
-    : sim_(sim), cfg_(cfg), engine_(std::make_unique<MigrationEngine>(*this)) {
-  if (cfg_.price_slack_factor < 1.0)
-    throw ConfigError("price_slack_factor must be >= 1");
-  if (cfg_.resume_overhead.is_negative())
-    throw ConfigError("resume_overhead must be non-negative");
-}
+    : sim_(sim), cfg_(cfg), engine_(std::make_unique<MigrationEngine>(*this)) {}
 
 Federation::~Federation() = default;
 
@@ -103,7 +97,7 @@ SiteId Federation::place(const JobSpec& spec, bool& spilled) const {
   for (int tier = 0; tier <= 2 && pick == nullptr; ++tier) {
     for (const Cand& c : cands) {
       if (static_cast<int>(c.tier) != tier) continue;
-      if (c.util >= sites_[c.id].config().spill_threshold) continue;
+      if (c.util >= kSpillThreshold) continue;
       if (!feasible(c)) continue;
       if (pick == nullptr || std::tie(c.cost, c.util, c.id) <
                                  std::tie(pick->cost, pick->util, pick->id))
@@ -118,14 +112,14 @@ SiteId Federation::place(const JobSpec& spec, bool& spilled) const {
         pick = &c;
   }
   // Price-aware override: a strictly cheaper under-threshold site is taken
-  // when the deadline leaves price_slack_factor of headroom over its
+  // when the deadline leaves kPriceSlackFactor of headroom over its
   // estimate. Saturated sites never win on price — their est_cost ignores
   // the backlog a new job would join.
   const Cand* cheap = nullptr;
   for (const Cand& c : cands) {
-    if (c.util >= sites_[c.id].config().spill_threshold) continue;
+    if (c.util >= kSpillThreshold) continue;
     const bool slack_ok = spec.deadline.is_zero() ||
-                          c.est * cfg_.price_slack_factor <= spec.deadline;
+                          c.est * kPriceSlackFactor <= spec.deadline;
     if (!slack_ok) continue;
     if (cheap == nullptr ||
         std::tie(c.cost, c.id) < std::tie(cheap->cost, cheap->id))
@@ -183,7 +177,7 @@ void Federation::start_transfer(JobId id, SiteId dest, DataSize size,
     job.first_site = dest;
   }
   Duration dur = t.uplink_time(size);  // commits the transfer
-  if (!job.exec_done.is_zero()) dur += cfg_.resume_overhead;
+  if (!job.exec_done.is_zero()) dur += kResumeOverhead;
   sim_.schedule_after(dur, [this, id] { arrive(id); });
 }
 

@@ -23,7 +23,7 @@ Duration remaining_exec(const Site& s, const JobSpec& spec,
 Duration MigrationEngine::est_resume(const Site& s, const JobSpec& spec,
                                      Duration exec_done) const {
   const Duration overhead =
-      exec_done.is_zero() ? Duration::zero() : fed_.cfg_.resume_overhead;
+      exec_done.is_zero() ? Duration::zero() : kResumeOverhead;
   return overhead + s.est_wait(spec.work) + remaining_exec(s, spec, exec_done);
 }
 
@@ -80,7 +80,7 @@ void MigrationEngine::decide(JobId id) {
     job.phase = Federation::JobPhase::Transfer;
     job.dest = src;
     const Duration overhead =
-        job.exec_done.is_zero() ? Duration::zero() : fed_.cfg_.resume_overhead;
+        job.exec_done.is_zero() ? Duration::zero() : kResumeOverhead;
     fed_.sim_.schedule_after(overhead, [this, id] { fed_.arrive(id); });
     return;
   }
@@ -112,7 +112,7 @@ void MigrationEngine::rebalance() {
   for (const auto& [id, job] : fed_.jobs_) {
     if (job.phase != Federation::JobPhase::Running) continue;
     const Site& s = fed_.sites_[job.site];
-    if (s.utilization() < s.config().spill_threshold) continue;
+    if (s.utilization() < kSpillThreshold) continue;
     const auto pr = s.in_flight(job.ticket);
     if (pr && !pr->executing) queued.push_back(id);
   }
@@ -208,7 +208,7 @@ void MigrationEngine::follow_step() {
             est_resume(dst, job.spec, done) +
             Federation::est_oneway(dst.ue_route().spec().down,
                                    job.spec.output);
-        if (move + fed_.cfg_.mobility_min_gain < stay) drain_to(id, pref);
+        if (move + kMobilityMinGain < stay) drain_to(id, pref);
       }
     }
   }

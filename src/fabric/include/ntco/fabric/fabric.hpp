@@ -25,9 +25,7 @@
 ///  - Capacity is split max-min fair: at any instant a flow's rate is the
 ///    minimum over its route of `capacity_s / n_s(t)` (equal split among
 ///    the flows active on segment s), additionally capped by the path's
-///    own nominal access rate. A Cubic-style AIMD ramp can be enabled
-///    instead (SharingModel::CubicAimd), where a new flow climbs to its
-///    fair share along a cubic window curve.
+///    own nominal access rate.
 ///  - Bandwidth is re-shared on every arrival and departure: the admission
 ///    integrator walks the committed departures of the flows ahead of it
 ///    (piecewise-constant rates between departures) and each expiry or
@@ -48,10 +46,10 @@
 /// Performance. Per-segment active sets are ordered containers
 /// (std::multiset keyed by committed departure time), so
 /// admission costs O(route · log flows). The integrator is amortised: it
-/// steps at most `FabricConfig::max_reshare_steps` committed departures
-/// before holding the then-current share constant for the remainder
-/// (counted in FabricStats::amortized_tails), so 100k+ concurrent flows
-/// admit in bounded time instead of O(flows) each.
+/// steps at most `kMaxReshareSteps` committed departures before holding
+/// the then-current share constant for the remainder (counted in
+/// FabricStats::amortized_tails), so 100k+ concurrent flows admit in
+/// bounded time instead of O(flows) each.
 ///
 /// Tracing. Each flow emits "fabric.flow.start" at admission and
 /// "fabric.flow.finish" at its committed finish (scheduled through the
@@ -64,28 +62,10 @@ namespace ntco::fabric {
 /// Handle to one capacity segment.
 using SegmentId = std::uint32_t;
 
-/// How concurrent flows split a segment's capacity.
-enum class SharingModel : std::uint8_t {
-  /// Equal instantaneous split among active flows, bottlenecked over the
-  /// route (max-min fair share). The default.
-  MaxMinFairShare,
-  /// As above, but a new flow's rate climbs to the fair share along a
-  /// cubic window curve (TCP-Cubic-style AIMD ramp) instead of jumping
-  /// there instantly — short flows never reach full share.
-  CubicAimd,
-};
-
-/// Fabric-wide knobs.
-struct FabricConfig {
-  SharingModel sharing = SharingModel::MaxMinFairShare;
-  /// CubicAimd only: RTT multiples a fresh flow needs to reach its fair
-  /// share (the cubic curve's plateau point K).
-  double cubic_ramp_rtts = 8.0;
-  /// Admission integrator amortisation: committed-departure breakpoints
-  /// stepped per admission before the remaining bytes drain at the
-  /// then-current share. Bounds admission cost under extreme churn.
-  std::size_t max_reshare_steps = 64;
-};
+/// Admission integrator amortisation: committed-departure breakpoints
+/// stepped per admission before the remaining bytes drain at the
+/// then-current share. Bounds admission cost under extreme churn.
+inline constexpr std::size_t kMaxReshareSteps = 64;
 
 /// Static description of one shared segment. Segments are unidirectional
 /// resources; model a duplex hop as one ".up" and one ".down" segment.
@@ -112,7 +92,7 @@ struct FabricStats {
   std::uint64_t reshare_events = 0;
   /// Committed-departure breakpoints the admission integrator stepped.
   std::uint64_t reshare_steps = 0;
-  /// Admissions that hit max_reshare_steps and amortised their tail.
+  /// Admissions that hit kMaxReshareSteps and amortised their tail.
   std::uint64_t amortized_tails = 0;
 };
 
@@ -130,7 +110,7 @@ class FabricPath;
 /// Non-copyable; lives alongside one sim::Simulator.
 class Fabric {
  public:
-  explicit Fabric(sim::Simulator& sim, FabricConfig cfg = {});
+  explicit Fabric(sim::Simulator& sim) : sim_(sim) {}
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -162,7 +142,6 @@ class Fabric {
 
   [[nodiscard]] const FabricStats& stats() const { return stats_; }
   [[nodiscard]] const SegmentStats& segment_stats(SegmentId id) const;
-  [[nodiscard]] const FabricConfig& config() const { return cfg_; }
 
  private:
   friend class FabricPath;
@@ -180,19 +159,12 @@ class Fabric {
 
   /// Admits a flow of `bytes` over `segs` now; returns its drain time
   /// (serialisation under contention; excludes propagation latency).
-  /// `access_cap` caps the rate (the path's own nominal figure); `ramp`
-  /// is the CubicAimd plateau time (ignored under MaxMinFairShare).
+  /// `access_cap` caps the rate (the path's own nominal figure).
   Duration admit(const std::vector<SegmentId>& segs, DataSize bytes,
-                 DataRate access_cap, Duration ramp,
-                 const std::string& path_name, net::LinkDirection dir);
-
-  /// Drain time of `bits` at constant `bps` starting after `elapsed` of
-  /// cubic ramp-up (SharingModel::CubicAimd).
-  [[nodiscard]] static double cubic_drain_seconds(double bits, double bps,
-                                                  double ramp_seconds);
+                 DataRate access_cap, const std::string& path_name,
+                 net::LinkDirection dir);
 
   sim::Simulator& sim_;
-  FabricConfig cfg_;
   std::vector<Segment> segments_;
   obs::TraceSink* trace_ = nullptr;
   FabricStats stats_;

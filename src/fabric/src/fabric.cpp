@@ -30,11 +30,6 @@ constexpr std::string_view direction_label(net::LinkDirection dir) {
 
 }  // namespace
 
-Fabric::Fabric(sim::Simulator& sim, FabricConfig cfg)
-    : sim_(sim), cfg_(cfg) {
-  NTCO_EXPECTS(cfg_.cubic_ramp_rtts > 0.0);
-}
-
 SegmentId Fabric::add_segment(SegmentSpec spec) {
   NTCO_EXPECTS(!spec.capacity.is_zero());
   NTCO_EXPECTS(!spec.latency.is_negative());
@@ -85,38 +80,9 @@ DataRate Fabric::fair_share(SegmentId id) {
   return DataRate::bits_per_second(seg.spec.capacity.count_bps() / n);
 }
 
-double Fabric::cubic_drain_seconds(double bits, double bps,
-                                   double ramp_seconds) {
-  // Cubic window ramp r(t) = clamp01(1 + ((t - K)/K)^3): zero share at
-  // admission, fair share at t = K, flat after. Served volume by time t is
-  // bps * R(t) with R(t) = t + ((t-K)^4 - K^4) / (4 K^3) on [0, K]
-  // (so R(K) = 3K/4) and R(t) = 3K/4 + (t - K) afterwards. Solve
-  // bits = bps * R(t): closed form past the plateau, deterministic
-  // fixed-iteration bisection before it.
-  const double target = bits / bps;  // full-rate seconds of service needed
-  const double k = ramp_seconds;
-  if (k <= 0.0) return target;
-  const double plateau = 0.75 * k;  // R(K)
-  if (target >= plateau) return k + (target - plateau);
-  double lo = 0.0;
-  double hi = k;
-  for (int i = 0; i < 64; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double dt = mid - k;
-    const double served =
-        mid + (dt * dt * dt * dt - k * k * k * k) / (4.0 * k * k * k);
-    if (served < target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
-}
-
 Duration Fabric::admit(const std::vector<SegmentId>& segs, DataSize bytes,
-                       DataRate access_cap, Duration ramp,
-                       const std::string& path_name, net::LinkDirection dir) {
+                       DataRate access_cap, const std::string& path_name,
+                       net::LinkDirection dir) {
   NTCO_EXPECTS(!bytes.is_zero());
   NTCO_EXPECTS(!access_cap.is_zero());
   const TimePoint now = sim_.now();
@@ -153,49 +119,41 @@ Duration Fabric::admit(const std::vector<SegmentId>& segs, DataSize bytes,
   const double share0_bps = instantaneous_bps(capacities, ahead, access_bps);
   double bps = share0_bps;
 
-  if (cfg_.sharing == SharingModel::CubicAimd) {
-    // Cubic mode ramps against the admission snapshot of the fair share;
-    // departure stepping is skipped (the ramp dominates short flows, and
-    // long flows converge to the snapshot share).
-    elapsed = cubic_drain_seconds(remaining_bits, bps, ramp.to_seconds());
-    remaining_bits = 0.0;
-  } else {
-    // Piecewise-constant integration over the committed departures of the
-    // flows ahead, amortised at max_reshare_steps.
-    std::size_t steps = 0;
-    while (remaining_bits > 0.0) {
-      // Earliest committed departure ahead of the integration point.
-      TimePoint breakpoint = TimePoint::at(Duration::max());
-      bool have_breakpoint = false;
-      for (std::size_t i = 0; i < width; ++i) {
-        if (cursor[i] != last[i] &&
-            (!have_breakpoint || *cursor[i] < breakpoint)) {
-          breakpoint = *cursor[i];
-          have_breakpoint = true;
-        }
+  // Piecewise-constant integration over the committed departures of the
+  // flows ahead, amortised at kMaxReshareSteps.
+  std::size_t steps = 0;
+  while (remaining_bits > 0.0) {
+    // Earliest committed departure ahead of the integration point.
+    TimePoint breakpoint = TimePoint::at(Duration::max());
+    bool have_breakpoint = false;
+    for (std::size_t i = 0; i < width; ++i) {
+      if (cursor[i] != last[i] &&
+          (!have_breakpoint || *cursor[i] < breakpoint)) {
+        breakpoint = *cursor[i];
+        have_breakpoint = true;
       }
-      if (!have_breakpoint) break;  // nothing ahead: drain at current rate
-      const double window = (breakpoint - now).to_seconds() - elapsed;
-      const double drained = bps * window;
-      if (drained >= remaining_bits) break;  // finishes before the breakpoint
-      if (steps >= cfg_.max_reshare_steps) {
-        // Amortisation: stop stepping and hold the current share for the
-        // tail even though departures ahead would have raised it.
-        ++stats_.amortized_tails;
-        break;
-      }
-      remaining_bits -= drained;
-      elapsed += window;
-      for (std::size_t i = 0; i < width; ++i) {
-        while (cursor[i] != last[i] && *cursor[i] <= breakpoint) {
-          ++cursor[i];
-          --ahead[i];
-        }
-      }
-      ++steps;
-      ++stats_.reshare_steps;
-      bps = instantaneous_bps(capacities, ahead, access_bps);
     }
+    if (!have_breakpoint) break;  // nothing ahead: drain at current rate
+    const double window = (breakpoint - now).to_seconds() - elapsed;
+    const double drained = bps * window;
+    if (drained >= remaining_bits) break;  // finishes before the breakpoint
+    if (steps >= kMaxReshareSteps) {
+      // Amortisation: stop stepping and hold the current share for the
+      // tail even though departures ahead would have raised it.
+      ++stats_.amortized_tails;
+      break;
+    }
+    remaining_bits -= drained;
+    elapsed += window;
+    for (std::size_t i = 0; i < width; ++i) {
+      while (cursor[i] != last[i] && *cursor[i] <= breakpoint) {
+        ++cursor[i];
+        --ahead[i];
+      }
+    }
+    ++steps;
+    ++stats_.reshare_steps;
+    bps = instantaneous_bps(capacities, ahead, access_bps);
   }
 
   // Final drain at the held rate; ceil to a whole microsecond exactly like
@@ -243,11 +201,7 @@ Duration FabricPath::one_way(const std::vector<SegmentId>& segs,
   Duration latency = dspec.latency;
   for (const SegmentId id : segs) latency += fabric_.segment(id).latency;
   if (size.is_zero()) return latency;  // headers pay latency, not capacity
-  const Duration rtt = spec_.up.latency + spec_.down.latency;
-  const Duration ramp = std::max(
-      Duration::micros(1), rtt * fabric_.config().cubic_ramp_rtts);
-  return latency + fabric_.admit(segs, size, dspec.rate, ramp, spec_.name,
-                                 dir);
+  return latency + fabric_.admit(segs, size, dspec.rate, spec_.name, dir);
 }
 
 }  // namespace ntco::fabric

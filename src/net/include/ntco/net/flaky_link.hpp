@@ -62,7 +62,8 @@ class FlakyLink final : public Link {
     return TransferAttempt{true, transfer_time(size)};
   }
 
-  /// Tracing also covers the wrapped link (e.g. Markov state changes).
+  /// Tracing also covers the wrapped link (a nested FlakyLink traces its
+  /// own losses).
   void set_trace(obs::TraceSink* sink, const obs::TraceClock* clock,
                  std::string label) override {
     inner_->set_trace(sink, clock, label);

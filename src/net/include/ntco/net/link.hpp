@@ -15,8 +15,8 @@
 ///
 /// A transfer of `size` over a link costs one-way latency plus serialisation
 /// at the (possibly time-varying) achievable rate. Links are stateful: the
-/// stochastic variants consume randomness and the Markov variant remembers
-/// its channel state, so the sampling member functions are non-const.
+/// stochastic variants consume randomness, so the sampling member functions
+/// are non-const.
 
 namespace ntco::net {
 
@@ -61,9 +61,9 @@ class Link {
 
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
 
-  /// Attaches tracing: "net.link.*" records (state transitions, losses)
-  /// stamped with `clock` time and tagged `label`. Both pointers may be
-  /// null (disables tracing); decorators forward to their inner link.
+  /// Attaches tracing: "net.link.*" records (losses) stamped with `clock`
+  /// time and tagged `label`. Both pointers may be null (disables
+  /// tracing); decorators forward to their inner link.
   virtual void set_trace(obs::TraceSink* sink, const obs::TraceClock* clock,
                          std::string label) {
     trace_ = sink;
@@ -158,56 +158,6 @@ class StochasticLink final : public Link {
   DataRate rate_;
   double rate_cv_;
   Rng rng_;
-};
-
-/// Two-state Markov-modulated link (Gilbert–Elliott style): GOOD delivers
-/// the nominal rate, BAD a degraded fraction of it. Each sample advances the
-/// chain, producing bursty throughput typical of cellular uplinks.
-class MarkovLink final : public Link {
- public:
-  /// `p_good_to_bad` / `p_bad_to_good` are per-sample transition
-  /// probabilities; `bad_fraction` scales the rate in the BAD state.
-  MarkovLink(Duration latency, DataRate good_rate, double bad_fraction,
-             double p_good_to_bad, double p_bad_to_good, Rng rng)
-      : latency_(latency),
-        good_rate_(good_rate),
-        bad_fraction_(bad_fraction),
-        p_gb_(p_good_to_bad),
-        p_bg_(p_bad_to_good),
-        rng_(rng) {
-    NTCO_EXPECTS(!latency.is_negative());
-    NTCO_EXPECTS(!good_rate.is_zero());
-    NTCO_EXPECTS(bad_fraction > 0.0 && bad_fraction <= 1.0);
-    NTCO_EXPECTS(p_good_to_bad >= 0.0 && p_good_to_bad <= 1.0);
-    NTCO_EXPECTS(p_bad_to_good >= 0.0 && p_bad_to_good <= 1.0);
-  }
-
-  [[nodiscard]] Duration sample_latency() override { return latency_; }
-
-  [[nodiscard]] DataRate sample_rate() override {
-    const bool was_good = good_;
-    if (good_) {
-      if (rng_.bernoulli(p_gb_)) good_ = false;
-    } else {
-      if (rng_.bernoulli(p_bg_)) good_ = true;
-    }
-    if (good_ != was_good && traced())
-      trace_event("net.link.state", {{"state", good_ ? "good" : "bad"}});
-    return good_ ? good_rate_ : good_rate_ * bad_fraction_;
-  }
-
-  [[nodiscard]] DataRate nominal_rate() const override { return good_rate_; }
-  [[nodiscard]] Duration nominal_latency() const override { return latency_; }
-  [[nodiscard]] bool in_good_state() const { return good_; }
-
- private:
-  Duration latency_;
-  DataRate good_rate_;
-  double bad_fraction_;
-  double p_gb_;
-  double p_bg_;
-  Rng rng_;
-  bool good_ = true;
 };
 
 }  // namespace ntco::net

@@ -79,7 +79,6 @@ NTCO_OBS_NAME(trace, "sched.job.tier_fallback", "`job`")
 NTCO_OBS_NAME(trace, "sched.job.complete", "`job`, `latency`, `met_deadline`, `cost`")
 
 // --- network links --------------------------------------------------------
-NTCO_OBS_NAME(trace, "net.link.state", "`link`, `state` (`good`/`bad`)")
 NTCO_OBS_NAME(trace, "net.link.loss", "`link`, `bytes`, `timeout`")
 
 // --- open-loop arrival processes --------------------------------------------
@@ -95,6 +94,7 @@ NTCO_OBS_NAME(trace, "broker.admission_shed", "`reason`, `deadline`, `est`")
 NTCO_OBS_NAME(trace, "broker.batch_flush", "`group`, `jobs`, `sealed`")
 NTCO_OBS_NAME(trace, "broker.twostage.fast_serve", "`workload`")
 NTCO_OBS_NAME(trace, "broker.twostage.resolve", "`workload`, `agreed`")
+NTCO_OBS_NAME(trace, "broker.request_rejected", "`field` (`app`/`battery`/`bandwidth_scale`/`slack`)")
 
 // --- shared network fabric ------------------------------------------------
 NTCO_OBS_NAME(trace, "fabric.flow.start", "`flow`, `path`, `dir` (`up`/`down`), `bytes`, `segments`, `share_bps`, `dur`")
@@ -134,6 +134,7 @@ NTCO_OBS_NAME(counter, "sched.fallbacks", "jobs falling back to on-demand")
 NTCO_OBS_NAME(counter, "broker.requests", "serve() requests")
 NTCO_OBS_NAME(counter, "broker.completed", "requests that completed")
 NTCO_OBS_NAME(counter, "broker.failed", "requests that failed")
+NTCO_OBS_NAME(counter, "broker.rejected", "malformed requests rejected at serve()")
 NTCO_OBS_NAME(counter, "broker.cache.hits", "exact plan-cache hits")
 NTCO_OBS_NAME(counter, "broker.cache.hysteresis_hits", "neighbour-key hits within the hysteresis band")
 NTCO_OBS_NAME(counter, "broker.cache.misses", "plan-cache misses")

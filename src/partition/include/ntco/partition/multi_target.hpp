@@ -17,8 +17,7 @@
 /// crosses (UE<->edge LAN, UE<->cloud WAN, edge<->cloud backhaul). The
 /// optimal assignment is NP-hard in general (multiway cut), so the
 /// framework provides:
-///   MultiExhaustivePartitioner — ground truth for <= ~15 free components,
-///   MultiGreedyPartitioner     — best-single-move hill climbing,
+///   MultiExhaustivePartitioner — ground truth for <= 15 free components,
 ///   AlphaExpansionPartitioner  — graph-cut alpha-expansion (Boykov-
 ///                                Veksler-Zabih) on top of the same Dinic
 ///                                max-flow core; near-optimal in practice
@@ -124,22 +123,14 @@ class MultiPartitioner {
   [[nodiscard]] virtual MultiPartition plan(const MultiCostModel& m) const = 0;
 };
 
-/// Enumerates all 3^free assignments. Pre: few free components.
+/// Enumerates all 3^free assignments. Throws ConfigError beyond
+/// `kMaxFree` free components.
 class MultiExhaustivePartitioner final : public MultiPartitioner {
  public:
-  explicit MultiExhaustivePartitioner(std::size_t max_free = 15)
-      : max_free_(max_free) {}
+  /// Largest free-component count enumerated (3^15 ≈ 14M assignments).
+  static constexpr std::size_t kMaxFree = 15;
+
   [[nodiscard]] std::string name() const override { return "exhaustive-3"; }
-  [[nodiscard]] MultiPartition plan(const MultiCostModel& m) const override;
-
- private:
-  std::size_t max_free_;
-};
-
-/// Best-single-relabel hill climbing from all-device.
-class MultiGreedyPartitioner final : public MultiPartitioner {
- public:
-  [[nodiscard]] std::string name() const override { return "greedy-3"; }
   [[nodiscard]] MultiPartition plan(const MultiCostModel& m) const override;
 };
 
@@ -148,13 +139,12 @@ class MultiGreedyPartitioner final : public MultiPartitioner {
 /// keeping every expansion move non-worsening.
 class AlphaExpansionPartitioner final : public MultiPartitioner {
  public:
-  explicit AlphaExpansionPartitioner(std::size_t max_sweeps = 10)
-      : max_sweeps_(max_sweeps) {}
+  /// Sweeps over the three labels before giving up on convergence (a sweep
+  /// that improves nothing stops earlier).
+  static constexpr std::size_t kMaxSweeps = 10;
+
   [[nodiscard]] std::string name() const override { return "alpha-expansion"; }
   [[nodiscard]] MultiPartition plan(const MultiCostModel& m) const override;
-
- private:
-  std::size_t max_sweeps_;
 };
 
 }  // namespace ntco::partition

@@ -75,9 +75,13 @@ class AnnealingPartitioner final : public Partitioner {
  public:
   struct Params {
     std::size_t iterations = 20'000;
-    double initial_temperature = 1.0;  ///< relative to initial objective
-    double cooling = 0.9995;           ///< geometric per-iteration factor
   };
+  /// Starting temperature, relative to the all-local objective.
+  static constexpr double kInitialTemperature = 1.0;
+  /// Geometric cooling factor per iteration.
+  static constexpr double kCooling = 0.9995;
+  static_assert(kInitialTemperature > 0.0);
+  static_assert(kCooling > 0.0 && kCooling < 1.0);
 
   AnnealingPartitioner(Params params, Rng rng);
   [[nodiscard]] std::string name() const override { return "annealing"; }

@@ -156,8 +156,8 @@ MultiPartition MultiExhaustivePartitioner::plan(
     const MultiCostModel& m) const {
   const auto& g = m.graph();
   const auto free = free_components(g);
-  if (free.size() > max_free_)
-    throw ConfigError("exhaustive-3 limited to " + std::to_string(max_free_) +
+  if (free.size() > kMaxFree)
+    throw ConfigError("exhaustive-3 limited to " + std::to_string(kMaxFree) +
                       " free components, got " + std::to_string(free.size()));
 
   MultiPartition best = MultiPartition::all_device(g.component_count());
@@ -179,38 +179,6 @@ MultiPartition MultiExhaustivePartitioner::plan(
     }
   }
   return best;
-}
-
-MultiPartition MultiGreedyPartitioner::plan(const MultiCostModel& m) const {
-  const auto& g = m.graph();
-  const auto free = free_components(g);
-  MultiPartition p = MultiPartition::all_device(g.component_count());
-  double current = m.evaluate(p);
-
-  for (;;) {
-    double best = current;
-    app::ComponentId best_id = 0;
-    Site best_site = Site::Device;
-    bool found = false;
-    for (const auto id : free) {
-      for (const auto s : kAllSites) {
-        if (p.site[id] == s) continue;
-        MultiPartition candidate = p;
-        candidate.site[id] = s;
-        const double value = m.evaluate(candidate);
-        if (value < best - 1e-12) {
-          best = value;
-          best_id = id;
-          best_site = s;
-          found = true;
-        }
-      }
-    }
-    if (!found) break;
-    p.site[best_id] = best_site;
-    current = best;
-  }
-  return p;
 }
 
 MultiPartition AlphaExpansionPartitioner::plan(const MultiCostModel& m) const {
@@ -293,7 +261,7 @@ MultiPartition AlphaExpansionPartitioner::plan(const MultiCostModel& m) const {
     return false;
   };
 
-  for (std::size_t sweep = 0; sweep < max_sweeps_; ++sweep) {
+  for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool improved = false;
     for (const auto alpha : kAllSites) improved |= expand(alpha);
     if (!improved) break;

@@ -79,8 +79,6 @@ Partition GreedyPartitioner::plan(const CostModel& model) const {
 AnnealingPartitioner::AnnealingPartitioner(Params params, Rng rng)
     : params_(params), rng_(rng) {
   NTCO_EXPECTS(params.iterations > 0);
-  NTCO_EXPECTS(params.initial_temperature > 0.0);
-  NTCO_EXPECTS(params.cooling > 0.0 && params.cooling < 1.0);
 }
 
 Partition AnnealingPartitioner::plan(const CostModel& model) const {
@@ -94,8 +92,7 @@ Partition AnnealingPartitioner::plan(const CostModel& model) const {
   double best_value = current_value;
   // Temperature is relative to the all-local objective so the schedule is
   // scale-free across workloads.
-  double temperature =
-      params_.initial_temperature * std::max(current_value, 1e-9);
+  double temperature = kInitialTemperature * std::max(current_value, 1e-9);
 
   for (std::size_t it = 0; it < params_.iterations; ++it) {
     const auto id = free[static_cast<std::size_t>(
@@ -114,7 +111,7 @@ Partition AnnealingPartitioner::plan(const CostModel& model) const {
         best_value = current_value;
       }
     }
-    temperature *= params_.cooling;
+    temperature *= kCooling;
   }
   return best;
 }

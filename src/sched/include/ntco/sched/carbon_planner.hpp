@@ -3,7 +3,6 @@
 #include <array>
 #include <optional>
 
-#include "ntco/common/contracts.hpp"
 #include "ntco/common/units.hpp"
 
 /// \file carbon_planner.hpp
@@ -36,21 +35,15 @@ class CarbonProfile {
   std::array<double, 24> curve_;
 };
 
-/// Knobs of the carbon-aware planner.
-struct CarbonPlannerConfig {
-  /// Scan granularity over the admissible window.
-  Duration search_step = Duration::minutes(30);
-};
-
 /// Plans job start times minimising carbon within the slack window.
 class CarbonAwarePlanner {
  public:
-  using Config = CarbonPlannerConfig;
+  /// Scan granularity over the admissible window.
+  static constexpr Duration kSearchStep = Duration::minutes(30);
+  static_assert(kSearchStep > Duration::zero());
 
-  explicit CarbonAwarePlanner(CarbonProfile profile, Config cfg = {})
-      : profile_(std::move(profile)), cfg_(cfg) {
-    NTCO_EXPECTS(cfg_.search_step > Duration::zero());
-  }
+  explicit CarbonAwarePlanner(CarbonProfile profile)
+      : profile_(std::move(profile)) {}
 
   /// Earliest start in [release, release + slack - est_duration] with the
   /// minimum intensity (clamped to `release` if the slack is tight).
@@ -67,7 +60,6 @@ class CarbonAwarePlanner {
 
  private:
   CarbonProfile profile_;
-  Config cfg_;
 };
 
 }  // namespace ntco::sched

@@ -55,18 +55,22 @@ class DeferredScheduler {
  public:
   struct Config {
     Policy policy = Policy::CheapestWindow;
-    /// Tariff scan granularity.
-    Duration search_step = Duration::minutes(15);
-    /// Batch alignment interval for Policy::Batched.
-    Duration batch_interval = Duration::minutes(10);
     /// Capacity tier used by the executor.
     TierPolicy tier_policy = TierPolicy::OnDemandOnly;
-    /// SpotWithFallback stays on spot while remaining slack exceeds
-    /// `fallback_safety` x the estimated duration.
-    double fallback_safety = 2.0;
   };
 
-  DeferredScheduler(const serverless::Platform& platform, Config cfg);
+  /// Tariff scan granularity.
+  static constexpr Duration kSearchStep = Duration::minutes(15);
+  /// Batch alignment interval for Policy::Batched.
+  static constexpr Duration kBatchInterval = Duration::minutes(10);
+  /// SpotWithFallback stays on spot while the time to the deadline is at
+  /// least `kFallbackSafety` x the estimated duration.
+  static constexpr double kFallbackSafety = 2.0;
+  static_assert(kSearchStep > Duration::zero());
+  static_assert(kBatchInterval > Duration::zero());
+
+  DeferredScheduler(const serverless::Platform& platform, Config cfg)
+      : platform_(platform), cfg_(cfg) {}
 
   /// Latest admissible start so that `est_duration` work still meets the
   /// deadline `release + slack`, never before `release`.

@@ -13,8 +13,8 @@
 /// the next free, fast connectivity phase avoids metered cellular data and
 /// cuts radio-on time (faster links finish sooner at similar power). The
 /// planner picks the start time of an upload within its slack that
-/// minimises `money + energy_weight * radio energy`; the classic special
-/// case is "sync photos only on WiFi". Bench F10 measures the effect.
+/// minimises the metered-data charge; the classic special case is "sync
+/// photos only on WiFi". Bench F10 measures the effect.
 
 namespace ntco::sched {
 
@@ -45,9 +45,6 @@ class UploadPlanner {
 
   struct Config {
     Policy policy = Policy::WaitForFree;
-    /// Relative weight of radio energy (J) against money ($) when both
-    /// options are free.
-    double energy_weight_per_joule = 0.0;
   };
 
   UploadPlanner(const net::MobilitySchedule& schedule,

@@ -1,5 +1,6 @@
 #include "ntco/sched/carbon_planner.hpp"
 
+#include "ntco/common/contracts.hpp"
 #include "ntco/common/error.hpp"
 
 namespace ntco::sched {
@@ -37,7 +38,7 @@ TimePoint CarbonAwarePlanner::plan_start(TimePoint release, Duration slack,
 
   TimePoint best = release;
   double best_intensity = profile_.at(release);
-  for (TimePoint t = release; t <= latest; t = t + cfg_.search_step) {
+  for (TimePoint t = release; t <= latest; t = t + kSearchStep) {
     const double intensity = profile_.at(t);
     if (intensity < best_intensity - 1e-12) {
       best_intensity = intensity;

@@ -5,13 +5,6 @@
 
 namespace ntco::sched {
 
-DeferredScheduler::DeferredScheduler(const serverless::Platform& platform,
-                                     Config cfg)
-    : platform_(platform), cfg_(cfg) {
-  NTCO_EXPECTS(cfg.search_step > Duration::zero());
-  NTCO_EXPECTS(cfg.batch_interval > Duration::zero());
-}
-
 TimePoint DeferredScheduler::latest_start(TimePoint release, Duration slack,
                                           Duration est_duration) const {
   NTCO_EXPECTS(!slack.is_negative());
@@ -31,7 +24,7 @@ TimePoint DeferredScheduler::plan_start(TimePoint release, Duration slack,
   // tariffs pick the earliest start (finish as soon as the price allows).
   TimePoint best = release;
   double best_mult = platform_.price_multiplier(release);
-  for (TimePoint t = release; t <= latest; t = t + cfg_.search_step) {
+  for (TimePoint t = release; t <= latest; t = t + kSearchStep) {
     const double m = platform_.price_multiplier(t);
     if (m < best_mult - 1e-12) {
       best_mult = m;
@@ -42,7 +35,7 @@ TimePoint DeferredScheduler::plan_start(TimePoint release, Duration slack,
   if (cfg_.policy == Policy::Batched && best > release) {
     // Defer slightly further to the next batch boundary so concurrent jobs
     // share warm instances — but never beyond the latest admissible start.
-    const auto interval = cfg_.batch_interval.count_micros();
+    const auto interval = kBatchInterval.count_micros();
     const auto offset = best.since_origin().count_micros();
     const auto aligned = (offset + interval - 1) / interval * interval;
     const TimePoint batched = TimePoint::at(Duration::micros(aligned));
@@ -109,7 +102,7 @@ void DeferredExecutor::attempt(SlabId id) {
   // an on-demand redo within the remaining slack.
   const bool use_spot =
       scheduler_.config().tier_policy == TierPolicy::SpotWithFallback &&
-      sim_.now() + j.est * scheduler_.config().fallback_safety <= j.deadline;
+      sim_.now() + j.est * DeferredScheduler::kFallbackSafety <= j.deadline;
   if (use_spot) {
     ++report_.spot_attempts;
     if (m_.spot_attempts) m_.spot_attempts->add();

@@ -32,11 +32,7 @@ UploadDecision UploadPlanner::plan(TimePoint release,
   const UploadDecision waited = outcome_at(*free_start, deadline, job);
   if (!waited.meets_deadline) return now;
 
-  const auto score = [this](const UploadDecision& d) {
-    return d.data_cost.to_usd() +
-           cfg_.energy_weight_per_joule * d.radio_energy.to_joules();
-  };
-  return score(waited) < score(now) ? waited : now;
+  return waited.data_cost < now.data_cost ? waited : now;
 }
 
 }  // namespace ntco::sched

@@ -151,7 +151,7 @@ TEST(AllocationCount, EngineRunCostIsFlatInTheShardCount) {
 
 TEST(AllocationCount, FabricAdmissionAllocatesOneDepartureNode) {
   sim::Simulator sim;
-  fabric::Fabric net(sim, {});
+  fabric::Fabric net(sim);
   const fabric::SegmentId seg = net.add_segment(
       {"lan.up", DataRate::megabits_per_second(100000), Duration::zero()});
   net::PathSpec spec;
@@ -301,36 +301,56 @@ struct BrokerWorld {
   broker::Broker broker;
 };
 
-/// Every request hits one warm cache row: no TTL expiry, one price window
-/// for the whole day, and jobs start as soon as they are admitted.
+/// Every request hits one warm cache row: no TTL expiry, and jobs start as
+/// soon as they are admitted. Callers keep their runs inside one
+/// kHoursPerWindow price window.
 broker::BrokerConfig warm_hit_config(bool batching) {
   broker::BrokerConfig cfg;
   cfg.batching_enabled = batching;
   cfg.defer.policy = sched::Policy::Immediate;
   cfg.cache.ttl = Duration::hours(24 * 365);
-  cfg.cache.hours_per_window = 24;
   return cfg;
 }
 
-/// Allocations of kWindow warm cache-hit requests for `g`, each served to
-/// completion with batching off.
+/// Steps `w` until `outcomes` reaches `target`. Stopping at the last
+/// outcome, not when the queue drains, leaves the keep-alive timers
+/// pending: a drained queue would add ten idle minutes per call.
+void run_until_outcomes(BrokerWorld& w, const std::size_t& outcomes,
+                        std::size_t target) {
+  while (outcomes < target && w.sim.step()) {
+  }
+}
+
+/// Requests served side by side in warm_serve_allocations: one at a time,
+/// video-transcode's would outlast the 6-hour price window and replan.
+constexpr std::size_t kSideBySide = 8;
+
+/// Allocations of kWindow warm cache-hit requests for `g`, served to
+/// completion kSideBySide at a time with batching off.
 std::size_t warm_serve_allocations(const app::TaskGraph& g) {
   BrokerWorld w(warm_hit_config(/*batching=*/false));
   std::size_t outcomes = 0;
   broker::ServeRequest req;
   req.app = &g;
-  const auto serve = [&] {
-    w.broker.serve(req,
-                   [&outcomes](const broker::ServeOutcome&) { ++outcomes; });
-    w.sim.run();
+  const auto round = [&] {
+    const std::size_t target = outcomes + kSideBySide;
+    for (std::size_t i = 0; i < kSideBySide; ++i)
+      w.broker.serve(req,
+                     [&outcomes](const broker::ServeOutcome&) { ++outcomes; });
+    run_until_outcomes(w, outcomes, target);
   };
-  for (int i = 0; i < 8; ++i) serve();
+  round();
+  round();
   const std::size_t n = allocations_in([&] {
-    for (std::size_t i = 0; i < kWindow; ++i) serve();
+    for (std::size_t i = 0; i < kWindow / kSideBySide; ++i) round();
   });
-  EXPECT_EQ(outcomes, 8 + kWindow) << g.name();
-  EXPECT_EQ(w.broker.stats().completed, 8 + kWindow) << g.name();
+  const std::size_t served = 2 * kSideBySide + kWindow;
+  EXPECT_EQ(outcomes, served) << g.name();
+  EXPECT_EQ(w.broker.stats().completed, served) << g.name();
   EXPECT_EQ(w.broker.cache().stats().misses, 1u) << g.name();
+  EXPECT_LT(w.sim.now(),
+            TimePoint::at(Duration::hours(broker::kHoursPerWindow)))
+      << g.name();
   return n;
 }
 
@@ -369,14 +389,16 @@ TEST(AllocationCount, BatchedBrokerAllocatesPerBatchNotPerJob) {
   broker::ServeRequest req;
   req.app = &g;
   std::size_t outcomes = 0;
-  // One round: 21 requests land in one batch on the 10-minute grid and
-  // run to completion on its lanes.
-  constexpr std::size_t kPerRound = 21;
+  // One round: 28 requests land in one batch on the 10-minute grid and
+  // run to completion on its lanes; the 32 rounds end inside the first
+  // 6-hour price window.
+  constexpr std::size_t kPerRound = 28;
   const auto round = [&] {
+    const std::size_t target = outcomes + kPerRound;
     for (std::size_t i = 0; i < kPerRound; ++i)
       w.broker.serve(req,
                      [&outcomes](const broker::ServeOutcome&) { ++outcomes; });
-    w.sim.run();
+    run_until_outcomes(w, outcomes, target);
   };
   round();
   round();
@@ -388,6 +410,9 @@ TEST(AllocationCount, BatchedBrokerAllocatesPerBatchNotPerJob) {
       w.broker.dispatcher().stats().batches - batches_before;
   ASSERT_EQ(batches, kWindow / kPerRound);
   EXPECT_EQ(outcomes, kWindow + 2 * kPerRound);
+  EXPECT_EQ(w.broker.cache().stats().misses, 1u);
+  EXPECT_LT(w.sim.now(),
+            TimePoint::at(Duration::hours(broker::kHoursPerWindow)));
   // Two per batch: its map node and its id vector, sized once.
   EXPECT_EQ(total, 2 * batches)
       << "allocations for " << kWindow << " requests in " << batches

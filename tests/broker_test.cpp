@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -57,26 +58,25 @@ TEST(BrokerPlanCache, MissThenInsertThenHit) {
 }
 
 TEST(BrokerPlanCache, LruEvictionOrder) {
-  PlanCacheConfig cfg;
-  cfg.capacity = 2;
-  PlanCache cache(cfg);
+  PlanCache cache({});
   const TimePoint t0 = TimePoint::origin();
-  // Three distinct workloads occupy three distinct keys.
-  const auto a = ctx_with("a", 80.0);
-  const auto b = ctx_with("b", 80.0);
-  const auto c = ctx_with("c", 80.0);
+  // Distinct workloads occupy distinct keys: fill the cache exactly.
+  std::vector<DecisionContext> ctx;
+  for (std::size_t i = 0; i <= kCacheCapacity; ++i)
+    ctx.push_back(ctx_with("w" + std::to_string(i), 80.0));
+  for (std::size_t i = 0; i < kCacheCapacity; ++i)
+    cache.insert(ctx[i], plan_with(Duration::seconds(1)), t0);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  // Touch the oldest entry: now the second oldest is least recently used.
+  ASSERT_NE(cache.lookup(ctx[0], t0), nullptr);
+  cache.insert(ctx[kCacheCapacity], plan_with(Duration::seconds(2)), t0);
 
-  cache.insert(a, plan_with(Duration::seconds(1)), t0);
-  cache.insert(b, plan_with(Duration::seconds(2)), t0);
-  // Touch `a`: now `b` is the least recently used.
-  ASSERT_NE(cache.lookup(a, t0), nullptr);
-  cache.insert(c, plan_with(Duration::seconds(3)), t0);
-
-  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.size(), kCacheCapacity);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.lookup(b, t0), nullptr);  // evicted as LRU
-  EXPECT_NE(cache.lookup(a, t0), nullptr);  // survived (recently used)
-  EXPECT_NE(cache.lookup(c, t0), nullptr);
+  EXPECT_EQ(cache.lookup(ctx[1], t0), nullptr);  // evicted as LRU
+  EXPECT_NE(cache.lookup(ctx[0], t0), nullptr);  // survived (recently used)
+  for (std::size_t i = 2; i <= kCacheCapacity; ++i)
+    EXPECT_NE(cache.lookup(ctx[i], t0), nullptr) << i;
 }
 
 TEST(BrokerPlanCache, TtlExpiresAtSimulatedTime) {
@@ -94,7 +94,7 @@ TEST(BrokerPlanCache, TtlExpiresAtSimulatedTime) {
 }
 
 TEST(BrokerPlanCache, HysteresisReusesNeighbourWithinDrift) {
-  PlanCache cache({});  // hysteresis 0.25
+  PlanCache cache({});  // kCacheHysteresis = kBatteryHysteresis = 0.25
   const TimePoint t0 = TimePoint::origin();
   // Planned at 80 Mbps -> bucket round(log2 80) = 6.
   cache.insert(ctx_with("app", 80.0), plan_with(Duration::seconds(1)), t0);
@@ -108,84 +108,33 @@ TEST(BrokerPlanCache, HysteresisReusesNeighbourWithinDrift) {
   // genuine regime change: replan.
   EXPECT_EQ(cache.lookup(ctx_with("app", 160.0), t0), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
+
+  // Battery drift is absolute, against kBatteryHysteresis: 0.50 -> 0.30
+  // (neighbouring bucket 1) is a 40% relative drift, past
+  // kCacheHysteresis, yet only 0.20 of charge, so the plan is reused; a
+  // drift of exactly 0.25 still is.
+  cache.insert(ctx_with("b", 80.0, 0.50), plan_with(Duration::seconds(2)), t0);
+  EXPECT_NE(cache.lookup(ctx_with("b", 80.0, 0.30), t0), nullptr);
+  EXPECT_NE(cache.lookup(ctx_with("b", 80.0, 0.25), t0), nullptr);
+  EXPECT_EQ(cache.stats().hysteresis_hits, 3u);
+  // 0.74 -> 0.45 crosses into bucket 1 with 0.29 of charge: replan.
+  cache.insert(ctx_with("c", 80.0, 0.74), plan_with(Duration::seconds(3)), t0);
+  EXPECT_EQ(cache.lookup(ctx_with("c", 80.0, 0.45), t0), nullptr);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(BrokerPlanCache, QuantizeClampsAndWindows) {
-  const PlanCacheConfig cfg;  // 4 battery buckets, 6-hour windows
+  // kBatteryBuckets = 4, kHoursPerWindow = 6.
   auto ctx = ctx_with("app", 80.0, /*battery=*/1.0);
   ctx.hour = 23;
-  const PlanKey k = quantize(ctx, cfg);
+  const PlanKey k = quantize(ctx);
   EXPECT_EQ(k.battery_bucket, 3);  // full charge clamps into the top bucket
   EXPECT_EQ(k.window, 3);          // 23:00 is the last 6-hour window
   ctx.hour = 0;
   ctx.battery = 0.0;
-  const PlanKey k2 = quantize(ctx, cfg);
+  const PlanKey k2 = quantize(ctx);
   EXPECT_EQ(k2.battery_bucket, 0);
   EXPECT_EQ(k2.window, 0);
-}
-
-TEST(BrokerPlanCache, BatteryHysteresisIsItsOwnKnob) {
-  // Regression: within_hysteresis used to judge the *absolute* battery
-  // drift against the *relative* bw/rtt knob — at hysteresis=0.05 a 5%
-  // bandwidth drift and a 5-percentage-point charge drift were silently
-  // conflated. Battery must read battery_hysteresis, nothing else.
-  PlanCacheConfig tight_links;
-  tight_links.hysteresis = 0.05;          // links barely tolerate drift...
-  tight_links.battery_hysteresis = 0.25;  // ...but charge has a wide band
-  PlanCache cache(tight_links);
-  const TimePoint t0 = TimePoint::origin();
-  // Planned at battery 0.50 (bucket 2 of 4); identical link context.
-  cache.insert(ctx_with("app", 80.0, /*battery=*/0.50),
-               plan_with(Duration::seconds(1)), t0);
-
-  // 0.30 quantizes to neighbouring bucket 1; the raw 0.20 charge drift is
-  // within battery_hysteresis. Pre-fix this read the 0.05 link knob and
-  // replanned.
-  EXPECT_NE(cache.lookup(ctx_with("app", 80.0, /*battery=*/0.30), t0),
-            nullptr);
-  EXPECT_EQ(cache.stats().hysteresis_hits, 1u);
-
-  // The converse conflation: a *loose* link knob must not excuse a charge
-  // drift past the battery band.
-  PlanCacheConfig tight_battery;
-  tight_battery.hysteresis = 0.50;
-  tight_battery.battery_hysteresis = 0.10;
-  PlanCache cache2(tight_battery);
-  cache2.insert(ctx_with("app", 80.0, /*battery=*/0.50),
-                plan_with(Duration::seconds(1)), t0);
-  EXPECT_EQ(cache2.lookup(ctx_with("app", 80.0, /*battery=*/0.30), t0),
-            nullptr);
-  EXPECT_EQ(cache2.stats().misses, 1u);
-
-  // Boundary: a drift of exactly battery_hysteresis still reuses.
-  PlanCacheConfig at_edge;
-  at_edge.battery_hysteresis = 0.20;
-  PlanCache cache3(at_edge);
-  cache3.insert(ctx_with("app", 80.0, /*battery=*/0.50),
-                plan_with(Duration::seconds(1)), t0);
-  EXPECT_NE(cache3.lookup(ctx_with("app", 80.0, /*battery=*/0.30), t0),
-            nullptr);
-}
-
-TEST(BrokerPlanCache, WindowWidthMustDivideTheDay) {
-  // Regression: hours_per_window=5 used to quantize into a ragged final
-  // window (window 4 spanning only 20:00-23:59) that skewed hit rates
-  // across midnight; the config is now rejected by contract.
-  PlanCacheConfig bad;
-  bad.hours_per_window = 5;
-  EXPECT_THROW(PlanCache{bad}, ContractViolation);
-  EXPECT_THROW((void)quantize(ctx_with("app", 80.0), bad),
-               ContractViolation);
-
-  // Every divisor of 24 stays valid, and the window count is exact.
-  for (const int hpw : {1, 2, 3, 4, 6, 8, 12, 24}) {
-    PlanCacheConfig good;
-    good.hours_per_window = hpw;
-    PlanCache ok(good);
-    auto ctx = ctx_with("app", 80.0);
-    ctx.hour = 23;
-    EXPECT_EQ(quantize(ctx, good).window, 23 / hpw);
-  }
 }
 
 // --------------------------------------------------------------- Admission
@@ -455,7 +404,7 @@ struct LaneRecorder final : BatchDispatcher::Runner {
 TEST(BrokerBatch, FlushesAtTheAlignedInstant) {
   sim::Simulator sim;
   LaneRecorder lanes(sim);
-  BatchDispatcher d(sim, {}, lanes);
+  BatchDispatcher d(sim, lanes);
   const TimePoint at = TimePoint::at(Duration::minutes(10));
   for (JobId i = 0; i < 3; ++i) d.enqueue("g", at, i);
   EXPECT_EQ(d.open_batches(), 1u);
@@ -470,15 +419,14 @@ TEST(BrokerBatch, FlushesAtTheAlignedInstant) {
 TEST(BrokerBatch, SealedBatchKeepsItsFlushInstant) {
   sim::Simulator sim;
   LaneRecorder lanes(sim);
-  BatchConfig cfg;
-  cfg.max_batch = 2;
-  BatchDispatcher d(sim, cfg, lanes);
+  BatchDispatcher d(sim, lanes);
   const TimePoint at = TimePoint::at(Duration::minutes(10));
-  for (JobId i = 0; i < 3; ++i) d.enqueue("g", at, i);
+  for (JobId i = 0; i <= kMaxBatch; ++i) d.enqueue("g", at, i);
+  EXPECT_EQ(d.open_batches(), 1u);  // the sealed batch left the map
   sim.run();
-  // The first two sealed the batch, the third re-opened the key — but
-  // nothing dispatched before the price-aligned instant.
-  ASSERT_EQ(lanes.runs.size(), 3u);
+  // The first kMaxBatch sealed the batch, the next re-opened the key —
+  // but nothing dispatched before the price-aligned instant.
+  ASSERT_EQ(lanes.runs.size(), kMaxBatch + 1);
   for (const auto& [job, t] : lanes.runs) EXPECT_EQ(t, Duration::minutes(10));
   EXPECT_EQ(d.stats().batches, 2u);
   EXPECT_EQ(d.stats().sealed, 1u);
@@ -490,18 +438,20 @@ TEST(BrokerBatch, LanesChainOnCompletion) {
   // Each job takes one simulated second; the lane's successor must not
   // start before it completed.
   LaneRecorder lanes(sim, Duration::seconds(1));
-  BatchConfig cfg;
-  cfg.lanes = 1;
-  BatchDispatcher d(sim, cfg, lanes);
+  BatchDispatcher d(sim, lanes);
   const TimePoint at = TimePoint::at(Duration::minutes(10));
-  for (JobId i = 0; i < 3; ++i) d.enqueue("g", at, i);
+  // Two full rounds over the lanes plus one job into a third.
+  const JobId jobs = 2 * kBatchLanes + 1;
+  for (JobId i = 0; i < jobs; ++i) d.enqueue("g", at, i);
   sim.run();
-  ASSERT_EQ(lanes.runs.size(), 3u);
-  for (JobId i = 0; i < 3; ++i) {
+  ASSERT_EQ(lanes.runs.size(), jobs);
+  // Round-robin: job i runs in lane i % kBatchLanes, after the i /
+  // kBatchLanes jobs ahead of it there, one second each.
+  for (JobId i = 0; i < jobs; ++i) {
     EXPECT_EQ(lanes.runs[i].first, i);  // enqueue order
+    const auto ahead = static_cast<std::int64_t>(i / kBatchLanes);
     EXPECT_EQ(lanes.runs[i].second,
-              Duration::minutes(10) +
-                  Duration::seconds(static_cast<std::int64_t>(i)));
+              Duration::minutes(10) + Duration::seconds(ahead));
   }
 }
 
@@ -622,6 +572,74 @@ TEST(BrokerServe, DeferredRequestRetriesThenCompletes) {
   EXPECT_EQ(fx.broker.admission().stats().deferrals, 1u);
 }
 
+TEST(BrokerServe, MalformedRequestsAreRejectedWithTheirField) {
+  ServeFixture fx;
+  obs::MetricsRegistry metrics;
+  obs::JsonlTraceWriter trace;
+  fx.broker.attach_observer(&trace, &metrics);
+  const auto g = app::workloads::photo_backup();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ServeRequest ok;
+  ok.app = &g;
+
+  std::vector<std::pair<ServeRequest, RejectReason>> cases;
+  ServeRequest r = ok;
+  r.app = nullptr;
+  cases.emplace_back(r, RejectReason::App);
+  for (const double battery : {-0.01, 1.01, kNaN, kInf}) {
+    r = ok;
+    r.battery = battery;
+    cases.emplace_back(r, RejectReason::Battery);
+  }
+  for (const double scale : {0.0, -1.0, kNaN, kInf}) {
+    r = ok;
+    r.bandwidth_scale = scale;
+    cases.emplace_back(r, RejectReason::BandwidthScale);
+  }
+  r = ok;
+  r.slack = Duration::micros(-1);
+  cases.emplace_back(r, RejectReason::Slack);
+  // The first bad field names the rejection.
+  r = ok;
+  r.battery = kNaN;
+  r.slack = Duration::micros(-1);
+  cases.emplace_back(r, RejectReason::Battery);
+
+  for (const auto& [req, why] : cases) {
+    std::vector<ServeOutcome> got;
+    fx.broker.serve(req, [&](const ServeOutcome& o) { got.push_back(o); });
+    // Delivered inside serve(), before the simulator runs.
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].status, ServeStatus::Rejected);
+    EXPECT_EQ(got[0].reject_reason, why);
+    EXPECT_EQ(got[0].released, fx.sim.now());
+    EXPECT_EQ(got[0].finished, fx.sim.now());
+  }
+  // A well-formed request after them is served as usual.
+  std::vector<ServeOutcome> served;
+  fx.broker.serve(ok, [&](const ServeOutcome& o) { served.push_back(o); });
+  fx.sim.run();
+  ASSERT_EQ(served.size(), 1u);
+  EXPECT_EQ(served[0].status, ServeStatus::Completed);
+
+  const BrokerStats& s = fx.broker.stats();
+  EXPECT_EQ(s.rejected, cases.size());
+  EXPECT_EQ(s.requests, cases.size() + 1);
+  EXPECT_EQ(s.requests, s.completed + s.failed + s.shed + s.rejected);
+  EXPECT_EQ(metrics.counter("broker.rejected").value(), cases.size());
+  EXPECT_EQ(metrics.counter("broker.requests").value(), cases.size() + 1);
+  const std::string t = trace.str();
+  EXPECT_NE(t.find("\"ev\":\"broker.request_rejected\",\"field\":\"app\""),
+            std::string::npos);
+  EXPECT_NE(t.find("\"field\":\"bandwidth_scale\""), std::string::npos);
+  std::size_t records = 0;
+  for (auto at = t.find("broker.request_rejected"); at != std::string::npos;
+       at = t.find("broker.request_rejected", at + 1))
+    ++records;
+  EXPECT_EQ(records, cases.size());
+}
+
 // -------------------------------------------------------------- Two-stage
 
 BrokerConfig two_stage_cfg() {
@@ -712,17 +730,31 @@ TEST(BrokerTwoStage, SameBucketBurstResolvesOnce) {
 // ------------------------------------------------------------ Determinism
 
 /// A miniature F12 shard: one broker serving a small random population.
+struct ShardOut {
+  obs::MetricsRegistry metrics;
+  obs::JsonlTraceWriter trace;
+  std::uint64_t rejected = 0;
+};
+
+/// The merged fleet output, plus each shard's own dumps in shard order.
 struct FleetOut {
   obs::MetricsRegistry metrics;
   obs::JsonlTraceWriter trace;
+  std::vector<std::string> shard_metrics;
+  std::vector<std::string> shard_traces;
+  std::vector<std::uint64_t> shard_rejected;
 };
 
-FleetOut run_fleet(std::size_t threads) {
+constexpr std::size_t kFleetShards = 8;
+
+/// Runs the fleet; shard `poisoned` (none by default) also receives one
+/// malformed request, scheduled without drawing from its rng.
+FleetOut run_fleet(std::size_t threads, std::size_t poisoned = kFleetShards) {
   fleet::Replicator rep(99, threads);
   return rep.reduce(
-      8, FleetOut{},
-      [](fleet::ShardContext& ctx) {
-        FleetOut out;
+      kFleetShards, FleetOut{},
+      [poisoned](fleet::ShardContext& ctx) {
+        ShardOut out;
         ServeFixture fx;
         fx.broker.attach_observer(&out.trace, &out.metrics);
         const auto graphs = app::workloads::all();
@@ -740,12 +772,25 @@ FleetOut run_fleet(std::size_t threads) {
             fx.broker.serve(req);
           });
         }
+        if (ctx.shard == poisoned)
+          fx.sim.schedule_at(TimePoint::at(Duration::seconds(30)),
+                             [&fx, &graphs] {
+                               ServeRequest bad;
+                               bad.app = &graphs[0];
+                               bad.battery =
+                                   std::numeric_limits<double>::quiet_NaN();
+                               fx.broker.serve(bad);
+                             });
         fx.sim.run();
+        out.rejected = fx.broker.stats().rejected;
         return out;
       },
-      [](FleetOut& acc, FleetOut&& shard, std::size_t) {
+      [](FleetOut& acc, ShardOut&& shard, std::size_t) {
         acc.metrics.merge_from(shard.metrics);
         acc.trace.append_from(shard.trace);
+        acc.shard_metrics.push_back(shard.metrics.to_csv());
+        acc.shard_traces.push_back(shard.trace.str());
+        acc.shard_rejected.push_back(shard.rejected);
       });
 }
 
@@ -755,6 +800,29 @@ TEST(BrokerDeterminism, FleetMergeByteIdenticalAcrossThreads) {
   EXPECT_FALSE(one.trace.str().empty());
   EXPECT_EQ(one.metrics.to_csv(), eight.metrics.to_csv());
   EXPECT_EQ(one.trace.str(), eight.trace.str());
+}
+
+TEST(BrokerDeterminism, PoisonedRequestChangesOnlyItsShard) {
+  // One malformed request used to trip a contract inside a simulator event
+  // and abort the whole fleet run. Now it costs one request.
+  constexpr std::size_t kPoisoned = 3;
+  const FleetOut clean = run_fleet(4);
+  const FleetOut poisoned = run_fleet(4, kPoisoned);
+  ASSERT_EQ(poisoned.shard_traces.size(), kFleetShards);
+  for (std::size_t s = 0; s < kFleetShards; ++s) {
+    if (s == kPoisoned) continue;
+    EXPECT_EQ(poisoned.shard_rejected[s], 0u) << s;
+    EXPECT_EQ(poisoned.shard_metrics[s], clean.shard_metrics[s]) << s;
+    EXPECT_EQ(poisoned.shard_traces[s], clean.shard_traces[s]) << s;
+  }
+  EXPECT_EQ(poisoned.shard_rejected[kPoisoned], 1u);
+  // The poisoned shard's trace is the clean one plus the rejection record.
+  std::string trace = poisoned.shard_traces[kPoisoned];
+  const std::size_t at = trace.find("\"ev\":\"broker.request_rejected\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t begin = trace.rfind('\n', at) + 1;
+  trace.erase(begin, trace.find('\n', at) + 1 - begin);
+  EXPECT_EQ(trace, clean.shard_traces[kPoisoned]);
 }
 
 }  // namespace

@@ -141,6 +141,16 @@ TEST(ReleasePipeline, InvalidConfigRejected) {
                ConfigError);
 }
 
+TEST(MeasuredObjective, AppliesTheWeights) {
+  core::ExecutionReport r;
+  r.makespan = Duration::seconds(10);
+  r.device_energy = Energy::joules(5.0);
+  r.cloud_cost = Money::from_usd(0.01);
+  EXPECT_DOUBLE_EQ(measured_objective({1.0, 0.0, 0.0}, r), 10.0);
+  EXPECT_DOUBLE_EQ(measured_objective({0.0, 1.0, 0.0}, r), 5.0);
+  EXPECT_DOUBLE_EQ(measured_objective({1.0, 2.0, 100.0}, r), 10 + 10 + 1);
+}
+
 TEST(DriftWatcher, TriggersReleaseOnWorkloadShift) {
   DriftWatcher watcher(0.25, 10);
   for (int i = 0; i < 10; ++i)

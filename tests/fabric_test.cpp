@@ -150,58 +150,41 @@ TEST(Fabric, MultiSegmentRouteIsBottleneckedByNarrowestShare) {
 
 TEST(Fabric, AmortizationCapHoldsSnapshotShare) {
   sim::Simulator sim;
-  Fabric fabric(sim, FabricConfig{SharingModel::MaxMinFairShare, 8.0, 0});
-  const auto seg = fabric.add_segment(
-      {"lan.up", DataRate::megabits_per_second(80), Duration::zero()});
-  auto path = fabric.attach(
-      wide_spec("ue", DataRate::megabits_per_second(100000)),
-      Route{{seg}, {}});
-  (void)path->uplink_time(DataSize::megabytes(10));
-  // With max_reshare_steps = 0 the second flow never steps past the first
-  // one's departure: it drains all 80 Mbit at the half share = 2 s (the
-  // pure admission-snapshot model), and the amortised tail is counted.
-  EXPECT_EQ(path->uplink_time(DataSize::megabytes(10)),
-            Duration::seconds(2));
+  Fabric fabric(sim);
+  // `wide` never binds (100 Gb/s); `narrow` halves the probe's share.
+  const auto wide = fabric.add_segment(
+      {"wide.up", DataRate::megabits_per_second(100000), Duration::zero()});
+  const auto narrow = fabric.add_segment(
+      {"narrow.up", DataRate::megabits_per_second(80), Duration::zero()});
+  // kMaxReshareSteps + 1 staggered flows ahead on `wide`: each is held to
+  // its 8 Mb/s access rate, so flow i commits its departure at i + 1 s.
+  auto slow = fabric.attach(
+      wide_spec("slow", DataRate::megabits_per_second(8)), Route{{wide}, {}});
+  for (std::uint64_t i = 0; i <= kMaxReshareSteps; ++i)
+    ASSERT_EQ(slow->uplink_time(DataSize::megabytes(i + 1)),
+              Duration::seconds(static_cast<std::int64_t>(i + 1)));
+  // One flow ahead on `narrow`: 1000 MB alone at 80 Mb/s departs at 100 s.
+  auto bulk = fabric.attach(
+      wide_spec("bulk", DataRate::megabits_per_second(100000)),
+      Route{{narrow}, {}});
+  ASSERT_EQ(bulk->uplink_time(DataSize::megabytes(1000)),
+            Duration::seconds(100));
+  EXPECT_EQ(fabric.stats().amortized_tails, 0u);
+
+  // The probe crosses both segments at min(1515 Mb/s, 80 / 2) = 40 Mb/s.
+  // It steps the first kMaxReshareSteps departures on `wide`, none of
+  // which raises its share, and hits the cap at the next one: it drains
+  // all 8000 Mbit at the admission-snapshot share, 200 s. Stepping on to
+  // `bulk`'s departure at 100 s would have taken 100 s + 4000 Mbit at
+  // 80 Mb/s = 150 s.
+  auto probe = fabric.attach(
+      wide_spec("probe", DataRate::megabits_per_second(100000)),
+      Route{{wide, narrow}, {}});
+  const std::uint64_t steps_before = fabric.stats().reshare_steps;
+  EXPECT_EQ(probe->uplink_time(DataSize::megabytes(1000)),
+            Duration::seconds(200));
   EXPECT_EQ(fabric.stats().amortized_tails, 1u);
-  EXPECT_EQ(fabric.stats().reshare_steps, 0u);
-}
-
-TEST(Fabric, CubicRampDelaysPlateauByQuarterK) {
-  sim::Simulator sim;
-  Fabric fabric(sim, FabricConfig{SharingModel::CubicAimd, 8.0, 64});
-  const auto seg = fabric.add_segment(
-      {"lan.up", DataRate::megabits_per_second(1000), Duration::zero()});
-  // RTT = 20 + 20 = 40 ms, so K = 8 * 40 = 320 ms. A flow needing 1 s of
-  // full-rate service finishes at target + K/4 = 1.08 s (plus latency):
-  // the cubic ramp forfeits exactly K/4 of service before the plateau.
-  auto path =
-      fabric.attach(wide_spec("ue", DataRate::megabits_per_second(8),
-                              Duration::millis(20)),
-                    Route{{seg}, {seg}});
-  EXPECT_EQ(path->uplink_time(DataSize::megabytes(1)),
-            Duration::millis(20) + Duration::micros(1'080'000));
-}
-
-TEST(Fabric, CubicShortFlowNeverReachesFairShare) {
-  sim::Simulator sim;
-  Fabric cubic_fabric(sim, FabricConfig{SharingModel::CubicAimd, 8.0, 64});
-  sim::Simulator sim2;
-  Fabric fair_fabric(sim2);
-  const SegmentSpec spec{"lan.up", DataRate::megabits_per_second(1000),
-                         Duration::zero()};
-  const auto cs = cubic_fabric.add_segment(spec);
-  const auto fs = fair_fabric.add_segment(spec);
-  const auto pspec = wide_spec("ue", DataRate::megabits_per_second(8),
-                               Duration::millis(20));
-  auto cubic_path = cubic_fabric.attach(pspec, Route{{cs}, {cs}});
-  auto fair_path = fair_fabric.attach(pspec, Route{{fs}, {fs}});
-  // 10 kB needs 10 ms of full-rate service, deep inside the 320 ms ramp:
-  // cubic must be strictly slower than max-min, but still finite and
-  // bounded by the ramp length.
-  const auto cubic_t = cubic_path->uplink_time(DataSize::kilobytes(10));
-  const auto fair_t = fair_path->uplink_time(DataSize::kilobytes(10));
-  EXPECT_GT(cubic_t, fair_t);
-  EXPECT_LT(cubic_t, Duration::millis(20) + Duration::millis(320));
+  EXPECT_EQ(fabric.stats().reshare_steps - steps_before, kMaxReshareSteps);
 }
 
 TEST(Fabric, ContractViolationsThrow) {

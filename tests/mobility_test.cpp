@@ -97,11 +97,9 @@ TEST(MobileLink, TransferTimeUsesPhaseRate) {
 // ---------------------------------------------------------------- planner
 
 sched::UploadPlanner make_planner(
-    sched::UploadPlanner::Policy policy, const net::MobilitySchedule& sched,
-    double energy_weight = 0.0) {
+    sched::UploadPlanner::Policy policy, const net::MobilitySchedule& sched) {
   sched::UploadPlanner::Config cfg;
   cfg.policy = policy;
-  cfg.energy_weight_per_joule = energy_weight;
   return sched::UploadPlanner(sched, device::budget_phone(), cfg);
 }
 

@@ -141,7 +141,6 @@ TEST(MultiPartitioners, ThreeWayNeverWorseThanTwoWay) {
 TEST(MultiPartitioners, GreedyAndAlphaRespectPinsOnWorkloads) {
   for (const auto& g : app::workloads::all()) {
     const auto m = latency_model(g, default_multi_environment());
-    EXPECT_TRUE(MultiGreedyPartitioner().plan(m).respects_pins(g));
     EXPECT_TRUE(AlphaExpansionPartitioner().plan(m).respects_pins(g));
   }
 }
@@ -184,16 +183,13 @@ TEST_P(AlphaExpansionProperty, NearOptimalOnRandomGraphs) {
   const double opt = m.evaluate(MultiExhaustivePartitioner().plan(m));
   const auto alpha_plan = AlphaExpansionPartitioner().plan(m);
   const double alpha = m.evaluate(alpha_plan);
-  const double greedy = m.evaluate(MultiGreedyPartitioner().plan(m));
 
   EXPECT_TRUE(alpha_plan.respects_pins(g));
   EXPECT_GE(alpha, opt - 1e-9);
   // Alpha-expansion is near-optimal in practice; allow a small slack for
   // truncated non-metric instances.
-  EXPECT_LE(alpha, opt * 1.05 + 1e-9)
+  EXPECT_LE(alpha, opt * 1.02 + 1e-9)
       << g.name() << " alpha=" << alpha_plan.to_string();
-  // And it should not lose to single-move hill climbing by much.
-  EXPECT_LE(alpha, greedy * 1.02 + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlphaExpansionProperty,

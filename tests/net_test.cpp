@@ -69,32 +69,6 @@ TEST(StochasticLink, DeterministicGivenSeed) {
               b.transfer_time(DataSize::kilobytes(100)));
 }
 
-TEST(MarkovLink, VisitsBothStates) {
-  MarkovLink link(Duration::millis(5), DataRate::megabits_per_second(20), 0.2,
-                  0.1, 0.3, Rng(3));
-  int good = 0, bad = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const auto r = link.sample_rate();
-    if (r == DataRate::megabits_per_second(20))
-      ++good;
-    else {
-      EXPECT_EQ(r, DataRate::megabits_per_second(20) * 0.2);
-      ++bad;
-    }
-  }
-  EXPECT_GT(good, 100);
-  EXPECT_GT(bad, 100);
-  // Stationary distribution of the chain: P(good) = p_bg / (p_gb + p_bg).
-  EXPECT_NEAR(static_cast<double>(good) / 2000.0, 0.3 / 0.4, 0.08);
-}
-
-TEST(MarkovLink, DegenerateChainStaysGood) {
-  MarkovLink link(Duration::millis(5), DataRate::megabits_per_second(20), 0.5,
-                  0.0, 1.0, Rng(4));
-  for (int i = 0; i < 100; ++i)
-    EXPECT_EQ(link.sample_rate(), DataRate::megabits_per_second(20));
-}
-
 TEST(NetworkPath, RoundTripUsesBothLinks) {
   auto path = make_fixed_path(profile_wifi());
   const auto p = profile_wifi();

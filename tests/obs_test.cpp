@@ -17,15 +17,15 @@ TEST(JsonlTraceWriter, RendersRecordsExactly) {
   JsonlTraceWriter w;
   emit(&w, TimePoint::at(Duration::micros(1500)), "faas.cold_start",
        {{"fn", std::uint64_t{0}}, {"init", Duration::micros(180600)}});
-  emit(&w, TimePoint::at(Duration::millis(2)), "net.link.state",
-       {{"link", "4g/up"}, {"good", false}});
+  emit(&w, TimePoint::at(Duration::millis(2)), "net.link.loss",
+       {{"link", "4g/up"}, {"timeout", false}});
   emit(&w, TimePoint::origin(), "sim.event.fired", {});
   EXPECT_EQ(w.record_count(), 3u);
   EXPECT_EQ(w.str(),
             "{\"t_us\":1500,\"ev\":\"faas.cold_start\",\"fn\":0,"
             "\"init\":180600}\n"
-            "{\"t_us\":2000,\"ev\":\"net.link.state\",\"link\":\"4g/up\","
-            "\"good\":false}\n"
+            "{\"t_us\":2000,\"ev\":\"net.link.loss\",\"link\":\"4g/up\","
+            "\"timeout\":false}\n"
             "{\"t_us\":0,\"ev\":\"sim.event.fired\"}\n");
 }
 

@@ -159,7 +159,6 @@ TEST(SpotFallback, TightSlackStaysOnDemand) {
   sched::DeferredScheduler::Config cfg;
   cfg.policy = sched::Policy::Immediate;
   cfg.tier_policy = sched::TierPolicy::SpotWithFallback;
-  cfg.fallback_safety = 2.0;
   sched::DeferredExecutor exec(s, p, fn, sched::DeferredScheduler(p, cfg));
   // 100 s job with 150 s slack: 2x safety margin is not available, so the
   // executor must go straight to on-demand.

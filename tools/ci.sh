@@ -15,16 +15,17 @@
 #      dead rows and DESIGN.md tables; the two ctests that must fail to
 #      compile a bad telemetry name; and allocation_count_test, the exact
 #      allocation counts on the serving path)
-#   3. prove the fleet determinism contract end-to-end:
-#      bench_f5_scale_users, bench_f9_resilience, bench_f12_broker,
-#      bench_f13_fabric_contention, bench_f14_continuum, bench_f15_vehicular,
-#      and bench_f16_diurnal must emit byte-identical stdout and
-#      NTCO_BENCH_OUT artifacts with NTCO_THREADS=1 and NTCO_THREADS=8 (F9
-#      is the one experiment that drives the controller's retry, fallback
-#      and abort paths); then the sha256 of each bench's t1 output must
-#      equal the one pinned below, so a change that alters an artifact
-#      (an F5 sim.event.* trace, say) alike at both thread counts fails
-#      here until the pin is updated on purpose
+#   3. prove the fleet determinism contract end-to-end and pin every
+#      deterministic output: each bench that prints no wall-clock column
+#      (A2-A4, F1-F16, T1, T3, T4, T6) must emit byte-identical stdout and
+#      NTCO_BENCH_OUT artifacts with NTCO_THREADS=1 and NTCO_THREADS=8 (F5,
+#      F9 and F12-F16 run on the fleet; F9 is the one experiment that
+#      drives the controller's retry, fallback and abort paths), and so
+#      must each example's stdout; then the sha256 of each bench's t1
+#      output and of each example's stdout must equal the one pinned below,
+#      so a change that alters an artifact (an F5 sim.event.* trace, say)
+#      alike at both thread counts fails here until the pin is updated on
+#      purpose. A1, T2 and T5 print wall-clock columns and are not pinned
 #   4. run the serve-path benchmark's own checks: perfbench/run.py for
 #      diurnal_day, replan_burst and vehicular_churn (seed 1, 2 s, no
 #      trace). Each run checks its per-shard ledgers, the exact plan-call
@@ -70,10 +71,26 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 echo "== [2/7] unit + integration tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== [3/7] fleet determinism: F5, F9 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
+echo "== [3/7] determinism + output pins: benches and examples at NTCO_THREADS=1 vs 8 =="
 # <bench>:<sha256 of its t1 output: the files of its t1 directory, stdout.txt
 # and the NTCO_BENCH_OUT artifacts, concatenated in C-locale name order>
 for pin in \
+    bench_a2_warmpool_ablation:f7db163b851dd725b39b9ceabfcdb20099664fc5aec910cddb8b02b5b898f5f2 \
+    bench_a3_profile_ablation:fa3d80cccda72d7297cdfda3187b1d1be8dc608101b2a72656ca7902ddf0e719 \
+    bench_a4_dvfs_baseline:c3e47a9ce5c22e3d15efdf060c8adfa92b8027ddeed23a95f66273fbfb70f16b \
+    bench_f1_bandwidth_sweep:8572a7bc2fee4365989be4b49fdae40db60bcf0cc939b9f2e5dd259aae7f3aa5 \
+    bench_f2_ccr_sweep:d5312c1a87c6357ef18e4bc2f3816f27743c8da6d3327a47fcff10cb512b40c0 \
+    bench_f3_warmpool:4226fbcc7803515c2299e73677842f234c6ca6c146a909a3f71537b462003ada \
+    bench_f4_slack_sweep:a66758e93283059976e1909405897bd86099605f6416caed64fa4f4e5e7a3093 \
+    bench_f6_cicd:13ad5c935d65cb51bcd6634cd0e51fbf22cb24963e3cfb020f4d25f425e43a71 \
+    bench_f7_offpeak:dbcdd653d52b609c50c174a025990220bd567c9f12408b40282bd1374657f074 \
+    bench_f8_spot_tier:999594f5ed834c08c579fdd4ae5c4d7e7fb2046b22441d4227edc6895d91ae56 \
+    bench_f10_wifi_wait:656c3c2623b62199fdc63dbb86a095725103c8fb74d5286517cdceb0626c71c9 \
+    bench_f11_carbon:bc9087cc14818c31f44f82f3a9ec4655ad8c7d50c6b96472c696842d2c43f4dd \
+    bench_t1_workloads:0b38692c37eabdeb7195f803088e2013e7bbb9fa301c28e1a6bdf4db3a4b9b39 \
+    bench_t3_memory_alloc:97e3fafa72a88563cfb4fdb25368b0d867eb0bbdd1ae96fa60d8a3acb65382a4 \
+    bench_t4_profiler:efcdacc6601416b801770131b24083ccef08748c7418726510ef3d7cabba57fc \
+    bench_t6_regions:3312078a7db77bdfc2fe664f2071bd8f376224f9d55268e572ed465038837be8 \
     bench_f5_scale_users:61ec72986d64c1f93a070d0d09f348df26c6648790f1c7e359d66b927d236388 \
     bench_f9_resilience:78c952a2601e64a533e3a627e055b915dd14b7da2fee54140dc7054362068883 \
     bench_f12_broker:43d49680b1949470d992c6d685a5c5eef6302990f54ab519c91f138b2e7cd025 \
@@ -100,6 +117,32 @@ for pin in \
     exit 1
   fi
   echo "$det_bench: byte-identical across $(ls "$DET_DIR/t1" | wc -l) artifacts, sha256 pin holds"
+done
+EX_DIR="$BUILD_DIR/fleet-determinism/examples"
+rm -rf "$EX_DIR"
+mkdir -p "$EX_DIR"
+# <example>:<sha256 of its stdout>
+for pin in \
+    quickstart:a2a92361e2d45add432aebf70e30943c34ec505b6cec8d48516dc9f6140a0cb1 \
+    photo_backup:9e506b60060173cde953cda7a0df54900cd0762b297c976f10dcde04930ca067 \
+    ml_batch:1592326c3e3a99784cb1c62ef948a9111663253ae91e6078bc9a4112f4ca0325 \
+    cicd_integration:9b131ea3a2dd2e517278a095d9387e13c98465ed612bea05ff2b121006943e07 \
+    commuter_day:fc14b01451829e3e6068c49753bfbc12229c1e40b3565121aea944d4c881829a \
+    broker_serving:7c0d25f1385f5e8e59f13e0883d673aafbe8648637fbd1897a3a9fdf01bf2dac; do
+  example="${pin%%:*}"
+  want="${pin#*:}"
+  NTCO_THREADS=1 "$BUILD_DIR/examples/$example" > "$EX_DIR/$example.t1" 2>/dev/null
+  NTCO_THREADS=8 "$BUILD_DIR/examples/$example" > "$EX_DIR/$example.t8" 2>/dev/null
+  if ! cmp -s "$EX_DIR/$example.t1" "$EX_DIR/$example.t8"; then
+    echo "FAIL: $example stdout differs between NTCO_THREADS=1 and 8" >&2
+    exit 1
+  fi
+  got="$(sha256sum < "$EX_DIR/$example.t1" | cut -d' ' -f1)"
+  if [ "$got" != "$want" ]; then
+    echo "FAIL: $example stdout sha256 $got, pinned $want" >&2
+    exit 1
+  fi
+  echo "$example: stdout byte-identical, sha256 pin holds"
 done
 
 echo "== [4/7] serve-path benchmark checks: perfbench, three workloads =="
