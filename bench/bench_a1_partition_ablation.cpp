@@ -3,8 +3,10 @@
 // (a) Solution quality: mean gap to the exhaustive optimum over random
 //     layered DAGs small enough to enumerate. Min-cut must be 0%; greedy
 //     and annealing close; random/remote-all far.
-// (b) Scaling: planning time as graphs grow to hundreds of components,
-//     where only min-cut remains both optimal and fast.
+// (b) Scaling: greedy's gap to min-cut as graphs grow to hundreds of
+//     components, where only min-cut remains both optimal and fast. The
+//     planning times go to stderr: wall-clock figures stay out of stdout
+//     and the artifacts, which CI pins.
 
 #include <chrono>
 #include <vector>
@@ -107,8 +109,9 @@ int main() {
 
   // --- (b) Planning-time scaling. -----------------------------------------
   {
-    stats::Table t({"components", "min-cut (us)", "greedy (us)",
-                    "annealing (us)", "greedy gap to min-cut"});
+    stats::Table t({"components", "greedy gap to min-cut"});
+    stats::Table clock(
+        {"components", "min-cut (us)", "greedy (us)", "annealing (us)"});
     for (const std::size_t n : {16u, 32u, 64u, 128u, 256u, 512u}) {
       Rng rng(900 + n);
       const auto g = random_graph(n, rng);
@@ -130,12 +133,17 @@ int main() {
       ap.iterations = 20'000;
       const auto anneal_us =
           timed(partition::AnnealingPartitioner(ap, rng.fork(2)), &anneal_v);
-      t.add_row({std::to_string(n), std::to_string(cut_us),
-                 std::to_string(greedy_us), std::to_string(anneal_us),
+      t.add_row({std::to_string(n),
                  stats::cell_pct(greedy_v / cut_v - 1.0, 2)});
+      clock.add_row({std::to_string(n), std::to_string(cut_us),
+                     std::to_string(greedy_us), std::to_string(anneal_us)});
     }
-    t.set_title("A1b: planning time vs graph size (single run per size)");
+    t.set_title("A1b: greedy gap to min-cut vs graph size (planning times "
+                "on stderr)");
     report.emit(t);
+    clock.set_title("A1b: planning time vs graph size (single run per size, "
+                    "wall clock)");
+    report.emit_wall_clock(clock);
   }
   return 0;
 }

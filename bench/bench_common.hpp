@@ -90,6 +90,14 @@ class ReportWriter {
     write_file(path(".rows.jsonl"), t.render_jsonl(), /*append=*/tables_ > 1);
   }
 
+  /// Prints a table of wall-clock figures to stderr only. Host timings
+  /// differ from run to run, so they stay out of stdout and the
+  /// NTCO_BENCH_OUT artifacts, which CI pins byte for byte.
+  void emit_wall_clock(const stats::Table& t) const {
+    std::fprintf(stderr, "%s\n", t.render().c_str());
+    std::fflush(stderr);
+  }
+
   /// Dumps the registry to <id>.metrics.csv (no-op without NTCO_BENCH_OUT).
   void emit_metrics(const obs::MetricsRegistry& reg) {
     if (dir_.empty()) return;

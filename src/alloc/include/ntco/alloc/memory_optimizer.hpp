@@ -54,7 +54,8 @@ class MemoryOptimizer {
   /// Cheapest configuration with duration <= `deadline` (Duration::max()
   /// for unconstrained). Ties broken toward the faster (larger-memory)
   /// configuration. If nothing meets the deadline, returns the fastest
-  /// configuration with feasible == false.
+  /// configuration with feasible == false. One pass over the points
+  /// sweep() would return, without building the curve: no allocation.
   [[nodiscard]] MemoryChoice choose(
       Cycles work, DataSize floor, double parallel_fraction = 1.0,
       Duration deadline = Duration::max(),

@@ -1,7 +1,5 @@
 #include "ntco/app/task_graph.hpp"
 
-#include <deque>
-
 #include "ntco/common/error.hpp"
 
 namespace ntco::app {
@@ -10,19 +8,16 @@ std::vector<ComponentId> TaskGraph::topological_order() const {
   std::vector<std::size_t> indegree(components_.size(), 0);
   for (const auto& f : flows_) ++indegree[f.to];
 
-  std::deque<ComponentId> ready;
-  for (ComponentId v = 0; v < components_.size(); ++v)
-    if (indegree[v] == 0) ready.push_back(v);
-
+  // Kahn's algorithm with `order` as its FIFO: order[head] is dequeued,
+  // and a component is appended when its last predecessor is.
   std::vector<ComponentId> order;
   order.reserve(components_.size());
-  while (!ready.empty()) {
-    const ComponentId v = ready.front();
-    ready.pop_front();
-    order.push_back(v);
-    for (const std::size_t fi : out_[v]) {
+  for (ComponentId v = 0; v < components_.size(); ++v)
+    if (indegree[v] == 0) order.push_back(v);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const std::size_t fi : out_[order[head]]) {
       const ComponentId w = flows_[fi].to;
-      if (--indegree[w] == 0) ready.push_back(w);
+      if (--indegree[w] == 0) order.push_back(w);
     }
   }
   if (order.size() != components_.size())

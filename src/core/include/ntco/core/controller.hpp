@@ -161,7 +161,10 @@ class OffloadController {
   /// every prepare() cold-started a brand-new set of functions).
   ///
   /// Memory sizing is memoised on its exact inputs, so a component sized
-  /// before costs one lookup instead of a sweep.
+  /// before costs one lookup instead of a sweep. A warm prepare() (its
+  /// deployment memoised, its components sized, the partitioner reused)
+  /// allocates only the plan it returns and the topological sort's
+  /// in-degree scratch.
   [[nodiscard]] DeploymentPlan prepare(
       const app::TaskGraph& g, const partition::Partitioner& partitioner);
 
@@ -268,7 +271,13 @@ class OffloadController {
   Instruments m_;
   /// Deployed-function memo keyed by plan fingerprint (see prepare()):
   /// identical plans reuse their FunctionIds instead of redeploying.
-  std::map<std::string, std::vector<serverless::FunctionId>> deployed_;
+  /// std::less<> looks a fingerprint up as a string_view; the key is
+  /// copied only on a miss.
+  std::map<std::string, std::vector<serverless::FunctionId>, std::less<>>
+      deployed_;
+  /// prepare()'s fingerprint, rebuilt per plan in a buffer that keeps its
+  /// capacity.
+  std::string fingerprint_;
   /// Chosen memory per exact MemoryOptimizer::choose input: work in
   /// cycles, memory floor in bytes, parallel fraction, deadline in µs. The
   /// platform and the sweep step are fixed for the controller's lifetime,

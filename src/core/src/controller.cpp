@@ -1,6 +1,9 @@
 #include "ntco/core/controller.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -17,6 +20,13 @@ constexpr DataSize kMemoryStep = DataSize::megabytes(128);
 constexpr double kExpectedWarmRate = 0.8;
 /// Per-invocation dispatch overhead excluded from cold starts.
 constexpr Duration kDispatchOverhead = Duration::millis(5);
+
+/// Appends `v` in decimal, as std::to_string would, without a temporary.
+void append_decimal(std::string& out, std::uint64_t v) {
+  char digits[20];
+  const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+  out.append(digits, end);
+}
 
 }  // namespace
 
@@ -146,22 +156,23 @@ DeploymentPlan OffloadController::prepare(
   // Size every remote component's function first; the resulting sizes (not
   // the environment that produced them) are what deployment must be
   // idempotent over.
-  std::string fingerprint = g.name();
-  fingerprint += '|';
-  fingerprint += plan.partition.to_string();
+  fingerprint_.clear();
+  fingerprint_ += g.name();
+  fingerprint_ += '|';
+  plan.partition.append_to(fingerprint_);
   for (app::ComponentId id = 0; id < g.component_count(); ++id) {
     if (!plan.partition.is_remote(id)) continue;
     const auto& comp = g.component(id);
     plan.memory_of[id] = size_memory(comp, plan.environment.remote_speed);
-    fingerprint += '|';
-    fingerprint += comp.name;
-    fingerprint += '@';
-    fingerprint += std::to_string(plan.memory_of[id].count_bytes());
-    fingerprint += '#';
-    fingerprint += std::to_string(comp.image.count_bytes());
+    fingerprint_ += '|';
+    fingerprint_ += comp.name;
+    fingerprint_ += '@';
+    append_decimal(fingerprint_, plan.memory_of[id].count_bytes());
+    fingerprint_ += '#';
+    append_decimal(fingerprint_, comp.image.count_bytes());
   }
 
-  const auto memo = deployed_.find(fingerprint);
+  const auto memo = deployed_.find(std::string_view(fingerprint_));
   if (memo != deployed_.end()) {
     // Same functions, same sizes: reuse the deployment (and its warm
     // instances) instead of registering cold duplicates.
@@ -187,7 +198,7 @@ DeploymentPlan OffloadController::prepare(
         comp.parallel_fraction});
     ids.push_back(plan.function_of[id]);
   }
-  deployed_.emplace(std::move(fingerprint), std::move(ids));
+  deployed_.emplace(fingerprint_, std::move(ids));
   if (m_.plan_deploys) m_.plan_deploys->add();
   return plan;
 }

@@ -77,6 +77,7 @@ NTCO_OBS_NAME(trace, "sched.job.planned", "`job`, `start`, `deadline`, `est`")
 NTCO_OBS_NAME(trace, "sched.job.spot_retry", "`job`, `wasted_cost`")
 NTCO_OBS_NAME(trace, "sched.job.tier_fallback", "`job`")
 NTCO_OBS_NAME(trace, "sched.job.complete", "`job`, `latency`, `met_deadline`, `cost`")
+NTCO_OBS_NAME(trace, "sched.job.rejected", "`job` (negative slack)")
 
 // --- network links --------------------------------------------------------
 NTCO_OBS_NAME(trace, "net.link.loss", "`link`, `bytes`, `timeout`")
@@ -131,6 +132,7 @@ NTCO_OBS_NAME(counter, "sched.deadline_misses", "jobs finishing past their deadl
 NTCO_OBS_NAME(counter, "sched.spot_attempts", "spot-tier execution attempts")
 NTCO_OBS_NAME(counter, "sched.spot_preemptions", "spot attempts cut short")
 NTCO_OBS_NAME(counter, "sched.fallbacks", "jobs falling back to on-demand")
+NTCO_OBS_NAME(counter, "sched.rejected", "malformed jobs rejected at submit()")
 NTCO_OBS_NAME(counter, "broker.requests", "serve() requests")
 NTCO_OBS_NAME(counter, "broker.completed", "requests that completed")
 NTCO_OBS_NAME(counter, "broker.failed", "requests that failed")

@@ -46,9 +46,13 @@ struct Partition {
   [[nodiscard]] std::string to_string() const {
     std::string s;
     s.reserve(placement.size());
-    for (const auto p : placement)
-      s.push_back(p == Placement::Remote ? 'R' : 'L');
+    append_to(s);
     return s;
+  }
+  /// Appends the to_string() rendering to `out`.
+  void append_to(std::string& out) const {
+    for (const auto p : placement)
+      out.push_back(p == Placement::Remote ? 'R' : 'L');
   }
   /// True if every pinned component of `g` is local.
   [[nodiscard]] bool respects_pins(const app::TaskGraph& g) const;
@@ -113,8 +117,9 @@ struct CostBreakdown {
 
 /// Evaluates partitions of one graph under one environment and objective.
 ///
-/// All sums are precomputed per component / per flow, so evaluate() is O(n)
-/// and the search-based partitioners can afford many evaluations.
+/// Nothing is precomputed: every cost is priced from the graph and the
+/// environment on each call, and evaluate() is O(n + m): one side per
+/// component plus one term per crossing flow.
 class CostModel {
  public:
   CostModel(const app::TaskGraph& graph, Environment env, Objective objective);

@@ -6,6 +6,7 @@
 
 #include "ntco/common/rng.hpp"
 #include "ntco/partition/cost_model.hpp"
+#include "ntco/partition/max_flow.hpp"
 
 /// \file partitioners.hpp
 /// Code-partitioning algorithms (the abstract's third contribution).
@@ -92,17 +93,17 @@ class AnnealingPartitioner final : public Partitioner {
   mutable Rng rng_;
 };
 
-/// Enumerates every pin-respecting partition. Pre: <= `max_free` unpinned
+/// Enumerates every pin-respecting partition. Pre: <= kMaxFree unpinned
 /// components (throws ConfigError beyond that).
 class ExhaustivePartitioner final : public Partitioner {
  public:
-  explicit ExhaustivePartitioner(std::size_t max_free = 24)
-      : max_free_(max_free) {}
+  /// Largest number of unpinned components plan() enumerates (2^24
+  /// partitions).
+  static constexpr std::size_t kMaxFree = 24;
+  static_assert(kMaxFree < 64, "plan() enumerates with 1ULL << free count");
+
   [[nodiscard]] std::string name() const override { return "exhaustive"; }
   [[nodiscard]] Partition plan(const CostModel& model) const override;
-
- private:
-  std::size_t max_free_;
 };
 
 /// Exact polynomial-time optimum via s-t minimum cut.
@@ -115,10 +116,33 @@ class ExhaustivePartitioner final : public Partitioner {
 /// crossing direction's cost enters the cut. The minimum cut value equals
 /// the minimum of the separable objective, and the source side of the cut
 /// is the optimal local set.
+///
+/// The network is built with Dinic's first phase already pushed. That
+/// phase's BFS puts every v with both terminal capacities above
+/// MaxFlow::kEps at level 1 and the sink at level 2, and each such v lists
+/// the reverse of s->v and then v->t first, so the phase pushes exactly
+/// min(c_remote(v), c_local(v)) along s->v->t for each of them and nothing
+/// else. plan() subtracts that minimum from both terminal arcs as it adds
+/// them, which leaves every forward residual bit-identical to the phase's
+/// outcome. The reverse residuals of the terminal arcs differ, and never
+/// matter: no augmenting path re-enters s or passes through t, and the
+/// final BFS never reaches t. The cut, and so the placement, is the one a
+/// plain Dinic's finds. An infinite minimum is left in place: only an
+/// infinite objective weight gives one, and then every cost is infinite,
+/// so the plain network's first push is unbounded and ends solve() the
+/// same way.
+///
+/// The solver is scratch reused across plan() calls, so a warm plan
+/// allocates only its Partition. Like Random and Annealing, which keep a
+/// mutable Rng, one MinCutPartitioner must not plan on two threads at
+/// once: give each shard its own.
 class MinCutPartitioner final : public Partitioner {
  public:
   [[nodiscard]] std::string name() const override { return "min-cut"; }
   [[nodiscard]] Partition plan(const CostModel& model) const override;
+
+ private:
+  mutable MaxFlow flow_{0};
 };
 
 /// The portfolio the benches iterate over (excludes Exhaustive, which is

@@ -6,7 +6,6 @@
 
 #include "ntco/app/task_graph.hpp"
 #include "ntco/common/error.hpp"
-#include "ntco/partition/max_flow.hpp"
 
 namespace ntco::partition {
 
@@ -119,9 +118,9 @@ Partition AnnealingPartitioner::plan(const CostModel& model) const {
 Partition ExhaustivePartitioner::plan(const CostModel& model) const {
   const auto& g = model.graph();
   const auto free = free_components(g);
-  if (free.size() > max_free_)
+  if (free.size() > kMaxFree)
     throw ConfigError("exhaustive partitioner limited to " +
-                      std::to_string(max_free_) + " free components, got " +
+                      std::to_string(kMaxFree) + " free components, got " +
                       std::to_string(free.size()));
 
   Partition best = Partition::all_local(g.component_count());
@@ -148,27 +147,36 @@ Partition MinCutPartitioner::plan(const CostModel& model) const {
   const std::size_t sink = n + 1;    // cloud side
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  MaxFlow flow(n + 2);
-  flow.reserve(2 * n + 2 * g.flow_count());
+  flow_.reset(n + 2);
+  flow_.reserve(2 * n + 2 * g.flow_count());
   for (app::ComponentId id = 0; id < n; ++id) {
     // Arc s->v is cut exactly when v is on the sink (remote) side.
-    flow.add_arc(source, id,
-                 g.component(id).pinned_local ? kInf : model.remote_cost(id));
+    double to_remote =
+        g.component(id).pinned_local ? kInf : model.remote_cost(id);
     // Arc v->t is cut exactly when v is on the source (local) side.
-    flow.add_arc(id, sink, model.local_cost(id));
+    double to_local = model.local_cost(id);
+    // Dinic's first phase, applied (see the class comment).
+    const double pushed = std::min(to_remote, to_local);
+    if (to_remote > MaxFlow::kEps && to_local > MaxFlow::kEps &&
+        std::isfinite(pushed)) {
+      to_remote -= pushed;
+      to_local -= pushed;
+    }
+    flow_.add_arc(source, id, to_remote);
+    flow_.add_arc(id, sink, to_local);
   }
   for (std::size_t fi = 0; fi < g.flow_count(); ++fi) {
     const auto& f = g.flow(fi);
-    flow.add_arc(f.from, f.to, model.upload_cost(fi));
-    flow.add_arc(f.to, f.from, model.download_cost(fi));
+    flow_.add_arc(f.from, f.to, model.upload_cost(fi));
+    flow_.add_arc(f.to, f.from, model.download_cost(fi));
   }
 
-  (void)flow.solve(source, sink);
-  const auto local_side = flow.min_cut_source_side(source);
-
-  Partition p = Partition::all_local(n);
+  (void)flow_.solve(source, sink);
+  Partition p;
+  p.placement.reserve(n);
   for (app::ComponentId id = 0; id < n; ++id)
-    if (!local_side[id]) p.placement[id] = Placement::Remote;
+    p.placement.push_back(flow_.in_source_side(id) ? Placement::Local
+                                                   : Placement::Remote);
   NTCO_ENSURES(p.respects_pins(g));
   return p;
 }

@@ -91,7 +91,10 @@ class DeferredScheduler {
 
 /// Aggregate report over an executed job stream.
 struct DeferredReport {
-  std::uint64_t jobs = 0;
+  std::uint64_t jobs = 0;  ///< jobs run to completion
+  /// Malformed jobs (negative slack) refused at submit(): never
+  /// scheduled, not counted in `jobs`.
+  std::uint64_t rejected = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t spot_attempts = 0;     ///< invocations issued on spot
   std::uint64_t spot_preemptions = 0;  ///< spot attempts killed mid-run
@@ -117,7 +120,10 @@ class DeferredExecutor {
   DeferredExecutor(sim::Simulator& sim, serverless::Platform& platform,
                    serverless::FunctionId fn, DeferredScheduler scheduler);
 
-  /// Plans and schedules the job; completion lands in the report.
+  /// Plans and schedules the job; completion lands in the report. A job
+  /// with a negative slack is rejected here, under every policy: it costs
+  /// itself (DeferredReport::rejected, "sched.rejected",
+  /// "sched.job.rejected"), never the run.
   void submit(DeferredJob job);
 
   [[nodiscard]] const DeferredReport& report() const { return report_; }
@@ -145,6 +151,8 @@ class DeferredExecutor {
   void attempt_done(SlabId id, const serverless::InvocationResult& r);
   /// Books the finished job and releases its record.
   void complete(SlabId id, const serverless::InvocationResult& r);
+  /// Books a job refused at submit().
+  void reject(const DeferredJob& job);
 
   /// Cached instrument pointers; null when no registry is attached.
   struct Instruments {
@@ -166,6 +174,9 @@ class DeferredExecutor {
   /// Submitted jobs not yet completed, one record each.
   Slab<Job> jobs_;
   obs::TraceSink* trace_ = nullptr;
+  /// Hosts "sched.rejected", registered at the first rejection: a run
+  /// without malformed jobs dumps no row for it.
+  obs::MetricsRegistry* metrics_ = nullptr;
   Instruments m_;
 };
 

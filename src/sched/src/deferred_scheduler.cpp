@@ -55,6 +55,7 @@ DeferredExecutor::DeferredExecutor(sim::Simulator& sim,
 void DeferredExecutor::attach_observer(obs::TraceSink* trace,
                                        obs::MetricsRegistry* metrics) {
   trace_ = trace;
+  metrics_ = metrics;
   if (metrics == nullptr) {
     m_ = Instruments{};
     return;
@@ -70,6 +71,12 @@ void DeferredExecutor::attach_observer(obs::TraceSink* trace,
 }
 
 void DeferredExecutor::submit(DeferredJob job) {
+  // A malformed job costs itself, never the run: it is refused here
+  // instead of tripping latest_start()'s contract inside a simulator event.
+  if (job.slack.is_negative()) {
+    reject(job);
+    return;
+  }
   const TimePoint released = sim_.now();
   const auto& spec = platform_.spec(fn_);
   const Duration est =
@@ -165,6 +172,14 @@ void DeferredExecutor::complete(SlabId id,
                {"met_deadline", met_deadline},
                {"cost", cost}});
   jobs_.release(id);
+}
+
+void DeferredExecutor::reject(const DeferredJob& job) {
+  ++report_.rejected;
+  if (metrics_ != nullptr) metrics_->counter("sched.rejected").add();
+  if (trace_)
+    obs::emit(trace_, sim_.now(), "sched.job.rejected",
+              {{"job", std::string_view(job.name)}});
 }
 
 }  // namespace ntco::sched

@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "ntco/alloc/memory_optimizer.hpp"
+#include "ntco/app/generators.hpp"
 #include "ntco/app/task_graph.hpp"
 #include "ntco/app/workloads.hpp"
 #include "ntco/broker/broker.hpp"
@@ -279,6 +281,76 @@ TEST(AllocationCount, ObservedControllerRunAllocatesNothing) {
     EXPECT_EQ(c.executed, 0u) << g.name();
     EXPECT_EQ(metrics.counter("core.runs").value(), 8 + kWindow) << g.name();
   }
+}
+
+// ---------------------------------------------------------------- Planning
+
+/// A 64-component layered DAG: the size replan-heavy serving plans at.
+app::TaskGraph wide_graph() {
+  app::GeneratorParams gp;
+  gp.components = 64;
+  return app::layered_random(6, gp, Rng(64));
+}
+
+/// Allocations of one warm prepare() of `g`: its deployment memoised, its
+/// components sized, the partitioner reused.
+std::size_t warm_prepare_allocations(const app::TaskGraph& g) {
+  sim::Simulator sim;
+  serverless::Platform platform(sim, {});
+  device::Device ue(device::budget_phone());
+  net::NetworkPath path = net::make_fixed_path(net::profile_wifi());
+  core::OffloadController controller(sim, platform, ue, path, {});
+  const partition::MinCutPartitioner mincut;
+  const core::DeploymentPlan cold = controller.prepare(g, mincut);
+  EXPECT_GT(cold.partition.remote_count(), 0u) << g.name();
+  core::DeploymentPlan warm;
+  const std::size_t n =
+      allocations_in([&] { warm = controller.prepare(g, mincut); });
+  EXPECT_EQ(warm.function_of, cold.function_of) << g.name();  // memo hit
+  EXPECT_EQ(warm.order, cold.order) << g.name();
+  return n;
+}
+
+TEST(AllocationCount, WarmPrepareAllocatesOnlyThePlanItReturns) {
+  // The plan's four rows (placement, function_of, memory_of, order) and
+  // the topological sort's in-degree scratch, whatever the graph's size
+  // or the length of its name ("ml-batch-training" outgrows the
+  // small-string buffer; the fingerprint buffer keeps its capacity).
+  constexpr std::size_t kPlanRows = 4;
+  constexpr std::size_t kScratch = 1;
+  for (const app::TaskGraph& g : app::workloads::all())
+    EXPECT_EQ(warm_prepare_allocations(g), kPlanRows + kScratch) << g.name();
+  EXPECT_EQ(warm_prepare_allocations(wide_graph()), kPlanRows + kScratch);
+}
+
+TEST(AllocationCount, ReusedMinCutPlanAllocatesOnlyItsPartition) {
+  partition::Environment env;
+  env.device = device::budget_phone();
+  const partition::MinCutPartitioner mincut;
+  // The wide graph first: the solver's buffers then fit the small one.
+  for (const app::TaskGraph& g :
+       {wide_graph(), app::workloads::photo_backup()}) {
+    const partition::CostModel model(g, env,
+                                     partition::Objective::latency());
+    const partition::Partition cold = mincut.plan(model);
+    partition::Partition warm;
+    EXPECT_EQ(allocations_in([&] { warm = mincut.plan(model); }), 1u)
+        << g.name();
+    EXPECT_EQ(warm, cold) << g.name();
+  }
+}
+
+TEST(AllocationCount, MemoryChoiceAllocatesNothing) {
+  sim::Simulator sim;
+  const serverless::Platform platform(sim, {});
+  const alloc::MemoryOptimizer optimizer(platform);
+  alloc::MemoryChoice choice;
+  const std::size_t n = allocations_in([&] {
+    choice = optimizer.choose(Cycles::giga(3), DataSize::megabytes(256), 0.8,
+                              Duration::seconds(2));
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(choice.feasible);
 }
 
 // ------------------------------------------------------------------ Broker

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "ntco/app/generators.hpp"
 #include "ntco/app/workloads.hpp"
 #include "ntco/common/error.hpp"
@@ -317,6 +323,258 @@ TEST(Partitioners, StandardPortfolioIsComplete) {
     EXPECT_FALSE(p->name().empty());
     EXPECT_TRUE(p->plan(model).respects_pins(g)) << p->name();
   }
+}
+
+// ---------------------------------------------------------- Min-cut oracle
+
+/// A plain Dinic's, kept as the oracle for MaxFlow and
+/// MinCutPartitioner: arc 2k and its reverse 2k + 1 in one
+/// vector, a CSR of arc indices over it, a full BFS every phase, and a
+/// separate BFS for the cut.
+class ReferenceMaxFlow {
+ public:
+  explicit ReferenceMaxFlow(std::size_t nodes) : nodes_(nodes) {}
+
+  void add_arc(std::size_t from, std::size_t to, double capacity) {
+    arcs_.push_back(Arc{to, capacity});
+    arcs_.push_back(Arc{from, 0.0});
+  }
+
+  double solve(std::size_t source, std::size_t sink) {
+    start_.assign(nodes_ + 1, 0);
+    for (std::size_t e = 0; e < arcs_.size(); ++e) ++start_[tail(e) + 1];
+    for (std::size_t v = 0; v < nodes_; ++v) start_[v + 1] += start_[v];
+    out_.resize(arcs_.size());
+    iter_.assign(start_.begin(), start_.end() - 1);
+    for (std::size_t e = 0; e < arcs_.size(); ++e) out_[iter_[tail(e)]++] = e;
+    double flow = 0.0;
+    const double inf = std::numeric_limits<double>::infinity();
+    bfs(source);
+    while (level_[sink] >= 0) {
+      iter_.assign(start_.begin(), start_.end() - 1);
+      for (;;) {
+        const double pushed = dfs(source, sink, inf);
+        if (pushed <= MaxFlow::kEps) break;
+        if (std::isinf(pushed)) return inf;
+        flow += pushed;
+      }
+      bfs(source);
+    }
+    return flow;
+  }
+
+  std::vector<bool> source_side(std::size_t source) {
+    bfs(source);
+    std::vector<bool> side(nodes_);
+    for (std::size_t v = 0; v < nodes_; ++v) side[v] = level_[v] >= 0;
+    return side;
+  }
+
+ private:
+  struct Arc {
+    std::size_t to;
+    double cap;
+  };
+
+  [[nodiscard]] std::size_t tail(std::size_t e) const {
+    return arcs_[e ^ 1].to;
+  }
+
+  void bfs(std::size_t source) {
+    level_.assign(nodes_, -1);
+    std::vector<std::size_t> queue{source};
+    level_[source] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t v = queue[head];
+      for (std::size_t i = start_[v]; i < start_[v + 1]; ++i) {
+        const Arc& e = arcs_[out_[i]];
+        if (e.cap > MaxFlow::kEps && level_[e.to] < 0) {
+          level_[e.to] = level_[v] + 1;
+          queue.push_back(e.to);
+        }
+      }
+    }
+  }
+
+  double dfs(std::size_t v, std::size_t sink, double pushed) {
+    if (v == sink) return pushed;
+    for (std::size_t& i = iter_[v]; i < start_[v + 1]; ++i) {
+      Arc& e = arcs_[out_[i]];
+      if (e.cap > MaxFlow::kEps && level_[e.to] == level_[v] + 1) {
+        const double got = dfs(e.to, sink, std::min(pushed, e.cap));
+        if (got > MaxFlow::kEps) {
+          e.cap -= got;
+          arcs_[out_[i] ^ 1].cap += got;
+          return got;
+        }
+      }
+    }
+    return 0.0;
+  }
+
+  std::size_t nodes_;
+  std::vector<Arc> arcs_;
+  std::vector<std::size_t> start_;
+  std::vector<std::size_t> out_;
+  std::vector<std::size_t> iter_;
+  std::vector<int> level_;
+};
+
+struct ArcSpec {
+  std::size_t from;
+  std::size_t to;
+  double capacity;
+};
+
+/// Solves one network with `got` (reset and reused, so its buffers carry
+/// over from the previous network) and with the reference: the flows must
+/// be bit-equal and the source sides equal. `flow` and `side` get the
+/// reference's results.
+::testing::AssertionResult solves_like_reference(
+    MaxFlow& got, std::size_t nodes, const std::vector<ArcSpec>& arcs,
+    std::size_t source, std::size_t sink, double& flow,
+    std::vector<bool>& side) {
+  ReferenceMaxFlow ref(nodes);
+  got.reset(nodes);
+  for (const ArcSpec& a : arcs) {
+    ref.add_arc(a.from, a.to, a.capacity);
+    got.add_arc(a.from, a.to, a.capacity);
+  }
+  flow = ref.solve(source, sink);
+  const double got_flow = got.solve(source, sink);
+  side = ref.source_side(source);
+  if (std::memcmp(&flow, &got_flow, sizeof(double)) != 0)
+    return ::testing::AssertionFailure()
+           << "flow " << got_flow << " != reference " << flow;
+  if (got.min_cut_source_side(source) != side)
+    return ::testing::AssertionFailure() << "source sides differ";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MinCutRandomized, MatchesReferenceDinicOnPlanNetworks) {
+  // Layered DAGs of 2-96 components, random pins, bandwidth scaled by
+  // 2^-6..2^6, every Objective preset (a quarter of them scaled down to
+  // costs near MaxFlow::kEps, a few with an infinite latency weight).
+  // MaxFlow runs the network as built before the first-phase subtraction;
+  // MinCutPartitioner (one object, its solver scratch reused) must return
+  // the reference's placement.
+  const Objective presets[] = {Objective::latency(), Objective::energy(),
+                               Objective::cost(),
+                               Objective::non_time_critical()};
+  MaxFlow got(0);
+  const MinCutPartitioner mincut;
+  std::size_t subtracted = 0;  // components the first phase pushes through
+  for (std::uint64_t seed = 1; seed <= 1200; ++seed) {
+    Rng rng(seed);
+    app::GeneratorParams gp;
+    gp.components = static_cast<std::size_t>(rng.uniform_int(2, 96));
+    gp.pin_fraction = rng.uniform(0.0, 1.0);
+    gp.mean_work = Cycles::mega(
+        static_cast<std::uint64_t>(rng.uniform_int(20, 5000)));
+    gp.mean_flow = DataSize::kilobytes(
+        static_cast<std::uint64_t>(rng.uniform_int(1, 5000)));
+    const auto layers = static_cast<std::size_t>(rng.uniform_int(
+        2, static_cast<std::int64_t>(std::min<std::size_t>(gp.components, 8))));
+    const auto g = app::layered_random(layers, gp, rng.fork(1));
+    Environment env = fast_cloud_env();
+    const double scale = std::exp2(rng.uniform(-6.0, 6.0));
+    env.uplink = env.uplink * scale;
+    env.downlink = env.downlink * scale;
+    env.remote_speed = Frequency::gigahertz(rng.uniform(1.0, 8.0));
+    Objective obj = presets[seed % 4];
+    if (seed % 8 < 2) {
+      // Weights scaled so that costs straddle MaxFlow::kEps, where the
+      // first-phase subtraction must follow Dinic's saturation test.
+      const double tiny = std::exp2(-rng.uniform(36.0, 44.0));
+      obj.latency_weight *= tiny;
+      obj.energy_weight *= tiny;
+      obj.money_weight *= tiny;
+    }
+    // An infinite weight makes every cost infinite: the first push is
+    // unbounded, and the cut comes from the residuals it leaves.
+    if (seed % 100 == 0)
+      obj.latency_weight = std::numeric_limits<double>::infinity();
+    const CostModel model(g, env, obj);
+
+    const std::size_t n = g.component_count();
+    std::vector<ArcSpec> arcs;
+    for (app::ComponentId id = 0; id < n; ++id) {
+      const double to_remote = g.component(id).pinned_local
+                                   ? std::numeric_limits<double>::infinity()
+                                   : model.remote_cost(id);
+      arcs.push_back({n, id, to_remote});
+      arcs.push_back({id, n + 1, model.local_cost(id)});
+      if (to_remote > MaxFlow::kEps && model.local_cost(id) > MaxFlow::kEps)
+        ++subtracted;
+    }
+    for (std::size_t fi = 0; fi < g.flow_count(); ++fi) {
+      const auto& f = g.flow(fi);
+      arcs.push_back({f.from, f.to, model.upload_cost(fi)});
+      arcs.push_back({f.to, f.from, model.download_cost(fi)});
+    }
+    double flow = 0.0;
+    std::vector<bool> side;
+    ASSERT_TRUE(
+        solves_like_reference(got, n + 2, arcs, n, n + 1, flow, side))
+        << "seed " << seed;
+    Partition want = Partition::all_local(n);
+    for (app::ComponentId id = 0; id < n; ++id)
+      if (!side[id]) want.placement[id] = Placement::Remote;
+    ASSERT_EQ(mincut.plan(model).to_string(), want.to_string())
+        << "seed " << seed;
+  }
+  EXPECT_GT(subtracted, 0u);
+}
+
+TEST(MinCutRandomized, MatchesReferenceDinicOnGenericNetworks) {
+  // Random graphs with parallel and antiparallel arcs, arcs into the
+  // source, self-loops, zero, sub-kEps and infinite capacities, and some
+  // with no arc into the sink at all.
+  MaxFlow got(0);
+  std::size_t unbounded = 0;
+  std::size_t unreachable = 0;
+  std::size_t into_source = 0;
+  for (std::uint64_t seed = 1; seed <= 1200; ++seed) {
+    Rng rng = Rng(seed).fork(7);
+    const auto nodes = static_cast<std::size_t>(rng.uniform_int(2, 40));
+    const auto pick = [&] {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(nodes) - 1));
+    };
+    const std::size_t source = pick();
+    std::size_t sink = pick();
+    while (sink == source) sink = pick();
+    const bool cut_off = rng.bernoulli(0.1);
+    const auto capacity = [&] {
+      const double r = rng.uniform(0.0, 1.0);
+      if (r < 0.03) return std::numeric_limits<double>::infinity();
+      if (r < 0.08) return 0.0;
+      if (r < 0.12) return rng.uniform(0.0, 2.0 * MaxFlow::kEps);
+      return rng.uniform(0.0, 1.0) * std::exp2(rng.uniform(-20.0, 20.0));
+    };
+    std::vector<ArcSpec> arcs;
+    const auto count = rng.uniform_int(0, 4 * static_cast<std::int64_t>(nodes));
+    for (std::int64_t k = 0; k < count; ++k) {
+      const std::size_t from = pick();
+      const std::size_t to = pick();
+      if (cut_off && to == sink) continue;
+      if (to == source) ++into_source;
+      arcs.push_back({from, to, capacity()});
+      if (rng.bernoulli(0.2) && !(cut_off && from == sink))
+        arcs.push_back({to, from, capacity()});  // antiparallel
+      if (rng.bernoulli(0.15)) arcs.push_back({from, to, capacity()});
+    }
+    double flow = 0.0;
+    std::vector<bool> side;
+    ASSERT_TRUE(
+        solves_like_reference(got, nodes, arcs, source, sink, flow, side))
+        << "seed " << seed;
+    if (std::isinf(flow)) ++unbounded;
+    if (cut_off) ++unreachable;
+  }
+  EXPECT_GT(unbounded, 0u);
+  EXPECT_GT(unreachable, 0u);
+  EXPECT_GT(into_source, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "ntco/obs/metrics.hpp"
+#include "ntco/obs/trace.hpp"
+
 namespace ntco::sched {
 namespace {
 
@@ -133,6 +140,77 @@ TEST(DeferredExecutor, ReportsMissesWhenSlackIsImpossible) {
   EXPECT_EQ(exec.report().jobs, 1u);
   EXPECT_EQ(exec.report().deadline_misses, 1u);
   EXPECT_DOUBLE_EQ(exec.report().miss_rate(), 1.0);
+}
+
+struct PoisonRun {
+  DeferredReport report;
+  std::string trace;
+  std::optional<std::uint64_t> rejected_counter;
+};
+
+/// Two valid jobs submitted from one simulator event, with a
+/// negative-slack job between them when `poisoned`.
+PoisonRun run_with_poison(Policy policy, bool poisoned) {
+  sim::Simulator s;
+  serverless::Platform p(s, night_discount());
+  const auto fn = deploy_fn(p);
+  DeferredExecutor exec(s, p, fn, DeferredScheduler(p, {policy}));
+  obs::JsonlTraceWriter trace;
+  obs::MetricsRegistry metrics;
+  exec.attach_observer(&trace, &metrics);
+  s.schedule_at(TimePoint::origin() + Duration::hours(9), [&] {
+    exec.submit(DeferredJob{"first", Cycles::giga(250), Duration::hours(20)});
+    if (poisoned)
+      exec.submit(DeferredJob{"poison", Cycles::giga(250),
+                              Duration::seconds(-1)});
+    exec.submit(DeferredJob{"second", Cycles::giga(100), Duration::hours(4)});
+  });
+  s.run();
+  PoisonRun out{exec.report(), trace.str(), std::nullopt};
+  if (const obs::Counter* c = metrics.find_counter("sched.rejected"))
+    out.rejected_counter = c->value();
+  return out;
+}
+
+TEST(DeferredExecutor, NegativeSlackJobIsRejectedUnderEveryPolicy) {
+  for (const Policy policy :
+       {Policy::Immediate, Policy::CheapestWindow, Policy::Batched}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    const PoisonRun clean = run_with_poison(policy, false);
+    const PoisonRun poisoned = run_with_poison(policy, true);
+    EXPECT_EQ(clean.report.rejected, 0u);
+    EXPECT_EQ(poisoned.report.rejected, 1u);
+    // No row until the first rejection; then one.
+    EXPECT_FALSE(clean.rejected_counter.has_value());
+    EXPECT_EQ(poisoned.rejected_counter, std::optional<std::uint64_t>(1));
+    // The trace is the clean one plus the rejection record.
+    const std::string row =
+        R"({"t_us":32400000000,"ev":"sched.job.rejected","job":"poison"})"
+        "\n";
+    const std::size_t at = poisoned.trace.find(row);
+    ASSERT_NE(at, std::string::npos);
+    std::string without = poisoned.trace;
+    without.erase(at, row.size());
+    EXPECT_EQ(without, clean.trace);
+
+    // Every other field equals the clean run's.
+    const DeferredReport& a = clean.report;
+    const DeferredReport& b = poisoned.report;
+    EXPECT_EQ(a.jobs, 2u);
+    EXPECT_EQ(b.jobs, a.jobs);
+    EXPECT_EQ(b.deadline_misses, a.deadline_misses);
+    EXPECT_EQ(b.spot_attempts, a.spot_attempts);
+    EXPECT_EQ(b.spot_preemptions, a.spot_preemptions);
+    EXPECT_EQ(b.fallbacks, a.fallbacks);
+    EXPECT_EQ(b.total_cost, a.total_cost);
+    EXPECT_EQ(b.completion_latency_s.count(), a.completion_latency_s.count());
+    if (b.completion_latency_s.count() != a.completion_latency_s.count())
+      continue;
+    const auto n = static_cast<double>(a.completion_latency_s.count() - 1);
+    for (std::size_t i = 0; i < a.completion_latency_s.count(); ++i)
+      EXPECT_EQ(b.completion_latency_s.quantile(static_cast<double>(i) / n),
+                a.completion_latency_s.quantile(static_cast<double>(i) / n));
+  }
 }
 
 }  // namespace

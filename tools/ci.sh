@@ -16,16 +16,18 @@
 #      compile a bad telemetry name; and allocation_count_test, the exact
 #      allocation counts on the serving path)
 #   3. prove the fleet determinism contract end-to-end and pin every
-#      deterministic output: each bench that prints no wall-clock column
-#      (A2-A4, F1-F16, T1, T3, T4, T6) must emit byte-identical stdout and
-#      NTCO_BENCH_OUT artifacts with NTCO_THREADS=1 and NTCO_THREADS=8 (F5,
+#      deterministic output: each experiment bench (A1-A4, F1-F16, T1-T6)
+#      must emit byte-identical stdout and NTCO_BENCH_OUT artifacts with
+#      NTCO_THREADS=1 and NTCO_THREADS=8 (F5,
 #      F9 and F12-F16 run on the fleet; F9 is the one experiment that
 #      drives the controller's retry, fallback and abort paths), and so
 #      must each example's stdout; then the sha256 of each bench's t1
 #      output and of each example's stdout must equal the one pinned below,
 #      so a change that alters an artifact (an F5 sim.event.* trace, say)
 #      alike at both thread counts fails here until the pin is updated on
-#      purpose. A1, T2 and T5 print wall-clock columns and are not pinned
+#      purpose. Wall-clock figures (A1b's planning times, T2's plan time,
+#      T5's alpha time, F12/F15/F16's throughput) go to stderr, which is
+#      neither diffed nor pinned
 #   4. run the serve-path benchmark's own checks: perfbench/run.py for
 #      diurnal_day, replan_burst and vehicular_churn (seed 1, 2 s, no
 #      trace). Each run checks its per-shard ledgers, the exact plan-call
@@ -75,6 +77,7 @@ echo "== [3/7] determinism + output pins: benches and examples at NTCO_THREADS=1
 # <bench>:<sha256 of its t1 output: the files of its t1 directory, stdout.txt
 # and the NTCO_BENCH_OUT artifacts, concatenated in C-locale name order>
 for pin in \
+    bench_a1_partition_ablation:996072c67b4436f62d3b1101e38e7ce5e69535011f9ee6765d4f3ccfb397a00e \
     bench_a2_warmpool_ablation:f7db163b851dd725b39b9ceabfcdb20099664fc5aec910cddb8b02b5b898f5f2 \
     bench_a3_profile_ablation:fa3d80cccda72d7297cdfda3187b1d1be8dc608101b2a72656ca7902ddf0e719 \
     bench_a4_dvfs_baseline:c3e47a9ce5c22e3d15efdf060c8adfa92b8027ddeed23a95f66273fbfb70f16b \
@@ -88,8 +91,10 @@ for pin in \
     bench_f10_wifi_wait:656c3c2623b62199fdc63dbb86a095725103c8fb74d5286517cdceb0626c71c9 \
     bench_f11_carbon:bc9087cc14818c31f44f82f3a9ec4655ad8c7d50c6b96472c696842d2c43f4dd \
     bench_t1_workloads:0b38692c37eabdeb7195f803088e2013e7bbb9fa301c28e1a6bdf4db3a4b9b39 \
+    bench_t2_partitioners:f6129abf7e754b3094a23636ab5295f46629a664140fc8b16695d0c4411689de \
     bench_t3_memory_alloc:97e3fafa72a88563cfb4fdb25368b0d867eb0bbdd1ae96fa60d8a3acb65382a4 \
     bench_t4_profiler:efcdacc6601416b801770131b24083ccef08748c7418726510ef3d7cabba57fc \
+    bench_t5_multiway:4d1950e9b73ad2c12c66b013668a5dc4b89af77dcc08e07bcdf80040b80c586e \
     bench_t6_regions:3312078a7db77bdfc2fe664f2071bd8f376224f9d55268e572ed465038837be8 \
     bench_f5_scale_users:61ec72986d64c1f93a070d0d09f348df26c6648790f1c7e359d66b927d236388 \
     bench_f9_resilience:78c952a2601e64a533e3a627e055b915dd14b7da2fee54140dc7054362068883 \
