@@ -4,6 +4,10 @@
 // simulated world per configuration point so results are independent and
 // deterministic (fixed seeds; see DESIGN.md).
 
+#include <algorithm>
+#include <array>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -131,5 +135,31 @@ class ReportWriter {
   std::string dir_;
   std::size_t tables_ = 0;
 };
+
+/// Wall-clock microseconds one call of `fn` takes.
+template <class Fn>
+std::int64_t time_us(Fn&& fn) {
+  const auto begin = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - begin)
+      .count();
+}
+
+/// Samples per warm wall-clock figure.
+inline constexpr std::size_t kTimedRuns = 5;
+
+/// A warm wall-clock figure: the median of kTimedRuns calls of `sample`,
+/// each returning one timing (time_us around the work, any setup outside
+/// it). Take it after the call whose result is reported: no reported byte
+/// depends on the timing runs, and the cold first call (scratch growth,
+/// cold caches) does not make the figure.
+template <class Sample>
+std::int64_t warm_median_us(Sample&& sample) {
+  std::array<std::int64_t, kTimedRuns> us{};
+  for (std::int64_t& u : us) u = sample();
+  std::sort(us.begin(), us.end());
+  return us[kTimedRuns / 2];
+}
 
 }  // namespace ntco::bench

@@ -32,7 +32,6 @@
 
 #include "bench_common.hpp"
 #include "ntco/continuum/federation.hpp"
-#include "ntco/continuum/migration.hpp"
 #include "ntco/fleet/replicator.hpp"
 #include "ntco/stats/percentile.hpp"
 
@@ -213,7 +212,7 @@ WorldResult run_world(Policy policy, const std::vector<Job>& tape,
 //
 // 100 one-minute jobs land on a spot-priced serverless site whose mean
 // time-to-preempt (2 min) is of the same order as the job length, next to
-// an on-demand sibling. With live migration the engine resumes each
+// an on-demand sibling. With live migration the federation resumes each
 // preempted job with its credit (usually staying put); the ablation loses
 // the credit on every preemption and re-earns it from zero.
 

@@ -126,8 +126,9 @@ void BM_CancelReschedule(benchmark::State& state) {
 BENCHMARK(BM_CancelReschedule)->Arg(4096)->Arg(32768);
 
 // Interleaved handler-driven scheduling: every fired event schedules its
-// successor (the chain shape ServerPool and the platform keep-alive path
-// produce), so schedule and fire alternate instead of batching.
+// successor (the chain shape the edge platform's FIFO and the serverless
+// keep-alive path produce), so schedule and fire alternate instead of
+// batching.
 void BM_FireChain(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {

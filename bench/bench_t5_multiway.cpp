@@ -13,7 +13,6 @@
 //    in (the LAN saves radio energy) — an honest limit of the claim that
 //    EXPERIMENTS.md discusses.
 
-#include <chrono>
 #include <string>
 
 #include "bench_common.hpp"
@@ -60,11 +59,11 @@ void run_table(bench::ReportWriter& report, const char* title, double w_lat,
     const auto p3 = partition::MultiExhaustivePartitioner().plan(m);
     const double v3 = m.evaluate(p3);
 
-    const auto begin = std::chrono::steady_clock::now();
-    const auto alpha = partition::AlphaExpansionPartitioner().plan(m);
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - begin)
-                        .count();
+    const partition::AlphaExpansionPartitioner alpha_expansion;
+    const auto alpha = alpha_expansion.plan(m);
+    const auto us = bench::warm_median_us([&] {
+      return bench::time_us([&] { (void)alpha_expansion.plan(m); });
+    });
 
     t.add_row({g.name(), stats::cell(cloud2, 4), stats::cell(edge2, 4),
                stats::cell(v3, 4), p3.to_string(),
@@ -73,7 +72,8 @@ void run_table(bench::ReportWriter& report, const char* title, double w_lat,
   }
   t.set_title(title);
   report.emit(t);
-  clock.set_title(std::string(title) + ", wall clock");
+  clock.set_title(std::string(title) + ", wall clock, warm median of " +
+                  std::to_string(bench::kTimedRuns) + " runs");
   report.emit_wall_clock(clock);
 }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -16,20 +15,21 @@
 #include "ntco/stats/accumulator.hpp"
 
 /// \file federation.hpp
-/// `continuum::Federation`: the multi-region/multi-tier site registry and
-/// deterministic placement policy of the edge–cloud continuum.
+/// `continuum::Federation`: the multi-region/multi-tier site registry,
+/// deterministic placement policy and migration decisions of the
+/// edge–cloud continuum.
 ///
 /// A job moves through phases:
 ///
 ///   submit -> [place] -> Transfer(input, UE->site) -> Running
 ///          -> (complete)  Download(output) -> done
-///          -> (preempted) MigrationEngine decision:
+///          -> (preempted) decision:
 ///                stay     resubmit here, prior exec credited
 ///                migrate  Transfer(state, site->site) -> Running elsewhere
 ///                restart  Transfer(input, UE->site) -> Running, credit lost
 ///          -> (no site alive) Parked until restore_site
 ///
-/// Placement policy (see DESIGN.md S17): tiers are scanned nearest-first
+/// Placement policy (see DESIGN.md S18): tiers are scanned nearest-first
 /// (Edge < Regional < Cloud); the first tier holding an alive,
 /// under-threshold, deadline-feasible site wins, cheapest such site first.
 /// A price-aware override then routes to a strictly cheaper feasible site
@@ -37,6 +37,30 @@
 /// computed from nominal estimates (`Site::est_*`, `Transport::spec()`), so
 /// comparing candidates consumes no randomness and placement is a pure
 /// function of registry state — byte-identical across thread counts.
+///
+/// Checkpoint cost model (DESIGN.md S18): a checkpointed job is a state
+/// image of `JobSpec::state` bytes plus a duration-denominated progress
+/// credit. For each candidate the decision compares estimated
+/// time-to-completion:
+///
+///   stay      kResumeOverhead + wait(src) + remaining(src)
+///   migrate   transfer(state, src->dst) + kResumeOverhead
+///               + wait(dst) + remaining(dst)
+///   restart   transfer(input, UE->dst) + wait(dst) + full_exec(dst)
+///
+/// and takes the minimum, breaking ties deterministically toward staying,
+/// then live migration, then the lowest destination id. Estimates use
+/// nominal transport specs only; the chosen transfer is then committed on
+/// the real (possibly contended) Transport. When `live_migration` is off,
+/// stay/migrate degenerate to restart — the ablation arm that bench F14
+/// measures live migration against.
+///
+/// Two triggers run it: a spot preemption (a preempted `SiteResult`) and a
+/// site failure (`fail_site` checkpoints every job running there).
+///
+/// Jobs live in a `std::map` keyed by a monotonic `JobId`: every
+/// `continuum.*` trace row prints that id, and `fail_site` visits a
+/// site's jobs in id order.
 
 namespace ntco::continuum {
 
@@ -76,9 +100,6 @@ static_assert(kPriceSlackFactor >= 1.0,
 /// Checkpoint deserialisation pause charged before any resumed run.
 inline constexpr Duration kResumeOverhead = Duration::millis(50);
 static_assert(!kResumeOverhead.is_negative());
-/// Minimum estimated gain before a mobility-triggered move interrupts a
-/// healthy run.
-inline constexpr Duration kMobilityMinGain = Duration::millis(10);
 
 /// Federation-wide policy knobs.
 struct FederationConfig {
@@ -87,9 +108,13 @@ struct FederationConfig {
   bool live_migration = true;
 };
 
-/// Aggregate federation accounting.
+/// Aggregate federation accounting. Every offered job is `submitted` or
+/// `rejected`, and `submitted` = `completed` + `Federation::live_jobs()`.
 struct FederationStats {
   std::uint64_t submitted = 0;
+  /// Malformed jobs (negative deadline) refused at submit(): never placed,
+  /// counted in no other field.
+  std::uint64_t rejected = 0;
   std::uint64_t completed = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t migrations = 0;   ///< live state moves between sites
@@ -103,8 +128,6 @@ struct FederationStats {
   Money total_cost;
 };
 
-class MigrationEngine;
-
 /// Site registry + placement + job lifecycle. Non-copyable; lives alongside
 /// one sim::Simulator. Sites must all be registered before the first
 /// submit.
@@ -112,8 +135,8 @@ class Federation {
  public:
   using Callback = std::function<void(const JobOutcome&)>;
 
-  Federation(sim::Simulator& sim, FederationConfig cfg = {});
-  ~Federation();
+  Federation(sim::Simulator& sim, FederationConfig cfg = {})
+      : sim_(sim), cfg_(cfg) {}
 
   Federation(const Federation&) = delete;
   Federation& operator=(const Federation&) = delete;
@@ -131,14 +154,18 @@ class Federation {
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
 
   /// Places and starts a job. `done` fires once, after the output download
-  /// lands back at the UE.
+  /// lands back at the UE. A job with a negative deadline is rejected
+  /// here instead: it takes no id, `done` never fires, and submit returns
+  /// 0, which no job id ever is. It costs itself
+  /// (FederationStats::rejected, "continuum.rejected",
+  /// "continuum.job.rejected"), never the run.
   JobId submit(const JobSpec& spec, Callback done);
 
   /// Marks a site failed. With `graceful` (default) in-flight jobs are
   /// drained through one last checkpoint — the periodic-checkpoint
-  /// assumption of the process-migration literature — and the migration
-  /// engine re-places them; abrupt failure loses their progress instead.
-  /// New placements skip the site either way.
+  /// assumption of the process-migration literature — and re-placed by the
+  /// cost model above; abrupt failure loses their progress instead. New
+  /// placements skip the site either way.
   void fail_site(SiteId id, bool graceful = true);
 
   /// Brings a failed site back and re-places any parked jobs.
@@ -149,24 +176,16 @@ class Federation {
   [[nodiscard]] const Site& site(SiteId id) const { return sites_[id]; }
   [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
 
-  /// Share of registered sites currently alive, in [0, 1]. The offload
-  /// broker's admission controller consumes this as its capacity probe.
-  [[nodiscard]] double capacity_factor() const;
-
   /// Jobs submitted but not yet delivered.
   [[nodiscard]] std::size_t live_jobs() const { return jobs_.size(); }
 
-  [[nodiscard]] MigrationEngine& migration() { return *engine_; }
   [[nodiscard]] const FederationStats& stats() const { return stats_; }
   [[nodiscard]] const FederationConfig& config() const { return cfg_; }
 
  private:
-  friend class MigrationEngine;
-
   enum class JobPhase : std::uint8_t {
     Transfer,  ///< input/state in flight toward `dest`
     Running,   ///< on `site` with a live `ticket`
-    Draining,  ///< checkpoint issued with migration intent toward `dest`
     Download,  ///< output in flight back to the UE
     Parked,    ///< no alive site; waiting for restore_site
   };
@@ -178,8 +197,8 @@ class Federation {
     JobPhase phase = JobPhase::Transfer;
     SiteId first_site = 0;
     SiteId site = 0;    ///< current/previous site
-    SiteId dest = 0;    ///< transfer/drain destination
-    Ticket ticket = 0;  ///< backend handle while Running/Draining
+    SiteId dest = 0;    ///< transfer destination
+    Ticket ticket = 0;  ///< backend handle while Running
     Duration exec_done;   ///< credited progress (duration-denominated)
     Duration exec_total;  ///< exec actually consumed (stats)
     Money cost;
@@ -198,6 +217,14 @@ class Federation {
 
   [[nodiscard]] net::Transport* route(SiteId from, SiteId to) const;
 
+  /// Estimated completion of `exec_done`-credited `spec` work on site `s`
+  /// if resumed there now (wait + remaining exec + resume overhead).
+  [[nodiscard]] static Duration est_resume(const Site& s, const JobSpec& spec,
+                                           Duration exec_done);
+
+  /// Counts and traces a job refused at submit().
+  void reject(const JobSpec& spec);
+
   /// Commits `size` bytes over `t` toward `dest`; `arrive` runs on landing
   /// (plus resume overhead when the job carries credit).
   void start_transfer(JobId id, SiteId dest, DataSize size,
@@ -205,9 +232,17 @@ class Federation {
   void arrive(JobId id);
   void run_on(JobId id, SiteId s);
   void on_result(JobId id, const SiteResult& r);
+  /// Re-places a job that is off-site (just preempted): picks
+  /// stay/migrate/restart by the cost model above and commits it. Parks
+  /// the job when no site is alive.
+  void decide(JobId id);
   /// Commits the move decided for an off-site job with `dest` set: live
   /// state transfer when credit and a route exist, restart otherwise.
   void dispatch_move(JobId id);
+  /// Checkpoints every job running on `failed` (progress kept when the
+  /// failure is graceful and live migration is on); each checkpoint's
+  /// result re-places its job through decide().
+  void evacuate(SiteId failed, bool graceful);
   /// Places an off-site job whose image lives UE-side (parked jobs,
   /// rerouted transfers): cheapest-completion alive site, transfer from
   /// the UE. Returns false (and leaves the job untouched) when no site is
@@ -226,6 +261,8 @@ class Federation {
   JobId next_job_ = 1;
   bool abrupt_evac_ = false;  ///< progress is dropped while set
   obs::TraceSink* trace_ = nullptr;
+  /// Hosts "continuum.rejected", registered at the first rejection: a run
+  /// without malformed jobs dumps no row for it.
   obs::MetricsRegistry* metrics_ = nullptr;
 
   /// Cached instrument pointers (null without a registry).
@@ -244,7 +281,6 @@ class Federation {
   };
   Instruments m_;
   FederationStats stats_;
-  std::unique_ptr<MigrationEngine> engine_;
 };
 
 }  // namespace ntco::continuum

@@ -2,11 +2,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "ntco/common/price_window.hpp"
 #include "ntco/common/units.hpp"
 #include "ntco/edgesim/edge_platform.hpp"
 #include "ntco/net/transport.hpp"
@@ -17,8 +14,8 @@
 ///
 /// A site wraps either backend kind — a `serverless::Platform` function
 /// (elastic, pay-per-use, possibly spot) or an `edgesim::EdgePlatform`
-/// (fixed servers, pay-per-existence) — behind one submit/checkpoint/
-/// progress surface plus a `net::Transport` route from the UE. Routes are
+/// (fixed servers, pay-per-existence) — behind one submit/checkpoint
+/// surface plus a `net::Transport` route from the UE. Routes are
 /// ordinary Transports, so `PathSpec` presets and `fabric::FabricPath`
 /// plug in unchanged and sites contend on shared segments.
 ///
@@ -26,11 +23,6 @@
 /// (`Transport::spec()`, platform pricing math) and never consume
 /// randomness or capacity, so the federation can compare candidate sites
 /// without perturbing the world. `submit` commits.
-///
-/// Cost attribution uses the shared `ntco::PriceWindow` from
-/// <ntco/common/price_window.hpp> — the same type and first-match helper
-/// the serverless platform bills with — so a federation's estimate of a
-/// tariff can never drift from what the platform charges.
 
 namespace ntco::continuum {
 
@@ -49,13 +41,10 @@ enum class BackendKind : std::uint8_t { Serverless, Edge };
 /// Utilisation at or above which placement spills past a site.
 inline constexpr double kSpillThreshold = 0.85;
 
-/// Per-site placement knobs.
+/// Per-site knobs of a serverless-backed site.
 struct SiteConfig {
-  /// Capacity tier used for serverless-backed submissions.
+  /// Capacity tier its submissions run at.
   serverless::Tier faas_tier = serverless::Tier::OnDemand;
-  /// Time-of-day multipliers applied to edge-infra cost attribution
-  /// (serverless backends already carry their own in PlatformConfig).
-  std::vector<PriceWindow> price_windows;
 };
 
 /// Outcome of one run attempt on a site, normalised across backends.
@@ -70,13 +59,6 @@ struct SiteResult {
   bool preempted = false;
 };
 
-/// Progress of a live job on a site.
-struct Progress {
-  bool executing = false;
-  Duration consumed;
-  Duration remaining;
-};
-
 /// One capacity pool: backend + UE route + placement knobs. Movable so a
 /// Federation can hold sites by value; backends and routes are borrowed.
 class Site {
@@ -89,10 +71,9 @@ class Site {
        serverless::FunctionId fn, net::Transport& ue_route,
        SiteConfig cfg = {});
 
-  /// Edge-backed site: jobs occupy the site's fixed server pool.
+  /// Edge-backed site: jobs occupy the site's fixed servers.
   Site(SiteId id, std::string name, SiteTier tier,
-       edgesim::EdgePlatform& edge, net::Transport& ue_route,
-       SiteConfig cfg = {});
+       edgesim::EdgePlatform& edge, net::Transport& ue_route);
 
   [[nodiscard]] SiteId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -112,9 +93,8 @@ class Site {
 
   /// Marginal compute cost of running `work` here around time `when`.
   /// Serverless: the platform's own invocation_cost at the site tier.
-  /// Edge: exec-time share of the server-hour rate, scaled by the site's
-  /// price windows (marginal attribution; the standing infra cost exists
-  /// either way).
+  /// Edge: exec-time share of the server-hour rate (marginal attribution;
+  /// the standing infra cost exists either way).
   [[nodiscard]] Money est_cost(Cycles work, TimePoint when) const;
 
   /// Instantaneous load fraction (may exceed 1 when a backlog has formed).
@@ -130,9 +110,6 @@ class Site {
   /// `preempted = true` and the partial exec/cost of the run so far.
   bool checkpoint(Ticket t);
 
-  /// Progress of a live job; nullopt once its callback fired.
-  [[nodiscard]] std::optional<Progress> in_flight(Ticket t) const;
-
  private:
   SiteId id_;
   std::string name_;
@@ -142,7 +119,7 @@ class Site {
   serverless::FunctionId fn_ = 0;
   edgesim::EdgePlatform* edge_ = nullptr;
   net::Transport* route_;
-  SiteConfig cfg_;
+  SiteConfig cfg_;  ///< serverless-backed sites only
 };
 
 }  // namespace ntco::continuum

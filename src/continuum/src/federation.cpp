@@ -1,17 +1,11 @@
 #include "ntco/continuum/federation.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <tuple>
 
 #include "ntco/common/contracts.hpp"
-#include "ntco/continuum/migration.hpp"
 
 namespace ntco::continuum {
-
-Federation::Federation(sim::Simulator& sim, FederationConfig cfg)
-    : sim_(sim), cfg_(cfg), engine_(std::make_unique<MigrationEngine>(*this)) {}
-
-Federation::~Federation() = default;
 
 SiteId Federation::add_site(Site site) {
   NTCO_EXPECTS(jobs_.empty());  // registry is fixed before the first job
@@ -55,11 +49,14 @@ net::Transport* Federation::route(SiteId from, SiteId to) const {
   return it == routes_.end() ? nullptr : it->second;
 }
 
-double Federation::capacity_factor() const {
-  if (sites_.empty()) return 1.0;
-  const auto up = static_cast<std::size_t>(
-      std::count(alive_.begin(), alive_.end(), true));
-  return static_cast<double>(up) / static_cast<double>(sites_.size());
+Duration Federation::est_resume(const Site& s, const JobSpec& spec,
+                                Duration exec_done) {
+  const Duration full = s.est_exec(spec.work);
+  const Duration remaining =
+      full > exec_done ? full - exec_done : Duration::zero();
+  const Duration overhead =
+      exec_done.is_zero() ? Duration::zero() : kResumeOverhead;
+  return overhead + s.est_wait(spec.work) + remaining;
 }
 
 SiteId Federation::place(const JobSpec& spec, bool& spilled) const {
@@ -134,7 +131,10 @@ SiteId Federation::place(const JobSpec& spec, bool& spilled) const {
 JobId Federation::submit(const JobSpec& spec, Callback done) {
   NTCO_EXPECTS(done != nullptr);
   NTCO_EXPECTS(!sites_.empty());
-  NTCO_EXPECTS(!spec.deadline.is_negative());
+  if (spec.deadline.is_negative()) {
+    reject(spec);
+    return 0;
+  }
   const JobId id = next_job_++;
   JobState job;
   job.spec = spec;
@@ -165,6 +165,14 @@ JobId Federation::submit(const JobSpec& spec, Callback done) {
               {{"job", id}, {"site", s}, {"spilled", spilled}});
   start_transfer(id, s, spec.input, sites_[s].ue_route());
   return id;
+}
+
+void Federation::reject(const JobSpec& spec) {
+  ++stats_.rejected;
+  if (metrics_ != nullptr) metrics_->counter("continuum.rejected").add();
+  if (trace_)
+    obs::emit(trace_, sim_.now(), "continuum.job.rejected",
+              {{"deadline", spec.deadline}});
 }
 
 void Federation::start_transfer(JobId id, SiteId dest, DataSize size,
@@ -260,11 +268,68 @@ void Federation::on_result(JobId id, const SiteResult& r) {
     return;
   }
   if (!cfg_.live_migration || abrupt_evac_) job.exec_done = Duration::zero();
-  if (job.phase == JobPhase::Draining) {
-    dispatch_move(id);
+  decide(id);
+}
+
+void Federation::decide(JobId id) {
+  JobState& job = jobs_.at(id);
+  NTCO_EXPECTS(job.ticket == 0);
+  const JobSpec& spec = job.spec;
+  const SiteId src = job.site;
+  const bool credited = cfg_.live_migration && !job.exec_done.is_zero();
+
+  // Options ranked by (estimated completion, kind, destination id) with
+  // kind 0 = stay, 1 = live migrate, 2 = restart: deterministic and biased
+  // toward the least disruptive action on ties.
+  struct Choice {
+    Duration est;
+    int kind;
+    SiteId dest;
+  };
+  std::optional<Choice> best;
+  const auto consider = [&best](Duration est, int kind, SiteId dest) {
+    if (!best || std::tie(est, kind, dest) <
+                     std::tie(best->est, best->kind, best->dest))
+      best = Choice{est, kind, dest};
+  };
+
+  if (alive_[src])
+    consider(est_resume(sites_[src], spec, job.exec_done), 0, src);
+  for (SiteId d = 0; d < sites_.size(); ++d) {
+    if (!alive_[d] || d == src) continue;
+    const Site& dst = sites_[d];
+    net::Transport* r = credited ? route(src, d) : nullptr;
+    if (r != nullptr) {
+      consider(est_oneway(r->spec().up, spec.state) +
+                   est_resume(dst, spec, job.exec_done),
+               1, d);
+    } else {
+      consider(est_oneway(dst.ue_route().spec().up, spec.input) +
+                   est_resume(dst, spec, Duration::zero()),
+               2, d);
+    }
+  }
+  if (!best) {
+    park(id);
     return;
   }
-  engine_->decide(id);
+
+  if (best->kind == 0) {
+    ++stats_.stay_puts;
+    if (m_.stay_puts) m_.stay_puts->add();
+    if (trace_)
+      obs::emit(trace_, sim_.now(), "continuum.migrate.stay",
+                {{"job", id}, {"site", src}, {"credit", job.exec_done}});
+    // Resume in place after the checkpoint-restore pause; no transfer.
+    job.phase = JobPhase::Transfer;
+    job.dest = src;
+    const Duration overhead =
+        job.exec_done.is_zero() ? Duration::zero() : kResumeOverhead;
+    sim_.schedule_after(overhead, [this, id] { arrive(id); });
+    return;
+  }
+  job.dest = best->dest;
+  dispatch_move(id);
 }
 
 void Federation::dispatch_move(JobId id) {
@@ -317,7 +382,24 @@ void Federation::fail_site(SiteId id, bool graceful) {
   if (trace_)
     obs::emit(trace_, sim_.now(), "continuum.site.fail",
               {{"site", id}, {"graceful", graceful}});
-  engine_->evacuate(id, graceful);
+  evacuate(id, graceful);
+}
+
+void Federation::evacuate(SiteId failed, bool graceful) {
+  // Snapshot first: checkpoints deliver results synchronously and those
+  // callbacks re-place jobs, mutating the table we'd be iterating.
+  std::vector<JobId> on_site;
+  for (const auto& [id, job] : jobs_) {
+    if (job.phase == JobPhase::Running && job.site == failed)
+      on_site.push_back(id);
+  }
+  abrupt_evac_ = !graceful;
+  for (const JobId id : on_site) {
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end() || it->second.phase != JobPhase::Running) continue;
+    sites_[failed].checkpoint(it->second.ticket);
+  }
+  abrupt_evac_ = false;
 }
 
 void Federation::restore_site(SiteId id) {

@@ -16,22 +16,16 @@ Site::Site(SiteId id, std::string name, SiteTier tier,
       faas_(&faas),
       fn_(fn),
       route_(&ue_route),
-      cfg_(std::move(cfg)) {
-  validate_price_windows(cfg_.price_windows);
-}
+      cfg_(cfg) {}
 
 Site::Site(SiteId id, std::string name, SiteTier tier,
-           edgesim::EdgePlatform& edge, net::Transport& ue_route,
-           SiteConfig cfg)
+           edgesim::EdgePlatform& edge, net::Transport& ue_route)
     : id_(id),
       name_(std::move(name)),
       tier_(tier),
       kind_(BackendKind::Edge),
       edge_(&edge),
-      route_(&ue_route),
-      cfg_(std::move(cfg)) {
-  validate_price_windows(cfg_.price_windows);
-}
+      route_(&ue_route) {}
 
 Duration Site::est_exec(Cycles work) const {
   if (kind_ == BackendKind::Serverless) {
@@ -64,8 +58,7 @@ Money Site::est_cost(Cycles work, TimePoint when) const {
     return faas_->invocation_cost(spec.memory, exec, when, cfg_.faas_tier);
   }
   const double hours = edge_->exec_time(work).to_seconds() / 3600.0;
-  return edge_->config().infra_cost_per_server_hour *
-         (hours * price_multiplier_at(cfg_.price_windows, when));
+  return edge_->config().infra_cost_per_server_hour * hours;
 }
 
 double Site::utilization() const {
@@ -97,15 +90,13 @@ Ticket Site::submit(Cycles work, Duration exec_credit, Callback done) {
         },
         cfg_.faas_tier);
   }
-  // Capture what edge-cost attribution needs by value: the site may move
-  // inside its federation's registry while the job runs.
-  edgesim::EdgePlatform* edge = edge_;
-  const Money rate = edge->config().infra_cost_per_server_hour;
-  std::vector<PriceWindow> windows = cfg_.price_windows;
-  return edge->submit_resumed(
+  // Capture the rate by value: the site may move inside its federation's
+  // registry while the job runs. Rate and callback fit the edge
+  // platform's inline callback, so an edge job allocates nothing here.
+  const Money rate = edge_->config().infra_cost_per_server_hour;
+  return edge_->submit_resumed(
       work, exec_credit,
-      [rate, windows = std::move(windows),
-       done = std::move(done)](const edgesim::EdgeResult& r) {
+      [rate, done = std::move(done)](const edgesim::EdgeResult& r) {
         SiteResult s;
         s.submitted = r.submitted;
         s.started = r.started;
@@ -113,8 +104,7 @@ Ticket Site::submit(Cycles work, Duration exec_credit, Callback done) {
         s.queue_wait = r.queue_wait;
         s.exec_time = r.exec_time;
         s.exec_credit = r.exec_credit;
-        const double hours = r.exec_time.to_seconds() / 3600.0;
-        s.cost = rate * (hours * price_multiplier_at(windows, r.started));
+        s.cost = rate * (r.exec_time.to_seconds() / 3600.0);
         s.preempted = r.preempted;
         done(s);
       });
@@ -123,17 +113,6 @@ Ticket Site::submit(Cycles work, Duration exec_credit, Callback done) {
 bool Site::checkpoint(Ticket t) {
   if (kind_ == BackendKind::Serverless) return faas_->checkpoint_preempt(t);
   return edge_->checkpoint(t);
-}
-
-std::optional<Progress> Site::in_flight(Ticket t) const {
-  if (kind_ == BackendKind::Serverless) {
-    const auto st = faas_->in_flight(t);
-    if (!st) return std::nullopt;
-    return Progress{st->executing, st->consumed, st->remaining};
-  }
-  const auto st = edge_->in_flight(t);
-  if (!st) return std::nullopt;
-  return Progress{st->executing, st->consumed, st->remaining};
 }
 
 }  // namespace ntco::continuum

@@ -103,6 +103,7 @@ NTCO_OBS_NAME(trace, "fabric.flow.finish", "`flow`, `bytes`, `dur`")
 
 // --- edge–cloud continuum -------------------------------------------------
 NTCO_OBS_NAME(trace, "continuum.job.submit", "`job`, `work`, `input`, `deadline`")
+NTCO_OBS_NAME(trace, "continuum.job.rejected", "`deadline` (negative)")
 NTCO_OBS_NAME(trace, "continuum.place", "`job`, `site`, `spilled`")
 NTCO_OBS_NAME(trace, "continuum.migrate.begin", "`job`, `from`, `to`, `state`, `credit`")
 NTCO_OBS_NAME(trace, "continuum.migrate.end", "`job`, `to`, `credit`")
@@ -113,7 +114,6 @@ NTCO_OBS_NAME(trace, "continuum.job.parked", "`job`")
 NTCO_OBS_NAME(trace, "continuum.job.done", "`job`, `site`, `migrations`, `cost`, `deadline_met`")
 NTCO_OBS_NAME(trace, "continuum.site.fail", "`site`, `graceful`")
 NTCO_OBS_NAME(trace, "continuum.site.restore", "`site`, `parked`")
-NTCO_OBS_NAME(trace, "continuum.mobility.phase", "`tech`, `preferred`")
 
 // --- counters ---------------------------------------------------------------
 NTCO_OBS_NAME(counter, "serverless.invocations", "invocations accepted by the platform")
@@ -153,6 +153,7 @@ NTCO_OBS_NAME(counter, "broker.batch.batches", "batches flushed")
 NTCO_OBS_NAME(counter, "broker.batch.jobs", "jobs dispatched through batches")
 NTCO_OBS_NAME(counter, "broker.batch.sealed", "batches sealed at capacity")
 NTCO_OBS_NAME(counter, "continuum.jobs", "jobs submitted to the federation")
+NTCO_OBS_NAME(counter, "continuum.rejected", "malformed jobs rejected at submit()")
 NTCO_OBS_NAME(counter, "continuum.completed", "jobs completed")
 NTCO_OBS_NAME(counter, "continuum.deadline_misses", "jobs finishing past their deadline")
 NTCO_OBS_NAME(counter, "continuum.migrations", "live migrations")

@@ -188,7 +188,7 @@ class Platform {
   InvocationId invoke(FunctionId id, Cycles work, Callback done,
                       Tier tier = Tier::OnDemand);
 
-  // --- Checkpoint / resume hooks (continuum::MigrationEngine) ------------
+  // --- Checkpoint / resume hooks (continuum::Federation) -----------------
 
   /// As invoke(), but credits `exec_credit` of already-performed execution
   /// (from a checkpointed earlier run, here or on another site): only the

@@ -25,6 +25,7 @@
 #include "ntco/broker/broker.hpp"
 #include "ntco/core/controller.hpp"
 #include "ntco/dataplane/engine.hpp"
+#include "ntco/edgesim/edge_platform.hpp"
 #include "ntco/fabric/fabric.hpp"
 #include "ntco/net/path.hpp"
 #include "ntco/obs/metrics.hpp"
@@ -209,6 +210,45 @@ TEST(AllocationCount, WarmInvocationAllocatesNothing) {
   const serverless::PlatformStats st = platform.stats();
   EXPECT_EQ(st.cold_starts, 3u);
   EXPECT_EQ(st.throttled, (kBurst - 3) * (kWarmup + kWindow));
+}
+
+// -------------------------------------------------------------------- Edge
+
+TEST(AllocationCount, WarmEdgeJobAllocatesNothing) {
+  // Bursts of 8 at 3 servers: five of each burst queue. Each round also
+  // checkpoints one running and one queued job, and one completion
+  // callback submits again into the slot it just freed.
+  sim::Simulator sim;
+  edgesim::EdgeConfig cfg;
+  cfg.servers = 3;
+  edgesim::EdgePlatform edge(sim, cfg);
+  constexpr std::size_t kBurst = 8;
+  std::size_t done = 0;
+  const auto round = [&] {
+    edgesim::EdgePlatform::JobId ids[kBurst] = {};
+    for (std::size_t i = 0; i < kBurst; ++i)
+      ids[i] = edge.submit(
+          Cycles::giga(1),
+          [&edge, &done, again = i == 1](const edgesim::EdgeResult&) {
+            ++done;
+            if (again)
+              edge.submit(Cycles::giga(1),
+                          [&done](const edgesim::EdgeResult&) { ++done; });
+          });
+    edge.checkpoint(ids[0]);          // running: a queued job takes over
+    edge.checkpoint(ids[kBurst - 1]);  // queued: the FIFO tail
+    sim.run();
+  };
+  constexpr std::size_t kWarmup = 16;
+  for (std::size_t i = 0; i < kWarmup; ++i) round();
+  const std::size_t n = allocations_in([&] {
+    for (std::size_t i = 0; i < kWindow; ++i) round();
+  });
+  EXPECT_EQ(n, 0u);
+  constexpr std::size_t kRounds = kWarmup + kWindow;
+  EXPECT_EQ(done, (kBurst + 1) * kRounds);
+  EXPECT_EQ(edge.stats().preemptions, 2 * kRounds);
+  EXPECT_EQ(edge.stats().jobs, (kBurst - 1) * kRounds);
 }
 
 // -------------------------------------------------------------- Controller

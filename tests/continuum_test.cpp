@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "ntco/continuum/migration.hpp"
 #include "ntco/edgesim/edge_platform.hpp"
 #include "ntco/fleet/replicator.hpp"
-#include "ntco/net/mobility.hpp"
 #include "ntco/net/path.hpp"
+#include "ntco/obs/metrics.hpp"
 #include "ntco/obs/trace.hpp"
 #include "ntco/serverless/platform.hpp"
 #include "ntco/sim/simulator.hpp"
@@ -363,69 +363,115 @@ TEST(Continuum, CapacityFactorTracksAliveSites) {
   Federation fed(sim);
   fed.add_site(Site(0, "edge", SiteTier::Edge, edge, lan));
   fed.add_site(Site(1, "cloud", SiteTier::Cloud, cloud, fn, wan));
-  EXPECT_DOUBLE_EQ(fed.capacity_factor(), 1.0);
+  EXPECT_TRUE(fed.alive(0));
+  EXPECT_TRUE(fed.alive(1));
   fed.fail_site(0);
-  EXPECT_DOUBLE_EQ(fed.capacity_factor(), 0.5);
+  EXPECT_FALSE(fed.alive(0));
+  EXPECT_TRUE(fed.alive(1));
   fed.fail_site(1);
-  EXPECT_DOUBLE_EQ(fed.capacity_factor(), 0.0);
+  EXPECT_FALSE(fed.alive(0));
+  EXPECT_FALSE(fed.alive(1));
   fed.restore_site(0);
-  EXPECT_DOUBLE_EQ(fed.capacity_factor(), 0.5);
+  EXPECT_TRUE(fed.alive(0));
+  EXPECT_FALSE(fed.alive(1));
 }
 
-TEST(Continuum, MobilityFollowsUserToNearerEdgeSite) {
+struct PoisonRun {
+  FederationStats stats;
+  std::vector<JobId> ids;  ///< what submit returned, in offer order
+  std::size_t outcomes = 0;
+  std::size_t live = 0;
+  std::string trace;
+  std::optional<std::uint64_t> rejected_counter;
+};
+
+/// Two valid jobs offered from simulator events 20 ms apart, with a
+/// negative-deadline job offered between them when `poisoned`.
+PoisonRun run_with_poison(bool poisoned) {
   sim::Simulator sim;
-  edgesim::EdgePlatform home(sim, edge_config(2, 0.05));
-  edgesim::EdgePlatform office(sim, edge_config(2, 0.05));
-  // The home site's pipe is a thin cell link; the office LAN is fast. A
-  // 50 MB result download dominates, so following the commute pays.
-  auto home_route = net::make_path(
-      flat_spec("home", DataRate::megabits_per_second(8), Duration::millis(5)));
-  auto office_route = net::make_path(flat_spec(
-      "office", DataRate::megabits_per_second(800), Duration::millis(1)));
-  auto backhaul = net::make_path(
-      flat_spec("bh", DataRate::megabits_per_second(80), Duration::millis(5)));
+  edgesim::EdgePlatform edge(sim, edge_config(1, 0.05));
+  serverless::Platform cloud(sim, cloud_config());
+  const auto fn = cloud.deploy(cloud_fn());
+  auto lan = net::make_path(
+      flat_spec("lan", DataRate::megabits_per_second(800), Duration::millis(1)));
+  auto wan = net::make_path(
+      flat_spec("wan", DataRate::megabits_per_second(40), Duration::millis(25)));
 
   Federation fed(sim);
-  fed.add_site(Site(0, "home", SiteTier::Edge, home, home_route));
-  fed.add_site(Site(1, "office", SiteTier::Edge, office, office_route));
-  fed.set_route(0, 1, backhaul);
-
+  fed.add_site(Site(0, "edge", SiteTier::Edge, edge, lan));
+  fed.add_site(Site(1, "cloud", SiteTier::Cloud, cloud, fn, wan));
   obs::JsonlTraceWriter trace;
-  fed.attach_observer(&trace, nullptr);
+  obs::MetricsRegistry metrics;
+  fed.attach_observer(&trace, &metrics);
 
-  // Keep the office saturated at submit time so placement starts at home.
-  office.submit(Cycles::giga(3), [](const edgesim::EdgeResult&) {});
-  office.submit(Cycles::giga(3), [](const edgesim::EdgeResult&) {});
-
-  JobSpec spec;
-  spec.work = Cycles::giga(20);  // 10 s of exec
-  spec.input = DataSize::kilobytes(100);
-  spec.output = DataSize::megabytes(50);
-  spec.state = DataSize::megabytes(1);
-  JobOutcome out;
-  fed.submit(spec, [&](const JobOutcome& o) { out = o; });
-
-  // Commute at t=2s: the schedule flips WiFi -> 4G and the preference map
-  // flips home -> office.
-  net::MobilitySchedule sched({
-      {net::to_profile(net::spec_wifi()), Duration::seconds(2), Money::zero()},
-      {net::to_profile(net::spec_4g()), Duration::hours(1), Money::zero()},
-  });
-  fed.migration().follow(
-      sched,
-      [](const net::ConnectivityPhase& p) -> SiteId {
-        return p.tech.name == "WiFi" ? 0 : 1;
-      },
-      TimePoint::origin() + Duration::seconds(3));
+  PoisonRun out;
+  const auto offer = [&](Duration at, Duration deadline) {
+    sim.schedule_at(TimePoint::origin() + at, [&out, &fed, deadline] {
+      JobSpec spec = small_job();
+      spec.deadline = deadline;
+      out.ids.push_back(
+          fed.submit(spec, [&out](const JobOutcome&) { ++out.outcomes; }));
+    });
+  };
+  offer(Duration::millis(10), Duration::seconds(30));
+  if (poisoned) offer(Duration::millis(20), -Duration::seconds(1));
+  offer(Duration::millis(30), Duration::seconds(30));
   sim.run();
 
-  EXPECT_EQ(out.first_site, 0u);
-  EXPECT_EQ(out.final_site, 1u);
-  EXPECT_EQ(fed.stats().migrations, 1u);
-  EXPECT_NE(trace.str().find("continuum.mobility.phase"), std::string::npos);
-  EXPECT_NE(trace.str().find("continuum.migrate.begin"), std::string::npos);
-  // The ~1.9 s rendered at home arrived at the office as credit.
-  EXPECT_EQ(out.exec_total, Duration::seconds(10));
+  out.stats = fed.stats();
+  out.live = fed.live_jobs();
+  out.trace = trace.str();
+  if (const obs::Counter* c = metrics.find_counter("continuum.rejected"))
+    out.rejected_counter = c->value();
+  return out;
+}
+
+TEST(Continuum, NegativeDeadlineJobIsRejected) {
+  const PoisonRun clean = run_with_poison(false);
+  const PoisonRun poisoned = run_with_poison(true);
+
+  // The bad job takes no id and its callback never fires; the valid jobs
+  // keep their ids.
+  EXPECT_EQ(clean.ids, (std::vector<JobId>{1, 2}));
+  EXPECT_EQ(poisoned.ids, (std::vector<JobId>{1, 0, 2}));
+  EXPECT_EQ(poisoned.outcomes, 2u);
+  EXPECT_EQ(poisoned.live, 0u);
+
+  EXPECT_EQ(clean.stats.rejected, 0u);
+  EXPECT_EQ(poisoned.stats.rejected, 1u);
+  // No counter row until the first rejection; then one.
+  EXPECT_FALSE(clean.rejected_counter.has_value());
+  EXPECT_EQ(poisoned.rejected_counter, std::optional<std::uint64_t>(1));
+
+  // The trace is the clean one plus the rejection row.
+  const std::string row =
+      R"({"t_us":20000,"ev":"continuum.job.rejected","deadline":-1000000})"
+      "\n";
+  const std::size_t at = poisoned.trace.find(row);
+  ASSERT_NE(at, std::string::npos);
+  std::string without = poisoned.trace;
+  without.erase(at, row.size());
+  EXPECT_EQ(without, clean.trace);
+
+  // Every other field equals the clean run's, and the ledger closes:
+  // offered = submitted + rejected, submitted = completed + live.
+  const FederationStats& a = clean.stats;
+  const FederationStats& b = poisoned.stats;
+  EXPECT_EQ(a.submitted, 2u);
+  EXPECT_EQ(b.submitted, a.submitted);
+  EXPECT_EQ(b.submitted + b.rejected, poisoned.ids.size());
+  EXPECT_EQ(b.completed + poisoned.live, b.submitted);
+  EXPECT_EQ(b.completed, a.completed);
+  EXPECT_EQ(b.deadline_misses, a.deadline_misses);
+  EXPECT_EQ(b.migrations, a.migrations);
+  EXPECT_EQ(b.restarts, a.restarts);
+  EXPECT_EQ(b.stay_puts, a.stay_puts);
+  EXPECT_EQ(b.spillovers, a.spillovers);
+  EXPECT_EQ(b.reroutes, a.reroutes);
+  EXPECT_EQ(b.parked, a.parked);
+  EXPECT_EQ(b.total_completion, a.total_completion);
+  EXPECT_EQ(b.total_exec, a.total_exec);
+  EXPECT_EQ(b.total_cost, a.total_cost);
 }
 
 // Fleet determinism: a sharded continuum run (placements, a failure wave,

@@ -16,7 +16,6 @@
 #include "ntco/common/error.hpp"
 #include "ntco/common/rng.hpp"
 #include "ntco/obs/trace.hpp"
-#include "ntco/sim/server_pool.hpp"
 
 namespace ntco::sim {
 namespace {
@@ -144,131 +143,6 @@ TEST(Simulator, SchedulingInThePastThrows) {
                ContractViolation);
   EXPECT_THROW(sim.schedule_after(-Duration::millis(1), [] {}),
                ContractViolation);
-}
-
-TEST(ServerPool, SingleServerSerialisesJobs) {
-  Simulator sim;
-  ServerPool pool(sim, 1);
-  std::vector<Duration> starts;
-  for (int i = 0; i < 3; ++i)
-    pool.submit(Duration::millis(10), [&](TimePoint started) {
-      starts.push_back(started.since_origin());
-    });
-  sim.run();
-  ASSERT_EQ(starts.size(), 3u);
-  EXPECT_EQ(starts[0], Duration::zero());
-  EXPECT_EQ(starts[1], Duration::millis(10));
-  EXPECT_EQ(starts[2], Duration::millis(20));
-  EXPECT_EQ(pool.total_busy_time(), Duration::millis(30));
-  EXPECT_EQ(pool.completed(), 3u);
-}
-
-TEST(ServerPool, ParallelServersRunConcurrently) {
-  Simulator sim;
-  ServerPool pool(sim, 3);
-  int done = 0;
-  for (int i = 0; i < 3; ++i)
-    pool.submit(Duration::millis(10), [&](TimePoint started) {
-      EXPECT_EQ(started, TimePoint::origin());
-      ++done;
-    });
-  sim.run();
-  EXPECT_EQ(done, 3);
-  EXPECT_EQ(sim.now().since_origin(), Duration::millis(10));
-}
-
-TEST(ServerPool, QueueDrainsAfterRelease) {
-  Simulator sim;
-  ServerPool pool(sim, 2);
-  std::vector<Duration> starts;
-  for (int i = 0; i < 5; ++i)
-    pool.submit(Duration::millis(4), [&](TimePoint started) {
-      starts.push_back(started.since_origin());
-    });
-  EXPECT_EQ(pool.busy(), 2u);
-  EXPECT_EQ(pool.queued(), 3u);
-  sim.run();
-  ASSERT_EQ(starts.size(), 5u);
-  EXPECT_EQ(starts[4], Duration::millis(8));
-}
-
-TEST(ServerPool, ZeroCapacityThrows) {
-  Simulator sim;
-  EXPECT_THROW(ServerPool(sim, 0), ContractViolation);
-}
-
-TEST(ServerPool, ZeroServiceTimeCompletesImmediately) {
-  Simulator sim;
-  ServerPool pool(sim, 1);
-  bool done = false;
-  pool.submit(Duration::zero(), [&](TimePoint) { done = true; });
-  sim.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(sim.now(), TimePoint::origin());
-}
-
-TEST(ServerPool, CancelQueuedJobNeverRuns) {
-  Simulator sim;
-  ServerPool pool(sim, 1);
-  pool.submit(Duration::millis(10), [](TimePoint) {});
-  bool ran = false;
-  const auto t = pool.submit(Duration::millis(10), [&](TimePoint) { ran = true; });
-  const auto info = pool.cancel(t);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_FALSE(info->was_running);
-  EXPECT_TRUE(info->consumed.is_zero());
-  EXPECT_EQ(pool.queued(), 0u);
-  sim.run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(pool.completed(), 1u);
-}
-
-TEST(ServerPool, CancelRunningJobFreesServerAndReportsConsumed) {
-  Simulator sim;
-  ServerPool pool(sim, 1);
-  const auto t = pool.submit(Duration::millis(10), [](TimePoint) {});
-  Duration waited;
-  pool.submit(Duration::millis(5),
-              [&](TimePoint started) { waited = started.since_origin(); });
-  sim.schedule_at(TimePoint::origin() + Duration::millis(4), [&] {
-    const auto info = pool.cancel(t);
-    ASSERT_TRUE(info.has_value());
-    EXPECT_TRUE(info->was_running);
-    EXPECT_EQ(info->consumed, Duration::millis(4));
-    EXPECT_EQ(info->started, TimePoint::origin());
-  });
-  sim.run();
-  // The queued job started the moment the cancel freed the server, and the
-  // refunded busy time only counts service actually rendered.
-  EXPECT_EQ(waited, Duration::millis(4));
-  EXPECT_EQ(pool.total_busy_time(), Duration::millis(9));
-  EXPECT_EQ(pool.completed(), 1u);
-}
-
-TEST(ServerPool, CancelUnknownTicketReturnsNullopt) {
-  Simulator sim;
-  ServerPool pool(sim, 1);
-  const auto t = pool.submit(Duration::millis(1), [](TimePoint) {});
-  sim.run();
-  EXPECT_FALSE(pool.cancel(t).has_value());  // already completed
-  EXPECT_FALSE(pool.status(t).has_value());
-}
-
-TEST(ServerPool, StatusTracksQueuedThenRunning) {
-  Simulator sim;
-  ServerPool pool(sim, 1);
-  pool.submit(Duration::millis(5), [](TimePoint) {});
-  const auto t = pool.submit(Duration::millis(5), [](TimePoint) {});
-  const auto queued = pool.status(t);
-  ASSERT_TRUE(queued.has_value());
-  EXPECT_FALSE(queued->running);
-  sim.schedule_at(TimePoint::origin() + Duration::millis(6), [&] {
-    const auto running = pool.status(t);
-    ASSERT_TRUE(running.has_value());
-    EXPECT_TRUE(running->running);
-    EXPECT_EQ(running->started, TimePoint::origin() + Duration::millis(5));
-  });
-  sim.run();
 }
 
 // --- Arena kernel: slot reuse, generations, growth -------------------------

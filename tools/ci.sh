@@ -49,7 +49,9 @@
 #      exercises the worker pool, including its 20,000-shard stress test
 #      and the throwing-merge test) —
 #      ctest -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
-#   7. rebuild under ASan + UBSan and rerun the whole suite (including
+#   7. rebuild under ASan + UBSan, with libstdc++'s assertions on
+#      (-D_GLIBCXX_ASSERTIONS: operator[] bounds, front()/back()/pop_*() on
+#      empty containers), and rerun the whole suite (including
 #      allocation_count_test: its counting operator new sits on top of the
 #      sanitizer allocator, and its counts hold there too)
 #
@@ -218,7 +220,7 @@ TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
   -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
 
-echo "== [7/7] ASan + UBSan: full suite =="
+echo "== [7/7] ASan + UBSan + libstdc++ assertions: full suite =="
 "$SRC_DIR/tools/sanitize.sh" address "$BUILD_DIR-asan"
 
 echo "== CI green =="

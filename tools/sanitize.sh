@@ -4,7 +4,9 @@
 #   tools/sanitize.sh [address|thread] [build-dir]
 #   tools/sanitize.sh --help
 #
-# Default family is address (ASan + UBSan); `thread` builds with TSan
+# Default family is address (ASan + UBSan, compiled with
+# -D_GLIBCXX_ASSERTIONS so libstdc++ also checks operator[] bounds and
+# front()/back()/pop_*() on empty containers); `thread` builds with TSan
 # instead, which is what the fleet and dataplane tests want (the two families
 # cannot be combined in one build — see NTCO_SANITIZE in CMakeLists.txt).
 # Benches and examples are skipped: the sanitizer run exists to shake out
