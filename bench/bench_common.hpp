@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "ntco/app/workloads.hpp"
@@ -63,7 +65,9 @@ inline core::ControllerConfig ntc_cfg() {
 ///   <id>.metrics.csv    MetricsRegistry dump (via emit_metrics)
 ///   <id>.trace.jsonl    trace stream (via emit_trace)
 ///
-/// All machine files are byte-deterministic under fixed seeds.
+/// All machine files are byte-deterministic under fixed seeds. A file that
+/// cannot be written ends the bench with status 1, so a run never exits 0
+/// without its artifacts.
 class ReportWriter {
  public:
   ReportWriter(std::string id, const char* title, const char* shape)
@@ -123,12 +127,19 @@ class ReportWriter {
   void write_file(const std::string& p, const std::string& content,
                   bool append) {
     std::FILE* f = std::fopen(p.c_str(), append ? "ab" : "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "ntco: cannot write %s\n", p.c_str());
-      return;
+    if (f == nullptr) fail_write(p, errno);
+    if (std::fwrite(content.data(), 1, content.size(), f) != content.size()) {
+      const int err = errno;
+      std::fclose(f);
+      fail_write(p, err);
     }
-    std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
+    if (std::fclose(f) != 0) fail_write(p, errno);
+  }
+
+  [[noreturn]] static void fail_write(const std::string& p, int err) {
+    std::fprintf(stderr, "ntco: cannot write %s: %s\n", p.c_str(),
+                 std::strerror(err));
+    std::exit(1);
   }
 
   std::string id_;

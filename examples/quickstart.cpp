@@ -74,8 +74,8 @@ int main() {
                   100.0,
               to_string(offloaded.cloud_cost).c_str());
 
-  // 6. The run left a full audit trail behind: dump it, or write_file()
-  //    the JSONL / to_csv() the registry for offline analysis.
+  // 6. The run left a full audit trail behind: write trace.str() (JSONL)
+  //    and metrics.to_csv() to files for offline analysis.
   std::printf("\ntrace: %zu records; metrics: %zu instruments\n",
               trace.record_count(), metrics.size());
   return 0;

@@ -25,17 +25,15 @@ struct DeviceSpec {
   Power idle;         ///< draw while waiting (screen-on idle)
   Power radio_tx;     ///< draw while transmitting
   Power radio_rx;     ///< draw while receiving
-  Energy battery;     ///< usable battery capacity
 };
 
-/// A UE with battery accounting. Time/energy queries are pure; `drain`
-/// mutates the remaining charge.
+/// A UE: pure time and energy queries over its spec. Energy is priced per
+/// run (`core::ExecutionReport::device_energy`); a request's battery level
+/// is a field of the broker's request, not device state.
 class Device {
  public:
   explicit Device(DeviceSpec spec) : spec_(std::move(spec)) {
     NTCO_EXPECTS(!spec_.cpu.is_zero());
-    NTCO_EXPECTS(spec_.battery > Energy::zero());
-    remaining_ = spec_.battery;
   }
 
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
@@ -63,35 +61,11 @@ class Device {
     return spec_.idle * t;
   }
 
-  /// Remaining battery charge.
-  [[nodiscard]] Energy battery_remaining() const { return remaining_; }
-
-  /// Fraction of battery left, in [0, 1].
-  [[nodiscard]] double battery_fraction() const {
-    return remaining_.to_joules() / spec_.battery.to_joules();
-  }
-
-  /// Consumes charge; clamps at empty. Returns false if the battery was
-  /// exhausted by this drain.
-  bool drain(Energy e) {
-    NTCO_EXPECTS(e >= Energy::zero());
-    if (e >= remaining_) {
-      remaining_ = Energy::zero();
-      return false;
-    }
-    remaining_ = remaining_ - e;
-    return true;
-  }
-
-  void recharge() { remaining_ = spec_.battery; }
-
  private:
   DeviceSpec spec_;
-  Energy remaining_;
 };
 
-/// Presets bracketing the UE space offloading papers consider. Battery
-/// capacities are typical pack energies (e.g. 3000 mAh @ 3.85 V ≈ 41.6 kJ).
+/// Presets bracketing the UE space offloading papers consider.
 [[nodiscard]] DeviceSpec budget_phone();
 [[nodiscard]] DeviceSpec flagship_phone();
 [[nodiscard]] DeviceSpec iot_node();

@@ -8,8 +8,7 @@ DeviceSpec budget_phone() {
           Power::watts(1.8),
           Power::watts(0.35),
           Power::watts(1.2),
-          Power::watts(0.9),
-          Energy::joules(32'000)};  // ~2300 mAh @ 3.85 V
+          Power::watts(0.9)};
 }
 
 DeviceSpec flagship_phone() {
@@ -18,8 +17,7 @@ DeviceSpec flagship_phone() {
           Power::watts(3.5),
           Power::watts(0.45),
           Power::watts(1.4),
-          Power::watts(1.0),
-          Energy::joules(69'000)};  // ~5000 mAh @ 3.85 V
+          Power::watts(1.0)};
 }
 
 DeviceSpec iot_node() {
@@ -28,8 +26,7 @@ DeviceSpec iot_node() {
           Power::watts(0.5),
           Power::watts(0.05),
           Power::watts(0.7),
-          Power::watts(0.5),
-          Energy::joules(9'000)};  // small LiPo cell
+          Power::watts(0.5)};
 }
 
 DeviceSpec laptop() {
@@ -38,8 +35,7 @@ DeviceSpec laptop() {
           Power::watts(15.0),
           Power::watts(4.0),
           Power::watts(2.5),
-          Power::watts(2.0),
-          Energy::joules(180'000)};  // ~50 Wh pack
+          Power::watts(2.0)};
 }
 
 }  // namespace ntco::device

@@ -119,7 +119,6 @@ class Fabric {
   SegmentId add_segment(SegmentSpec spec);
 
   [[nodiscard]] const SegmentSpec& segment(SegmentId id) const;
-  [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
 
   /// Attaches a UE-side path: `spec` supplies the private access figures
   /// (nominal rate cap, latency, name), `route` the shared segments each

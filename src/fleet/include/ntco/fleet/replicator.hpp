@@ -97,7 +97,7 @@ class Replicator {
 
   /// map() with a streaming in-shard-order fold: `merge(acc, result, s)`
   /// is called for shard 0, 1, 2, ... — never concurrently — so any merge
-  /// operation (even order-sensitive ones like gauge last-write-wins or
+  /// operation (even an order-sensitive one, such as per-shard
   /// trace concatenation) is deterministic. A shard is merged as soon as
   /// it and every shard before it are done, and its slot is freed then, so
   /// peak memory is at most dataplane::Engine::kWindow results plus the

@@ -20,13 +20,6 @@
 
 namespace ntco::net {
 
-/// Cumulative per-link accounting, exposed for utilisation and energy maths.
-struct LinkStats {
-  std::uint64_t transfers = 0;
-  DataSize bytes_moved;
-  Duration time_busy;  ///< total serialisation + latency time accumulated
-};
-
 /// Abstract one-way link.
 class Link {
  public:
@@ -45,21 +38,15 @@ class Link {
   [[nodiscard]] virtual Duration nominal_latency() const = 0;
 
   /// Time to move `size` one way: sampled latency + serialisation at the
-  /// sampled rate. Records stats. Zero-size transfers still pay latency
-  /// (the request header has to travel).
+  /// sampled rate. Zero-size transfers still pay latency (the request
+  /// header has to travel).
   [[nodiscard]] Duration transfer_time(DataSize size) {
     const Duration lat = sample_latency();
     const DataRate rate = sample_rate();
     NTCO_ENSURES(!lat.is_negative());
     NTCO_ENSURES(!rate.is_zero());
-    const Duration total = lat + size / rate;
-    ++stats_.transfers;
-    stats_.bytes_moved += size;
-    stats_.time_busy += total;
-    return total;
+    return lat + size / rate;
   }
-
-  [[nodiscard]] const LinkStats& stats() const { return stats_; }
 
   /// Attaches tracing: "net.link.*" records (losses) stamped with `clock`
   /// time and tagged `label`. Both pointers may be null (disables
@@ -90,7 +77,6 @@ class Link {
   }
 
  private:
-  LinkStats stats_;
   obs::TraceSink* trace_ = nullptr;
   const obs::TraceClock* clock_ = nullptr;
   std::string label_;

@@ -13,16 +13,16 @@
 ///
 ///   NTCO_OBS_NAME(kind, "dotted.name", "`field`, `field` notes")
 ///
-/// `kind` is one of: trace, counter, gauge, summary, histogram. The fields
-/// column documents fields in emission order for traces, units/notes for
-/// metrics; DESIGN.md's "Observability" tables are these rows, rendered.
+/// `kind` is one of: trace, counter, summary. The fields column documents
+/// fields in emission order for traces, units/notes for metrics; DESIGN.md's
+/// "Observability" tables are these rows, rendered.
 ///
 /// The rows expand into `kNameRegistry`, and the contract is checked
 /// exactly, in both directions:
 /// - the name parameter of `obs::emit`, `net::Link::trace_event` and
-///   `MetricsRegistry::{counter, gauge, summary, histogram}` is a
-///   `Name<K>`, whose `consteval` constructor looks the literal up with its
-///   kind, so an unregistered or wrong-kind literal does not compile;
+///   `MetricsRegistry::{counter, summary}` is a `Name<K>`, whose
+///   `consteval` constructor looks the literal up with its kind, so an
+///   unregistered or wrong-kind literal does not compile;
 /// - a `static_assert` below rejects a name registered twice;
 /// - tests/obs_names_test.cpp fails on a row that no file under src/ uses,
 ///   and on DESIGN.md tables that differ from the rendered rows.
@@ -32,9 +32,7 @@ namespace ntco::obs {
 enum class NameKind : std::uint8_t {
   trace,
   counter,
-  gauge,
   summary,
-  histogram,
 };
 
 /// One registry row.
@@ -244,8 +242,6 @@ class Name {
 
 using TraceName = Name<NameKind::trace>;
 using CounterName = Name<NameKind::counter>;
-using GaugeName = Name<NameKind::gauge>;
 using SummaryName = Name<NameKind::summary>;
-using HistogramName = Name<NameKind::histogram>;
 
 }  // namespace ntco::obs

@@ -139,19 +139,9 @@ class JsonlTraceWriter final : public TraceSink {
     records_ = 0;
   }
 
-  /// Writes the buffered records to `path` (overwriting). Returns false on
-  /// I/O failure.
-  bool write_file(const std::string& path) const;
-
  private:
   std::string out_;
   std::size_t records_ = 0;
 };
-
-/// Appends a JSON string escape of `s` to `out` (shared with exporters).
-void append_json_escaped(std::string& out, std::string_view s);
-
-/// Appends a deterministic rendering of `v` to `out` (numbers unquoted).
-void append_json_value(std::string& out, const FieldValue& v);
 
 }  // namespace ntco::obs

@@ -4,6 +4,9 @@
 
 namespace ntco::obs {
 
+namespace {
+
+/// Appends a JSON string escape of `s` to `out`.
 void append_json_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
@@ -37,6 +40,7 @@ void append_json_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
 }
 
+/// Appends a deterministic rendering of `v` to `out` (numbers unquoted).
 void append_json_value(std::string& out, const FieldValue& v) {
   char buf[32];
   switch (v.kind()) {
@@ -63,6 +67,8 @@ void append_json_value(std::string& out, const FieldValue& v) {
   }
 }
 
+}  // namespace
+
 void JsonlTraceWriter::record(const TraceEvent& ev) {
   char buf[32];
   out_ += "{\"t_us\":";
@@ -79,14 +85,6 @@ void JsonlTraceWriter::record(const TraceEvent& ev) {
   }
   out_ += "}\n";
   ++records_;
-}
-
-bool JsonlTraceWriter::write_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote = std::fwrite(out_.data(), 1, out_.size(), f) == out_.size();
-  const bool closed = std::fclose(f) == 0;
-  return wrote && closed;
 }
 
 }  // namespace ntco::obs

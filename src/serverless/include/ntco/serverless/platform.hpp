@@ -138,7 +138,6 @@ struct PlatformStats {
   std::uint64_t throttled = 0;  ///< invocations that had to queue
   std::uint64_t preemptions = 0;  ///< spot executions killed mid-run
   Duration total_exec;
-  Duration total_init;
   Money exec_cost;
   Money request_cost;
   Money provisioned_cost;  ///< accrued idle-capacity cost (query-time lazy)

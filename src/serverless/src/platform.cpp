@@ -340,7 +340,6 @@ void Platform::complete(InvocationId id, bool forced) {
   r.cost = invocation_cost(fns_[fn_id].spec.memory, exec, r.started, r.tier);
 
   stats_.total_exec += exec;
-  stats_.total_init += init;
   stats_.exec_cost += r.cost - cfg_.price_per_request;
   stats_.request_cost += cfg_.price_per_request;
   if (preempted) ++stats_.preemptions;

@@ -102,7 +102,6 @@ class Simulator : public obs::TraceClock {
   /// Attaches a sink receiving every event lifecycle record; nullptr
   /// detaches. The sink must outlive the simulator or be detached first.
   void set_trace_sink(obs::TraceSink* sink) { trace_ = sink; }
-  [[nodiscard]] obs::TraceSink* trace_sink() const { return trace_; }
 
   /// Schedules `fn` at absolute time `t`. Pre: t >= now().
   EventId schedule_at(TimePoint t, Handler fn) {

@@ -52,16 +52,6 @@ class Accumulator {
   }
   [[nodiscard]] double stddev() const { return std::sqrt(variance()); }
 
-  /// Standard error of the mean; 0 for a single observation.
-  [[nodiscard]] double stderr_mean() const {
-    NTCO_EXPECTS(n_ > 0);
-    return stddev() / std::sqrt(static_cast<double>(n_));
-  }
-
-  /// Half-width of an approximate 95% confidence interval on the mean
-  /// (normal approximation; fine for the sample sizes the benches use).
-  [[nodiscard]] double ci95_halfwidth() const { return 1.96 * stderr_mean(); }
-
   /// Merges another accumulator (parallel Welford combination).
   void merge(const Accumulator& o) {
     if (o.n_ == 0) return;

@@ -29,13 +29,6 @@ class Table {
   void set_title(std::string title) { title_ = std::move(title); }
   void set_caption(std::string caption) { caption_ = std::move(caption); }
 
-  [[nodiscard]] const std::string& title() const { return title_; }
-  [[nodiscard]] const std::string& caption() const { return caption_; }
-  [[nodiscard]] const std::vector<std::string>& headers() const {
-    return headers_;
-  }
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
   /// Renders with column alignment, a header separator, and the title and
   /// caption if set.
   [[nodiscard]] std::string render() const;

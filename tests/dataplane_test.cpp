@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -200,28 +201,36 @@ TEST(DataplaneEpoch, TraceDigestByteEqualAcrossThreadCounts) {
 
 TEST(DataplaneEpoch, StreamingReduceMatchesSerialFold) {
   // The streaming drain must fold in exactly the shard order of a serial
-  // fold: the order-sensitive gauge proves it.
+  // fold: the merge callback sees shards 0..N-1 in order at any worker
+  // count.
+  struct Folded {
+    obs::MetricsRegistry metrics;
+    std::vector<std::size_t> order;
+  };
   const auto run = [](std::size_t threads) {
     fleet::Replicator rep(31, threads);
     return rep.reduce(
-        64, obs::MetricsRegistry{},
+        64, Folded{},
         [](fleet::ShardContext& ctx) {
           obs::MetricsRegistry shard;
           shard.counter(obs::UnregisteredName("fleet.events"))
               .add(ctx.rng.next_u64() % 100);
           shard.summary(obs::UnregisteredName("fleet.latency"))
               .add(ctx.rng.uniform(0.0, 5.0));
-          shard.gauge(obs::UnregisteredName("fleet.last_shard"))
-              .set(static_cast<double>(ctx.shard));
           return shard;
         },
-        [](obs::MetricsRegistry& acc, obs::MetricsRegistry&& shard,
-           std::size_t) { acc.merge_from(shard); });
+        [](Folded& acc, obs::MetricsRegistry&& shard, std::size_t s) {
+          acc.metrics.merge_from(shard);
+          acc.order.push_back(s);
+        });
   };
-  const std::string csv1 = run(1).to_csv();
-  const std::string csv8 = run(8).to_csv();
-  EXPECT_EQ(csv1, csv8);
-  EXPECT_NE(csv1.find("fleet.last_shard,gauge,value,63"), std::string::npos);
+  const Folded on1 = run(1);
+  const Folded on8 = run(8);
+  EXPECT_EQ(on1.metrics.to_csv(), on8.metrics.to_csv());
+  std::vector<std::size_t> expected(64);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(on1.order, expected);
+  EXPECT_EQ(on8.order, expected);
 }
 
 TEST(DataplaneEpoch, FirstShardOrderExceptionSurvivesStreamingReduce) {

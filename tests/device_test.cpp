@@ -49,28 +49,11 @@ TEST(Device, OffloadEnergyBreakEven) {
   EXPECT_LT(light_compute, ship_large);
 }
 
-TEST(Device, BatteryDrainsAndClamps) {
-  Device d(iot_node());
-  EXPECT_DOUBLE_EQ(d.battery_fraction(), 1.0);
-  EXPECT_TRUE(d.drain(Energy::joules(4'500)));
-  EXPECT_NEAR(d.battery_fraction(), 0.5, 1e-9);
-  EXPECT_FALSE(d.drain(Energy::joules(10'000)));  // exhausted
-  EXPECT_EQ(d.battery_remaining(), Energy::zero());
-  d.recharge();
-  EXPECT_DOUBLE_EQ(d.battery_fraction(), 1.0);
-}
-
-TEST(Device, NegativeDrainThrows) {
-  Device d(laptop());
-  EXPECT_THROW(d.drain(Energy::joules(-1.0)), ContractViolation);
-}
-
 TEST(Device, PresetsAreSane) {
   for (const auto& spec :
        {budget_phone(), flagship_phone(), iot_node(), laptop()}) {
     EXPECT_FALSE(spec.cpu.is_zero()) << spec.name;
     EXPECT_GT(spec.cpu_active, spec.idle) << spec.name;
-    EXPECT_GT(spec.battery, Energy::zero()) << spec.name;
     EXPECT_GT(spec.radio_tx, Power::zero()) << spec.name;
   }
   EXPECT_LT(budget_phone().cpu, flagship_phone().cpu);

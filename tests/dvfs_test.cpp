@@ -86,7 +86,8 @@ TEST(DvfsGovernor, SpecAtReparameterisesTheDevice) {
   EXPECT_EQ(spec.cpu_active, boost.active_power);
   // Unrelated fields are preserved.
   EXPECT_EQ(spec.radio_tx, budget_phone().radio_tx);
-  EXPECT_EQ(spec.battery, budget_phone().battery);
+  EXPECT_EQ(spec.idle, budget_phone().idle);
+  EXPECT_EQ(spec.radio_rx, budget_phone().radio_rx);
 }
 
 }  // namespace

@@ -79,31 +79,36 @@ TEST(FleetDeterminism, MergedResultsAreThreadCountInvariant) {
 
 TEST(FleetDeterminism, MergedRegistryDumpIsThreadCountInvariant) {
   // Per-shard MetricsRegistry instances reduced in shard order must dump
-  // byte-identical CSV no matter how many workers ran the shards.
+  // byte-identical CSV no matter how many workers ran the shards, and the
+  // merge callback must see exactly shards 0..N-1 in order on both fleets.
+  struct Folded {
+    obs::MetricsRegistry metrics;
+    std::vector<std::size_t> order;
+  };
   const auto run = [](std::size_t threads) {
     Replicator rep(31, threads);
     return rep.reduce(
-        10, obs::MetricsRegistry{},
+        10, Folded{},
         [](ShardContext& ctx) {
           obs::MetricsRegistry shard;
           shard.counter(obs::UnregisteredName("fleet.events"))
               .add(ctx.rng.next_u64() % 100);
           shard.summary(obs::UnregisteredName("fleet.latency"))
               .add(ctx.rng.uniform(0.0, 5.0));
-          shard.gauge(obs::UnregisteredName("fleet.last_shard"))
-              .set(static_cast<double>(ctx.shard));
-          shard.histogram(obs::UnregisteredName("fleet.lat_s"), 0.0, 5.0, 10)
-              .add(ctx.rng.uniform(0.0, 5.0));
           return shard;
         },
-        [](obs::MetricsRegistry& acc, obs::MetricsRegistry&& shard,
-           std::size_t) { acc.merge_from(shard); });
+        [](Folded& acc, obs::MetricsRegistry&& shard, std::size_t s) {
+          acc.metrics.merge_from(shard);
+          acc.order.push_back(s);
+        });
   };
-  const std::string csv1 = run(1).to_csv();
-  const std::string csv8 = run(8).to_csv();
-  EXPECT_EQ(csv1, csv8);
-  // The gauge proves the fold ran in shard order on both fleets.
-  EXPECT_NE(csv1.find("fleet.last_shard,gauge,value,9"), std::string::npos);
+  const Folded on1 = run(1);
+  const Folded on8 = run(8);
+  EXPECT_EQ(on1.metrics.to_csv(), on8.metrics.to_csv());
+  std::vector<std::size_t> expected(10);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(on1.order, expected);
+  EXPECT_EQ(on8.order, expected);
 }
 
 TEST(FleetReplicator, ReduceFoldsInShardOrder) {

@@ -19,15 +19,6 @@ TEST(FixedLink, ZeroPayloadStillPaysLatency) {
   EXPECT_EQ(link.transfer_time(DataSize::zero()), Duration::millis(7));
 }
 
-TEST(FixedLink, StatsAccumulate) {
-  FixedLink link(Duration::millis(1), DataRate::megabits_per_second(80));
-  (void)link.transfer_time(DataSize::megabytes(1));
-  (void)link.transfer_time(DataSize::megabytes(2));
-  EXPECT_EQ(link.stats().transfers, 2u);
-  EXPECT_EQ(link.stats().bytes_moved, DataSize::megabytes(3));
-  EXPECT_GT(link.stats().time_busy, Duration::zero());
-}
-
 TEST(FixedLink, InvalidConstructionThrows) {
   EXPECT_THROW(FixedLink(-Duration::millis(1),
                          DataRate::megabits_per_second(1)),

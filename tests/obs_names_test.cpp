@@ -38,9 +38,7 @@ std::string_view kind_name(obs::NameKind kind) {
   switch (kind) {
     case obs::NameKind::trace: return "trace";
     case obs::NameKind::counter: return "counter";
-    case obs::NameKind::gauge: return "gauge";
     case obs::NameKind::summary: return "summary";
-    case obs::NameKind::histogram: return "histogram";
   }
   return "?";
 }
@@ -58,9 +56,7 @@ std::string names_markdown() {
     if (r.kind == obs::NameKind::trace) row(r);
   const std::pair<obs::NameKind, const char*> kMetricKinds[] = {
       {obs::NameKind::counter, "Counters"},
-      {obs::NameKind::gauge, "Gauges"},
       {obs::NameKind::summary, "Summaries"},
-      {obs::NameKind::histogram, "Histograms"},
   };
   for (const auto& [kind, heading] : kMetricKinds) {
     const bool any = std::any_of(

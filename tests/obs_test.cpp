@@ -61,9 +61,6 @@ TEST(MetricsRegistry, CounterGaugeSummaryArithmetic) {
   reg.counter(UnregisteredName("a.hits")).add(4);
   EXPECT_EQ(reg.counter(UnregisteredName("a.hits")).value(), 5u);
 
-  reg.gauge(UnregisteredName("a.depth")).set(3.5);
-  EXPECT_DOUBLE_EQ(reg.gauge(UnregisteredName("a.depth")).value(), 3.5);
-
   auto& s = reg.summary(UnregisteredName("a.wait_ms"));
   s.add(1.0);
   s.add(3.0);
@@ -73,31 +70,23 @@ TEST(MetricsRegistry, CounterGaugeSummaryArithmetic) {
   // Same name -> same instrument, not a fresh one.
   EXPECT_EQ(&reg.counter(UnregisteredName("a.hits")),
             &reg.counter(UnregisteredName("a.hits")));
-  EXPECT_EQ(reg.size(), 3u);
-}
+  EXPECT_EQ(reg.size(), 2u);
 
-TEST(MetricsRegistry, HistogramBinsAndLookups) {
-  MetricsRegistry reg;
-  auto& h = reg.histogram(UnregisteredName("lat"), 0.0, 10.0, 5);
-  h.add(1.0);
-  h.add(9.9);
-  h.add(42.0);  // overflow
-  EXPECT_EQ(&reg.histogram(UnregisteredName("lat"), 0.0, 10.0, 5), &h);
-
-  EXPECT_NE(reg.find_histogram("lat"), nullptr);
-  EXPECT_EQ(reg.find_histogram("nope"), nullptr);
-  EXPECT_EQ(reg.find_counter("lat"), nullptr);
+  const Counter* hit = reg.find_counter("a.hits");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->value(), 5u);
+  EXPECT_EQ(reg.find_counter("a.wait_ms"), nullptr);  // a summary's name
 }
 
 TEST(MetricsRegistry, CsvIsSortedAndComplete) {
   MetricsRegistry reg;
   reg.counter(UnregisteredName("z.last")).add(2);
   reg.counter(UnregisteredName("a.first")).add(1);
-  reg.gauge(UnregisteredName("m.mid")).set(-1.5);
+  reg.summary(UnregisteredName("m.mid")).add(-1.5);
   const std::string csv = reg.to_csv();
   EXPECT_EQ(csv.rfind("metric,kind,field,value\n", 0), 0u);
   const auto a = csv.find("a.first,counter,value,1");
-  const auto m = csv.find("m.mid,gauge,value,-1.5");
+  const auto m = csv.find("m.mid,summary,count,1");
   const auto z = csv.find("z.last,counter,value,2");
   ASSERT_NE(a, std::string::npos);
   ASSERT_NE(m, std::string::npos);
@@ -111,48 +100,26 @@ TEST(MetricsRegistry, MergeFromCombinesEveryKind) {
   a.counter(UnregisteredName("hits")).add(3);
   b.counter(UnregisteredName("hits")).add(4);
   b.counter(UnregisteredName("only_b")).add(1);
-  a.gauge(UnregisteredName("depth")).set(1.0);
-  b.gauge(UnregisteredName("depth")).set(2.5);
   a.summary(UnregisteredName("wait")).add(1.0);
   b.summary(UnregisteredName("wait")).add(3.0);
-  a.histogram(UnregisteredName("lat"), 0.0, 10.0, 5).add(1.0);
-  b.histogram(UnregisteredName("lat"), 0.0, 10.0, 5).add(1.5);
-  b.histogram(UnregisteredName("lat"), 0.0, 10.0, 5).add(42.0);
 
   a.merge_from(b);
   EXPECT_EQ(a.counter(UnregisteredName("hits")).value(), 7u);
   EXPECT_EQ(a.counter(UnregisteredName("only_b")).value(), 1u);
-  // Last write wins.
-  EXPECT_DOUBLE_EQ(a.gauge(UnregisteredName("depth")).value(), 2.5);
   EXPECT_EQ(a.summary(UnregisteredName("wait")).count(), 2u);
   EXPECT_DOUBLE_EQ(a.summary(UnregisteredName("wait")).mean(), 2.0);
-  const auto* h = a.find_histogram("lat");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->total(), 3u);
-  EXPECT_EQ(h->bin(0), 2u);
-  EXPECT_EQ(h->overflow(), 1u);
-}
-
-TEST(MetricsRegistry, MergeFromRejectsHistogramGeometryMismatch) {
-  MetricsRegistry a, b;
-  a.histogram(UnregisteredName("lat"), 0.0, 10.0, 5).add(1.0);
-  b.histogram(UnregisteredName("lat"), 0.0, 20.0, 5).add(1.0);
-  EXPECT_THROW(a.merge_from(b), ContractViolation);
 }
 
 TEST(MetricsRegistry, MergedDumpIsGroupingIndependent) {
   // Three per-shard registries reduced ((s0+s1)+s2) versus (s0+(s1+s2)):
-  // the CSV and JSON dumps must be byte-identical — the property the fleet
-  // relies on to make NTCO_THREADS invisible in merged artifacts.
+  // the CSV dumps must be byte-identical — the property the fleet relies
+  // on to make NTCO_THREADS invisible in merged artifacts.
   const auto shard = [](std::uint64_t i) {
     MetricsRegistry r;
     r.counter(UnregisteredName("faas.invocations")).add(10 + i);
-    r.gauge(UnregisteredName("pool.depth")).set(static_cast<double>(i));
     r.summary(UnregisteredName("exec_ms")).add(static_cast<double>(1 + i));
     r.summary(UnregisteredName("exec_ms"))
         .add(static_cast<double>(5 * (i + 1)));
-    r.histogram(UnregisteredName("lat_s"), 0.0, 8.0, 4)
-        .add(static_cast<double>(i) * 2.5);
     return r;
   };
 
@@ -169,7 +136,6 @@ TEST(MetricsRegistry, MergedDumpIsGroupingIndependent) {
   right.merge_from(mid);
 
   EXPECT_EQ(left.to_csv(), right.to_csv());
-  EXPECT_EQ(left.to_json(), right.to_json());
 }
 
 TEST(JsonlTraceWriter, AppendFromStitchesInCallOrder) {

@@ -4,7 +4,6 @@
 
 #include "ntco/common/error.hpp"
 #include "ntco/stats/accumulator.hpp"
-#include "ntco/stats/histogram.hpp"
 #include "ntco/stats/percentile.hpp"
 #include "ntco/stats/table.hpp"
 
@@ -35,7 +34,6 @@ TEST(Accumulator, SingleObservationHasZeroVariance) {
   Accumulator a;
   a.add(3.0);
   EXPECT_DOUBLE_EQ(a.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(a.stderr_mean(), 0.0);
 }
 
 TEST(Accumulator, MergeEqualsPooled) {
@@ -185,147 +183,6 @@ TEST(PercentileSample, ContractsOnEmptyAndBadQ) {
   p.add(1.0);
   EXPECT_THROW((void)p.quantile(1.5), ContractViolation);
   EXPECT_THROW((void)p.quantile(-0.1), ContractViolation);
-}
-
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.0);   // bin 0
-  h.add(9.99);  // bin 9
-  h.add(5.0);   // bin 5
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.bin(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-}
-
-TEST(Histogram, CdfIsMonotone) {
-  Histogram h(0.0, 1.0, 4);
-  for (double x : {0.1, 0.3, 0.6, 0.9}) h.add(x);
-  double prev = 0.0;
-  for (std::size_t i = 0; i < h.bin_count(); ++i) {
-    const double c = h.cdf_at_bin(i);
-    EXPECT_GE(c, prev);
-    prev = c;
-  }
-  EXPECT_DOUBLE_EQ(prev, 1.0);
-}
-
-// cdf_at_bin is the CDF of the *in-range* mass only: out-of-range
-// observations must shift nothing, and the last bin must read exactly 1
-// whenever anything landed in range. (The old implementation mixed
-// underflow into the numerator and all mass into the denominator, so
-// overflow dragged the last bin below 1.)
-TEST(Histogram, CdfIgnoresUnderflowOnly) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(-1.0);  // underflow
-  h.add(-5.0);  // underflow
-  h.add(0.5);   // bin 0
-  h.add(2.5);   // bin 2
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(1), 0.5);
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(2), 1.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(3), 1.0);
-}
-
-TEST(Histogram, CdfIgnoresOverflowOnly) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(7.0);  // overflow
-  h.add(0.5);  // bin 0
-  h.add(1.5);  // bin 1
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(0), 0.5);
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(3), 1.0);
-}
-
-TEST(Histogram, CdfIgnoresMixedOutOfRangeMass) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(-1.0);  // underflow
-  h.add(5.0);   // overflow
-  h.add(0.5);   // bin 0
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(1), 1.0);
-}
-
-TEST(Histogram, CdfIsZeroWhenNothingInRange) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(-1.0);
-  h.add(5.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.cdf_at_bin(1), 0.0);
-}
-
-TEST(Histogram, MergeAddsCountsBinwise) {
-  Histogram a(0.0, 10.0, 5);
-  Histogram b(0.0, 10.0, 5);
-  a.add(1.0);   // bin 0
-  a.add(-2.0);  // underflow
-  b.add(1.5);   // bin 0
-  b.add(9.0);   // bin 4
-  b.add(11.0);  // overflow
-  a.merge(b);
-  EXPECT_EQ(a.total(), 5u);
-  EXPECT_EQ(a.bin(0), 2u);
-  EXPECT_EQ(a.bin(4), 1u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
-}
-
-TEST(Histogram, MergeWithEmptyIsIdentityBothWays) {
-  Histogram a(0.0, 4.0, 4), empty(0.0, 4.0, 4);
-  a.add(1.0);
-  a.merge(empty);
-  EXPECT_EQ(a.total(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.total(), 1u);
-  EXPECT_EQ(empty.bin(1), 1u);
-}
-
-TEST(Histogram, MergeIsGroupingIndependent) {
-  const auto fill = [](Histogram& h, int seed) {
-    for (int i = 0; i < 30; ++i)
-      h.add(static_cast<double>((seed * 37 + i * 13) % 120) / 10.0);
-  };
-  Histogram s1(0.0, 10.0, 8), s2(0.0, 10.0, 8), s3(0.0, 10.0, 8);
-  fill(s1, 1);
-  fill(s2, 2);
-  fill(s3, 3);
-  Histogram left(0.0, 10.0, 8), right(0.0, 10.0, 8);
-  left.merge(s1);
-  left.merge(s2);
-  left.merge(s3);
-  right.merge(s3);
-  right.merge(s1);
-  right.merge(s2);
-  for (std::size_t i = 0; i < left.bin_count(); ++i)
-    EXPECT_EQ(left.bin(i), right.bin(i));
-  EXPECT_EQ(left.overflow(), right.overflow());
-  EXPECT_EQ(left.total(), right.total());
-}
-
-TEST(Histogram, MergeRejectsMismatchedGeometry) {
-  Histogram a(0.0, 10.0, 5);
-  EXPECT_THROW(a.merge(Histogram(0.0, 10.0, 6)), ContractViolation);
-  EXPECT_THROW(a.merge(Histogram(0.0, 12.0, 5)), ContractViolation);
-  EXPECT_THROW(a.merge(Histogram(-1.0, 10.0, 5)), ContractViolation);
-}
-
-TEST(Histogram, RenderMentionsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string s = h.render(10);
-  EXPECT_NE(s.find("1"), std::string::npos);
-  EXPECT_NE(s.find("2"), std::string::npos);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ContractViolation);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractViolation);
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -217,7 +217,7 @@ cmake --build "$BUILD_DIR-tsan" \
   arrivals_test \
   -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
+  ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure -j "$JOBS" \
   -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
 
 echo "== [7/7] ASan + UBSan + libstdc++ assertions: full suite =="

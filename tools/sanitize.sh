@@ -29,13 +29,14 @@ fi
 FAMILY="${1:-address}"
 BUILD_DIR="${2:-build-${FAMILY}san}"
 SRC_DIR="$(dirname "$0")/.."
+JOBS="$(nproc 2>/dev/null || echo 2)"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DNTCO_SANITIZE="$FAMILY" \
   -DNTCO_BUILD_BENCHMARKS=OFF \
   -DNTCO_BUILD_EXAMPLES=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 2)"
+cmake --build "$BUILD_DIR" -j "$JOBS"
 UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
 TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir "$BUILD_DIR" --output-on-failure
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
