@@ -55,6 +55,28 @@ inline core::ControllerConfig ntc_cfg() {
   return cfg;
 }
 
+/// Reports that `p` could not be written (errno `err`) and exits with 1.
+[[noreturn]] inline void fail_write(const std::string& p, int err) {
+  std::fprintf(stderr, "ntco: cannot write %s: %s\n", p.c_str(),
+               std::strerror(err));
+  std::exit(1);
+}
+
+/// Writes `content` to `p`, or appends it. A file that cannot be written
+/// prints "ntco: cannot write <p>: <errno text>" on stderr and ends the
+/// process with status 1.
+inline void write_file(const std::string& p, const std::string& content,
+                       bool append) {
+  std::FILE* f = std::fopen(p.c_str(), append ? "ab" : "wb");
+  if (f == nullptr) fail_write(p, errno);
+  if (std::fwrite(content.data(), 1, content.size(), f) != content.size()) {
+    const int err = errno;
+    std::fclose(f);
+    fail_write(p, err);
+  }
+  if (std::fclose(f) != 0) fail_write(p, errno);
+}
+
 /// Unified experiment reporting: one object per bench binary that prints
 /// the uniform banner on construction, renders every result table for
 /// humans, and — when the environment variable NTCO_BENCH_OUT names a
@@ -122,24 +144,6 @@ class ReportWriter {
  private:
   [[nodiscard]] std::string path(const std::string& suffix) const {
     return dir_ + "/" + id_ + suffix;
-  }
-
-  void write_file(const std::string& p, const std::string& content,
-                  bool append) {
-    std::FILE* f = std::fopen(p.c_str(), append ? "ab" : "wb");
-    if (f == nullptr) fail_write(p, errno);
-    if (std::fwrite(content.data(), 1, content.size(), f) != content.size()) {
-      const int err = errno;
-      std::fclose(f);
-      fail_write(p, err);
-    }
-    if (std::fclose(f) != 0) fail_write(p, errno);
-  }
-
-  [[noreturn]] static void fail_write(const std::string& p, int err) {
-    std::fprintf(stderr, "ntco: cannot write %s: %s\n", p.c_str(),
-                 std::strerror(err));
-    std::exit(1);
   }
 
   std::string id_;

@@ -162,6 +162,11 @@ ShardResult simulate_shard(int users, bool broker_on, bool metrics_on,
     });
   }
   w.sim.run();
+  if (metrics_on) {
+    w.controller.publish(out.metrics);
+    w.cloud.publish(out.metrics);
+    b.publish(out.metrics);
+  }
 
   out.cloud_usd = w.cloud.total_cost().to_usd();
   out.cold_starts = w.cloud.stats().cold_starts;

@@ -147,6 +147,7 @@ ShardResult simulate_cell(bool two_stage, bool metrics_on, bool trace_on,
     }
   }
   w.sim.run();
+  if (metrics_on) b.publish(out.metrics);
 
   out.completed = b.stats().completed;
   out.failed = b.stats().failed;

@@ -137,8 +137,7 @@ ShardResult simulate_shard(bool metrics_on, bool trace_on,
   out.users = arrivals.size();
   for (std::size_t u = 0; u < arrivals.size(); ++u) {
     const TimePoint at = arrivals[u];
-    const int hour = static_cast<int>(
-        (at.since_origin().count_micros() / 3'600'000'000LL) % 24);
+    const int hour = hour_of_day(at);
     if (hour >= 19 && hour < 23) ++out.peak_hour_users;
     w.sim.schedule_at(at, [&b, &graphs, &pop, &out, u] {
       const User& usr = pop[u];
@@ -155,6 +154,11 @@ ShardResult simulate_shard(bool metrics_on, bool trace_on,
     });
   }
   w.sim.run();
+  if (metrics_on) {
+    w.controller.publish(out.metrics);
+    w.cloud.publish(out.metrics);
+    b.publish(out.metrics);
+  }
 
   out.completed = b.stats().completed;
   out.failed = b.stats().failed;

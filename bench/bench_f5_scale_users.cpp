@@ -116,6 +116,7 @@ ShardResult simulate_shard(int users, bool metrics_on, bool trace_on,
       });
     }
     csim.run();
+    if (metrics_on) cloud.publish(out.metrics);
     out.cold_starts = cloud.stats().cold_starts;
     out.cloud_usd = cloud.total_cost().to_usd();
   }

@@ -10,6 +10,7 @@
 //     forfeits.
 
 #include "bench_common.hpp"
+#include "ntco/profile/profiler.hpp"
 
 using namespace ntco;
 
@@ -85,20 +86,22 @@ int main() {
     // Production keeps running the stale plan against the drifted truth.
     stats::Accumulator stale;
     for (int i = 0; i < 10; ++i)
-      stale.add(pipeline.measured_objective(
+      stale.add(cicd::measured_objective(
+          w.controller.config().objective,
           w.controller.execute(*v1.plan, drifted)));
 
-    cicd::DriftWatcher watcher(0.3, 10);
-    for (int i = 0; i < 10; ++i) (void)watcher.observe_run(original.total_work());
+    profile::DriftDetector drift(0.3, 10);
+    for (int i = 0; i < 10; ++i) (void)drift.observe(original.total_work());
     int runs = 0;
-    while (!watcher.observe_run(drifted.total_work())) ++runs;
+    while (!drift.observe(drifted.total_work())) ++runs;
 
     const auto v2 = pipeline.run_release(drifted,
                                          partition::MinCutPartitioner{},
                                          &*v1.plan);
     stats::Accumulator fresh;
     for (int i = 0; i < 10; ++i)
-      fresh.add(pipeline.measured_objective(
+      fresh.add(cicd::measured_objective(
+          w.controller.config().objective,
           w.controller.execute(*v2.plan, drifted)));
 
     stats::Table t({"metric", "value"});

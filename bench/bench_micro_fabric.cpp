@@ -5,18 +5,16 @@
 // BM_AdmitExpireChurn is the loop tools/ci.sh gates against the checked-in
 // BENCH_micro_fabric.json baseline (>10% regression fails).
 //
-// Own main: when NTCO_BENCH_OUT names a directory every result is mirrored
-// into <dir>/BENCH_micro_fabric.json (same stable schema as
-// BENCH_micro_sim.json, parseable with POSIX awk).
+// Its main is micro_main.hpp's: when NTCO_BENCH_OUT names a directory every
+// result is mirrored into <dir>/BENCH_micro_fabric.json (same stable schema
+// as BENCH_micro_sim.json, parseable with POSIX awk).
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
+#include "micro_main.hpp"
 #include "ntco/fabric/fabric.hpp"
 #include "ntco/sim/simulator.hpp"
 
@@ -120,66 +118,8 @@ void BM_ReshareStepping(benchmark::State& state) {
 BENCHMARK(BM_ReshareStepping)
     ->Arg(static_cast<std::int64_t>(fabric::kMaxReshareSteps));
 
-// ---------------------------------------------------------------------------
-// Reporting: identical mirroring scheme to bench_micro_sim.cpp.
-
-struct CapturedRun {
-  std::string name;
-  double items_per_second = 0.0;
-  double ns_per_item = 0.0;
-};
-
-class MirroringReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      CapturedRun c;
-      c.name = run.benchmark_name();
-      const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) {
-        c.items_per_second = static_cast<double>(it->second);
-        if (c.items_per_second > 0.0) c.ns_per_item = 1e9 / c.items_per_second;
-      }
-      captured.push_back(std::move(c));
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-
-  std::vector<CapturedRun> captured;
-};
-
-bool write_json(const std::string& path,
-                const std::vector<CapturedRun>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"bench\": \"micro_fabric\",\n  \"results\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i)
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"items_per_second\": %.6g, "
-                 "\"ns_per_item\": %.6g}%s\n",
-                 runs[i].name.c_str(), runs[i].items_per_second,
-                 runs[i].ns_per_item, i + 1 < runs.size() ? "," : "");
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  MirroringReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  if (const char* dir = std::getenv("NTCO_BENCH_OUT");
-      dir != nullptr && dir[0] != '\0') {
-    const std::string path = std::string(dir) + "/BENCH_micro_fabric.json";
-    if (!write_json(path, reporter.captured)) {
-      std::fprintf(stderr, "ntco: cannot write %s\n", path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return ntco::bench::micro_main(argc, argv, "micro_fabric");
 }

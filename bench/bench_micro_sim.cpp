@@ -7,19 +7,18 @@
 // (>10% regression fails). BM_ServeShapedMix is ungated: it times the
 // serve path's sparse, far-future event shape.
 //
-// Unlike the other microbenches this binary carries its own main: when
-// NTCO_BENCH_OUT names a directory it mirrors every result into
-// <dir>/BENCH_micro_sim.json (deterministic field order) so the perf
-// trajectory is machine-recorded alongside the experiment artifacts.
+// Its main is micro_main.hpp's: when NTCO_BENCH_OUT names a directory it
+// mirrors every result into <dir>/BENCH_micro_sim.json (deterministic field
+// order) so the perf trajectory is machine-recorded alongside the
+// experiment artifacts.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
+#include <cstdint>
 #include <vector>
 
+#include "micro_main.hpp"
 #include "ntco/common/rng.hpp"
 #include "ntco/obs/trace.hpp"
 #include "ntco/sim/simulator.hpp"
@@ -196,70 +195,8 @@ void BM_ServeShapedMix(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeShapedMix)->Arg(4096);
 
-// ---------------------------------------------------------------------------
-// Reporting: forward everything to the console reporter and, when
-// NTCO_BENCH_OUT is set, mirror (name, items/s, ns/item) into
-// <dir>/BENCH_micro_sim.json. The JSON is written by us (not
-// google-benchmark's --benchmark_out) so the schema stays stable and the
-// ci.sh regression guard can parse it with POSIX awk.
-
-struct CapturedRun {
-  std::string name;
-  double items_per_second = 0.0;
-  double ns_per_item = 0.0;
-};
-
-class MirroringReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      CapturedRun c;
-      c.name = run.benchmark_name();
-      const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) {
-        c.items_per_second = static_cast<double>(it->second);
-        if (c.items_per_second > 0.0) c.ns_per_item = 1e9 / c.items_per_second;
-      }
-      captured.push_back(std::move(c));
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-
-  std::vector<CapturedRun> captured;
-};
-
-bool write_json(const std::string& path,
-                const std::vector<CapturedRun>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"bench\": \"micro_sim\",\n  \"results\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i)
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"items_per_second\": %.6g, "
-                 "\"ns_per_item\": %.6g}%s\n",
-                 runs[i].name.c_str(), runs[i].items_per_second,
-                 runs[i].ns_per_item, i + 1 < runs.size() ? "," : "");
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  MirroringReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  if (const char* dir = std::getenv("NTCO_BENCH_OUT");
-      dir != nullptr && dir[0] != '\0') {
-    const std::string path = std::string(dir) + "/BENCH_micro_sim.json";
-    if (!write_json(path, reporter.captured)) {
-      std::fprintf(stderr, "ntco: cannot write %s\n", path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return ntco::bench::micro_main(argc, argv, "micro_sim");
 }

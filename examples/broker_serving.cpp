@@ -43,9 +43,6 @@ int main() {
   const partition::MinCutPartitioner mincut;
   broker::Broker b(sim, cloud, controller, mincut, bcfg);
 
-  obs::MetricsRegistry metrics;
-  b.attach_observer(nullptr, &metrics);
-
   // 3. The population: 500 users, mixed workloads, spread link quality and
   //    battery, released within a two-minute burst at 20:00.
   const auto graphs = app::workloads::all();

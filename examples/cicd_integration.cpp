@@ -3,16 +3,18 @@
 //   v1  first release — profiled, partitioned, canaried, promoted;
 //   v2  built from a corrupted profile — the canary catches the regression
 //       and rolls back;
-//   v3  triggered by the drift watcher after the workload grows 6x — the
+//   v3  triggered by the drift detector after the workload grows 6x — the
 //       re-partition promotes and restores the objective.
 //
-// Demonstrates: ReleasePipeline stages, canary promotion gates, DriftWatcher.
+// Demonstrates: ReleasePipeline stages, canary promotion gates, and a
+// profile::DriftDetector that triggers the next release.
 
 #include <cstdio>
 
 #include "ntco/app/workloads.hpp"
 #include "ntco/cicd/pipeline.hpp"
 #include "ntco/net/path.hpp"
+#include "ntco/profile/profiler.hpp"
 
 using namespace ntco;
 
@@ -61,18 +63,18 @@ int main() {
                                        /*profile_bias=*/0.02);
   print_release("v2 (bad profile)", v2);
 
-  // Production drifts: the dataset grows 6x. The watcher sees per-run
-  // demand rise and asks for a re-release.
+  // Production drifts: the dataset grows 6x. The drift detector sees
+  // per-run demand rise and asks for a re-release.
   const auto drifted_app = v1_app.with_work_scaled(6.0);
-  cicd::DriftWatcher watcher(0.3, 15);
-  for (int i = 0; i < 15; ++i) (void)watcher.observe_run(v1_app.total_work());
+  profile::DriftDetector drift(0.3, 15);
+  for (int i = 0; i < 15; ++i) (void)drift.observe(v1_app.total_work());
   int runs_until_trigger = 0;
-  while (!watcher.observe_run(drifted_app.total_work())) ++runs_until_trigger;
+  while (!drift.observe(drifted_app.total_work())) ++runs_until_trigger;
   std::printf("\ndrift detected after %d production runs (+%.0f%% demand)\n",
-              runs_until_trigger + 1, watcher.relative_change() * 100.0);
+              runs_until_trigger + 1, drift.relative_change() * 100.0);
 
   const auto v3 = pipeline.run_release(drifted_app, mincut, &*v1.plan);
-  watcher.acknowledge();
+  drift.reset_baseline();
   print_release("v3 (post-drift)", v3);
 
   std::printf("\npipeline verdicts: v1 %s, v2 %s, v3 %s\n",

@@ -30,7 +30,9 @@ int main() {
 
   // Optional observability: a trace sink sees every simulator event and
   // every platform/controller span; a registry aggregates the stable
-  // metrics (names in DESIGN.md, "Observability"). Detach by not attaching.
+  // summaries as they happen and takes the counters from each layer's
+  // stats on publish() (names in DESIGN.md, "Observability"). Detach by
+  // not attaching.
   obs::JsonlTraceWriter trace;
   obs::MetricsRegistry metrics;
   sim.set_trace_sink(&trace);
@@ -74,8 +76,11 @@ int main() {
                   100.0,
               to_string(offloaded.cloud_cost).c_str());
 
-  // 6. The run left a full audit trail behind: write trace.str() (JSONL)
-  //    and metrics.to_csv() to files for offline analysis.
+  // 6. The run left a full audit trail behind: publish the counters, then
+  //    write trace.str() (JSONL) and metrics.to_csv() to files for offline
+  //    analysis.
+  cloud.publish(metrics);
+  controller.publish(metrics);
   std::printf("\ntrace: %zu records; metrics: %zu instruments\n",
               trace.record_count(), metrics.size());
   return 0;

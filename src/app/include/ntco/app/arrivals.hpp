@@ -42,7 +42,8 @@ namespace ntco::app {
 
 /// Optional observability attachment for arrival generation. When `trace`
 /// is non-null each generated arrival emits an "app.arrival.*" event;
-/// when `metrics` is non-null the "app.arrival.jobs" counter advances.
+/// when `metrics` is non-null each call adds its arrival count to the
+/// "app.arrival.jobs" counter.
 struct ArrivalObserver {
   obs::TraceSink* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;

@@ -9,26 +9,18 @@ namespace ntco::app {
 
 namespace {
 
-/// Simulated hour of day of a time point (tariff/envelope index).
-int hour_of(TimePoint t) {
-  return static_cast<int>((t.since_origin().count_micros() /
-                           3'600'000'000LL) %
-                          24);
-}
-
-/// Shared emission for one generated arrival.
-void observe_arrival(const ArrivalObserver& watch, obs::Counter* jobs,
-                     TimePoint at, std::uint64_t seq) {
-  if (jobs != nullptr) jobs->add();
+/// Traces one generated arrival.
+void observe_arrival(const ArrivalObserver& watch, TimePoint at,
+                     std::uint64_t seq) {
   if (watch.trace != nullptr)
     obs::emit(watch.trace, at, "app.arrival.job",
-              {{"seq", seq}, {"hour", hour_of(at)}});
+              {{"seq", seq}, {"hour", hour_of_day(at)}});
 }
 
-obs::Counter* jobs_counter(const ArrivalObserver& watch) {
-  return watch.metrics == nullptr
-             ? nullptr
-             : &watch.metrics->counter("app.arrival.jobs");
+/// Counts a generator call's `jobs` arrivals.
+void count_arrivals(const ArrivalObserver& watch, std::uint64_t jobs) {
+  if (watch.metrics != nullptr)
+    watch.metrics->counter("app.arrival.jobs").add(jobs);
 }
 
 }  // namespace
@@ -38,7 +30,6 @@ std::vector<TimePoint> poisson_arrivals(TimePoint start, Duration horizon,
                                         const ArrivalObserver& watch) {
   NTCO_EXPECTS(rate_per_second > 0.0);
   NTCO_EXPECTS(!horizon.is_negative());
-  obs::Counter* jobs = jobs_counter(watch);
   std::vector<TimePoint> out;
   const TimePoint end = start + horizon;
   TimePoint t = start;
@@ -46,9 +37,10 @@ std::vector<TimePoint> poisson_arrivals(TimePoint start, Duration horizon,
   for (;;) {
     t = t + Duration::from_seconds(rng.exponential(1.0 / rate_per_second));
     if (t >= end) break;
-    observe_arrival(watch, jobs, t, seq++);
+    observe_arrival(watch, t, seq++);
     out.push_back(t);
   }
+  count_arrivals(watch, seq);
   return out;
 }
 
@@ -94,7 +86,6 @@ std::vector<TimePoint> mmpp_arrivals(const MmppConfig& cfg, TimePoint start,
   NTCO_EXPECTS(mean_w > 0.0);
   for (const double w : cfg.profile.weight) NTCO_EXPECTS(w >= 0.0);
 
-  obs::Counter* jobs = jobs_counter(watch);
   const TimePoint end = start + horizon;
   const bool modulated = cfg.burst_multiplier > 1.0;
 
@@ -128,13 +119,15 @@ std::vector<TimePoint> mmpp_arrivals(const MmppConfig& cfg, TimePoint start,
       next_switch =
           next_switch + Duration::from_seconds(rng.exponential(mean_sojourn));
     }
-    const double w = cfg.profile.weight[static_cast<std::size_t>(hour_of(t))];
+    const double w =
+        cfg.profile.weight[static_cast<std::size_t>(hour_of_day(t))];
     const double rate = cfg.mean_rate_per_second * (w / mean_w) *
                         (in_burst ? cfg.burst_multiplier : 1.0);
     if (rng.uniform(0.0, 1.0) * peak >= rate) continue;  // thinned out
-    observe_arrival(watch, jobs, t, seq++);
+    observe_arrival(watch, t, seq++);
     out.push_back(t);
   }
+  count_arrivals(watch, seq);
   return out;
 }
 
@@ -150,7 +143,6 @@ std::vector<VehicleSession> vehicular_sessions(const VehicularConfig& cfg,
   NTCO_EXPECTS(cfg.battery_min >= 0.0 && cfg.battery_min <= 1.0);
   NTCO_EXPECTS(!horizon.is_negative());
 
-  obs::Counter* jobs = jobs_counter(watch);
   const TimePoint end = start + horizon;
   std::vector<VehicleSession> out;
   TimePoint enter = start;
@@ -188,7 +180,7 @@ std::vector<VehicleSession> vehicular_sessions(const VehicularConfig& cfg,
       r.bw_scale = bw_scale;
       r.battery = battery;
       r.residence_left = exit - at;
-      observe_arrival(watch, jobs, at, seq++);
+      observe_arrival(watch, at, seq++);
       s.requests.push_back(r);
     }
     if (watch.trace != nullptr)
@@ -197,6 +189,7 @@ std::vector<VehicleSession> vehicular_sessions(const VehicularConfig& cfg,
                  {"requests", static_cast<std::uint64_t>(s.requests.size())}});
     out.push_back(std::move(s));
   }
+  count_arrivals(watch, seq);
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "ntco/common/units.hpp"
-#include "ntco/obs/metrics.hpp"
 #include "ntco/obs/trace.hpp"
 
 /// \file admission.hpp
@@ -92,26 +91,18 @@ class AdmissionController {
   [[nodiscard]] const AdmissionStats& stats() const { return stats_; }
   [[nodiscard]] const AdmissionConfig& config() const { return cfg_; }
 
-  /// Attaches observability. `trace` receives "broker.admission_defer" /
-  /// "broker.admission_shed"; `metrics` hosts the "broker.admission.*"
-  /// counters. Either may be null.
-  void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
+  /// `trace` (may be null) receives "broker.admission_defer" /
+  /// "broker.admission_shed".
+  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
 
  private:
   void refill(TimePoint now);
-
-  struct Instruments {
-    obs::Counter* admitted = nullptr;
-    obs::Counter* deferrals = nullptr;
-    obs::Counter* shed = nullptr;
-  };
 
   AdmissionConfig cfg_;
   double tokens_;
   TimePoint last_refill_;
   AdmissionStats stats_;
   obs::TraceSink* trace_ = nullptr;
-  Instruments m_;
 };
 
 }  // namespace ntco::broker

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "ntco/common/units.hpp"
-#include "ntco/obs/metrics.hpp"
 #include "ntco/obs/trace.hpp"
 #include "ntco/sim/simulator.hpp"
 
@@ -91,9 +90,8 @@ class BatchDispatcher {
   [[nodiscard]] std::size_t open_batches() const { return pending_.size(); }
   [[nodiscard]] const BatchStats& stats() const { return stats_; }
 
-  /// Attaches observability. `trace` receives "broker.batch_flush";
-  /// `metrics` hosts the "broker.batch.*" counters. Either may be null.
-  void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
+  /// `trace` (may be null) receives "broker.batch_flush".
+  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
 
  private:
   struct Key {
@@ -110,18 +108,11 @@ class BatchDispatcher {
   void release(const std::string& group, const std::vector<JobId>& jobs,
                bool sealed);
 
-  struct Instruments {
-    obs::Counter* batches = nullptr;
-    obs::Counter* jobs = nullptr;
-    obs::Counter* sealed = nullptr;
-  };
-
   sim::Simulator& sim_;
   Runner& runner_;
   std::map<Key, Pending> pending_;
   BatchStats stats_;
   obs::TraceSink* trace_ = nullptr;
-  Instruments m_;
 };
 
 }  // namespace ntco::broker

@@ -202,9 +202,14 @@ class Broker : private BatchDispatcher::Runner {
   [[nodiscard]] const BrokerConfig& config() const { return cfg_; }
 
   /// Attaches observability to the broker and its layers. `trace` receives
-  /// "broker.*" events; `metrics` hosts the "broker.*" instruments. Either
+  /// "broker.*" events; `metrics` hosts the "broker.*" summaries. Either
   /// may be null. Stable names are listed in DESIGN.md ("Observability").
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
+
+  /// Adds the "broker.*" counters to `metrics`, read from stats(),
+  /// twostage() and the stats of cache(), admission() and dispatcher();
+  /// "broker.rejected" only when a request was rejected.
+  void publish(obs::MetricsRegistry& metrics) const;
 
  private:
   /// Names an in-flight serve: the SlabId of its record.
@@ -278,12 +283,6 @@ class Broker : private BatchDispatcher::Runner {
   }
 
   struct Instruments {
-    obs::Counter* requests = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Counter* fast_serves = nullptr;
-    obs::Counter* resolves = nullptr;
-    obs::Counter* agreements = nullptr;
     stats::Accumulator* decision_us = nullptr;
     stats::Accumulator* job_cost_usd = nullptr;
     stats::Accumulator* completion_s = nullptr;
@@ -308,9 +307,6 @@ class Broker : private BatchDispatcher::Runner {
   BrokerStats stats_;
   TwoStageStats twostage_;
   obs::TraceSink* trace_ = nullptr;
-  /// Hosts "broker.rejected", registered at the first rejection: a run
-  /// without malformed requests dumps no row for it.
-  obs::MetricsRegistry* metrics_ = nullptr;
   Instruments m_;
 };
 

@@ -7,7 +7,6 @@
 
 #include "ntco/common/units.hpp"
 #include "ntco/core/controller.hpp"
-#include "ntco/obs/metrics.hpp"
 #include "ntco/obs/trace.hpp"
 
 /// \file plan_cache.hpp
@@ -85,7 +84,7 @@ struct PlanCacheConfig {
   Duration ttl = Duration::hours(1);   ///< staleness bound at simulated time
 };
 
-/// Hit/miss accounting (also mirrored into obs instruments when attached).
+/// Hit/miss accounting (Broker::publish() turns it into "broker.cache.*").
 struct PlanCacheStats {
   std::uint64_t hits = 0;             ///< exact-bucket hits
   std::uint64_t hysteresis_hits = 0;  ///< adjacent-bucket hits within drift
@@ -127,10 +126,9 @@ class PlanCache {
   [[nodiscard]] const PlanCacheStats& stats() const { return stats_; }
   [[nodiscard]] const PlanCacheConfig& config() const { return cfg_; }
 
-  /// Attaches observability. `trace` receives "broker.plan_cache_hit" /
-  /// "broker.plan_cache_miss" events; `metrics` hosts the
-  /// "broker.cache.*" counters. Either may be null.
-  void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
+  /// `trace` (may be null) receives "broker.plan_cache_hit" /
+  /// "broker.plan_cache_miss" events.
+  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
 
  private:
   struct Entry {
@@ -146,21 +144,12 @@ class PlanCache {
   void evict_lru();
   [[nodiscard]] bool expired(const Entry& e, TimePoint now) const;
 
-  struct Instruments {
-    obs::Counter* hits = nullptr;
-    obs::Counter* hysteresis_hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* expiries = nullptr;
-  };
-
   PlanCacheConfig cfg_;
   // std::map: deterministic iteration for eviction scans.
   std::map<PlanKey, Entry> entries_;
   std::uint64_t tick_ = 0;
   PlanCacheStats stats_;
   obs::TraceSink* trace_ = nullptr;
-  Instruments m_;
 };
 
 }  // namespace ntco::broker

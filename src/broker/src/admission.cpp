@@ -13,17 +13,6 @@ AdmissionController::AdmissionController(AdmissionConfig cfg)
   NTCO_EXPECTS(!cfg_.min_defer.is_negative());
 }
 
-void AdmissionController::attach_observer(obs::TraceSink* trace,
-                                          obs::MetricsRegistry* metrics) {
-  trace_ = trace;
-  m_ = {};
-  if (metrics != nullptr) {
-    m_.admitted = &metrics->counter("broker.admission.admitted");
-    m_.deferrals = &metrics->counter("broker.admission.deferrals");
-    m_.shed = &metrics->counter("broker.admission.shed");
-  }
-}
-
 void AdmissionController::refill(TimePoint now) {
   NTCO_EXPECTS(now >= last_refill_);
   const double dt = (now - last_refill_).to_seconds();
@@ -45,7 +34,6 @@ AdmissionDecision AdmissionController::decide(TimePoint now,
   // misses on the client.
   if (now + est > deadline) {
     ++stats_.shed;
-    if (m_.shed) m_.shed->add();
     if (trace_)
       obs::emit(trace_, now, "broker.admission_shed",
                 {{"reason", "deadline_too_tight"},
@@ -57,7 +45,6 @@ AdmissionDecision AdmissionController::decide(TimePoint now,
   if (tokens_ >= 1.0) {
     tokens_ -= 1.0;
     ++stats_.admitted;
-    if (m_.admitted) m_.admitted->add();
     return {AdmissionVerdict::Admitted, ShedReason::None, now};
   }
 
@@ -91,7 +78,6 @@ AdmissionDecision AdmissionController::decide(TimePoint now,
 
   if (reason != ShedReason::None) {
     ++stats_.shed;
-    if (m_.shed) m_.shed->add();
     if (trace_)
       obs::emit(trace_, now, "broker.admission_shed",
                 {{"reason", reason == ShedReason::DeadlineTooTight
@@ -104,7 +90,6 @@ AdmissionDecision AdmissionController::decide(TimePoint now,
 
   ++stats_.deferrals;
   ++stats_.deferred_outstanding;
-  if (m_.deferrals) m_.deferrals->add();
   if (trace_)
     obs::emit(trace_, now, "broker.admission_defer",
               {{"retry_at", retry_at}, {"deadline", deadline}});

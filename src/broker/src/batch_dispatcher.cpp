@@ -5,17 +5,6 @@
 
 namespace ntco::broker {
 
-void BatchDispatcher::attach_observer(obs::TraceSink* trace,
-                                      obs::MetricsRegistry* metrics) {
-  trace_ = trace;
-  m_ = {};
-  if (metrics != nullptr) {
-    m_.batches = &metrics->counter("broker.batch.batches");
-    m_.jobs = &metrics->counter("broker.batch.jobs");
-    m_.sealed = &metrics->counter("broker.batch.sealed");
-  }
-}
-
 void BatchDispatcher::enqueue(const std::string& group, TimePoint flush_at,
                               JobId job) {
   const TimePoint at = std::max(flush_at, sim_.now());
@@ -49,11 +38,6 @@ void BatchDispatcher::release(const std::string& group,
   ++stats_.batches;
   stats_.jobs_dispatched += jobs.size();
   if (sealed) ++stats_.sealed;
-  if (m_.batches) {
-    m_.batches->add();
-    m_.jobs->add(jobs.size());
-    if (sealed) m_.sealed->add();
-  }
   if (trace_)
     obs::emit(trace_, sim_.now(), "broker.batch_flush",
               {{"group", std::string_view(group)},

@@ -64,22 +64,40 @@ Broker::Broker(sim::Simulator& sim, serverless::Platform& platform,
 void Broker::attach_observer(obs::TraceSink* trace,
                              obs::MetricsRegistry* metrics) {
   trace_ = trace;
-  metrics_ = metrics;
   m_ = {};
   if (metrics != nullptr) {
-    m_.requests = &metrics->counter("broker.requests");
-    m_.completed = &metrics->counter("broker.completed");
-    m_.failed = &metrics->counter("broker.failed");
-    m_.fast_serves = &metrics->counter("broker.twostage.fast_serves");
-    m_.resolves = &metrics->counter("broker.twostage.resolves");
-    m_.agreements = &metrics->counter("broker.twostage.agreements");
     m_.decision_us = &metrics->summary("broker.decision_us");
     m_.job_cost_usd = &metrics->summary("broker.job_cost_usd");
     m_.completion_s = &metrics->summary("broker.completion_s");
   }
-  cache_.attach_observer(trace, metrics);
-  admission_.attach_observer(trace, metrics);
-  dispatcher_.attach_observer(trace, metrics);
+  cache_.set_trace(trace);
+  admission_.set_trace(trace);
+  dispatcher_.set_trace(trace);
+}
+
+void Broker::publish(obs::MetricsRegistry& metrics) const {
+  metrics.counter("broker.requests").add(stats_.requests);
+  metrics.counter("broker.completed").add(stats_.completed);
+  metrics.counter("broker.failed").add(stats_.failed);
+  if (stats_.rejected > 0)
+    metrics.counter("broker.rejected").add(stats_.rejected);
+  metrics.counter("broker.twostage.fast_serves").add(twostage_.fast_serves);
+  metrics.counter("broker.twostage.resolves").add(twostage_.resolves);
+  metrics.counter("broker.twostage.agreements").add(twostage_.agreements);
+  const PlanCacheStats& cache = cache_.stats();
+  metrics.counter("broker.cache.hits").add(cache.hits);
+  metrics.counter("broker.cache.hysteresis_hits").add(cache.hysteresis_hits);
+  metrics.counter("broker.cache.misses").add(cache.misses);
+  metrics.counter("broker.cache.evictions").add(cache.evictions);
+  metrics.counter("broker.cache.expiries").add(cache.expiries);
+  const AdmissionStats& admission = admission_.stats();
+  metrics.counter("broker.admission.admitted").add(admission.admitted);
+  metrics.counter("broker.admission.deferrals").add(admission.deferrals);
+  metrics.counter("broker.admission.shed").add(admission.shed);
+  const BatchStats& batch = dispatcher_.stats();
+  metrics.counter("broker.batch.batches").add(batch.batches);
+  metrics.counter("broker.batch.jobs").add(batch.jobs_dispatched);
+  metrics.counter("broker.batch.sealed").add(batch.sealed);
 }
 
 Duration Broker::admission_estimate(const app::TaskGraph& g,
@@ -103,7 +121,6 @@ Duration Broker::admission_estimate(const app::TaskGraph& g,
 void Broker::serve(ServeRequest req,
                    std::function<void(const ServeOutcome&)> done) {
   ++stats_.requests;
-  if (m_.requests) m_.requests->add();
   // A malformed request costs itself, never the run: it completes here
   // instead of tripping a contract inside a simulator event.
   if (const RejectReason why = validate(req); why != RejectReason::None) {
@@ -122,7 +139,6 @@ void Broker::reject(RejectReason why,
                     const std::function<void(const ServeOutcome&)>& done) {
   const TimePoint now = sim_.now();
   ++stats_.rejected;
-  if (metrics_ != nullptr) metrics_->counter("broker.rejected").add();
   if (trace_)
     obs::emit(trace_, now, "broker.request_rejected",
               {{"field", field_name(why)}});
@@ -188,8 +204,7 @@ void Broker::decide(RequestId id) {
   ctx.uplink = spec.up.rate * r.req.bandwidth_scale;
   ctx.rtt = spec.up.latency + spec.down.latency;
   ctx.battery = r.req.battery;
-  ctx.hour = static_cast<int>(
-      (now.since_origin().count_micros() / 3'600'000'000LL) % 24);
+  ctx.hour = hour_of_day(now);
 
   if (cfg_.cache_enabled) {
     r.plan = cache_.lookup(ctx, now);
@@ -209,7 +224,6 @@ void Broker::decide(RequestId id) {
           controller_.prepare(g, stage1_partitioner(), env));
       r.heuristic = true;
       ++twostage_.fast_serves;
-      if (m_.fast_serves) m_.fast_serves->add();
       if (trace_)
         obs::emit(trace_, now, "broker.twostage.fast_serve",
                   {{"workload", std::string_view(g.name())}});
@@ -281,13 +295,10 @@ void Broker::complete(RequestId id, const core::ExecutionReport& report) {
   out.finished = sim_.now();
   out.deferrals = r.deferrals;
   out.report = report;
-  if (report.failed) {
+  if (report.failed)
     ++stats_.failed;
-    if (m_.failed) m_.failed->add();
-  } else {
+  else
     ++stats_.completed;
-    if (m_.completed) m_.completed->add();
-  }
   if (m_.job_cost_usd) m_.job_cost_usd->add(report.cloud_cost.to_usd());
   if (m_.completion_s)
     m_.completion_s->add((out.finished - r.released).to_seconds());
@@ -319,8 +330,6 @@ void Broker::resolve(Resolves::iterator it) {
   const bool agreed = exact.partition == job.heuristic;
   ++twostage_.resolves;
   if (agreed) ++twostage_.agreements;
-  if (m_.resolves) m_.resolves->add();
-  if (agreed && m_.agreements) m_.agreements->add();
   if (trace_)
     obs::emit(trace_, now, "broker.twostage.resolve",
               {{"workload", std::string_view(job.ctx.workload)},

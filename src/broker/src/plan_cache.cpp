@@ -32,19 +32,6 @@ PlanKey quantize(const DecisionContext& ctx) {
 
 PlanCache::PlanCache(PlanCacheConfig cfg) : cfg_(cfg) {}
 
-void PlanCache::attach_observer(obs::TraceSink* trace,
-                                obs::MetricsRegistry* metrics) {
-  trace_ = trace;
-  m_ = {};
-  if (metrics != nullptr) {
-    m_.hits = &metrics->counter("broker.cache.hits");
-    m_.hysteresis_hits = &metrics->counter("broker.cache.hysteresis_hits");
-    m_.misses = &metrics->counter("broker.cache.misses");
-    m_.evictions = &metrics->counter("broker.cache.evictions");
-    m_.expiries = &metrics->counter("broker.cache.expiries");
-  }
-}
-
 bool PlanCache::expired(const Entry& e, TimePoint now) const {
   return now - e.inserted > cfg_.ttl;
 }
@@ -77,7 +64,6 @@ SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
     if (expired(it->second, now)) {
       entries_.erase(it);
       ++stats_.expiries;
-      if (m_.expiries) m_.expiries->add();
       return nullptr;
     }
     return &it->second;
@@ -86,7 +72,6 @@ SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
   if (Entry* e = probe(exact); e != nullptr) {
     e->last_used = ++tick_;
     ++stats_.hits;
-    if (m_.hits) m_.hits->add();
     if (trace_)
       obs::emit(trace_, now, "broker.plan_cache_hit",
                 {{"workload", std::string_view(ctx.workload)},
@@ -117,7 +102,6 @@ SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
     if (e == nullptr || !within_hysteresis(ctx, e->planned)) continue;
     e->last_used = ++tick_;
     ++stats_.hysteresis_hits;
-    if (m_.hysteresis_hits) m_.hysteresis_hits->add();
     if (trace_)
       obs::emit(trace_, now, "broker.plan_cache_hit",
                 {{"workload", std::string_view(ctx.workload)},
@@ -126,7 +110,6 @@ SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
   }
 
   ++stats_.misses;
-  if (m_.misses) m_.misses->add();
   if (trace_)
     obs::emit(trace_, now, "broker.plan_cache_miss",
               {{"workload", std::string_view(ctx.workload)}});
@@ -154,7 +137,6 @@ void PlanCache::evict_lru() {
     if (it->second.last_used < victim->second.last_used) victim = it;
   entries_.erase(victim);
   ++stats_.evictions;
-  if (m_.evictions) m_.evictions->add();
 }
 
 }  // namespace ntco::broker

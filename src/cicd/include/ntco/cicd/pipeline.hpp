@@ -20,9 +20,9 @@
 /// instrumented runs and builds the estimated graph; the partition stage is
 /// core::OffloadController::prepare(); the canary executes the candidate
 /// plan alongside the incumbent on live-like traffic and only promotes if
-/// the measured objective does not regress beyond tolerance. DriftWatcher
-/// glues the drift detector to release triggering for continuous
-/// re-partitioning in operation.
+/// the measured objective does not regress beyond tolerance. In operation,
+/// profile::DriftDetector watches each production run's total demand and
+/// says when a re-release is due (continuous re-partitioning).
 
 namespace ntco::cicd {
 
@@ -87,11 +87,6 @@ class ReleasePipeline {
       const app::TaskGraph& truth, const partition::Partitioner& partitioner,
       const core::DeploymentPlan* incumbent, double profile_bias = 1.0);
 
-  /// Objective scalarisation used to judge canaries: the controller's
-  /// objective weights applied to measured makespan/energy/money.
-  [[nodiscard]] double measured_objective(
-      const core::ExecutionReport& r) const;
-
  private:
   sim::Simulator& sim_;
   core::OffloadController& controller_;
@@ -102,31 +97,9 @@ class ReleasePipeline {
 };
 
 /// Measured-objective scalarisation the canary gate judges by: the
-/// controller's weights applied to a run's measured totals.
+/// controller's weights (`controller.config().objective`) applied to a
+/// run's measured totals.
 [[nodiscard]] double measured_objective(const partition::Objective& weights,
                                         const core::ExecutionReport& r);
-
-/// Watches a production demand stream and reports when a release should be
-/// triggered because the workload drifted from what the promoted plan was
-/// partitioned for.
-class DriftWatcher {
- public:
-  DriftWatcher(double threshold, std::size_t window)
-      : detector_(threshold, window) {}
-
-  /// Feeds one production run's total demand; true if a re-release is due.
-  bool observe_run(Cycles total_demand) { return detector_.observe(total_demand); }
-
-  /// Acknowledges the triggered release (re-baselines on current demand).
-  void acknowledge() { detector_.reset_baseline(); }
-
-  [[nodiscard]] bool pending() const { return detector_.drifted(); }
-  [[nodiscard]] double relative_change() const {
-    return detector_.relative_change();
-  }
-
- private:
-  profile::DriftDetector detector_;
-};
 
 }  // namespace ntco::cicd

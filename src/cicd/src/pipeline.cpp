@@ -37,11 +37,6 @@ double measured_objective(const partition::Objective& weights,
          weights.money_weight * r.cloud_cost.to_usd();
 }
 
-double ReleasePipeline::measured_objective(
-    const core::ExecutionReport& r) const {
-  return cicd::measured_objective(controller_.config().objective, r);
-}
-
 ReleaseReport ReleasePipeline::run_release(
     const app::TaskGraph& truth, const partition::Partitioner& partitioner,
     const core::DeploymentPlan* incumbent, double profile_bias) {
@@ -89,9 +84,11 @@ ReleaseReport ReleasePipeline::run_release(
   // Canary: execute candidate (and incumbent, if any) on live-like traffic
   // against the *true* application behaviour.
   const TimePoint canary_begin = sim_.now();
+  const partition::Objective& weights = controller_.config().objective;
   double candidate_sum = 0.0;
   for (std::size_t i = 0; i < cfg_.canary_runs; ++i)
-    candidate_sum += measured_objective(controller_.execute(candidate, truth));
+    candidate_sum +=
+        measured_objective(weights, controller_.execute(candidate, truth));
   report.candidate_objective =
       candidate_sum / static_cast<double>(cfg_.canary_runs);
 
@@ -99,7 +96,7 @@ ReleaseReport ReleasePipeline::run_release(
     double incumbent_sum = 0.0;
     for (std::size_t i = 0; i < cfg_.canary_runs; ++i)
       incumbent_sum +=
-          measured_objective(controller_.execute(*incumbent, truth));
+          measured_objective(weights, controller_.execute(*incumbent, truth));
     report.incumbent_objective =
         incumbent_sum / static_cast<double>(cfg_.canary_runs);
   }

@@ -24,13 +24,6 @@ struct PriceWindow {
   double multiplier = 1.0;
 };
 
-/// Simulated hour of day of `when`, in [0, 24).
-[[nodiscard]] inline int hour_of_day(TimePoint when) {
-  const auto hours_since_origin =
-      when.since_origin().count_micros() / 3'600'000'000LL;
-  return static_cast<int>(hours_since_origin % 24);
-}
-
 /// True when `hour` falls inside `w` (wrapping windows included).
 [[nodiscard]] inline bool window_contains(const PriceWindow& w, int hour) {
   return (w.start_hour <= w.end_hour)

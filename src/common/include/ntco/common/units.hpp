@@ -127,6 +127,12 @@ class TimePoint {
   Duration d_;
 };
 
+/// Simulated hour of day of `when`, in [0, 24) from the origin on.
+[[nodiscard]] constexpr int hour_of_day(TimePoint when) {
+  return static_cast<int>(
+      (when.since_origin().count_micros() / 3'600'000'000LL) % 24);
+}
+
 /// Volume of data. Representation: unsigned bytes.
 class DataSize {
  public:

@@ -150,8 +150,12 @@ class Federation {
   /// without a route fall back to restart-from-zero.
   void set_route(SiteId from, SiteId to, net::Transport& transport);
 
-  /// Attaches observability: "continuum.*" traces and metrics.
+  /// Attaches observability: "continuum.*" traces and summaries.
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
+
+  /// Adds the "continuum.*" counters, read from stats(), to `metrics`;
+  /// "continuum.rejected" only when a job was rejected.
+  void publish(obs::MetricsRegistry& metrics) const;
 
   /// Places and starts a job. `done` fires once, after the output download
   /// lands back at the UE. A job with a negative deadline is rejected
@@ -261,21 +265,9 @@ class Federation {
   JobId next_job_ = 1;
   bool abrupt_evac_ = false;  ///< progress is dropped while set
   obs::TraceSink* trace_ = nullptr;
-  /// Hosts "continuum.rejected", registered at the first rejection: a run
-  /// without malformed jobs dumps no row for it.
-  obs::MetricsRegistry* metrics_ = nullptr;
 
   /// Cached instrument pointers (null without a registry).
   struct Instruments {
-    obs::Counter* jobs = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* deadline_misses = nullptr;
-    obs::Counter* migrations = nullptr;
-    obs::Counter* restarts = nullptr;
-    obs::Counter* stay_puts = nullptr;
-    obs::Counter* spillovers = nullptr;
-    obs::Counter* reroutes = nullptr;
-    obs::Counter* parked = nullptr;
     stats::Accumulator* completion_ms = nullptr;
     stats::Accumulator* job_cost_usd = nullptr;
   };

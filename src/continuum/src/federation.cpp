@@ -24,20 +24,24 @@ void Federation::set_route(SiteId from, SiteId to, net::Transport& transport) {
 void Federation::attach_observer(obs::TraceSink* trace,
                                  obs::MetricsRegistry* metrics) {
   trace_ = trace;
-  metrics_ = metrics;
   m_ = Instruments{};
   if (metrics == nullptr) return;
-  m_.jobs = &metrics->counter("continuum.jobs");
-  m_.completed = &metrics->counter("continuum.completed");
-  m_.deadline_misses = &metrics->counter("continuum.deadline_misses");
-  m_.migrations = &metrics->counter("continuum.migrations");
-  m_.restarts = &metrics->counter("continuum.restarts");
-  m_.stay_puts = &metrics->counter("continuum.stay_puts");
-  m_.spillovers = &metrics->counter("continuum.spillovers");
-  m_.reroutes = &metrics->counter("continuum.reroutes");
-  m_.parked = &metrics->counter("continuum.parked");
   m_.completion_ms = &metrics->summary("continuum.completion_ms");
   m_.job_cost_usd = &metrics->summary("continuum.job_cost_usd");
+}
+
+void Federation::publish(obs::MetricsRegistry& metrics) const {
+  metrics.counter("continuum.jobs").add(stats_.submitted);
+  metrics.counter("continuum.completed").add(stats_.completed);
+  metrics.counter("continuum.deadline_misses").add(stats_.deadline_misses);
+  metrics.counter("continuum.migrations").add(stats_.migrations);
+  metrics.counter("continuum.restarts").add(stats_.restarts);
+  metrics.counter("continuum.stay_puts").add(stats_.stay_puts);
+  metrics.counter("continuum.spillovers").add(stats_.spillovers);
+  metrics.counter("continuum.reroutes").add(stats_.reroutes);
+  metrics.counter("continuum.parked").add(stats_.parked);
+  if (stats_.rejected > 0)
+    metrics.counter("continuum.rejected").add(stats_.rejected);
 }
 
 Duration Federation::est_oneway(const net::DirectionSpec& d, DataSize size) {
@@ -142,7 +146,6 @@ JobId Federation::submit(const JobSpec& spec, Callback done) {
   job.submitted = sim_.now();
   jobs_.emplace(id, std::move(job));
   ++stats_.submitted;
-  if (m_.jobs) m_.jobs->add();
   if (trace_)
     obs::emit(trace_, sim_.now(), "continuum.job.submit",
               {{"job", id},
@@ -156,10 +159,7 @@ JobId Federation::submit(const JobSpec& spec, Callback done) {
     park(id);
     return id;
   }
-  if (spilled) {
-    ++stats_.spillovers;
-    if (m_.spillovers) m_.spillovers->add();
-  }
+  if (spilled) ++stats_.spillovers;
   if (trace_)
     obs::emit(trace_, sim_.now(), "continuum.place",
               {{"job", id}, {"site", s}, {"spilled", spilled}});
@@ -169,7 +169,6 @@ JobId Federation::submit(const JobSpec& spec, Callback done) {
 
 void Federation::reject(const JobSpec& spec) {
   ++stats_.rejected;
-  if (metrics_ != nullptr) metrics_->counter("continuum.rejected").add();
   if (trace_)
     obs::emit(trace_, sim_.now(), "continuum.job.rejected",
               {{"deadline", spec.deadline}});
@@ -200,7 +199,6 @@ void Federation::arrive(JobId id) {
   const SiteId dead = job.dest;
   ++stats_.reroutes;
   ++job.migrations;
-  if (m_.reroutes) m_.reroutes->add();
   if (!place_from_ue(id)) {
     park(id);
     return;
@@ -316,7 +314,6 @@ void Federation::decide(JobId id) {
 
   if (best->kind == 0) {
     ++stats_.stay_puts;
-    if (m_.stay_puts) m_.stay_puts->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "continuum.migrate.stay",
                 {{"job", id}, {"site", src}, {"credit", job.exec_done}});
@@ -342,7 +339,6 @@ void Federation::dispatch_move(JobId id) {
                           : nullptr;
   if (r != nullptr) {
     ++stats_.migrations;
-    if (m_.migrations) m_.migrations->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "continuum.migrate.begin",
                 {{"job", id},
@@ -358,7 +354,6 @@ void Federation::dispatch_move(JobId id) {
   // re-uploaded from the UE over the destination's own access route.
   job.exec_done = Duration::zero();
   ++stats_.restarts;
-  if (m_.restarts) m_.restarts->add();
   if (trace_)
     obs::emit(trace_, sim_.now(), "continuum.migrate.restart",
               {{"job", id}, {"from", from}, {"to", to}});
@@ -371,7 +366,6 @@ void Federation::park(JobId id) {
   job.phase = JobPhase::Parked;
   parked_.push_back(id);
   ++stats_.parked;
-  if (m_.parked) m_.parked->add();
   if (trace_) obs::emit(trace_, sim_.now(), "continuum.job.parked", {{"job", id}});
 }
 
@@ -440,13 +434,9 @@ void Federation::finish(JobId id) {
   stats_.total_completion += out.completion;
   stats_.total_exec += out.exec_total;
   stats_.total_cost += out.cost;
-  if (m_.completed) m_.completed->add();
   if (m_.completion_ms) m_.completion_ms->add(out.completion.to_millis());
   if (m_.job_cost_usd) m_.job_cost_usd->add(out.cost.to_usd());
-  if (!out.deadline_met) {
-    ++stats_.deadline_misses;
-    if (m_.deadline_misses) m_.deadline_misses->add();
-  }
+  if (!out.deadline_met) ++stats_.deadline_misses;
   if (trace_)
     obs::emit(trace_, sim_.now(), "continuum.job.done",
               {{"job", id},

@@ -132,6 +132,18 @@ struct ExecutionReport {
   bool failed = false;  ///< run aborted (unrecoverable transfer loss)
 };
 
+/// Controller accounting over every prepare() and finished run so far.
+struct ControllerStats {
+  std::uint64_t runs = 0;          ///< controller runs finished
+  std::uint64_t run_failures = 0;  ///< runs aborted by a lost download
+  /// Components re-homed to the UE after an upload failed.
+  std::uint64_t local_fallbacks = 0;
+  /// Failed radio attempts, retried or not.
+  std::uint64_t transfer_failures = 0;
+  std::uint64_t plan_deploys = 0;  ///< distinct plan fingerprints deployed
+  std::uint64_t plan_reuses = 0;   ///< deployments skipped via the memo
+};
+
 /// Facade wiring profiler output, partitioner, allocator, platform, and
 /// network into one offloading workflow.
 class OffloadController {
@@ -199,11 +211,16 @@ class OffloadController {
   /// methods commit transfers and must not be called for estimates.
   [[nodiscard]] const net::Transport& transport() const { return path_; }
 
+  [[nodiscard]] const ControllerStats& stats() const { return stats_; }
+
   /// Attaches observability. `trace` receives the "ctl.*" spans (run
   /// begin/end, transfer attempts and retries, local fallbacks); `metrics`
-  /// hosts the "core.*" instruments. Either may be null. Stable names are
+  /// hosts the "core.*" summaries. Either may be null. Stable names are
   /// listed in DESIGN.md ("Observability").
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
+
+  /// Adds the "core.*" counters, read from stats(), to `metrics`.
+  void publish(obs::MetricsRegistry& metrics) const;
 
  private:
   using Done = std::function<void(const ExecutionReport&)>;
@@ -251,12 +268,6 @@ class OffloadController {
 
   /// Cached instrument pointers; null when no registry is attached.
   struct Instruments {
-    obs::Counter* runs = nullptr;
-    obs::Counter* run_failures = nullptr;
-    obs::Counter* local_fallbacks = nullptr;
-    obs::Counter* transfer_failures = nullptr;
-    obs::Counter* plan_deploys = nullptr;
-    obs::Counter* plan_reuses = nullptr;
     stats::Accumulator* makespan_ms = nullptr;
     stats::Accumulator* cloud_cost_usd = nullptr;
     stats::Accumulator* device_energy_j = nullptr;
@@ -269,6 +280,7 @@ class OffloadController {
   ControllerConfig cfg_;
   obs::TraceSink* trace_ = nullptr;
   Instruments m_;
+  ControllerStats stats_;
   /// Deployed-function memo keyed by plan fingerprint (see prepare()):
   /// identical plans reuse their FunctionIds instead of redeploying.
   /// std::less<> looks a fingerprint up as a string_view; the key is

@@ -42,24 +42,27 @@ void OffloadController::attach_observer(obs::TraceSink* trace,
   trace_ = trace;
   m_ = {};
   if (metrics != nullptr) {
-    m_.runs = &metrics->counter("core.runs");
-    m_.run_failures = &metrics->counter("core.run_failures");
-    m_.local_fallbacks = &metrics->counter("core.local_fallbacks");
-    m_.transfer_failures = &metrics->counter("core.transfer_failures");
-    m_.plan_deploys = &metrics->counter("core.plan_deploys");
-    m_.plan_reuses = &metrics->counter("core.plan_reuses");
     m_.makespan_ms = &metrics->summary("core.makespan_ms");
     m_.cloud_cost_usd = &metrics->summary("core.cloud_cost_usd");
     m_.device_energy_j = &metrics->summary("core.device_energy_j");
   }
 }
 
+void OffloadController::publish(obs::MetricsRegistry& metrics) const {
+  metrics.counter("core.runs").add(stats_.runs);
+  metrics.counter("core.run_failures").add(stats_.run_failures);
+  metrics.counter("core.local_fallbacks").add(stats_.local_fallbacks);
+  metrics.counter("core.transfer_failures").add(stats_.transfer_failures);
+  metrics.counter("core.plan_deploys").add(stats_.plan_deploys);
+  metrics.counter("core.plan_reuses").add(stats_.plan_reuses);
+}
+
 void OffloadController::observe_run_end(const ExecutionReport& r) {
-  if (m_.runs) {
-    m_.runs->add();
-    if (r.failed) m_.run_failures->add();
-    m_.local_fallbacks->add(r.local_fallbacks);
-    m_.transfer_failures->add(r.transfer_failures);
+  ++stats_.runs;
+  if (r.failed) ++stats_.run_failures;
+  stats_.local_fallbacks += r.local_fallbacks;
+  stats_.transfer_failures += r.transfer_failures;
+  if (m_.makespan_ms) {
     m_.makespan_ms->add(r.makespan.to_millis());
     m_.cloud_cost_usd->add(r.cloud_cost.to_usd());
     m_.device_energy_j->add(r.device_energy.to_joules());
@@ -180,7 +183,7 @@ DeploymentPlan OffloadController::prepare(
     auto fn = memo->second.begin();
     for (app::ComponentId id = 0; id < g.component_count(); ++id)
       if (plan.partition.is_remote(id)) plan.function_of[id] = *fn++;
-    if (m_.plan_reuses) m_.plan_reuses->add();
+    ++stats_.plan_reuses;
     if (trace_)
       obs::emit(trace_, sim_.now(), "ctl.deploy.reuse",
                 {{"app", std::string_view(g.name())},
@@ -199,7 +202,7 @@ DeploymentPlan OffloadController::prepare(
     ids.push_back(plan.function_of[id]);
   }
   deployed_.emplace(fingerprint_, std::move(ids));
-  if (m_.plan_deploys) m_.plan_deploys->add();
+  ++stats_.plan_deploys;
   return plan;
 }
 

@@ -12,13 +12,15 @@
 /// Named instrument registry: counters and summaries (streaming moments via
 /// stats::Accumulator).
 ///
-/// Components register their instruments once at attach time and cache the
+/// Components register their summaries once at attach time and cache the
 /// returned references (node-based storage keeps them stable for the
-/// registry's lifetime), so the per-event cost is one pointer check plus an
-/// integer add. Metric names are stable public API: each instrument call
-/// takes a `Name` of its kind, which only a name registered in names.hpp as
-/// that kind converts to. The exporter emits them sorted by name so
-/// identical-seed runs dump byte-identical CSV.
+/// registry's lifetime), so the per-event cost is one pointer check plus one
+/// update. Counters are not counted here per event: each layer's publish()
+/// adds them once from the stats struct it keeps anyway. Metric names are
+/// stable public API: each instrument call takes a `Name` of its kind,
+/// which only a name registered in names.hpp as that kind converts to. The
+/// exporter emits them sorted by name so identical-seed runs dump
+/// byte-identical CSV.
 
 namespace ntco::obs {
 

@@ -58,7 +58,7 @@ NTCO_OBS_NAME(trace, "faas.throttled", "`fn`, `queue_depth`")
 NTCO_OBS_NAME(trace, "faas.warm_reuse", "`fn`, `provisioned`")
 NTCO_OBS_NAME(trace, "faas.cold_start", "`fn`, `init` (µs)")
 NTCO_OBS_NAME(trace, "faas.complete", "`fn`, `exec`, `queue_wait`, `cold`, `cost` (nano-USD)")
-NTCO_OBS_NAME(trace, "faas.preempted", "`fn`, `exec`")
+NTCO_OBS_NAME(trace, "faas.preempted", "`fn`, `exec`, `forced`")
 NTCO_OBS_NAME(trace, "faas.checkpoint", "`fn`, `queued`")
 
 // --- core offload controller ----------------------------------------------
@@ -118,14 +118,14 @@ NTCO_OBS_NAME(counter, "serverless.invocations", "invocations accepted by the pl
 NTCO_OBS_NAME(counter, "serverless.cold_starts", "container cold starts")
 NTCO_OBS_NAME(counter, "serverless.warm_reuses", "warm-container reuses")
 NTCO_OBS_NAME(counter, "serverless.throttled", "invocations queued at the concurrency cap")
-NTCO_OBS_NAME(counter, "serverless.preemptions", "spot preemptions")
-NTCO_OBS_NAME(counter, "core.runs", "controller runs started")
-NTCO_OBS_NAME(counter, "core.run_failures", "runs that failed outright")
-NTCO_OBS_NAME(counter, "core.local_fallbacks", "components re-run locally after remote failure")
-NTCO_OBS_NAME(counter, "core.transfer_failures", "transfers exhausted after retries")
+NTCO_OBS_NAME(counter, "serverless.preemptions", "executions cut short by a spot draw or a checkpoint")
+NTCO_OBS_NAME(counter, "core.runs", "controller runs finished")
+NTCO_OBS_NAME(counter, "core.run_failures", "runs aborted by a lost download")
+NTCO_OBS_NAME(counter, "core.local_fallbacks", "components re-homed to the UE after an upload failed")
+NTCO_OBS_NAME(counter, "core.transfer_failures", "failed radio attempts, retried or not")
 NTCO_OBS_NAME(counter, "core.plan_deploys", "distinct plan fingerprints deployed")
 NTCO_OBS_NAME(counter, "core.plan_reuses", "deployments skipped via the fingerprint memo")
-NTCO_OBS_NAME(counter, "sched.jobs", "jobs accepted by the deferred executor")
+NTCO_OBS_NAME(counter, "sched.jobs", "jobs run to completion")
 NTCO_OBS_NAME(counter, "sched.deadline_misses", "jobs finishing past their deadline")
 NTCO_OBS_NAME(counter, "sched.spot_attempts", "spot-tier execution attempts")
 NTCO_OBS_NAME(counter, "sched.spot_preemptions", "spot attempts cut short")
@@ -141,7 +141,7 @@ NTCO_OBS_NAME(counter, "broker.cache.misses", "plan-cache misses")
 NTCO_OBS_NAME(counter, "broker.cache.evictions", "LRU evictions")
 NTCO_OBS_NAME(counter, "broker.cache.expiries", "TTL expiries")
 NTCO_OBS_NAME(counter, "broker.admission.admitted", "requests admitted by the token bucket")
-NTCO_OBS_NAME(counter, "broker.admission.deferrals", "requests deferred with a retry quote")
+NTCO_OBS_NAME(counter, "broker.admission.deferrals", "defer verdicts with a retry quote (a request may defer more than once)")
 NTCO_OBS_NAME(counter, "broker.admission.shed", "requests shed")
 NTCO_OBS_NAME(counter, "app.arrival.jobs", "arrivals generated by the open-loop sources")
 NTCO_OBS_NAME(counter, "broker.twostage.fast_serves", "misses served by the stage-1 heuristic plan")

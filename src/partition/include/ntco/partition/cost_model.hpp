@@ -64,7 +64,8 @@ struct Partition {
   friend bool operator==(const Partition&, const Partition&) = default;
 };
 
-/// Linear objective weights. Units: latency in seconds, energy in joules,
+/// Linear objective weights, each finite and non-negative (CostModel refuses
+/// any other). Units: latency in seconds, energy in joules,
 /// money in USD. The defaults optimise latency only.
 struct Objective {
   double latency_weight = 1.0;

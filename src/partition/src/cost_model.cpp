@@ -1,5 +1,7 @@
 #include "ntco/partition/cost_model.hpp"
 
+#include <cmath>
+
 namespace ntco::partition {
 
 bool Partition::respects_pins(const app::TaskGraph& g) const {
@@ -16,9 +18,14 @@ CostModel::CostModel(const app::TaskGraph& graph, Environment env,
   NTCO_EXPECTS(!env_.remote_speed.is_zero());
   NTCO_EXPECTS(!env_.uplink.is_zero());
   NTCO_EXPECTS(!env_.downlink.is_zero());
-  NTCO_EXPECTS(objective.latency_weight >= 0.0);
-  NTCO_EXPECTS(objective.energy_weight >= 0.0);
-  NTCO_EXPECTS(objective.money_weight >= 0.0);
+  // A weight that is not finite makes every cost it touches infinite, and
+  // the min-cut then answers whatever the unbounded first push leaves.
+  NTCO_EXPECTS(objective.latency_weight >= 0.0 &&
+               std::isfinite(objective.latency_weight));
+  NTCO_EXPECTS(objective.energy_weight >= 0.0 &&
+               std::isfinite(objective.energy_weight));
+  NTCO_EXPECTS(objective.money_weight >= 0.0 &&
+               std::isfinite(objective.money_weight));
 }
 
 double CostModel::scalarize(const SideCosts& c) const {

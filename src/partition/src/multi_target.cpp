@@ -1,6 +1,7 @@
 #include "ntco/partition/multi_target.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "ntco/common/error.hpp"
@@ -74,9 +75,9 @@ MultiCostModel::MultiCostModel(const app::TaskGraph& graph,
       w_lat_(latency_weight),
       w_energy_(energy_weight),
       w_money_(money_weight) {
-  NTCO_EXPECTS(latency_weight >= 0.0);
-  NTCO_EXPECTS(energy_weight >= 0.0);
-  NTCO_EXPECTS(money_weight >= 0.0);
+  NTCO_EXPECTS(latency_weight >= 0.0 && std::isfinite(latency_weight));
+  NTCO_EXPECTS(energy_weight >= 0.0 && std::isfinite(energy_weight));
+  NTCO_EXPECTS(money_weight >= 0.0 && std::isfinite(money_weight));
   NTCO_EXPECTS(!env_.device.cpu.is_zero());
   NTCO_EXPECTS(!env_.edge.speed.is_zero());
   NTCO_EXPECTS(!env_.cloud.speed.is_zero());

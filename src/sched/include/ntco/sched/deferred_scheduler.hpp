@@ -130,9 +130,13 @@ class DeferredExecutor {
 
   /// Attaches observability. `trace` receives the "sched.job.*" spans
   /// (planned, spot retries, completions); `metrics` hosts the "sched.*"
-  /// instruments. Either may be null. Stable names are listed in DESIGN.md
+  /// summaries. Either may be null. Stable names are listed in DESIGN.md
   /// ("Observability").
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
+
+  /// Adds the "sched.*" counters, read from report(), to `metrics`;
+  /// "sched.rejected" only when a job was rejected.
+  void publish(obs::MetricsRegistry& metrics) const;
 
  private:
   /// One submitted job, from submit() until it completes.
@@ -156,11 +160,6 @@ class DeferredExecutor {
 
   /// Cached instrument pointers; null when no registry is attached.
   struct Instruments {
-    obs::Counter* jobs = nullptr;
-    obs::Counter* deadline_misses = nullptr;
-    obs::Counter* spot_attempts = nullptr;
-    obs::Counter* spot_preemptions = nullptr;
-    obs::Counter* fallbacks = nullptr;
     stats::Accumulator* completion_latency_s = nullptr;
     stats::Accumulator* deferral_s = nullptr;
     stats::Accumulator* job_cost_usd = nullptr;
@@ -174,9 +173,6 @@ class DeferredExecutor {
   /// Submitted jobs not yet completed, one record each.
   Slab<Job> jobs_;
   obs::TraceSink* trace_ = nullptr;
-  /// Hosts "sched.rejected", registered at the first rejection: a run
-  /// without malformed jobs dumps no row for it.
-  obs::MetricsRegistry* metrics_ = nullptr;
   Instruments m_;
 };
 

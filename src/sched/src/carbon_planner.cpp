@@ -12,10 +12,8 @@ CarbonProfile::CarbonProfile(std::array<double, 24> gco2_per_kwh)
 }
 
 double CarbonProfile::at(TimePoint t) const {
-  const auto us = t.since_origin().count_micros();
-  NTCO_EXPECTS(us >= 0);
-  const auto hour = (us / 3'600'000'000LL) % 24;
-  return curve_[static_cast<std::size_t>(hour)];
+  NTCO_EXPECTS(t >= TimePoint::origin());
+  return curve_[static_cast<std::size_t>(hour_of_day(t))];
 }
 
 CarbonProfile CarbonProfile::solar_grid() {

@@ -55,19 +55,22 @@ DeferredExecutor::DeferredExecutor(sim::Simulator& sim,
 void DeferredExecutor::attach_observer(obs::TraceSink* trace,
                                        obs::MetricsRegistry* metrics) {
   trace_ = trace;
-  metrics_ = metrics;
-  if (metrics == nullptr) {
-    m_ = Instruments{};
-    return;
+  m_ = {};
+  if (metrics != nullptr) {
+    m_.completion_latency_s = &metrics->summary("sched.completion_latency_s");
+    m_.deferral_s = &metrics->summary("sched.deferral_s");
+    m_.job_cost_usd = &metrics->summary("sched.job_cost_usd");
   }
-  m_.jobs = &metrics->counter("sched.jobs");
-  m_.deadline_misses = &metrics->counter("sched.deadline_misses");
-  m_.spot_attempts = &metrics->counter("sched.spot_attempts");
-  m_.spot_preemptions = &metrics->counter("sched.spot_preemptions");
-  m_.fallbacks = &metrics->counter("sched.fallbacks");
-  m_.completion_latency_s = &metrics->summary("sched.completion_latency_s");
-  m_.deferral_s = &metrics->summary("sched.deferral_s");
-  m_.job_cost_usd = &metrics->summary("sched.job_cost_usd");
+}
+
+void DeferredExecutor::publish(obs::MetricsRegistry& metrics) const {
+  metrics.counter("sched.jobs").add(report_.jobs);
+  metrics.counter("sched.deadline_misses").add(report_.deadline_misses);
+  metrics.counter("sched.spot_attempts").add(report_.spot_attempts);
+  metrics.counter("sched.spot_preemptions").add(report_.spot_preemptions);
+  metrics.counter("sched.fallbacks").add(report_.fallbacks);
+  if (report_.rejected > 0)
+    metrics.counter("sched.rejected").add(report_.rejected);
 }
 
 void DeferredExecutor::submit(DeferredJob job) {
@@ -110,13 +113,9 @@ void DeferredExecutor::attempt(SlabId id) {
   const bool use_spot =
       scheduler_.config().tier_policy == TierPolicy::SpotWithFallback &&
       sim_.now() + j.est * DeferredScheduler::kFallbackSafety <= j.deadline;
-  if (use_spot) {
-    ++report_.spot_attempts;
-    if (m_.spot_attempts) m_.spot_attempts->add();
-  }
+  if (use_spot) ++report_.spot_attempts;
   if (j.spotted && !use_spot) {
     ++report_.fallbacks;
-    if (m_.fallbacks) m_.fallbacks->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "sched.job.tier_fallback",
                 {{"job", std::string_view(j.job.name)}});
@@ -138,7 +137,6 @@ void DeferredExecutor::attempt_done(SlabId id,
   }
   Job& j = jobs_[id];
   ++report_.spot_preemptions;
-  if (m_.spot_preemptions) m_.spot_preemptions->add();
   if (trace_)
     obs::emit(trace_, sim_.now(), "sched.job.spot_retry",
               {{"job", std::string_view(j.job.name)},
@@ -161,8 +159,6 @@ void DeferredExecutor::complete(SlabId id,
   const double latency_s = (r.finished - j.released).to_seconds();
   report_.completion_latency_s.add(latency_s);
 
-  if (m_.jobs) m_.jobs->add();
-  if (!met_deadline && m_.deadline_misses) m_.deadline_misses->add();
   if (m_.completion_latency_s) m_.completion_latency_s->add(latency_s);
   if (m_.job_cost_usd) m_.job_cost_usd->add(cost.to_usd());
   if (trace_)
@@ -176,7 +172,6 @@ void DeferredExecutor::complete(SlabId id,
 
 void DeferredExecutor::reject(const DeferredJob& job) {
   ++report_.rejected;
-  if (metrics_ != nullptr) metrics_->counter("sched.rejected").add();
   if (trace_)
     obs::emit(trace_, sim_.now(), "sched.job.rejected",
               {{"job", std::string_view(job.name)}});

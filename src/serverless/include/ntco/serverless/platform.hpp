@@ -135,8 +135,10 @@ struct InFlightStatus {
 struct PlatformStats {
   std::uint64_t invocations = 0;
   std::uint64_t cold_starts = 0;
+  std::uint64_t warm_reuses = 0;  ///< admissions onto an idle instance
   std::uint64_t throttled = 0;  ///< invocations that had to queue
-  std::uint64_t preemptions = 0;  ///< spot executions killed mid-run
+  /// Executions cut short by a spot draw or a checkpoint_preempt().
+  std::uint64_t preemptions = 0;
   Duration total_exec;
   Money exec_cost;
   Money request_cost;
@@ -159,10 +161,13 @@ class Platform {
 
   /// Attaches observability. `trace` receives the "faas.*" span records
   /// (cold starts, warm reuse, throttling, spot preemption); `metrics`
-  /// hosts the "serverless.*" instruments. Either may be null; with both
+  /// hosts the "serverless.*" summaries. Either may be null; with both
   /// null the hooks cost one branch per event. Stable names are listed in
   /// DESIGN.md ("Observability").
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
+
+  /// Adds the "serverless.*" counters, read from stats(), to `metrics`.
+  void publish(obs::MetricsRegistry& metrics) const;
 
   /// Registers a function. Memory is validated against provider limits and
   /// must be quantum-aligned (use quantize_memory()). Throws ConfigError.
@@ -331,11 +336,6 @@ class Platform {
   /// Cached instrument pointers; null when no registry is attached, so the
   /// hot path pays one pointer test per update.
   struct Instruments {
-    obs::Counter* invocations = nullptr;
-    obs::Counter* cold_starts = nullptr;
-    obs::Counter* warm_reuses = nullptr;
-    obs::Counter* throttled = nullptr;
-    obs::Counter* preemptions = nullptr;
     stats::Accumulator* queue_wait_ms = nullptr;
     stats::Accumulator* exec_ms = nullptr;
     stats::Accumulator* init_ms = nullptr;

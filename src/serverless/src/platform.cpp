@@ -88,15 +88,18 @@ void Platform::attach_observer(obs::TraceSink* trace,
   trace_ = trace;
   m_ = {};
   if (metrics != nullptr) {
-    m_.invocations = &metrics->counter("serverless.invocations");
-    m_.cold_starts = &metrics->counter("serverless.cold_starts");
-    m_.warm_reuses = &metrics->counter("serverless.warm_reuses");
-    m_.throttled = &metrics->counter("serverless.throttled");
-    m_.preemptions = &metrics->counter("serverless.preemptions");
     m_.queue_wait_ms = &metrics->summary("serverless.queue_wait_ms");
     m_.exec_ms = &metrics->summary("serverless.exec_ms");
     m_.init_ms = &metrics->summary("serverless.init_ms");
   }
+}
+
+void Platform::publish(obs::MetricsRegistry& metrics) const {
+  metrics.counter("serverless.invocations").add(stats_.invocations);
+  metrics.counter("serverless.cold_starts").add(stats_.cold_starts);
+  metrics.counter("serverless.warm_reuses").add(stats_.warm_reuses);
+  metrics.counter("serverless.throttled").add(stats_.throttled);
+  metrics.counter("serverless.preemptions").add(stats_.preemptions);
 }
 
 InvocationId Platform::invoke(FunctionId id, Cycles work, Callback done,
@@ -116,7 +119,6 @@ InvocationId Platform::enqueue(FunctionId id, Cycles work,
   NTCO_EXPECTS(id < fns_.size());
   NTCO_EXPECTS(done != nullptr);
   ++stats_.invocations;
-  if (m_.invocations) m_.invocations->add();
   if (trace_) {
     if (exec_credit.is_zero())
       obs::emit(trace_, sim_.now(), "faas.invoke",
@@ -132,7 +134,6 @@ InvocationId Platform::enqueue(FunctionId id, Cycles work,
   }
   if (busy_ >= cfg_.account_concurrency || queued_ > 0) {
     ++stats_.throttled;
-    if (m_.throttled) m_.throttled->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "faas.throttled",
                 {{"fn", id}, {"queue_depth", queued_}});
@@ -258,7 +259,7 @@ void Platform::begin(InvocationId id) {
       sim_.cancel(fn.idle.back().expiry_event);
       fn.idle.pop_back();
     }
-    if (m_.warm_reuses) m_.warm_reuses->add();
+    ++stats_.warm_reuses;
     if (trace_)
       obs::emit(trace_, sim_.now(), "faas.warm_reuse",
                 {{"fn", inv.fn}, {"provisioned", provisioned}});
@@ -266,7 +267,6 @@ void Platform::begin(InvocationId id) {
     cold = true;
     init = cold_start_time(fn.spec.image);
     ++stats_.cold_starts;
-    if (m_.cold_starts) m_.cold_starts->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "faas.cold_start",
                 {{"fn", inv.fn}, {"init", init}});
@@ -347,7 +347,6 @@ void Platform::complete(InvocationId id, bool forced) {
   if (m_.exec_ms) m_.exec_ms->add(exec.to_millis());
   if (m_.init_ms) m_.init_ms->add(init.to_millis());
   if (m_.queue_wait_ms) m_.queue_wait_ms->add(r.queue_wait.to_millis());
-  if (preempted && m_.preemptions) m_.preemptions->add();
   if (trace_) {
     if (preempted)
       obs::emit(trace_, sim_.now(), "faas.preempted",

@@ -302,6 +302,7 @@ RunCounts run_counts(const app::TaskGraph& g, obs::MetricsRegistry* metrics) {
   EXPECT_EQ(runs, 8 + kWindow) << g.name();
   EXPECT_EQ(invocations, (8 + kWindow) * plan.partition.remote_count())
       << g.name();
+  if (metrics != nullptr) controller.publish(*metrics);
   return c;
 }
 

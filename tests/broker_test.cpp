@@ -623,6 +623,7 @@ TEST(BrokerServe, MalformedRequestsAreRejectedWithTheirField) {
   ASSERT_EQ(served.size(), 1u);
   EXPECT_EQ(served[0].status, ServeStatus::Completed);
 
+  fx.broker.publish(metrics);
   const BrokerStats& s = fx.broker.stats();
   EXPECT_EQ(s.rejected, cases.size());
   EXPECT_EQ(s.requests, cases.size() + 1);
@@ -782,6 +783,7 @@ FleetOut run_fleet(std::size_t threads, std::size_t poisoned = kFleetShards) {
                                fx.broker.serve(bad);
                              });
         fx.sim.run();
+        fx.broker.publish(out.metrics);
         out.rejected = fx.broker.stats().rejected;
         return out;
       },

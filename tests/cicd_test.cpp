@@ -5,6 +5,7 @@
 #include "ntco/app/workloads.hpp"
 #include "ntco/common/error.hpp"
 #include "ntco/net/path.hpp"
+#include "ntco/profile/profiler.hpp"
 
 namespace ntco::cicd {
 namespace {
@@ -151,20 +152,17 @@ TEST(MeasuredObjective, AppliesTheWeights) {
   EXPECT_DOUBLE_EQ(measured_objective({1.0, 2.0, 100.0}, r), 10 + 10 + 1);
 }
 
-TEST(DriftWatcher, TriggersReleaseOnWorkloadShift) {
-  DriftWatcher watcher(0.25, 10);
-  for (int i = 0; i < 10; ++i)
-    EXPECT_FALSE(watcher.observe_run(Cycles::giga(10)));
+TEST(DriftDetector, TriggersReleaseOnWorkloadShift) {
+  profile::DriftDetector drift(0.25, 10);
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(drift.observe(Cycles::giga(10)));
   bool triggered = false;
-  for (int i = 0; i < 15; ++i)
-    triggered = watcher.observe_run(Cycles::giga(16));
+  for (int i = 0; i < 15; ++i) triggered = drift.observe(Cycles::giga(16));
   EXPECT_TRUE(triggered);
-  EXPECT_TRUE(watcher.pending());
-  EXPECT_NEAR(watcher.relative_change(), 0.6, 1e-9);
-  watcher.acknowledge();
-  EXPECT_FALSE(watcher.pending());
-  for (int i = 0; i < 10; ++i)
-    EXPECT_FALSE(watcher.observe_run(Cycles::giga(16)));
+  EXPECT_TRUE(drift.drifted());
+  EXPECT_NEAR(drift.relative_change(), 0.6, 1e-9);
+  drift.reset_baseline();
+  EXPECT_FALSE(drift.drifted());
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(drift.observe(Cycles::giga(16)));
 }
 
 TEST(DriftWatcherWithPipeline, RepartitionAfterDriftImprovesObjective) {

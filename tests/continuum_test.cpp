@@ -417,6 +417,7 @@ PoisonRun run_with_poison(bool poisoned) {
   if (poisoned) offer(Duration::millis(20), -Duration::seconds(1));
   offer(Duration::millis(30), Duration::seconds(30));
   sim.run();
+  fed.publish(metrics);
 
   out.stats = fed.stats();
   out.live = fed.live_jobs();

@@ -69,16 +69,16 @@ TEST(Integration, PipelinePlanSurvivesIntoProductionExecution) {
                                             nullptr);
   ASSERT_TRUE(release.promoted);
 
-  cicd::DriftWatcher watcher(0.4, 3);
+  profile::DriftDetector drift(0.4, 3);
   int production_runs = 0;
   for (double scale = 1.0; scale < 4.0; scale += 0.25) {
     const auto truth = g.with_work_scaled(scale);
     const auto r = ctl.execute(*release.plan, truth);
     EXPECT_FALSE(r.failed);
     ++production_runs;
-    if (watcher.observe_run(truth.total_work())) break;
+    if (drift.observe(truth.total_work())) break;
   }
-  EXPECT_TRUE(watcher.pending());
+  EXPECT_TRUE(drift.drifted());
   EXPECT_GT(production_runs, 4);
 }
 

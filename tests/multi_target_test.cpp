@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ntco/app/generators.hpp"
 #include "ntco/app/workloads.hpp"
 #include "ntco/common/error.hpp"
@@ -66,6 +68,24 @@ TEST(MultiCostModel, TransferDependsOnSitePair) {
             m.transfer_cost(0, Site::Device, Site::Cloud));
   EXPECT_LT(m.transfer_cost(0, Site::Edge, Site::Cloud),
             m.transfer_cost(0, Site::Device, Site::Cloud));
+}
+
+TEST(MultiCostModel, RefusesNegativeOrNonFiniteWeights) {
+  const auto g = app::workloads::photo_backup();
+  const auto env = default_multi_environment();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {-1.0, kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)MultiCostModel(g, env, bad, 0.0, 0.0),
+                 ContractViolation)
+        << bad;
+    EXPECT_THROW((void)MultiCostModel(g, env, 0.0, bad, 0.0),
+                 ContractViolation)
+        << bad;
+    EXPECT_THROW((void)MultiCostModel(g, env, 0.0, 0.0, bad),
+                 ContractViolation)
+        << bad;
+  }
 }
 
 TEST(MultiCostModel, EvaluateRejectsPinViolations) {

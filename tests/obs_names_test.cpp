@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ntco/app/workloads.hpp"
 #include "ntco/broker/broker.hpp"
@@ -25,7 +27,8 @@
 // this file checks the registry itself: its lookup, that every row is used,
 // that DESIGN.md's tables are its rows rendered, and, at run time, that
 // real broker and continuum scenarios emit only registered names with their
-// registered kinds. NTCO_REPO_ROOT is injected by tests/CMakeLists.txt.
+// registered kinds, each trace record with its row's fields in order.
+// NTCO_REPO_ROOT is injected by tests/CMakeLists.txt.
 
 namespace ntco {
 namespace {
@@ -102,21 +105,57 @@ TEST(ObsNames, EveryRegistryRowIsUsedUnderSrc) {
         << r.name << " is registered but nothing under src/ uses it";
 }
 
-/// TraceSink that records the distinct event names it sees.
+using FieldKeys = std::vector<std::string>;
+
+/// TraceSink that records, per event name, each distinct list of field keys
+/// it was emitted with.
 struct RecordingSink final : obs::TraceSink {
-  std::set<std::string> names;
+  std::map<std::string, std::set<FieldKeys>> names;
   void record(const obs::TraceEvent& ev) override {
-    names.insert(std::string(ev.name));
+    FieldKeys keys;
+    for (std::size_t i = 0; i < ev.field_count; ++i)
+      keys.emplace_back(ev.fields[i].key);
+    names[std::string(ev.name)].insert(std::move(keys));
   }
 };
 
+/// The backticked names of a row's fields column, in order, skipping those
+/// inside parentheses (units and value lists).
+FieldKeys row_keys(std::string_view fields) {
+  FieldKeys keys;
+  int depth = 0;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (fields[i] == '(') ++depth;
+    if (fields[i] == ')') --depth;
+    if (fields[i] != '`') continue;
+    const std::size_t end = fields.find('`', i + 1);
+    if (end == std::string_view::npos) break;
+    if (depth == 0) keys.emplace_back(fields.substr(i + 1, end - i - 1));
+    i = end;
+  }
+  return keys;
+}
+
+TEST(ObsNames, RowKeysSkipParenthesisedNames) {
+  EXPECT_EQ(row_keys("`flow`, `path`, `dir` (`up`/`down`), `bytes`"),
+            (FieldKeys{"flow", "path", "dir", "bytes"}));
+  EXPECT_EQ(row_keys("`init` (µs)"), (FieldKeys{"init"}));
+  EXPECT_EQ(row_keys("malformed jobs rejected at submit()"), FieldKeys{});
+}
+
 void expect_traces_registered(const RecordingSink& sink) {
   ASSERT_FALSE(sink.names.empty()) << "scenario emitted no trace records";
-  for (const auto& n : sink.names) {
-    const std::optional<obs::NameKind> kind = obs::registered_kind(n);
-    ASSERT_TRUE(kind) << "unregistered trace name: " << n;
-    EXPECT_EQ(*kind, obs::NameKind::trace)
+  for (const auto& [n, emitted] : sink.names) {
+    const auto row = std::find_if(
+        std::begin(obs::kNameRegistry), std::end(obs::kNameRegistry),
+        [&n = n](const obs::NameRow& r) { return r.name == n; });
+    ASSERT_NE(row, std::end(obs::kNameRegistry))
+        << "unregistered trace name: " << n;
+    EXPECT_EQ(row->kind, obs::NameKind::trace)
         << n << " is registered but not as a trace";
+    for (const FieldKeys& keys : emitted)
+      EXPECT_EQ(keys, row_keys(row->fields))
+          << n << " is emitted with fields its row does not list";
   }
 }
 
@@ -151,6 +190,7 @@ TEST(ObsNames, BrokerServePathEmitsOnlyRegisteredNames) {
 
   RecordingSink sink;
   obs::MetricsRegistry metrics;
+  sim.set_trace_sink(&sink);
   platform.attach_observer(&sink, &metrics);
   controller.attach_observer(&sink, &metrics);
   broker.attach_observer(&sink, &metrics);
@@ -161,8 +201,22 @@ TEST(ObsNames, BrokerServePathEmitsOnlyRegisteredNames) {
   int done = 0;
   broker.serve(req, [&](const broker::ServeOutcome&) { ++done; });
   broker.serve(req, [&](const broker::ServeOutcome&) { ++done; });
+  // One invocation checkpointed while it executes: "faas.checkpoint" and
+  // "faas.preempted".
+  serverless::FunctionSpec long_fn;
+  long_fn.name = "long";
+  const serverless::InvocationId long_run = platform.invoke(
+      platform.deploy(long_fn), Cycles::giga(50),
+      [&](const serverless::InvocationResult& r) {
+        if (r.preempted) ++done;
+      });
+  sim.schedule_after(Duration::seconds(1),
+                     [&] { ASSERT_TRUE(platform.checkpoint_preempt(long_run)); });
   sim.run();
-  ASSERT_EQ(done, 2);
+  ASSERT_EQ(done, 3);
+  platform.publish(metrics);
+  controller.publish(metrics);
+  broker.publish(metrics);
 
   expect_traces_registered(sink);
   expect_metrics_registered(metrics);
@@ -205,6 +259,8 @@ TEST(ObsNames, ContinuumPlacementEmitsOnlyRegisteredNames) {
 
   RecordingSink sink;
   obs::MetricsRegistry metrics;
+  sim.set_trace_sink(&sink);
+  cloud.attach_observer(&sink, nullptr);
   fed.attach_observer(&sink, &metrics);
 
   continuum::JobSpec spec;
@@ -219,6 +275,7 @@ TEST(ObsNames, ContinuumPlacementEmitsOnlyRegisteredNames) {
   fed.submit(spec, [&](const continuum::JobOutcome&) { ++done; });
   sim.run();
   ASSERT_EQ(done, 2);
+  fed.publish(metrics);
 
   expect_traces_registered(sink);
   expect_metrics_registered(metrics);

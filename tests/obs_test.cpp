@@ -184,6 +184,8 @@ Observed observed_run() {
   const auto plan =
       fx.controller.prepare(g, partition::MinCutPartitioner{});
   const auto report = fx.controller.execute(plan, g);
+  fx.platform.publish(metrics);
+  fx.controller.publish(metrics);
   return {trace.str(), metrics.to_csv(), report};
 }
 

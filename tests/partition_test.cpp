@@ -83,6 +83,22 @@ TEST(CostModel, EvaluateRejectsPinViolations) {
   EXPECT_THROW((void)model.evaluate(p), ContractViolation);
 }
 
+TEST(CostModel, RefusesNegativeOrNonFiniteWeights) {
+  const auto g = app::workloads::photo_backup();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {-1.0, kInf, -kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    for (double Objective::*weight :
+         {&Objective::latency_weight, &Objective::energy_weight,
+          &Objective::money_weight}) {
+      Objective o = Objective::non_time_critical();
+      o.*weight = bad;
+      EXPECT_THROW((void)CostModel(g, fast_cloud_env(), o), ContractViolation)
+          << bad;
+    }
+  }
+}
+
 TEST(CostModel, MoneyObjectiveMakesLocalFree) {
   const auto g = app::workloads::photo_backup();
   const CostModel model(g, fast_cloud_env(), Objective::cost());
@@ -454,7 +470,8 @@ struct ArcSpec {
 TEST(MinCutRandomized, MatchesReferenceDinicOnPlanNetworks) {
   // Layered DAGs of 2-96 components, random pins, bandwidth scaled by
   // 2^-6..2^6, every Objective preset (a quarter of them scaled down to
-  // costs near MaxFlow::kEps, a few with an infinite latency weight).
+  // costs near MaxFlow::kEps, a few with the largest finite latency
+  // weight).
   // MaxFlow runs the network as built before the first-phase subtraction;
   // MinCutPartitioner (one object, its solver scratch reused) must return
   // the reference's placement.
@@ -490,10 +507,17 @@ TEST(MinCutRandomized, MatchesReferenceDinicOnPlanNetworks) {
       obj.energy_weight *= tiny;
       obj.money_weight *= tiny;
     }
-    // An infinite weight makes every cost infinite: the first push is
-    // unbounded, and the cut comes from the residuals it leaves.
-    if (seed % 100 == 0)
+    if (seed % 100 == 0) {
+      // The model refuses an infinite weight. The largest finite one
+      // overflows to infinity every cost of a side that takes longer than
+      // a second, a pinned component's local side included: the first
+      // phase must leave such a pair of arcs whole, and the cut comes from
+      // the unbounded push.
       obj.latency_weight = std::numeric_limits<double>::infinity();
+      EXPECT_THROW((void)CostModel(g, env, obj), ContractViolation)
+          << "seed " << seed;
+      obj.latency_weight = std::numeric_limits<double>::max();
+    }
     const CostModel model(g, env, obj);
 
     const std::size_t n = g.component_count();

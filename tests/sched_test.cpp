@@ -166,6 +166,7 @@ PoisonRun run_with_poison(Policy policy, bool poisoned) {
     exec.submit(DeferredJob{"second", Cycles::giga(100), Duration::hours(4)});
   });
   s.run();
+  exec.publish(metrics);
   PoisonRun out{exec.report(), trace.str(), std::nullopt};
   if (const obs::Counter* c = metrics.find_counter("sched.rejected"))
     out.rejected_counter = c->value();
