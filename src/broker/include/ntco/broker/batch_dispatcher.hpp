@@ -2,9 +2,10 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
+#include "ntco/broker/workload_ids.hpp"
+#include "ntco/common/contracts.hpp"
 #include "ntco/common/units.hpp"
 #include "ntco/obs/trace.hpp"
 #include "ntco/sim/simulator.hpp"
@@ -35,6 +36,7 @@
 /// Determinism: group state lives in a std::map keyed by (group, flush
 /// time), flushes are simulator events, and jobs within a batch keep their
 /// enqueue order — so dispatch is a pure function of the request sequence.
+/// A group is a workload, named by its interned id (workload_ids.hpp).
 
 namespace ntco::broker {
 
@@ -84,19 +86,28 @@ class BatchDispatcher {
 
   /// Queues `job` into the (group, flush_at) batch, scheduling the flush
   /// event on first use of that batch. `flush_at` is clamped to now.
-  void enqueue(const std::string& group, TimePoint flush_at, JobId job);
+  void enqueue(WorkloadId group, TimePoint flush_at, JobId job);
 
-  /// Batches currently waiting for their flush instant.
-  [[nodiscard]] std::size_t open_batches() const { return pending_.size(); }
+  /// Unsealed batches waiting for their flush instant.
+  [[nodiscard]] std::size_t open_batches() const { return open_.size(); }
   [[nodiscard]] const BatchStats& stats() const { return stats_; }
 
-  /// `trace` (may be null) receives "broker.batch_flush".
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
+  /// `trace` (may be null) receives "broker.batch_flush", which prints the
+  /// group's name from `names` (required with a trace; must outlive the
+  /// dispatcher).
+  void set_trace(obs::TraceSink* trace, const WorkloadIds* names) {
+    NTCO_EXPECTS(trace == nullptr || names != nullptr);
+    trace_ = trace;
+    names_ = names;
+  }
 
  private:
   struct Key {
-    std::string group;
+    WorkloadId group = 0;
     std::int64_t at_us = 0;  ///< flush TimePoint, µs since origin
+    /// 0 while the batch is open; a sealed batch's seal number, unique
+    /// among sealed batches.
+    std::uint64_t seal = 0;
 
     auto operator<=>(const Key&) const = default;
   };
@@ -104,15 +115,25 @@ class BatchDispatcher {
     std::vector<JobId> jobs;
     sim::EventId flush_event = sim::kNoEvent;
   };
+  using Batches = std::map<Key, Pending>;
 
-  void release(const std::string& group, const std::vector<JobId>& jobs,
-               bool sealed);
+  /// Schedules the flush of `batches`' entry `it` at `at`. The handler
+  /// holds just the map and the iterator, which stays valid until the
+  /// entry is extracted: by this event, or by sealing, which cancels the
+  /// event first.
+  sim::EventId schedule_flush(Batches& batches, Batches::iterator it,
+                              TimePoint at);
+  void release(WorkloadId group, const std::vector<JobId>& jobs, bool sealed);
 
   sim::Simulator& sim_;
   Runner& runner_;
-  std::map<Key, Pending> pending_;
+  Batches open_;
+  /// Sealed batches waiting for their flush instant.
+  Batches sealed_;
+  std::uint64_t seals_ = 0;
   BatchStats stats_;
   obs::TraceSink* trace_ = nullptr;
+  const WorkloadIds* names_ = nullptr;
 };
 
 }  // namespace ntco::broker

@@ -3,12 +3,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 
 #include "ntco/app/task_graph.hpp"
 #include "ntco/broker/admission.hpp"
 #include "ntco/broker/batch_dispatcher.hpp"
 #include "ntco/broker/plan_cache.hpp"
+#include "ntco/broker/workload_ids.hpp"
 #include "ntco/common/slab.hpp"
 #include "ntco/common/units.hpp"
 #include "ntco/core/controller.hpp"
@@ -53,7 +53,10 @@
 /// record holds.
 /// A warm cache hit therefore allocates nothing in the broker: the plan is
 /// a shared pointer to the immutable cache row and the record slot is
-/// recycled (tests/allocation_count_test.cpp pins this).
+/// recycled (tests/allocation_count_test.cpp pins this). Nor does it touch
+/// a string past one name lookup: decide() interns the workload's name
+/// into a WorkloadId, and the cache key, the stage-2 key and the batch
+/// lane key carry that id.
 ///
 /// With `two_stage_enabled` the miss path splits in two (the
 /// dynamic-vehicular pipeline): stage 1 answers every request immediately
@@ -113,7 +116,7 @@ struct BrokerConfig {
 struct ServeRequest {
   const app::TaskGraph* app = nullptr;
   /// Delay tolerance: the job may finish any time within release + slack.
-  /// Non-negative.
+  /// Non-negative, and release + slack must fit in a TimePoint.
   Duration slack = Duration::hours(8);
   /// UE state of charge in [0, 1] (part of the decision context).
   double battery = 1.0;
@@ -135,7 +138,7 @@ enum class RejectReason : std::uint8_t {
   App,             ///< null
   Battery,         ///< outside [0, 1], or NaN
   BandwidthScale,  ///< not finite and positive
-  Slack,           ///< negative
+  Slack,           ///< negative, or its deadline overflows TimePoint
 };
 
 /// Final word on one request, delivered to serve()'s callback.
@@ -220,6 +223,8 @@ class Broker : private BatchDispatcher::Runner {
     ServeRequest req;
     std::function<void(const ServeOutcome&)> done;
     SharedPlan plan;
+    /// The workload's interned name: its batch lane key.
+    WorkloadId workload = 0;
     TimePoint released;
     std::uint64_t deferrals = 0;
     Duration decision;
@@ -300,6 +305,8 @@ class Broker : private BatchDispatcher::Runner {
   partition::RemoteAllPartitioner all_remote_;
   /// In-flight serves, one record each.
   Slab<Request> requests_;
+  /// Workload names seen so far, interned in first-seen order.
+  WorkloadIds workloads_;
   /// Buckets with an exact solve in flight (stage-2 dedup): a burst of
   /// same-bucket misses triggers one solver run, not a storm. std::map
   /// for deterministic iteration.

@@ -3,8 +3,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 
+#include "ntco/broker/workload_ids.hpp"
+#include "ntco/common/contracts.hpp"
 #include "ntco/common/units.hpp"
 #include "ntco/core/controller.hpp"
 #include "ntco/obs/trace.hpp"
@@ -29,6 +30,9 @@
 /// plan's planning context stays within the drift envelope (relative
 /// bandwidth / RTT drift within `kCacheHysteresis`, absolute battery drift
 /// within `kBatteryHysteresis`). Only genuine regime changes replan.
+///
+/// The key is all integers (the workload is an interned id, see
+/// workload_ids.hpp), so a hit copies no string and compares none.
 ///
 /// Determinism: entries live in a std::map (sorted key order), LRU state is
 /// a monotonic use tick, and all inputs are simulated quantities — cache
@@ -62,7 +66,9 @@ static_assert(kHoursPerWindow > 0 && 24 % kHoursPerWindow == 0,
 
 /// Raw serving context one decision is made under.
 struct DecisionContext {
-  std::string workload;  ///< task-graph identity (must imply graph shape)
+  /// Interned task-graph name, the graph's identity (the name must imply
+  /// the graph's shape).
+  WorkloadId workload = 0;
   DataRate uplink;       ///< current uplink estimate
   Duration rtt;          ///< current round-trip latency estimate
   double battery = 1.0;  ///< UE state of charge in [0, 1]
@@ -71,7 +77,7 @@ struct DecisionContext {
 
 /// Quantized cache key; ordering is lexicographic over all fields.
 struct PlanKey {
-  std::string workload;
+  WorkloadId workload = 0;
   int bw_bucket = 0;       ///< round(log2(uplink Mbps))
   int rtt_bucket = 0;      ///< round(log2(RTT ms))
   int battery_bucket = 0;  ///< floor(battery * kBatteryBuckets), clamped
@@ -127,20 +133,30 @@ class PlanCache {
   [[nodiscard]] const PlanCacheConfig& config() const { return cfg_; }
 
   /// `trace` (may be null) receives "broker.plan_cache_hit" /
-  /// "broker.plan_cache_miss" events.
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
+  /// "broker.plan_cache_miss" events, which print the workload's name from
+  /// `names` (required with a trace; must outlive the cache).
+  void set_trace(obs::TraceSink* trace, const WorkloadIds* names) {
+    NTCO_EXPECTS(trace == nullptr || names != nullptr);
+    trace_ = trace;
+    names_ = names;
+  }
 
  private:
+  /// One cached plan, with the raw figures of the context it was computed
+  /// for that the hysteresis test reads.
   struct Entry {
     SharedPlan plan;
-    DecisionContext planned;  ///< raw context the plan was computed for
+    DataRate uplink;
+    Duration rtt;
+    double battery = 1.0;
     TimePoint inserted;
     std::uint64_t last_used = 0;
   };
 
-  /// True when `ctx` is within the hysteresis envelope of `planned`.
-  [[nodiscard]] bool within_hysteresis(const DecisionContext& ctx,
-                                       const DecisionContext& planned) const;
+  /// True when `ctx` is within the hysteresis envelope of the context `e`
+  /// was planned for.
+  [[nodiscard]] static bool within_hysteresis(const DecisionContext& ctx,
+                                              const Entry& e);
   void evict_lru();
   [[nodiscard]] bool expired(const Entry& e, TimePoint now) const;
 
@@ -150,6 +166,7 @@ class PlanCache {
   std::uint64_t tick_ = 0;
   PlanCacheStats stats_;
   obs::TraceSink* trace_ = nullptr;
+  const WorkloadIds* names_ = nullptr;
 };
 
 }  // namespace ntco::broker

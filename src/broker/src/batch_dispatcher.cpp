@@ -5,42 +5,47 @@
 
 namespace ntco::broker {
 
-void BatchDispatcher::enqueue(const std::string& group, TimePoint flush_at,
+void BatchDispatcher::enqueue(WorkloadId group, TimePoint flush_at,
                               JobId job) {
   const TimePoint at = std::max(flush_at, sim_.now());
   auto [it, inserted] =
-      pending_.try_emplace(Key{group, at.since_origin().count_micros()});
+      open_.try_emplace(Key{group, at.since_origin().count_micros()});
   Pending& batch = it->second;
   if (inserted) {
     batch.jobs.reserve(kMaxBatch);
-    // Map iterators stay valid until erase, and the entry leaves the map
-    // only in this event or when sealing, which cancels the event first.
-    batch.flush_event = sim_.schedule_at(at, [this, it = it] {
-      const auto node = pending_.extract(it);
-      release(node.key().group, node.mapped().jobs, /*sealed=*/false);
-    });
+    batch.flush_event = schedule_flush(open_, it, at);
   }
   batch.jobs.push_back(job);
   if (batch.jobs.size() >= kMaxBatch) {
     // Seal: the batch stops growing but still flushes at its aligned
     // instant — dispatching now would leave the price window the instant
     // was chosen for. Later arrivals re-open the key with a fresh event.
-    // The map node itself moves into the release handler.
+    // The map node itself moves to the sealed batches, under a seal
+    // number of its own.
     sim_.cancel(batch.flush_event);
-    sim_.schedule_at(at, [this, node = pending_.extract(it)] {
-      release(node.key().group, node.mapped().jobs, /*sealed=*/true);
-    });
+    auto node = open_.extract(it);
+    node.key().seal = ++seals_;
+    schedule_flush(sealed_, sealed_.insert(std::move(node)).position, at);
   }
 }
 
-void BatchDispatcher::release(const std::string& group,
-                              const std::vector<JobId>& jobs, bool sealed) {
+sim::EventId BatchDispatcher::schedule_flush(Batches& batches,
+                                             Batches::iterator it,
+                                             TimePoint at) {
+  return sim_.schedule_at(at, [this, &batches, it] {
+    const auto node = batches.extract(it);
+    release(node.key().group, node.mapped().jobs, node.key().seal != 0);
+  });
+}
+
+void BatchDispatcher::release(WorkloadId group, const std::vector<JobId>& jobs,
+                              bool sealed) {
   ++stats_.batches;
   stats_.jobs_dispatched += jobs.size();
   if (sealed) ++stats_.sealed;
   if (trace_)
     obs::emit(trace_, sim_.now(), "broker.batch_flush",
-              {{"group", std::string_view(group)},
+              {{"group", names_->name(group)},
                {"jobs", jobs.size()},
                {"sealed", sealed}});
 

@@ -18,15 +18,19 @@ Duration exact_plan_cost(const app::TaskGraph& g) {
          kPlanCostPerComponent * static_cast<double>(g.component_count());
 }
 
-/// The first field of `req` outside its documented range. Written so that
-/// a NaN fails every check it reaches.
-RejectReason validate(const ServeRequest& req) {
+/// The first field of `req`, served at `now`, outside its documented
+/// range. Written so that a NaN fails every check it reaches.
+RejectReason validate(const ServeRequest& req, TimePoint now) {
   if (req.app == nullptr) return RejectReason::App;
   if (!(req.battery >= 0.0 && req.battery <= 1.0))
     return RejectReason::Battery;
   if (!(req.bandwidth_scale > 0.0 && std::isfinite(req.bandwidth_scale)))
     return RejectReason::BandwidthScale;
-  if (req.slack.is_negative()) return RejectReason::Slack;
+  // The deadline now + slack must be a TimePoint: a larger slack would
+  // overflow it (now is never before the origin).
+  if (req.slack.is_negative() ||
+      req.slack > Duration::max() - now.since_origin())
+    return RejectReason::Slack;
   return RejectReason::None;
 }
 
@@ -70,9 +74,9 @@ void Broker::attach_observer(obs::TraceSink* trace,
     m_.job_cost_usd = &metrics->summary("broker.job_cost_usd");
     m_.completion_s = &metrics->summary("broker.completion_s");
   }
-  cache_.set_trace(trace);
+  cache_.set_trace(trace, &workloads_);
   admission_.set_trace(trace);
-  dispatcher_.set_trace(trace);
+  dispatcher_.set_trace(trace, &workloads_);
 }
 
 void Broker::publish(obs::MetricsRegistry& metrics) const {
@@ -123,7 +127,8 @@ void Broker::serve(ServeRequest req,
   ++stats_.requests;
   // A malformed request costs itself, never the run: it completes here
   // instead of tripping a contract inside a simulator event.
-  if (const RejectReason why = validate(req); why != RejectReason::None) {
+  if (const RejectReason why = validate(req, sim_.now());
+      why != RejectReason::None) {
     reject(why, done);
     return;
   }
@@ -200,7 +205,8 @@ void Broker::decide(RequestId id) {
   // miss, what the partitioner sees.
   const net::PathSpec& spec = controller_.transport().spec();
   DecisionContext ctx;
-  ctx.workload = g.name();
+  ctx.workload = workloads_.intern(g.name());
+  r.workload = ctx.workload;
   ctx.uplink = spec.up.rate * r.req.bandwidth_scale;
   ctx.rtt = spec.up.latency + spec.down.latency;
   ctx.battery = r.req.battery;
@@ -247,7 +253,6 @@ void Broker::decide(RequestId id) {
 
 void Broker::dispatch(RequestId id) {
   const Request& r = requests_[id];
-  const app::TaskGraph& truth = *r.req.app;
   const TimePoint resumed = sim_.now();
   const TimePoint deadline = r.released + r.req.slack;
   const Duration slack_left =
@@ -265,7 +270,7 @@ void Broker::dispatch(RequestId id) {
         TimePoint::at(Duration::micros((s + grid - 1) / grid * grid));
     if (flush_at > latest) flush_at = latest;
     if (flush_at < planned) flush_at = planned;
-    dispatcher_.enqueue(truth.name(), flush_at, id);
+    dispatcher_.enqueue(r.workload, flush_at, id);
   } else {
     sim_.schedule_at(std::max(planned, resumed), [this, id] { start(id); });
   }
@@ -332,7 +337,7 @@ void Broker::resolve(Resolves::iterator it) {
   if (agreed) ++twostage_.agreements;
   if (trace_)
     obs::emit(trace_, now, "broker.twostage.resolve",
-              {{"workload", std::string_view(job.ctx.workload)},
+              {{"workload", workloads_.name(job.ctx.workload)},
                {"agreed", agreed}});
   cache_.insert(job.ctx,
                 std::make_shared<const core::DeploymentPlan>(std::move(exact)),

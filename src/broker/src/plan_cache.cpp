@@ -37,7 +37,7 @@ bool PlanCache::expired(const Entry& e, TimePoint now) const {
 }
 
 bool PlanCache::within_hysteresis(const DecisionContext& ctx,
-                                  const DecisionContext& planned) const {
+                                  const Entry& e) {
   const auto rel = [](double a, double b) {
     const double base = std::max(std::abs(b), 1e-9);
     return std::abs(a - b) / base;
@@ -46,11 +46,9 @@ bool PlanCache::within_hysteresis(const DecisionContext& ctx,
   // absolute state-of-charge delta with its own threshold — one threshold
   // for both would mix "5% slower link" with "5 percentage points less
   // charge".
-  return rel(ctx.uplink.to_mbps(), planned.uplink.to_mbps()) <=
-             kCacheHysteresis &&
-         rel(ctx.rtt.to_millis(), planned.rtt.to_millis()) <=
-             kCacheHysteresis &&
-         std::abs(ctx.battery - planned.battery) <= kBatteryHysteresis;
+  return rel(ctx.uplink.to_mbps(), e.uplink.to_mbps()) <= kCacheHysteresis &&
+         rel(ctx.rtt.to_millis(), e.rtt.to_millis()) <= kCacheHysteresis &&
+         std::abs(ctx.battery - e.battery) <= kBatteryHysteresis;
 }
 
 SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
@@ -74,7 +72,7 @@ SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
     ++stats_.hits;
     if (trace_)
       obs::emit(trace_, now, "broker.plan_cache_hit",
-                {{"workload", std::string_view(ctx.workload)},
+                {{"workload", names_->name(ctx.workload)},
                  {"hysteresis", false}});
     return e->plan;
   }
@@ -99,12 +97,12 @@ SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
   };
   for (const PlanKey& key : neighbours) {
     Entry* e = probe(key);
-    if (e == nullptr || !within_hysteresis(ctx, e->planned)) continue;
+    if (e == nullptr || !within_hysteresis(ctx, *e)) continue;
     e->last_used = ++tick_;
     ++stats_.hysteresis_hits;
     if (trace_)
       obs::emit(trace_, now, "broker.plan_cache_hit",
-                {{"workload", std::string_view(ctx.workload)},
+                {{"workload", names_->name(ctx.workload)},
                  {"hysteresis", true}});
     return e->plan;
   }
@@ -112,7 +110,7 @@ SharedPlan PlanCache::lookup(const DecisionContext& ctx, TimePoint now) {
   ++stats_.misses;
   if (trace_)
     obs::emit(trace_, now, "broker.plan_cache_miss",
-              {{"workload", std::string_view(ctx.workload)}});
+              {{"workload", names_->name(ctx.workload)}});
   return nullptr;
 }
 
@@ -122,7 +120,9 @@ void PlanCache::insert(const DecisionContext& ctx, SharedPlan plan,
   const PlanKey key = quantize(ctx);
   Entry& e = entries_[key];
   e.plan = std::move(plan);
-  e.planned = ctx;
+  e.uplink = ctx.uplink;
+  e.rtt = ctx.rtt;
+  e.battery = ctx.battery;
   e.inserted = now;
   e.last_used = ++tick_;
   if (entries_.size() > kCacheCapacity) evict_lru();

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -24,7 +25,12 @@
 /// `std::function`s), which `std::function` rejects outright.
 ///
 /// Dispatch is one vtable pointer per object (invoke / relocate / destroy),
-/// so an engaged check is a null test and a moved-from object is empty.
+/// so an engaged check is a null test and a moved-from object is empty. A
+/// callable that is trivially copyable and trivially destructible (a
+/// lambda capturing `this` and ids) has neither relocate nor destroy: a
+/// move copies its payload bytes and a reset just clears the pointer, so
+/// only invoking it calls through the vtable. emplace() builds a callable
+/// in place, with no wrapper to move it out of.
 
 namespace ntco {
 
@@ -45,38 +51,50 @@ class InlineFunction<R(Args...), Capacity> {
 
   [[nodiscard]] static constexpr std::size_t capacity() { return Capacity; }
 
+  /// Whether the wrapper accepts an `F`: a callable invocable as
+  /// R(Args...) that fits the inline buffer, other than the wrapper itself.
+  template <class F, class D = std::decay_t<F>>
+  [[nodiscard]] static constexpr bool wraps() {
+    return !std::is_same_v<D, InlineFunction> &&
+           std::is_invocable_r_v<R, D&, Args...> && stores_inline<D>();
+  }
+
+  /// Whether a stored D moves by copying its bytes and needs no destroy.
+  template <class D>
+  [[nodiscard]] static constexpr bool trivially_relocated() {
+    return std::is_trivially_copyable_v<D> &&
+           std::is_trivially_destructible_v<D>;
+  }
+
   InlineFunction() noexcept = default;
   InlineFunction(std::nullptr_t) noexcept {}
 
   /// Wraps any callable invocable as R(Args...) that fits the inline
   /// buffer (size, alignment, nothrow-move); anything else does not
   /// compile. Never allocates.
-  template <class F, class D = std::decay_t<F>,
-            class = std::enable_if_t<
-                !std::is_same_v<D, InlineFunction> &&
-                std::is_invocable_r_v<R, D&, Args...> && stores_inline<D>()>>
+  template <class F, class = std::enable_if_t<wraps<F>()>>
   InlineFunction(F&& f) {  // NOLINT(bugprone-forwarding-reference-overload)
-    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-    vt_ = &kVTable<D>;
+    construct(std::forward<F>(f));
   }
 
-  InlineFunction(InlineFunction&& o) noexcept : vt_(o.vt_) {
-    if (vt_ != nullptr) {
-      vt_->relocate(o.buf_, buf_);
-      o.vt_ = nullptr;
-    }
-  }
+  InlineFunction(InlineFunction&& o) noexcept { take(o); }
 
   InlineFunction& operator=(InlineFunction&& o) noexcept {
     if (this != &o) {
       reset();
-      vt_ = o.vt_;
-      if (vt_ != nullptr) {
-        vt_->relocate(o.buf_, buf_);
-        o.vt_ = nullptr;
-      }
+      take(o);
     }
     return *this;
+  }
+
+  /// Replaces the stored callable with `f`'s, constructed in place: the
+  /// same callables the converting constructor accepts, without the
+  /// temporary wrapper a converting assignment would move out of.
+  template <class F, class = std::enable_if_t<wraps<F>()>>
+  void emplace(F&& f) noexcept(
+      std::is_nothrow_constructible_v<std::decay_t<F>, F>) {
+    reset();
+    construct(std::forward<F>(f));
   }
 
   InlineFunction(const InlineFunction&) = delete;
@@ -94,7 +112,7 @@ class InlineFunction<R(Args...), Capacity> {
   /// fired handler's resources when it frees the handler's slot.
   void reset() noexcept {
     if (vt_ != nullptr) {
-      vt_->destroy(buf_);
+      if (vt_->destroy != nullptr) vt_->destroy(buf_);
       vt_ = nullptr;
     }
   }
@@ -115,10 +133,31 @@ class InlineFunction<R(Args...), Capacity> {
   struct VTable {
     R (*invoke)(unsigned char*, Args&&...);
     /// Move-constructs dst's payload from src's and destroys src's;
-    /// noexcept because stored callables have a non-throwing move.
+    /// noexcept because stored callables have a non-throwing move. Null
+    /// when the payload's bytes are copied instead.
     void (*relocate)(unsigned char* src, unsigned char* dst) noexcept;
+    /// Null when the payload needs no destruction.
     void (*destroy)(unsigned char*) noexcept;
   };
+
+  /// Pre: empty.
+  template <class F>
+  void construct(F&& f) {
+    using D = std::decay_t<F>;
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    vt_ = &kVTable<D>;
+  }
+
+  /// Moves `o`'s callable into this one and empties `o`. Pre: empty.
+  void take(InlineFunction& o) noexcept {
+    vt_ = o.vt_;
+    if (vt_ == nullptr) return;
+    if (vt_->relocate == nullptr)
+      std::memcpy(buf_, o.buf_, Capacity);
+    else
+      vt_->relocate(o.buf_, buf_);
+    o.vt_ = nullptr;
+  }
 
   template <class D>
   struct Ops {
@@ -136,10 +175,14 @@ class InlineFunction<R(Args...), Capacity> {
   };
 
   template <class D>
-  static constexpr VTable kVTable{&Ops<D>::invoke, &Ops<D>::relocate,
-                                  &Ops<D>::destroy};
+  static constexpr VTable kVTable{
+      &Ops<D>::invoke,
+      trivially_relocated<D>() ? nullptr : &Ops<D>::relocate,
+      trivially_relocated<D>() ? nullptr : &Ops<D>::destroy};
 
-  alignas(void*) unsigned char buf_[Capacity];
+  /// Zeroed on construction, so a byte-copying move never reads bytes
+  /// that were never written.
+  alignas(void*) unsigned char buf_[Capacity]{};
   const VTable* vt_ = nullptr;
 };
 

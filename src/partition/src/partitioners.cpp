@@ -14,6 +14,7 @@ namespace {
 /// Ids of components that may be offloaded.
 std::vector<app::ComponentId> free_components(const app::TaskGraph& g) {
   std::vector<app::ComponentId> out;
+  out.reserve(g.component_count());
   for (app::ComponentId id = 0; id < g.component_count(); ++id)
     if (!g.component(id).pinned_local) out.push_back(id);
   return out;
@@ -93,22 +94,28 @@ Partition AnnealingPartitioner::plan(const CostModel& model) const {
   // scale-free across workloads.
   double temperature = kInitialTemperature * std::max(current_value, 1e-9);
 
+  // Each move flips one component of `current` in place and flips it back
+  // if rejected, so an iteration copies a partition only when it improves
+  // on the best (into `best`'s existing buffer).
+  const auto flip = [&current](app::ComponentId id) {
+    current.placement[id] =
+        current.is_remote(id) ? Placement::Local : Placement::Remote;
+  };
   for (std::size_t it = 0; it < params_.iterations; ++it) {
     const auto id = free[static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(free.size()) - 1))];
-    Partition candidate = current;
-    candidate.placement[id] =
-        current.is_remote(id) ? Placement::Local : Placement::Remote;
-    const double value = model.evaluate(candidate);
+    flip(id);
+    const double value = model.evaluate(current);
     const double delta = value - current_value;
     if (delta <= 0.0 ||
         rng_.bernoulli(std::exp(-delta / std::max(temperature, 1e-12)))) {
-      current = std::move(candidate);
       current_value = value;
       if (current_value < best_value) {
         best = current;
         best_value = current_value;
       }
+    } else {
+      flip(id);
     }
     temperature *= kCooling;
   }

@@ -59,7 +59,7 @@ class DeferredScheduler {
     TierPolicy tier_policy = TierPolicy::OnDemandOnly;
   };
 
-  /// Tariff scan granularity.
+  /// Grid of candidate starts: release + k * kSearchStep.
   static constexpr Duration kSearchStep = Duration::minutes(15);
   /// Batch alignment interval for Policy::Batched.
   static constexpr Duration kBatchInterval = Duration::minutes(10);
@@ -78,7 +78,9 @@ class DeferredScheduler {
                                        Duration est_duration) const;
 
   /// Planned start time for a job released at `release`, due `slack`
-  /// later, whose execution is expected to take `est_duration`.
+  /// later, whose execution is expected to take `est_duration`. Costs at
+  /// most one tariff probe per hour of the first day, however large the
+  /// slack. Pre: release >= origin.
   [[nodiscard]] TimePoint plan_start(TimePoint release, Duration slack,
                                      Duration est_duration) const;
 
@@ -92,8 +94,8 @@ class DeferredScheduler {
 /// Aggregate report over an executed job stream.
 struct DeferredReport {
   std::uint64_t jobs = 0;  ///< jobs run to completion
-  /// Malformed jobs (negative slack) refused at submit(): never
-  /// scheduled, not counted in `jobs`.
+  /// Malformed jobs (negative slack, or a deadline past TimePoint's range)
+  /// refused at submit(): never scheduled, not counted in `jobs`.
   std::uint64_t rejected = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t spot_attempts = 0;     ///< invocations issued on spot
@@ -121,9 +123,10 @@ class DeferredExecutor {
                    serverless::FunctionId fn, DeferredScheduler scheduler);
 
   /// Plans and schedules the job; completion lands in the report. A job
-  /// with a negative slack is rejected here, under every policy: it costs
-  /// itself (DeferredReport::rejected, "sched.rejected",
-  /// "sched.job.rejected"), never the run.
+  /// with a negative slack, or one whose deadline now + slack overflows
+  /// TimePoint, is rejected here, under every policy: it costs itself
+  /// (DeferredReport::rejected, "sched.rejected", "sched.job.rejected"),
+  /// never the run.
   void submit(DeferredJob job);
 
   [[nodiscard]] const DeferredReport& report() const { return report_; }

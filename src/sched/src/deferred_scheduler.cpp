@@ -1,6 +1,7 @@
 #include "ntco/sched/deferred_scheduler.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 namespace ntco::sched {
@@ -18,13 +19,28 @@ TimePoint DeferredScheduler::plan_start(TimePoint release, Duration slack,
                                         Duration est_duration) const {
   if (cfg_.policy == Policy::Immediate) return release;
 
+  NTCO_EXPECTS(release >= TimePoint::origin());
   const TimePoint latest = latest_start(release, slack, est_duration);
 
-  // Scan the admissible interval for the cheapest tariff; among equal
-  // tariffs pick the earliest start (finish as soon as the price allows).
+  // The cheapest tariff on the kSearchStep grid from `release` up to
+  // `latest`; among equal tariffs the earliest start (finish as soon as
+  // the price allows). The tariff is constant within an hour, so only the
+  // first grid point of each hour can beat the best so far; and it repeats
+  // daily, so once a day of hours has been probed every later multiplier
+  // has been seen and cannot beat it either. The scan therefore probes one
+  // grid point per hour, for at most a day after release, and picks the
+  // same start as probing every grid point up to `latest`.
+  constexpr std::int64_t kHour = Duration::hours(1).count_micros();
+  const std::int64_t step = kSearchStep.count_micros();
+  const TimePoint day_after = release + Duration::hours(24);
   TimePoint best = release;
   double best_mult = platform_.price_multiplier(release);
-  for (TimePoint t = release; t <= latest; t = t + kSearchStep) {
+  for (TimePoint t = release;;) {
+    // On to the first grid point at or past the next hour boundary.
+    const std::int64_t us = t.since_origin().count_micros();
+    const std::int64_t to_next_hour = (us / kHour + 1) * kHour - us;
+    t = t + Duration::micros((to_next_hour + step - 1) / step * step);
+    if (t > latest || t >= day_after) break;
     const double m = platform_.price_multiplier(t);
     if (m < best_mult - 1e-12) {
       best_mult = m;
@@ -74,13 +90,16 @@ void DeferredExecutor::publish(obs::MetricsRegistry& metrics) const {
 }
 
 void DeferredExecutor::submit(DeferredJob job) {
+  const TimePoint released = sim_.now();
   // A malformed job costs itself, never the run: it is refused here
-  // instead of tripping latest_start()'s contract inside a simulator event.
-  if (job.slack.is_negative()) {
+  // instead of tripping latest_start()'s contract inside a simulator event
+  // (a negative slack) or overflowing its deadline released + slack (a
+  // slack past TimePoint's range).
+  if (job.slack.is_negative() ||
+      job.slack > Duration::max() - released.since_origin()) {
     reject(job);
     return;
   }
-  const TimePoint released = sim_.now();
   const auto& spec = platform_.spec(fn_);
   const Duration est =
       platform_.exec_time(spec.memory, job.work, spec.parallel_fraction);

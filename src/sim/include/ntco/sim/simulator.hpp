@@ -103,29 +103,47 @@ class Simulator : public obs::TraceClock {
   /// detaches. The sink must outlive the simulator or be detached first.
   void set_trace_sink(obs::TraceSink* sink) { trace_ = sink; }
 
-  /// Schedules `fn` at absolute time `t`. Pre: t >= now().
-  EventId schedule_at(TimePoint t, Handler fn) {
-    NTCO_EXPECTS(t >= now_);
-    NTCO_EXPECTS(fn != nullptr);
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = slot_ref(slot);
-    const std::uint64_t seq = next_seq_++;
-    s.seq = seq;
-    s.fn = std::move(fn);
-    meta_[slot] |= kPending;  // state was Free (0); generation unchanged
-    const std::uint64_t key = key_of(t);
-    links_[slot].time = key;
-    append(bucket_of(key), slot);
-    ++pending_;
-    if (trace_)
-      obs::emit(trace_, now_, "sim.event.scheduled", {{"seq", seq}, {"at", t}});
-    return make_id(slot, meta_[slot] >> kStateBits);
+  /// Schedules `fn` at absolute time `t`. `fn` is any callable a Handler
+  /// accepts, constructed straight into the event's arena slot, or a
+  /// Handler, which moves in and must not be empty. Pre: t >= now().
+  template <class F>
+  EventId schedule_at(TimePoint t, F&& fn) {
+    constexpr bool kHandler = std::is_same_v<F, Handler>;
+    if constexpr (!kHandler &&
+                  !(Handler::wraps<F>() &&
+                    std::is_nothrow_constructible_v<std::decay_t<F>, F>)) {
+      // Not built in the slot (an empty or lvalue Handler, nullptr, or a
+      // callable whose construction may throw): convert first, so a
+      // throw leaves the arena untouched.
+      return schedule_at(t, Handler(std::forward<F>(fn)));
+    } else {
+      NTCO_EXPECTS(t >= now_);
+      if constexpr (kHandler) NTCO_EXPECTS(fn != nullptr);
+      const std::uint32_t slot = acquire_slot();
+      Slot& s = slot_ref(slot);
+      const std::uint64_t seq = next_seq_++;
+      s.seq = seq;
+      if constexpr (kHandler)
+        s.fn = std::move(fn);
+      else
+        s.fn.emplace(std::forward<F>(fn));
+      meta_[slot] |= kPending;  // state was Free (0); generation unchanged
+      const std::uint64_t key = key_of(t);
+      links_[slot].time = key;
+      append(bucket_of(key), slot);
+      ++pending_;
+      if (trace_)
+        obs::emit(trace_, now_, "sim.event.scheduled",
+                  {{"seq", seq}, {"at", t}});
+      return make_id(slot, meta_[slot] >> kStateBits);
+    }
   }
 
   /// Schedules `fn` after a non-negative delay from now.
-  EventId schedule_after(Duration d, Handler fn) {
+  template <class F>
+  EventId schedule_after(Duration d, F&& fn) {
     NTCO_EXPECTS(!d.is_negative());
-    return schedule_at(now_ + d, std::move(fn));
+    return schedule_at(now_ + d, std::forward<F>(fn));
   }
 
   /// Cancels a pending event: it is unlinked from its bucket in O(1), its

@@ -31,10 +31,10 @@ SharedPlan plan_with(Duration tag) {
   return std::make_shared<const core::DeploymentPlan>(std::move(p));
 }
 
-DecisionContext ctx_with(std::string workload, double mbps,
+DecisionContext ctx_with(WorkloadId workload, double mbps,
                          double battery = 1.0) {
   DecisionContext ctx;
-  ctx.workload = std::move(workload);
+  ctx.workload = workload;
   ctx.uplink = DataRate::kilobits_per_second(
       static_cast<std::uint64_t>(std::llround(mbps * 1000.0)));
   ctx.rtt = Duration::millis(20);
@@ -45,7 +45,7 @@ DecisionContext ctx_with(std::string workload, double mbps,
 
 TEST(BrokerPlanCache, MissThenInsertThenHit) {
   PlanCache cache({});
-  const auto ctx = ctx_with("app", 80.0);
+  const auto ctx = ctx_with(0, 80.0);
   const TimePoint t0 = TimePoint::origin();
 
   EXPECT_EQ(cache.lookup(ctx, t0), nullptr);
@@ -63,7 +63,7 @@ TEST(BrokerPlanCache, LruEvictionOrder) {
   // Distinct workloads occupy distinct keys: fill the cache exactly.
   std::vector<DecisionContext> ctx;
   for (std::size_t i = 0; i <= kCacheCapacity; ++i)
-    ctx.push_back(ctx_with("w" + std::to_string(i), 80.0));
+    ctx.push_back(ctx_with(static_cast<WorkloadId>(i), 80.0));
   for (std::size_t i = 0; i < kCacheCapacity; ++i)
     cache.insert(ctx[i], plan_with(Duration::seconds(1)), t0);
   EXPECT_EQ(cache.stats().evictions, 0u);
@@ -83,7 +83,7 @@ TEST(BrokerPlanCache, TtlExpiresAtSimulatedTime) {
   PlanCacheConfig cfg;
   cfg.ttl = Duration::hours(1);
   PlanCache cache(cfg);
-  const auto ctx = ctx_with("app", 80.0);
+  const auto ctx = ctx_with(0, 80.0);
   const TimePoint t0 = TimePoint::origin();
 
   cache.insert(ctx, plan_with(Duration::seconds(1)), t0);
@@ -97,35 +97,35 @@ TEST(BrokerPlanCache, HysteresisReusesNeighbourWithinDrift) {
   PlanCache cache({});  // kCacheHysteresis = kBatteryHysteresis = 0.25
   const TimePoint t0 = TimePoint::origin();
   // Planned at 80 Mbps -> bucket round(log2 80) = 6.
-  cache.insert(ctx_with("app", 80.0), plan_with(Duration::seconds(1)), t0);
+  cache.insert(ctx_with(0, 80.0), plan_with(Duration::seconds(1)), t0);
 
   // 96 Mbps quantizes to neighbouring bucket 7, but the raw drift from the
   // planning context is 20% <= 25%: the plan is still good.
-  EXPECT_NE(cache.lookup(ctx_with("app", 96.0), t0), nullptr);
+  EXPECT_NE(cache.lookup(ctx_with(0, 96.0), t0), nullptr);
   EXPECT_EQ(cache.stats().hysteresis_hits, 1u);
 
   // 160 Mbps also probes bucket 6 as a neighbour, but 100% drift is a
   // genuine regime change: replan.
-  EXPECT_EQ(cache.lookup(ctx_with("app", 160.0), t0), nullptr);
+  EXPECT_EQ(cache.lookup(ctx_with(0, 160.0), t0), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
 
   // Battery drift is absolute, against kBatteryHysteresis: 0.50 -> 0.30
   // (neighbouring bucket 1) is a 40% relative drift, past
   // kCacheHysteresis, yet only 0.20 of charge, so the plan is reused; a
   // drift of exactly 0.25 still is.
-  cache.insert(ctx_with("b", 80.0, 0.50), plan_with(Duration::seconds(2)), t0);
-  EXPECT_NE(cache.lookup(ctx_with("b", 80.0, 0.30), t0), nullptr);
-  EXPECT_NE(cache.lookup(ctx_with("b", 80.0, 0.25), t0), nullptr);
+  cache.insert(ctx_with(1, 80.0, 0.50), plan_with(Duration::seconds(2)), t0);
+  EXPECT_NE(cache.lookup(ctx_with(1, 80.0, 0.30), t0), nullptr);
+  EXPECT_NE(cache.lookup(ctx_with(1, 80.0, 0.25), t0), nullptr);
   EXPECT_EQ(cache.stats().hysteresis_hits, 3u);
   // 0.74 -> 0.45 crosses into bucket 1 with 0.29 of charge: replan.
-  cache.insert(ctx_with("c", 80.0, 0.74), plan_with(Duration::seconds(3)), t0);
-  EXPECT_EQ(cache.lookup(ctx_with("c", 80.0, 0.45), t0), nullptr);
+  cache.insert(ctx_with(2, 80.0, 0.74), plan_with(Duration::seconds(3)), t0);
+  EXPECT_EQ(cache.lookup(ctx_with(2, 80.0, 0.45), t0), nullptr);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(BrokerPlanCache, QuantizeClampsAndWindows) {
   // kBatteryBuckets = 4, kHoursPerWindow = 6.
-  auto ctx = ctx_with("app", 80.0, /*battery=*/1.0);
+  auto ctx = ctx_with(0, 80.0, /*battery=*/1.0);
   ctx.hour = 23;
   const PlanKey k = quantize(ctx);
   EXPECT_EQ(k.battery_bucket, 3);  // full charge clamps into the top bucket
@@ -406,7 +406,7 @@ TEST(BrokerBatch, FlushesAtTheAlignedInstant) {
   LaneRecorder lanes(sim);
   BatchDispatcher d(sim, lanes);
   const TimePoint at = TimePoint::at(Duration::minutes(10));
-  for (JobId i = 0; i < 3; ++i) d.enqueue("g", at, i);
+  for (JobId i = 0; i < 3; ++i) d.enqueue(0, at, i);
   EXPECT_EQ(d.open_batches(), 1u);
   sim.run();
   ASSERT_EQ(lanes.runs.size(), 3u);
@@ -421,7 +421,7 @@ TEST(BrokerBatch, SealedBatchKeepsItsFlushInstant) {
   LaneRecorder lanes(sim);
   BatchDispatcher d(sim, lanes);
   const TimePoint at = TimePoint::at(Duration::minutes(10));
-  for (JobId i = 0; i <= kMaxBatch; ++i) d.enqueue("g", at, i);
+  for (JobId i = 0; i <= kMaxBatch; ++i) d.enqueue(0, at, i);
   EXPECT_EQ(d.open_batches(), 1u);  // the sealed batch left the map
   sim.run();
   // The first kMaxBatch sealed the batch, the next re-opened the key —
@@ -430,7 +430,7 @@ TEST(BrokerBatch, SealedBatchKeepsItsFlushInstant) {
   for (const auto& [job, t] : lanes.runs) EXPECT_EQ(t, Duration::minutes(10));
   EXPECT_EQ(d.stats().batches, 2u);
   EXPECT_EQ(d.stats().sealed, 1u);
-  // The sealed batch's map node moved into its release handler inline.
+  // The sealed batch kept its map node: it moved to the sealed batches.
 }
 
 TEST(BrokerBatch, LanesChainOnCompletion) {
@@ -442,7 +442,7 @@ TEST(BrokerBatch, LanesChainOnCompletion) {
   const TimePoint at = TimePoint::at(Duration::minutes(10));
   // Two full rounds over the lanes plus one job into a third.
   const JobId jobs = 2 * kBatchLanes + 1;
-  for (JobId i = 0; i < jobs; ++i) d.enqueue("g", at, i);
+  for (JobId i = 0; i < jobs; ++i) d.enqueue(0, at, i);
   sim.run();
   ASSERT_EQ(lanes.runs.size(), jobs);
   // Round-robin: job i runs in lane i % kBatchLanes, after the i /
@@ -577,6 +577,9 @@ TEST(BrokerServe, MalformedRequestsAreRejectedWithTheirField) {
   obs::MetricsRegistry metrics;
   obs::JsonlTraceWriter trace;
   fx.broker.attach_observer(&trace, &metrics);
+  // Served at 1 h, so the largest slacks overflow their deadline.
+  fx.sim.run_until(TimePoint::at(Duration::hours(1)));
+  const Duration headroom = Duration::max() - fx.sim.now().since_origin();
   const auto g = app::workloads::photo_backup();
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -597,9 +600,12 @@ TEST(BrokerServe, MalformedRequestsAreRejectedWithTheirField) {
     r.bandwidth_scale = scale;
     cases.emplace_back(r, RejectReason::BandwidthScale);
   }
-  r = ok;
-  r.slack = Duration::micros(-1);
-  cases.emplace_back(r, RejectReason::Slack);
+  for (const Duration slack : {Duration::micros(-1), Duration::max(),
+                               headroom + Duration::micros(1)}) {
+    r = ok;
+    r.slack = slack;
+    cases.emplace_back(r, RejectReason::Slack);
+  }
   // The first bad field names the rejection.
   r = ok;
   r.battery = kNaN;
@@ -639,6 +645,71 @@ TEST(BrokerServe, MalformedRequestsAreRejectedWithTheirField) {
        at = t.find("broker.request_rejected", at + 1))
     ++records;
   EXPECT_EQ(records, cases.size());
+}
+
+TEST(BrokerServe, LargestRepresentableDeadlineIsServed) {
+  // A slack whose deadline is exactly the last TimePoint is well formed,
+  // and planning its start probes at most a day of tariff hours.
+  for (const sched::Policy policy :
+       {sched::Policy::Immediate, sched::Policy::CheapestWindow}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    BrokerConfig cfg;
+    cfg.defer.policy = policy;
+    ServeFixture fx(cfg);
+    fx.sim.run_until(TimePoint::at(Duration::hours(1)));
+    const auto g = app::workloads::photo_backup();
+    ServeRequest req;
+    req.app = &g;
+    req.slack = Duration::max() - fx.sim.now().since_origin();
+    std::vector<ServeOutcome> got;
+    fx.broker.serve(req, [&](const ServeOutcome& o) { got.push_back(o); });
+    fx.sim.run();
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].status, ServeStatus::Completed);
+    EXPECT_LT(got[0].finished, TimePoint::at(Duration::hours(26)));
+  }
+}
+
+/// `g` under another name: same components and flows.
+app::TaskGraph renamed(const app::TaskGraph& g, std::string name) {
+  app::TaskGraph out(std::move(name));
+  for (const app::Component& comp : g.components()) out.add_component(comp);
+  for (const app::DataFlow& f : g.flows()) out.add_flow(f.from, f.to, f.bytes);
+  return out;
+}
+
+TEST(BrokerServe, OneNameSharesACacheRowAndABatchLane) {
+  // The name is the workload's identity, not the graph object: a copy of
+  // a graph under its name hits the row the original planned and joins
+  // its batch, while the same graph under another name does neither.
+  ServeFixture fx;
+  obs::JsonlTraceWriter trace;
+  fx.broker.attach_observer(&trace, nullptr);
+  const app::TaskGraph original = app::workloads::photo_backup();
+  const app::TaskGraph copy = original;
+  const app::TaskGraph other = renamed(original, "photo-backup-2");
+  std::vector<ServeOutcome> got;
+  for (const app::TaskGraph* g : {&original, &copy, &other}) {
+    ServeRequest req;
+    req.app = g;
+    fx.broker.serve(req, [&](const ServeOutcome& o) { got.push_back(o); });
+  }
+  fx.sim.run();
+  ASSERT_EQ(got.size(), 3u);
+  for (const ServeOutcome& o : got)
+    EXPECT_EQ(o.status, ServeStatus::Completed);
+  const PlanCacheStats& cache = fx.broker.cache().stats();
+  EXPECT_EQ(cache.misses, 2u);  // the original and the other name
+  EXPECT_EQ(cache.hits, 1u);    // the copy
+  EXPECT_EQ(fx.broker.cache().size(), 2u);
+  EXPECT_EQ(fx.broker.dispatcher().stats().batches, 2u);
+  const std::string t = trace.str();
+  EXPECT_NE(t.find(R"("group":"photo-backup","jobs":2,)"), std::string::npos);
+  EXPECT_NE(t.find(R"("group":"photo-backup-2","jobs":1,)"),
+            std::string::npos);
+  EXPECT_NE(
+      t.find(R"("ev":"broker.plan_cache_hit","workload":"photo-backup",)"),
+      std::string::npos);
 }
 
 // -------------------------------------------------------------- Two-stage

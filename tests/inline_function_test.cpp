@@ -6,6 +6,7 @@
 #include <memory>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "ntco/common/error.hpp"
 
@@ -121,6 +122,79 @@ TEST(InlineFunction, ResetDestroysCapturesImmediately) {
   f.reset();
   EXPECT_EQ(token.use_count(), 1);
   EXPECT_TRUE(f == nullptr);
+}
+
+TEST(InlineFunction, TrivialAndOwningCapturesSurviveEveryMove) {
+  // What a kernel handler captures, a pointer and an id, moves by a copy
+  // of its bytes and has nothing to destroy; a shared_ptr capture moves
+  // and dies through its own constructor and destructor.
+  struct Ids {
+    const int* base;
+    std::uint32_t id;
+    int operator()(int x) const { return *base + static_cast<int>(id) + x; }
+  };
+  static_assert(Fn::trivially_relocated<Ids>());
+  auto token = std::make_shared<int>(40);
+  const auto owning = [&token] {
+    return [token](int x) { return *token + x; };
+  };
+  static_assert(!Fn::trivially_relocated<decltype(owning())>());
+
+  // Move-construct, move-assign, in-place construction over another
+  // callable, and reset: each callable reads the same throughout.
+  const int base = 30;
+  {
+    Fn a = Ids{&base, 10};
+    Fn b = std::move(a);
+    EXPECT_TRUE(a == nullptr);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(b(2), 42);
+    Fn c;
+    c = std::move(b);
+    EXPECT_TRUE(b == nullptr);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(c(2), 42);
+    c.emplace(Ids{&base, 2});
+    EXPECT_EQ(c(10), 42);
+    Fn d = owning();
+    d.emplace(Ids{&base, 11});  // destroys the shared_ptr capture
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(d(1), 42);
+    c = std::move(d);
+    EXPECT_EQ(c(1), 42);
+    c.reset();
+    EXPECT_TRUE(c == nullptr);
+  }
+
+  // The shared_ptr's count, read after every step, returns to 1 exactly
+  // once: when its last holder lets go.
+  std::vector<long> counts;
+  const auto seen = [&] { counts.push_back(token.use_count()); };
+  {
+    Fn a = owning();
+    seen();
+    EXPECT_EQ(a(2), 42);
+    Fn b = std::move(a);
+    seen();
+    EXPECT_TRUE(a == nullptr);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(b(2), 42);
+    Fn c = Ids{&base, 0};
+    c = std::move(b);
+    seen();
+    EXPECT_TRUE(b == nullptr);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(c(2), 42);
+    Fn d = [](int x) { return -x; };
+    d.emplace(owning());
+    seen();
+    EXPECT_EQ(d(2), 42);
+    c = std::move(d);  // c's capture dies, d's moves in
+    seen();
+    EXPECT_TRUE(d == nullptr);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(c(2), 42);
+    c.reset();
+    seen();
+    EXPECT_TRUE(c == nullptr);
+  }
+  seen();
+  EXPECT_EQ(counts, (std::vector<long>{2, 2, 2, 3, 2, 1, 1}));
 }
 
 TEST(InlineFunction, NullptrAssignmentClears) {

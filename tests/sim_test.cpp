@@ -10,6 +10,7 @@
 #include <memory>
 #include <queue>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -246,6 +247,43 @@ TEST(SimulatorArena, MoveOnlyCapturesAreSchedulable) {
                      [p = std::move(payload), &got] { got = *p + 1; });
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_EQ(got, 42);
+}
+
+TEST(SimulatorArena, EveryHandlerFormSchedulesAndARefusedOneTakesNoSlot) {
+  // A callable is built in its slot; a Handler moves in; an lvalue copies.
+  Simulator sim;
+  std::vector<int> fired;
+  sim.schedule_after(Duration::micros(1), [&fired] { fired.push_back(1); });
+  sim.schedule_after(Duration::micros(2),
+                     InlineHandler([&fired] { fired.push_back(2); }));
+  const auto lvalue = [&fired] { fired.push_back(3); };
+  sim.schedule_after(Duration::micros(3), lvalue);
+  const std::function<void()> wrapped = [&fired] { fired.push_back(4); };
+  sim.schedule_after(Duration::micros(4), wrapped);
+  EXPECT_EQ(sim.run(), 4u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
+
+  // An empty handler, and a callable whose copy throws, are refused
+  // before a slot is taken: the next event reuses the slot the last one
+  // freed, under the generation that slot's release gave it.
+  struct ThrowsOnCopy {
+    ThrowsOnCopy() = default;
+    ThrowsOnCopy(const ThrowsOnCopy&) { throw std::runtime_error("copy"); }
+    ThrowsOnCopy(ThrowsOnCopy&&) noexcept = default;
+    void operator()() const {}
+  };
+  const ThrowsOnCopy throws;
+  const EventId before = sim.schedule_after(Duration::micros(1), [] {});
+  ASSERT_TRUE(sim.cancel(before));
+  EXPECT_THROW(sim.schedule_after(Duration::micros(1), InlineHandler{}),
+               ContractViolation);
+  EXPECT_THROW(sim.schedule_at(sim.now(), nullptr), ContractViolation);
+  EXPECT_THROW(sim.schedule_at(sim.now(), throws), std::runtime_error);
+  EXPECT_EQ(sim.pending(), 0u);
+  const EventId after = sim.schedule_after(Duration::micros(1), [] {});
+  EXPECT_EQ(after & 0xFFFFFFFFu, before & 0xFFFFFFFFu);  // same slot
+  EXPECT_EQ(after >> 32, (before >> 32) + 1);            // next generation
+  EXPECT_EQ(sim.run(), 1u);
 }
 
 // --- Randomized interleaving vs the pre-arena reference kernel -------------
