@@ -13,10 +13,16 @@
 /// duration and price: doubling memory halves duration (until the vCPU cap)
 /// while the GB-second price doubles — making cost roughly flat on the
 /// scaling region, dominated by the billing quantum at the small end and by
-/// wasted share beyond the cap at the large end. The optimiser evaluates
-/// every deployable configuration and returns the cost-minimal one subject
-/// to an optional duration ceiling, plus the full curve for reporting
-/// (Table T3).
+/// wasted share beyond the cap at the large end. sweep() evaluates every
+/// deployable configuration and returns the full curve for reporting
+/// (Table T3). choose() returns the cost-minimal configuration subject to
+/// an optional duration ceiling with the same answer as a pass over that
+/// curve, but prices only a few points: duration never grows with memory,
+/// so the configurations that meet the deadline are a suffix it finds by
+/// binary search; and memory / speed factor never falls (constant below
+/// one vCPU, affine above it, growing past the vCPU cap), so a lower bound
+/// on cost at one size bounds every larger size, and the scan up the
+/// suffix stops at the first size whose bound exceeds the best cost.
 
 namespace ntco::alloc {
 
@@ -54,8 +60,10 @@ class MemoryOptimizer {
   /// Cheapest configuration with duration <= `deadline` (Duration::max()
   /// for unconstrained). Ties broken toward the faster (larger-memory)
   /// configuration. If nothing meets the deadline, returns the fastest
-  /// configuration with feasible == false. One pass over the points
-  /// sweep() would return, without building the curve: no allocation.
+  /// configuration with feasible == false. Picks what a pass over sweep()'s
+  /// curve would, from a binary search for the deadline and a scan that
+  /// stops where no larger size can win (see the file comment); builds no
+  /// curve and allocates nothing.
   [[nodiscard]] MemoryChoice choose(
       Cycles work, DataSize floor, double parallel_fraction = 1.0,
       Duration deadline = Duration::max(),

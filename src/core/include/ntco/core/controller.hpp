@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -7,7 +8,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "ntco/app/task_graph.hpp"
@@ -284,21 +284,39 @@ class OffloadController {
   /// Deployed-function memo keyed by plan fingerprint (see prepare()):
   /// identical plans reuse their FunctionIds instead of redeploying.
   /// std::less<> looks a fingerprint up as a string_view; the key is
-  /// copied only on a miss.
+  /// copied only on a miss. Only ever searched, never iterated, so the
+  /// order of its byte keys reaches no output.
   std::map<std::string, std::vector<serverless::FunctionId>, std::less<>>
       deployed_;
   /// prepare()'s fingerprint, rebuilt per plan in a buffer that keeps its
-  /// capacity.
+  /// capacity: the graph name, the component count, the placement letters,
+  /// then name, memory and image of each remote component. Each number is
+  /// a fixed-width field of its bytes and each name follows its length, so
+  /// distinct plans never share a fingerprint.
   std::string fingerprint_;
-  /// Chosen memory per exact MemoryOptimizer::choose input: work in
-  /// cycles, memory floor in bytes, parallel fraction, deadline in µs. The
+
+  /// The exact MemoryOptimizer::choose inputs, all integers: work in
+  /// cycles, memory floor in bytes, the parallel fraction's bit pattern
+  /// (size_memory() refuses NaN before the lookup; -0.0 and 0.0 size
+  /// alike, so their two keys cost one miss at most), deadline in µs. The
   /// platform and the sweep step are fixed for the controller's lifetime,
   /// so these determine the answer. Keyed on inputs, never on graph or
   /// component identity: a with_work_scaled() copy keeps the names, and a
   /// caller's environment may move the deadline.
-  std::map<std::tuple<std::uint64_t, std::uint64_t, double, std::int64_t>,
-           DataSize>
-      sized_;
+  struct SizingKey {
+    std::uint64_t work;
+    std::uint64_t floor;
+    std::uint64_t fraction_bits;
+    std::int64_t deadline_us;
+    friend auto operator<=>(const SizingKey&, const SizingKey&) = default;
+  };
+  struct Sized {
+    SizingKey key;
+    DataSize memory;
+  };
+  /// Chosen memory per SizingKey, a flat table sorted by key and searched
+  /// by binary search (tens to a few hundred entries per controller).
+  std::vector<Sized> sized_;
   /// In-flight runs, one record each.
   Slab<Run> runs_;
 };

@@ -1,10 +1,11 @@
 #include "ntco/core/controller.hpp"
 
-#include <charconv>
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,11 +22,17 @@ constexpr double kExpectedWarmRate = 0.8;
 /// Per-invocation dispatch overhead excluded from cold starts.
 constexpr Duration kDispatchOverhead = Duration::millis(5);
 
-/// Appends `v` in decimal, as std::to_string would, without a temporary.
-void append_decimal(std::string& out, std::uint64_t v) {
-  char digits[20];
-  const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
-  out.append(digits, end);
+/// Appends `v` as a fixed-width field: its bytes.
+void append_field(std::string& out, std::uint64_t v) {
+  char bytes[sizeof v];
+  std::memcpy(bytes, &v, sizeof v);
+  out.append(bytes, sizeof v);
+}
+
+/// Appends `s` behind its length, so the field's end is known.
+void append_field(std::string& out, std::string_view s) {
+  append_field(out, std::uint64_t{s.size()});
+  out += s;
 }
 
 }  // namespace
@@ -128,16 +135,19 @@ DataSize OffloadController::size_memory(const app::Component& comp,
   // choose() rejects a fraction outside [0, 1]; check it before the lookup,
   // where a NaN key would match an entry with the same work and floor.
   NTCO_EXPECTS(comp.parallel_fraction >= 0.0 && comp.parallel_fraction <= 1.0);
-  const auto key =
-      std::make_tuple(comp.work.value(), comp.memory.count_bytes(),
-                      comp.parallel_fraction, deadline.count_micros());
-  if (const auto it = sized_.find(key); it != sized_.end()) return it->second;
+  const SizingKey key{comp.work.value(), comp.memory.count_bytes(),
+                      std::bit_cast<std::uint64_t>(comp.parallel_fraction),
+                      deadline.count_micros()};
+  const auto at = std::lower_bound(
+      sized_.begin(), sized_.end(), key,
+      [](const Sized& e, const SizingKey& k) { return e.key < k; });
+  if (at != sized_.end() && at->key == key) return at->memory;
   const DataSize chosen =
       alloc::MemoryOptimizer(platform_)
           .choose(comp.work, comp.memory, comp.parallel_fraction, deadline,
                   kMemoryStep)
           .chosen.memory;
-  sized_.emplace(key, chosen);
+  sized_.insert(at, Sized{key, chosen});
   return chosen;
 }
 
@@ -160,19 +170,16 @@ DeploymentPlan OffloadController::prepare(
   // the environment that produced them) are what deployment must be
   // idempotent over.
   fingerprint_.clear();
-  fingerprint_ += g.name();
-  fingerprint_ += '|';
+  append_field(fingerprint_, g.name());
+  append_field(fingerprint_, std::uint64_t{g.component_count()});
   plan.partition.append_to(fingerprint_);
   for (app::ComponentId id = 0; id < g.component_count(); ++id) {
     if (!plan.partition.is_remote(id)) continue;
     const auto& comp = g.component(id);
     plan.memory_of[id] = size_memory(comp, plan.environment.remote_speed);
-    fingerprint_ += '|';
-    fingerprint_ += comp.name;
-    fingerprint_ += '@';
-    append_decimal(fingerprint_, plan.memory_of[id].count_bytes());
-    fingerprint_ += '#';
-    append_decimal(fingerprint_, comp.image.count_bytes());
+    append_field(fingerprint_, comp.name);
+    append_field(fingerprint_, plan.memory_of[id].count_bytes());
+    append_field(fingerprint_, comp.image.count_bytes());
   }
 
   const auto memo = deployed_.find(std::string_view(fingerprint_));

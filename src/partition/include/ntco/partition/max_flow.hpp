@@ -62,12 +62,17 @@ class MaxFlow {
 
   /// Adds a directed arc with the given capacity (and a zero-capacity
   /// reverse arc for the residual graph). Infinite capacity is allowed via
-  /// std::numeric_limits<double>::infinity().
+  /// std::numeric_limits<double>::infinity(). An arc of capacity at or
+  /// below kEps is left out: it starts saturated and its reverse starts
+  /// empty, so neither can ever carry flow, and without them the searches
+  /// find the same paths in the same order and every residual and the cut
+  /// stay bit-identical.
   void add_arc(std::size_t from, std::size_t to, double capacity) {
     NTCO_EXPECTS(from < nodes_);
     NTCO_EXPECTS(to < nodes_);
     NTCO_EXPECTS(capacity >= 0.0);
     NTCO_EXPECTS(input_.size() < kNone / 2);  // both arcs get an Index
+    if (capacity <= kEps) return;
     input_.push_back(
         Input{static_cast<Index>(from), static_cast<Index>(to), capacity});
   }

@@ -130,7 +130,9 @@ class ExhaustivePartitioner final : public Partitioner {
 /// plain Dinic's finds. An infinite minimum is left in place: only an
 /// infinite objective weight gives one, and then every cost is infinite,
 /// so the plain network's first push is unbounded and ends solve() the
-/// same way.
+/// same way. The terminal arc the phase empties, and every other arc of
+/// zero capacity (a zero objective weight makes many), never enters the
+/// network: MaxFlow::add_arc() leaves out arcs that can never carry flow.
 ///
 /// The solver is scratch reused across plan() calls, so a warm plan
 /// allocates only its Partition. Like Random and Annealing, which keep a

@@ -40,13 +40,17 @@ class CarbonAwarePlanner {
  public:
   /// Scan granularity over the admissible window.
   static constexpr Duration kSearchStep = Duration::minutes(30);
-  static_assert(kSearchStep > Duration::zero());
+  static_assert(kSearchStep > Duration::zero() &&
+                kSearchStep <= Duration::hours(1));
 
   explicit CarbonAwarePlanner(CarbonProfile profile)
       : profile_(std::move(profile)) {}
 
-  /// Earliest start in [release, release + slack - est_duration] with the
-  /// minimum intensity (clamped to `release` if the slack is tight).
+  /// Earliest start on the kSearchStep grid in
+  /// [release, release + slack - est_duration] with the minimum intensity
+  /// (clamped to `release` if the slack is tight). Probes at most one
+  /// grid point per hour of the first day, however large the slack,
+  /// Duration::max() included. Pre: release >= origin, slack >= 0.
   [[nodiscard]] TimePoint plan_start(TimePoint release, Duration slack,
                                      Duration est_duration) const;
 

@@ -66,14 +66,16 @@ class DeferredScheduler {
   /// SpotWithFallback stays on spot while the time to the deadline is at
   /// least `kFallbackSafety` x the estimated duration.
   static constexpr double kFallbackSafety = 2.0;
-  static_assert(kSearchStep > Duration::zero());
+  static_assert(kSearchStep > Duration::zero() &&
+                kSearchStep <= Duration::hours(1));
   static_assert(kBatchInterval > Duration::zero());
 
   DeferredScheduler(const serverless::Platform& platform, Config cfg)
       : platform_(platform), cfg_(cfg) {}
 
   /// Latest admissible start so that `est_duration` work still meets the
-  /// deadline `release + slack`, never before `release`.
+  /// deadline `release + slack`, never before `release`, and at most the
+  /// end of TimePoint's range (latest_admissible_start()).
   [[nodiscard]] TimePoint latest_start(TimePoint release, Duration slack,
                                        Duration est_duration) const;
 

@@ -2,6 +2,7 @@
 
 #include "ntco/common/contracts.hpp"
 #include "ntco/common/error.hpp"
+#include "ntco/sched/start_scan.hpp"
 
 namespace ntco::sched {
 
@@ -30,20 +31,10 @@ CarbonProfile CarbonProfile::flat(double gco2_per_kwh) {
 
 TimePoint CarbonAwarePlanner::plan_start(TimePoint release, Duration slack,
                                          Duration est_duration) const {
-  NTCO_EXPECTS(!slack.is_negative());
-  TimePoint latest = release + slack - est_duration;
-  if (latest < release) latest = release;
-
-  TimePoint best = release;
-  double best_intensity = profile_.at(release);
-  for (TimePoint t = release; t <= latest; t = t + kSearchStep) {
-    const double intensity = profile_.at(t);
-    if (intensity < best_intensity - 1e-12) {
-      best_intensity = intensity;
-      best = t;
-    }
-  }
-  return best;
+  return cheapest_hourly_start(
+             release, latest_admissible_start(release, slack, est_duration),
+             kSearchStep, [this](TimePoint t) { return profile_.at(t); })
+      .start;
 }
 
 }  // namespace ntco::sched

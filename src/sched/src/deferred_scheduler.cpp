@@ -1,18 +1,15 @@
 #include "ntco/sched/deferred_scheduler.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
+
+#include "ntco/sched/start_scan.hpp"
 
 namespace ntco::sched {
 
 TimePoint DeferredScheduler::latest_start(TimePoint release, Duration slack,
                                           Duration est_duration) const {
-  NTCO_EXPECTS(!slack.is_negative());
-  const TimePoint deadline = release + slack;
-  TimePoint latest = deadline - est_duration;
-  if (latest < release) latest = release;  // tight job: start immediately
-  return latest;
+  return latest_admissible_start(release, slack, est_duration);
 }
 
 TimePoint DeferredScheduler::plan_start(TimePoint release, Duration slack,
@@ -24,42 +21,23 @@ TimePoint DeferredScheduler::plan_start(TimePoint release, Duration slack,
 
   // The cheapest tariff on the kSearchStep grid from `release` up to
   // `latest`; among equal tariffs the earliest start (finish as soon as
-  // the price allows). The tariff is constant within an hour, so only the
-  // first grid point of each hour can beat the best so far; and it repeats
-  // daily, so once a day of hours has been probed every later multiplier
-  // has been seen and cannot beat it either. The scan therefore probes one
-  // grid point per hour, for at most a day after release, and picks the
-  // same start as probing every grid point up to `latest`.
-  constexpr std::int64_t kHour = Duration::hours(1).count_micros();
-  const std::int64_t step = kSearchStep.count_micros();
-  const TimePoint day_after = release + Duration::hours(24);
-  TimePoint best = release;
-  double best_mult = platform_.price_multiplier(release);
-  for (TimePoint t = release;;) {
-    // On to the first grid point at or past the next hour boundary.
-    const std::int64_t us = t.since_origin().count_micros();
-    const std::int64_t to_next_hour = (us / kHour + 1) * kHour - us;
-    t = t + Duration::micros((to_next_hour + step - 1) / step * step);
-    if (t > latest || t >= day_after) break;
-    const double m = platform_.price_multiplier(t);
-    if (m < best_mult - 1e-12) {
-      best_mult = m;
-      best = t;
-    }
-  }
+  // the price allows).
+  const CheapestStart cheapest = cheapest_hourly_start(
+      release, latest, kSearchStep,
+      [this](TimePoint t) { return platform_.price_multiplier(t); });
 
-  if (cfg_.policy == Policy::Batched && best > release) {
+  if (cfg_.policy == Policy::Batched && cheapest.start > release) {
     // Defer slightly further to the next batch boundary so concurrent jobs
     // share warm instances — but never beyond the latest admissible start.
     const auto interval = kBatchInterval.count_micros();
-    const auto offset = best.since_origin().count_micros();
+    const auto offset = cheapest.start.since_origin().count_micros();
     const auto aligned = (offset + interval - 1) / interval * interval;
     const TimePoint batched = TimePoint::at(Duration::micros(aligned));
     if (batched <= latest &&
-        platform_.price_multiplier(batched) <= best_mult + 1e-12)
-      best = batched;
+        platform_.price_multiplier(batched) <= cheapest.value + 1e-12)
+      return batched;
   }
-  return best;
+  return cheapest.start;
 }
 
 DeferredExecutor::DeferredExecutor(sim::Simulator& sim,

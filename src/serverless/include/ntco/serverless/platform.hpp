@@ -232,12 +232,25 @@ class Platform {
   /// vCPU share purchased by `memory`, in (0, max_vcpus].
   [[nodiscard]] double cpu_share(DataSize memory) const;
 
+  /// Speed of `memory` relative to one full core, for a function with the
+  /// given Amdahl parallel fraction `p`. Below one vCPU the single thread
+  /// simply gets `share` of a core; above it, Amdahl's law over `share`
+  /// cores applies: speedup = 1 / ((1-p) + p/share). Never falls as memory
+  /// grows, and memory / speed_factor(memory) never falls either.
+  [[nodiscard]] double speed_factor(DataSize memory,
+                                    double parallel_fraction) const;
+
   /// Execution time of `work` at the given memory configuration for a
-  /// function with the given Amdahl parallel fraction. Below one vCPU the
-  /// single thread simply gets `share` of a core; above it, Amdahl's law
-  /// over `share` cores applies: speedup = 1 / ((1-p) + p/share).
+  /// function with the given Amdahl parallel fraction, never longer at
+  /// more memory.
   [[nodiscard]] Duration exec_time(DataSize memory, Cycles work,
                                    double parallel_fraction) const;
+
+  /// Execution time of `work` at a speed factor from speed_factor():
+  /// work / (core_speed * speed_factor).
+  [[nodiscard]] Duration exec_time_at(double speed_factor, Cycles work) const {
+    return work / (cfg_.core_speed * speed_factor);
+  }
 
   /// Fully parallel convenience overload.
   [[nodiscard]] Duration exec_time(DataSize memory, Cycles work) const {

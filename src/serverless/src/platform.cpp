@@ -12,10 +12,24 @@ Platform::Platform(sim::Simulator& sim, PlatformConfig cfg)
   if (cfg_.full_share_memory.is_zero())
     throw ConfigError("full_share_memory must be positive");
   if (cfg_.max_vcpus <= 0.0) throw ConfigError("max_vcpus must be positive");
+  if (cfg_.min_memory.is_zero())
+    throw ConfigError("min_memory must be positive");
   if (cfg_.min_memory > cfg_.max_memory)
     throw ConfigError("min_memory exceeds max_memory");
   if (cfg_.memory_quantum.is_zero())
     throw ConfigError("memory_quantum must be positive");
+  if (cfg_.price_per_gb_second < Money::zero() ||
+      cfg_.price_per_request < Money::zero() ||
+      cfg_.provisioned_price_per_gb_second < Money::zero())
+    throw ConfigError("prices must be non-negative");
+  if (cfg_.billing_quantum <= Duration::zero())
+    throw ConfigError("billing_quantum must be positive");
+  if (cfg_.cold_start_base.is_negative())
+    throw ConfigError("cold_start_base must be non-negative");
+  if (cfg_.image_install_rate.is_zero())
+    throw ConfigError("image_install_rate must be positive");
+  if (cfg_.keep_alive.is_negative())
+    throw ConfigError("keep_alive must be non-negative");
   if (cfg_.account_concurrency == 0)
     throw ConfigError("account_concurrency must be positive");
   validate_price_windows(cfg_.price_windows);
@@ -179,21 +193,20 @@ double Platform::cpu_share(DataSize memory) const {
   return std::min(share, cfg_.max_vcpus);
 }
 
-Duration Platform::exec_time(DataSize memory, Cycles work,
-                             double parallel_fraction) const {
+double Platform::speed_factor(DataSize memory,
+                              double parallel_fraction) const {
   NTCO_EXPECTS(parallel_fraction >= 0.0 && parallel_fraction <= 1.0);
   const double share = cpu_share(memory);
-  double speed_factor;
-  if (share <= 1.0) {
-    // Sub-vCPU configurations time-slice a single core: the function's
-    // parallelism cannot help.
-    speed_factor = share;
-  } else {
-    // Amdahl's law over `share` cores at full per-core speed.
-    speed_factor =
-        1.0 / ((1.0 - parallel_fraction) + parallel_fraction / share);
-  }
-  return work / (cfg_.core_speed * speed_factor);
+  // Sub-vCPU configurations time-slice a single core: the function's
+  // parallelism cannot help.
+  if (share <= 1.0) return share;
+  // Amdahl's law over `share` cores at full per-core speed.
+  return 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / share);
+}
+
+Duration Platform::exec_time(DataSize memory, Cycles work,
+                             double parallel_fraction) const {
+  return exec_time_at(speed_factor(memory, parallel_fraction), work);
 }
 
 Duration Platform::cold_start_time(DataSize image) const {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "ntco/alloc/memory_optimizer.hpp"
 #include "ntco/alloc/warm_pool.hpp"
 #include "ntco/common/error.hpp"
+#include "ntco/common/rng.hpp"
 
 namespace ntco::alloc {
 namespace {
@@ -117,6 +121,130 @@ TEST(MemoryOptimizer, InvalidStepRejected) {
       (void)opt.sweep(Cycles::giga(1), DataSize::megabytes(128), 1.0,
                       DataSize::megabytes(100)),  // not a 64 MB multiple
       ConfigError);
+  EXPECT_THROW((void)opt.choose(Cycles::giga(1), DataSize::megabytes(128), 1.0,
+                                Duration::max(), DataSize::megabytes(100)),
+               ConfigError);
+  EXPECT_THROW((void)opt.choose(Cycles::giga(1), DataSize::megabytes(128), 1.0,
+                                Duration::max(), DataSize::zero()),
+               ConfigError);
+}
+
+/// choose() as one pass over every point sweep() returns: the cheapest
+/// point within the deadline, ties to the faster one, else the fastest.
+MemoryChoice full_scan_choose(const serverless::Platform& platform,
+                              Cycles work, DataSize floor, double p,
+                              Duration deadline, DataSize step) {
+  MemoryPoint best;
+  MemoryPoint fastest;
+  bool found = false;
+  const auto curve = MemoryOptimizer(platform).sweep(work, floor, p, step);
+  for (const MemoryPoint& pt : curve) {
+    if (&pt == &curve.front() || pt.duration < fastest.duration) fastest = pt;
+    if (pt.duration > deadline) continue;
+    if (!found || pt.cost < best.cost ||
+        (pt.cost == best.cost && pt.duration < best.duration))
+      best = pt;
+    found = true;
+  }
+  return found ? MemoryChoice{best, true} : MemoryChoice{fastest, false};
+}
+
+/// A value in [lo, hi], uniform in its logarithm.
+double log_uniform(Rng& rng, double lo, double hi) {
+  return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+}
+
+TEST(MemoryOptimizer, ChooseMatchesTheFullScan) {
+  // Random providers (core speed, full-share memory, vCPU cap, quantum,
+  // memory range, prices with zeros, billing quanta of 1 µs to 200 ms,
+  // price windows), parallel fractions across [0, 1] with both ends, and
+  // deadlines from zero through the curve's own durations to
+  // Duration::max().
+  sim::Simulator s;
+  std::size_t infeasible = 0;
+  std::size_t unconstrained = 0;
+  for (std::uint64_t seed = 1; seed <= 20'000; ++seed) {
+    Rng rng(seed);
+    serverless::PlatformConfig cfg;
+    cfg.core_speed = Frequency::hertz(
+        static_cast<std::uint64_t>(log_uniform(rng, 1e6, 1e10)));
+    cfg.full_share_memory = DataSize::megabytes(
+        static_cast<std::uint64_t>(rng.uniform_int(256, 4096)));
+    cfg.max_vcpus = rng.bernoulli(0.1) ? rng.uniform(0.25, 1.0)
+                                       : rng.uniform(1.0, 8.0);
+    constexpr std::uint64_t kQuantaMb[] = {1, 16, 64, 128};
+    cfg.memory_quantum = DataSize::megabytes(
+        kQuantaMb[static_cast<std::size_t>(rng.uniform_int(0, 3))]);
+    const std::uint64_t quantum = cfg.memory_quantum.count_bytes();
+    cfg.min_memory = DataSize::bytes(
+        quantum * static_cast<std::uint64_t>(rng.uniform_int(1, 8)));
+    cfg.max_memory = cfg.min_memory + DataSize::megabytes(
+        static_cast<std::uint64_t>(rng.uniform_int(0, 10'240)));
+    const auto price = [&rng](double hi) {
+      return rng.bernoulli(0.1) ? Money::zero()
+                                : Money::nano_usd(static_cast<std::int64_t>(
+                                      log_uniform(rng, 1.0, hi)));
+    };
+    cfg.price_per_gb_second = price(1e6);
+    cfg.price_per_request = price(1e4);
+    cfg.billing_quantum = Duration::micros(
+        static_cast<std::int64_t>(log_uniform(rng, 1.0, 200'000.0)));
+    for (auto w = rng.uniform_int(0, 2); w > 0; --w)
+      cfg.price_windows.push_back(
+          {static_cast<int>(rng.uniform_int(0, 23)),
+           static_cast<int>(rng.uniform_int(0, 24)), rng.uniform(0.1, 3.0)});
+    const serverless::Platform platform(s, cfg);
+
+    const Cycles work = rng.bernoulli(0.02)
+                            ? Cycles::zero()
+                            : Cycles::count(static_cast<std::uint64_t>(
+                                  log_uniform(rng, 1e3, 1e12)));
+    const DataSize floor = DataSize::bytes(static_cast<std::uint64_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(
+                               cfg.max_memory.count_bytes()))));
+    const double r = rng.uniform(0.0, 1.0);
+    const double p = r < 0.1 ? 0.0 : r < 0.2 ? 1.0 : rng.uniform(0.0, 1.0);
+    // A step 1-4 quanta above the least that keeps the curve within ~160
+    // points.
+    const std::uint64_t span =
+        cfg.max_memory.count_bytes() - cfg.min_memory.count_bytes();
+    const DataSize step = DataSize::bytes(
+        quantum * (span / (160 * quantum) +
+                   static_cast<std::uint64_t>(rng.uniform_int(1, 4))));
+
+    // A deadline at zero, at Duration::max(), at a point's own duration,
+    // one µs either side of it, or anywhere in the curve's range.
+    const auto curve = MemoryOptimizer(platform).sweep(work, floor, p, step);
+    const Duration at = curve[static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(curve.size()) -
+                                         1))]
+                            .duration;
+    Duration deadline;
+    switch (rng.uniform_int(0, 5)) {
+      case 0: deadline = Duration::zero(); break;
+      case 1: deadline = Duration::max(); break;
+      case 2: deadline = at; break;
+      case 3: deadline = at - Duration::micros(1); break;
+      case 4: deadline = at + Duration::micros(1); break;
+      default:
+        deadline = Duration::micros(rng.uniform_int(
+            curve.back().duration.count_micros(),
+            curve.front().duration.count_micros()));
+    }
+
+    const MemoryChoice want =
+        full_scan_choose(platform, work, floor, p, deadline, step);
+    const MemoryChoice got =
+        MemoryOptimizer(platform).choose(work, floor, p, deadline, step);
+    ASSERT_EQ(got.feasible, want.feasible) << "seed " << seed;
+    ASSERT_EQ(got.chosen.memory, want.chosen.memory) << "seed " << seed;
+    ASSERT_EQ(got.chosen.duration, want.chosen.duration) << "seed " << seed;
+    ASSERT_EQ(got.chosen.cost, want.chosen.cost) << "seed " << seed;
+    if (!want.feasible) ++infeasible;
+    if (deadline == Duration::max()) ++unconstrained;
+  }
+  EXPECT_GT(infeasible, 1'000u);
+  EXPECT_GT(unconstrained, 1'000u);
 }
 
 TEST(ErlangB, KnownValues) {

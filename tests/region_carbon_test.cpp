@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <iterator>
+
 #include "ntco/alloc/region_selector.hpp"
 #include "ntco/common/error.hpp"
+#include "ntco/common/rng.hpp"
 #include "ntco/sched/carbon_planner.hpp"
 
 namespace ntco {
@@ -98,6 +103,94 @@ TEST(CarbonAwarePlanner, FlatGridNeverDefers) {
   const auto start = planner.plan_start(at_hours(2), Duration::hours(20),
                                         Duration::minutes(10));
   EXPECT_EQ(start, at_hours(2));  // nothing to gain by waiting
+}
+
+TEST(CarbonAwarePlanner, UnboundedSlackPlansTheFirstTrough) {
+  // 02:00 plus Duration::max() overflows TimePoint; the latest start
+  // saturates instead, and the first day's trough wins.
+  const sched::CarbonAwarePlanner planner(
+      sched::CarbonProfile::solar_grid());
+  EXPECT_EQ(planner.plan_start(at_hours(2), Duration::max(),
+                               Duration::minutes(10)),
+            at_hours(11));
+  EXPECT_EQ(planner.plan_start(at_hours(2), Duration::hours(24 * 3650),
+                               Duration::minutes(10)),
+            at_hours(11));
+  // Released at 03:00:54.78 an hour before the end of time: 04:00 (450)
+  // is cleaner than 03:00 (455), and its grid point is the last instant.
+  const TimePoint end = TimePoint::at(Duration::max());
+  const TimePoint late = end - Duration::hours(1);
+  ASSERT_EQ(hour_of_day(late), 3);
+  EXPECT_EQ(planner.plan_start(late, Duration::max(), Duration::zero()), end);
+}
+
+/// The scan plan_start() must reproduce: every kSearchStep grid point from
+/// release up to the latest start, the earliest of the lowest intensity.
+TimePoint grid_scan_start(const sched::CarbonProfile& profile,
+                          TimePoint release, Duration slack, Duration est) {
+  TimePoint latest = release + slack - est;
+  if (latest < release) latest = release;
+  TimePoint best = release;
+  double best_intensity = profile.at(release);
+  for (TimePoint t = release; t <= latest;
+       t = t + sched::CarbonAwarePlanner::kSearchStep) {
+    const double intensity = profile.at(t);
+    if (intensity < best_intensity - 1e-12) {
+      best_intensity = intensity;
+      best = t;
+    }
+  }
+  return best;
+}
+
+/// A random duration in [0, hours], on a coarse grid half the time so
+/// hour and grid boundaries coincide with releases and deadlines.
+Duration random_span(Rng& rng, std::int64_t hours) {
+  const std::int64_t us =
+      rng.uniform_int(0, Duration::hours(hours).count_micros());
+  constexpr std::int64_t kGrids[] = {Duration::minutes(5).count_micros(),
+                                     Duration::minutes(30).count_micros(),
+                                     Duration::hours(1).count_micros()};
+  if (rng.bernoulli(0.5)) return Duration::micros(us);
+  const std::int64_t grid = kGrids[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(std::size(kGrids)) - 1))];
+  return Duration::micros(us / grid * grid);
+}
+
+/// The solar grid, a flat grid, or a random curve: half the random ones
+/// drawn from a few levels 1e-13 apart around the scan's 1e-12 tie
+/// tolerance, so ties and near-ties recur within a day.
+sched::CarbonProfile random_profile(Rng& rng) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0: return sched::CarbonProfile::solar_grid();
+    case 1: return sched::CarbonProfile::flat(rng.uniform(0.0, 500.0));
+    default: break;
+  }
+  constexpr double kLevels[] = {150.0, 150.0 + 1e-13, 150.0 - 1e-13,
+                                150.0 - 2e-12, 300.0, 450.0};
+  const bool levels = rng.bernoulli(0.5);
+  std::array<double, 24> curve{};
+  for (double& v : curve)
+    v = levels ? kLevels[static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(std::size(kLevels)) - 1))]
+               : rng.uniform(0.0, 500.0);
+  return sched::CarbonProfile(curve);
+}
+
+TEST(CarbonAwarePlanner, HourSteppedScanMatchesTheGridScan) {
+  // Releases over 5 days, slacks up to 3 days, estimates up to the slack
+  // and an hour past it.
+  Rng rng(29);
+  for (int c = 0; c < 20'000; ++c) {
+    const sched::CarbonAwarePlanner planner(random_profile(rng));
+    const TimePoint release = TimePoint::at(random_span(rng, 5 * 24));
+    const Duration slack = random_span(rng, 3 * 24);
+    const Duration est = Duration::micros(
+        rng.uniform_int(0, (slack + Duration::hours(1)).count_micros()));
+    ASSERT_EQ(planner.plan_start(release, slack, est),
+              grid_scan_start(planner.profile(), release, slack, est))
+        << "case " << c;
+  }
 }
 
 TEST(CarbonAwarePlanner, EmissionsUseTheStartHourIntensity) {

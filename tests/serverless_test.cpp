@@ -373,6 +373,47 @@ TEST(Platform, InvalidConfigRejected) {
   cfg = fast_config();
   cfg.price_windows = {{25, 3, 1.0}};
   EXPECT_THROW(Platform(s, cfg), ConfigError);
+  // Fields the timing, billing and cold-start math divides by or adds:
+  // each is refused at construction, not by a division by zero or a
+  // contract check inside a simulator event.
+  const struct {
+    const char* field;
+    void (*set)(PlatformConfig&);
+  } bad_fields[] = {
+      {"zero min_memory",
+       [](PlatformConfig& c) { c.min_memory = DataSize::zero(); }},
+      {"zero billing_quantum",
+       [](PlatformConfig& c) { c.billing_quantum = Duration::zero(); }},
+      {"negative billing_quantum",
+       [](PlatformConfig& c) { c.billing_quantum = -Duration::millis(1); }},
+      {"negative price_per_gb_second",
+       [](PlatformConfig& c) { c.price_per_gb_second = Money::nano_usd(-1); }},
+      {"negative price_per_request",
+       [](PlatformConfig& c) { c.price_per_request = Money::nano_usd(-1); }},
+      {"negative provisioned_price_per_gb_second",
+       [](PlatformConfig& c) {
+         c.provisioned_price_per_gb_second = Money::nano_usd(-1);
+       }},
+      {"zero image_install_rate",
+       [](PlatformConfig& c) { c.image_install_rate = DataRate{}; }},
+      {"negative keep_alive",
+       [](PlatformConfig& c) { c.keep_alive = Duration::micros(-1); }},
+      {"negative cold_start_base",
+       [](PlatformConfig& c) { c.cold_start_base = Duration::micros(-1); }},
+  };
+  for (const auto& bad : bad_fields) {
+    cfg = fast_config();
+    bad.set(cfg);
+    EXPECT_THROW(Platform(s, cfg), ConfigError) << bad.field;
+  }
+  // Zero prices, keep-alive and cold-start base are valid.
+  cfg = fast_config();
+  cfg.price_per_gb_second = Money::zero();
+  cfg.price_per_request = Money::zero();
+  cfg.provisioned_price_per_gb_second = Money::zero();
+  cfg.keep_alive = Duration::zero();
+  cfg.cold_start_base = Duration::zero();
+  EXPECT_NO_THROW(Platform(s, cfg));
 }
 
 TEST(PlatformCheckpoint, ResumeCreditsPriorExecAndBillsOnlyRemainder) {
