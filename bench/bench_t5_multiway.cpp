@@ -1,9 +1,10 @@
 // T5 — Three-way placement: what a third (edge) site buys, and when.
 //
-// Per workload and objective: the best device+cloud plan, the best
-// device+edge plan, and the full 3-way optimum with the sites it uses,
-// plus alpha-expansion's gap to the exhaustive optimum; its runtime goes
-// to a separate table on stderr, out of the artifacts CI pins.
+// Per workload and objective: the best device+cloud plan and the best
+// device+edge plan (the framework's min-cut over that site alone, scored
+// by the three-site model), the full 3-way optimum with the sites it
+// uses, and alpha-expansion's gap to the exhaustive optimum; its runtime
+// goes to a separate table on stderr, out of the artifacts CI pins.
 // Expected shapes:
 //  - latency objective: the edge absorbs the compute (closest, fastest);
 //  - monetary objective: the 3-way optimum collapses onto device+cloud —
@@ -17,45 +18,33 @@
 
 #include "bench_common.hpp"
 #include "ntco/partition/multi_target.hpp"
+#include "ntco/partition/partitioners.hpp"
 
 using namespace ntco;
 
 namespace {
 
-double restricted_optimum(const partition::MultiCostModel& m,
-                          partition::Site remote) {
-  const auto& g = m.graph();
-  partition::MultiPartition best =
-      partition::MultiPartition::all_device(g.component_count());
-  double best_v = m.evaluate(best);
-  partition::MultiPartition c = best;
-  const std::uint64_t combos = 1ULL << g.component_count();
-  for (std::uint64_t mask = 1; mask < combos; ++mask) {
-    bool ok = true;
-    for (app::ComponentId id = 0; id < g.component_count(); ++id) {
-      const bool rem = (mask >> id) & 1;
-      if (rem && g.component(id).pinned_local) {
-        ok = false;
-        break;
-      }
-      c.site[id] = rem ? remote : partition::Site::Device;
-    }
-    if (!ok) continue;
-    best_v = std::min(best_v, m.evaluate(c));
-  }
-  return best_v;
-}
-
-void run_table(bench::ReportWriter& report, const char* title, double w_lat,
-               double w_energy, double w_money) {
+void run_table(bench::ReportWriter& report, const char* title,
+               partition::Objective w) {
+  const auto env = partition::default_multi_environment();
   stats::Table t({"workload", "dev+cloud", "dev+edge", "3-way", "3-way plan",
                   "alpha gap"});
   stats::Table clock({"workload", "alpha time (us)"});
   for (const auto& g : app::workloads::all()) {
-    const partition::MultiCostModel m(g, partition::default_multi_environment(),
-                                      w_lat, w_energy, w_money);
-    const double cloud2 = restricted_optimum(m, partition::Site::Cloud);
-    const double edge2 = restricted_optimum(m, partition::Site::Edge);
+    const partition::MultiCostModel m(g, env, w);
+    // The framework's min-cut over the device and one site, scored by the
+    // three-site model.
+    const auto two_site = [&](const partition::Environment& site,
+                              partition::Site remote) {
+      const auto p = partition::MinCutPartitioner().plan(
+          partition::CostModel(g, site, w));
+      auto sites = partition::MultiPartition::all_device(g.component_count());
+      for (app::ComponentId id = 0; id < g.component_count(); ++id)
+        if (p.is_remote(id)) sites.site[id] = remote;
+      return m.evaluate(sites);
+    };
+    const double cloud2 = two_site(env.cloud, partition::Site::Cloud);
+    const double edge2 = two_site(env.edge, partition::Site::Edge);
     const auto p3 = partition::MultiExhaustivePartitioner().plan(m);
     const double v3 = m.evaluate(p3);
 
@@ -87,11 +76,11 @@ int main() {
                       "edge back for data-heavy apps");
   run_table(report,
             "T5a: latency objective (plan letters: D=device E=edge C=cloud)",
-            1.0, 0.0, 0.0);
-  run_table(report, "T5b: monetary objective (tiny latency tie-break)", 0.0001,
-            0.0, 1.0);
+            partition::Objective::latency());
+  run_table(report, "T5b: monetary objective (tiny latency tie-break)",
+            {0.0001, 0.0, 1.0});
   run_table(report,
             "T5c: battery-weighted blend (latency 0.01, energy 0.1, money 1)",
-            0.01, 0.1, 1.0);
+            partition::Objective::non_time_critical());
   return 0;
 }

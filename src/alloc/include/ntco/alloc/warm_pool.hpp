@@ -11,18 +11,15 @@
 /// instances provisioned removes them for arrivals that find a provisioned
 /// instance free — at a standing GB-second price. For Poisson arrivals of
 /// rate `lambda` and service time `s`, the probability an arrival overflows
-/// an n-instance pool is the Erlang-B blocking probability B(n, lambda*s).
-/// The planner picks the smallest n with B(n, a) below a target cold rate.
+/// an n-instance pool is the Erlang-B blocking probability B(n, lambda*s)
+/// (`stats::erlang_b`). The planner picks the smallest n with B(n, a) below
+/// a target cold rate.
 ///
 /// The analytic model ignores the keep-alive reuse of on-demand instances,
 /// so it is an upper bound on the real cold rate; bench A2 quantifies the
 /// gap against simulation.
 
 namespace ntco::alloc {
-
-/// Erlang-B blocking probability for `servers` servers at `offered_load`
-/// Erlangs. Computed with the stable recurrence.
-[[nodiscard]] double erlang_b(std::size_t servers, double offered_load);
 
 /// Warm-pool sizing decision.
 struct WarmPoolPlan {

@@ -1,17 +1,8 @@
 #include "ntco/alloc/warm_pool.hpp"
 
-namespace ntco::alloc {
+#include "ntco/stats/queueing.hpp"
 
-double erlang_b(std::size_t servers, double offered_load) {
-  NTCO_EXPECTS(offered_load >= 0.0);
-  if (offered_load == 0.0) return servers == 0 ? 1.0 : 0.0;
-  double b = 1.0;  // B(0, a) = 1
-  for (std::size_t n = 1; n <= servers; ++n) {
-    const double k = static_cast<double>(n);
-    b = offered_load * b / (k + offered_load * b);
-  }
-  return b;
-}
+namespace ntco::alloc {
 
 WarmPoolPlan WarmPoolPlanner::plan(const Inputs& in) {
   NTCO_EXPECTS(in.arrivals_per_second >= 0.0);
@@ -27,10 +18,10 @@ WarmPoolPlan WarmPoolPlanner::plan(const Inputs& in) {
   }
 
   std::size_t n = 0;
-  double rate = erlang_b(0, offered);
+  double rate = stats::erlang_b(0, offered);
   while (rate > in.target_cold_rate && n < in.max_instances) {
     ++n;
-    rate = erlang_b(n, offered);
+    rate = stats::erlang_b(n, offered);
   }
 
   WarmPoolPlan plan;

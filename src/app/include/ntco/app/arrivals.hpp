@@ -83,18 +83,22 @@ struct MmppConfig {
   DiurnalProfile profile = DiurnalProfile::residential_evening();
   /// Optional two-state burst chain on top of the envelope: while the
   /// chain is in its burst state the instantaneous rate is multiplied by
-  /// `burst_multiplier`. Sojourn times are exponential with the given
-  /// means. A multiplier of 1 disables the chain (pure diurnal
-  /// non-homogeneous Poisson).
+  /// `burst_multiplier`. Sojourn times are exponential with means
+  /// kMmppMeanBurst and kMmppMeanCalm. A multiplier of 1 disables the
+  /// chain (pure diurnal non-homogeneous Poisson).
   double burst_multiplier = 1.0;
-  Duration mean_burst = Duration::minutes(5);
-  Duration mean_calm = Duration::minutes(55);
 };
+
+/// Mean sojourn in the MMPP's burst and calm states.
+inline constexpr Duration kMmppMeanBurst = Duration::minutes(5);
+inline constexpr Duration kMmppMeanCalm = Duration::minutes(55);
+static_assert(kMmppMeanBurst > Duration::zero());
+static_assert(kMmppMeanCalm > Duration::zero());
 
 /// Samples the MMPP exactly over [start, start + horizon) via thinning
 /// against the peak modulated rate. Arrivals are sorted. Pre:
-/// mean_rate_per_second > 0, burst_multiplier >= 1, positive sojourn
-/// means, a profile with positive mean weight.
+/// mean_rate_per_second > 0, burst_multiplier >= 1, a profile with
+/// positive mean weight.
 [[nodiscard]] std::vector<TimePoint> mmpp_arrivals(
     const MmppConfig& cfg, TimePoint start, Duration horizon, Rng& rng,
     const ArrivalObserver& watch = {});

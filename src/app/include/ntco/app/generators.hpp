@@ -17,12 +17,16 @@ struct GeneratorParams {
   std::size_t components = 10;
   Cycles mean_work = Cycles::mega(200);     ///< per-component demand mean
   DataSize mean_flow = DataSize::kilobytes(200);  ///< per-flow payload mean
-  double work_cv = 0.5;   ///< lognormal-ish dispersion of demand
-  double flow_cv = 0.5;   ///< dispersion of payloads
   double pin_fraction = 0.2;  ///< expected fraction of pinned components
-  DataSize memory_per_component = DataSize::megabytes(192);
-  DataSize image_per_component = DataSize::megabytes(25);
 };
+
+/// Lognormal-ish dispersion of each generated component's demand and each
+/// flow's payload around GeneratorParams' means.
+inline constexpr double kGeneratedWorkCv = 0.5;
+inline constexpr double kGeneratedFlowCv = 0.5;
+/// Memory and code image of every generated component.
+inline constexpr DataSize kGeneratedMemory = DataSize::megabytes(192);
+inline constexpr DataSize kGeneratedImage = DataSize::megabytes(25);
 
 /// A -> B -> C -> ... chain. First and last components are pinned (data
 /// acquisition and result presentation stay on the UE).

@@ -79,8 +79,6 @@ std::vector<TimePoint> mmpp_arrivals(const MmppConfig& cfg, TimePoint start,
                                      const ArrivalObserver& watch) {
   NTCO_EXPECTS(cfg.mean_rate_per_second > 0.0);
   NTCO_EXPECTS(cfg.burst_multiplier >= 1.0);
-  NTCO_EXPECTS(cfg.mean_burst > Duration::zero());
-  NTCO_EXPECTS(cfg.mean_calm > Duration::zero());
   NTCO_EXPECTS(!horizon.is_negative());
   const double mean_w = cfg.profile.mean();
   NTCO_EXPECTS(mean_w > 0.0);
@@ -103,7 +101,7 @@ std::vector<TimePoint> mmpp_arrivals(const MmppConfig& cfg, TimePoint start,
   TimePoint next_switch =
       start + (modulated
                    ? Duration::from_seconds(
-                         rng.exponential(cfg.mean_calm.to_seconds()))
+                         rng.exponential(kMmppMeanCalm.to_seconds()))
                    : horizon + Duration::hours(1));
 
   std::vector<TimePoint> out;
@@ -114,8 +112,8 @@ std::vector<TimePoint> mmpp_arrivals(const MmppConfig& cfg, TimePoint start,
     if (t >= end) break;
     while (modulated && next_switch <= t) {
       in_burst = !in_burst;
-      const double mean_sojourn = in_burst ? cfg.mean_burst.to_seconds()
-                                           : cfg.mean_calm.to_seconds();
+      const double mean_sojourn = in_burst ? kMmppMeanBurst.to_seconds()
+                                           : kMmppMeanCalm.to_seconds();
       next_switch =
           next_switch + Duration::from_seconds(rng.exponential(mean_sojourn));
     }

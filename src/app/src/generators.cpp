@@ -19,18 +19,19 @@ double dispersed(double mean, double cv, Rng& rng) {
 
 Cycles draw_work(const GeneratorParams& p, Rng& rng) {
   return Cycles::count(static_cast<std::uint64_t>(
-      dispersed(static_cast<double>(p.mean_work.value()), p.work_cv, rng)));
+      dispersed(static_cast<double>(p.mean_work.value()), kGeneratedWorkCv,
+                rng)));
 }
 
 DataSize draw_flow(const GeneratorParams& p, Rng& rng) {
   return DataSize::bytes(static_cast<std::uint64_t>(dispersed(
-      static_cast<double>(p.mean_flow.count_bytes()), p.flow_cv, rng)));
+      static_cast<double>(p.mean_flow.count_bytes()), kGeneratedFlowCv, rng)));
 }
 
 Component make_component(const std::string& name, const GeneratorParams& p,
                          bool pinned, Rng& rng) {
-  return Component{name, draw_work(p, rng), p.memory_per_component,
-                   p.image_per_component, pinned};
+  return Component{name, draw_work(p, rng), kGeneratedMemory,
+                   kGeneratedImage, pinned};
 }
 
 }  // namespace

@@ -34,21 +34,24 @@ struct StageRecord {
   std::string detail;
 };
 
+/// Wall time of the conventional stages every release runs.
+inline constexpr Duration kBuildTime = Duration::minutes(3);
+inline constexpr Duration kTestTime = Duration::minutes(5);
+inline constexpr Duration kPackageTime = Duration::minutes(1);
+/// Run-to-run demand variation the profile stage's instrumentation
+/// observes.
+inline constexpr double kProfileCv = 0.3;
+/// Wall time per instrumented run (profiling throughput).
+inline constexpr Duration kTimePerProfileRun = Duration::seconds(30);
+
 /// Pipeline knobs.
 struct PipelineConfig {
-  Duration build_time = Duration::minutes(3);
-  Duration test_time = Duration::minutes(5);
-  Duration package_time = Duration::minutes(1);
   /// Probability a release fails in the test stage (exercises the abort
   /// path; deterministic 0 by default).
   double test_failure_rate = 0.0;
 
   /// Instrumented runs collected by the profile stage.
   std::size_t profile_runs = 40;
-  /// Run-to-run demand variation the instrumentation observes.
-  double profile_cv = 0.3;
-  /// Wall time per instrumented run (profiling throughput).
-  Duration time_per_profile_run = Duration::seconds(30);
 
   /// Canary executions of candidate and incumbent each.
   std::size_t canary_runs = 10;

@@ -32,9 +32,7 @@ void ReleasePipeline::wait(Duration d) {
 
 double measured_objective(const partition::Objective& weights,
                           const core::ExecutionReport& r) {
-  return weights.latency_weight * r.makespan.to_seconds() +
-         weights.energy_weight * r.device_energy.to_joules() +
-         weights.money_weight * r.cloud_cost.to_usd();
+  return weights.scalarize(r.makespan, r.device_energy, r.cloud_cost);
 }
 
 ReleaseReport ReleasePipeline::run_release(
@@ -53,25 +51,24 @@ ReleaseReport ReleasePipeline::run_release(
 
   // Build -> Test -> Package: conventional stages the offloading steps
   // extend, modelled by their wall time (and the test stage's verdict).
-  (void)run_stage("build", cfg_.build_time, true);
+  (void)run_stage("build", kBuildTime, true);
   const bool tests_pass = !rng_.bernoulli(cfg_.test_failure_rate);
-  if (!run_stage("test", cfg_.test_time, tests_pass,
+  if (!run_stage("test", kTestTime, tests_pass,
                  tests_pass ? "" : "unit tests failed")) {
     report.aborted = true;
     report.total_duration = sim_.now() - released_at;
     return report;
   }
-  (void)run_stage("package", cfg_.package_time, true);
+  (void)run_stage("package", kPackageTime, true);
 
   // Profile: collect instrumented runs of the new build.
-  profile::TraceGenerator gen(truth, cfg_.profile_cv,
+  profile::TraceGenerator gen(truth, kProfileCv,
                               rng_.fork(rng_.next_u64()), profile_bias);
   profile::DemandProfiler profiler(truth.component_count(),
                                    truth.flow_count());
   for (std::size_t i = 0; i < cfg_.profile_runs; ++i) profiler.ingest(gen.next());
   (void)run_stage("profile",
-                  cfg_.time_per_profile_run *
-                      static_cast<double>(cfg_.profile_runs),
+                  kTimePerProfileRun * static_cast<double>(cfg_.profile_runs),
                   true,
                   std::to_string(cfg_.profile_runs) + " runs");
   const auto estimated = profiler.estimated_graph(truth);

@@ -25,6 +25,8 @@ struct DeviceSpec {
   Power idle;         ///< draw while waiting (screen-on idle)
   Power radio_tx;     ///< draw while transmitting
   Power radio_rx;     ///< draw while receiving
+
+  friend bool operator==(const DeviceSpec&, const DeviceSpec&) = default;
 };
 
 /// A UE: pure time and energy queries over its spec. Energy is priced per

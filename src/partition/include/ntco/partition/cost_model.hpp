@@ -81,6 +81,14 @@ struct Objective {
   [[nodiscard]] static Objective non_time_critical() {
     return {0.01, 0.1, 1.0};
   }
+
+  /// The one weighted sum every cost is priced by. Inline: the min-cut
+  /// prices every term of its network through it.
+  [[nodiscard]] double scalarize(Duration latency, Energy energy,
+                                 Money money) const {
+    return latency_weight * latency.to_seconds() +
+           energy_weight * energy.to_joules() + money_weight * money.to_usd();
+  }
 };
 
 /// Everything the cost model needs to price one side or the boundary.

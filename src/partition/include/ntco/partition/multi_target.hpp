@@ -6,7 +6,7 @@
 
 #include "ntco/app/task_graph.hpp"
 #include "ntco/common/units.hpp"
-#include "ntco/device/device.hpp"
+#include "ntco/partition/cost_model.hpp"
 
 /// \file multi_target.hpp
 /// Three-way placement: Device / Edge / Cloud.
@@ -55,25 +55,11 @@ struct MultiPartition {
       default;
 };
 
-/// Execution parameters of one remote site (edge or cloud).
-struct SiteParams {
-  Frequency speed = Frequency::gigahertz(2.5);
-  Duration overhead = Duration::millis(5);     ///< per-invocation
-  Money price_per_second = Money::nano_usd(29'000);
-  Money price_per_invocation = Money::nano_usd(200);
-  /// Link from/to the UE.
-  DataRate uplink = DataRate::megabits_per_second(10);
-  DataRate downlink = DataRate::megabits_per_second(30);
-  Duration uplink_latency = Duration::millis(25);
-  Duration downlink_latency = Duration::millis(25);
-  Money egress_price_per_gb = Money::from_usd(0.09);
-};
-
-/// The full three-site world the multi cost model prices against.
+/// The full three-site world the multi cost model prices against: the
+/// two-site Environment of each remote site (one UE), plus the backhaul.
 struct MultiEnvironment {
-  device::DeviceSpec device;
-  SiteParams edge;
-  SiteParams cloud;
+  Environment edge;
+  Environment cloud;
   /// Backhaul between the edge site and the cloud region (no UE energy).
   DataRate backhaul_rate = DataRate::megabits_per_second(1000);
   Duration backhaul_latency = Duration::millis(15);
@@ -83,18 +69,17 @@ struct MultiEnvironment {
 /// cloud region over the WAN.
 [[nodiscard]] MultiEnvironment default_multi_environment();
 
-/// Objective weights are shared with the binary model (cost_model.hpp).
-struct Objective;  // fwd (defined in cost_model.hpp)
-
 /// Separable 3-label cost model: per-component site costs plus per-flow
-/// site-pair transfer costs.
+/// site-pair transfer costs. A term that involves the UE is that site's
+/// CostModel term; only the edge<->cloud backhaul is priced here.
 class MultiCostModel {
  public:
-  MultiCostModel(const app::TaskGraph& graph, MultiEnvironment env,
-                 double latency_weight, double energy_weight,
-                 double money_weight);
+  /// Pre: CostModel's for each site, one UE for both, a non-zero backhaul
+  /// rate and a non-negative backhaul latency.
+  MultiCostModel(const app::TaskGraph& graph, const MultiEnvironment& env,
+                 Objective objective);
 
-  [[nodiscard]] const app::TaskGraph& graph() const { return graph_; }
+  [[nodiscard]] const app::TaskGraph& graph() const { return cloud_.graph(); }
 
   /// Objective contribution of running `id` at `s`.
   [[nodiscard]] double site_cost(app::ComponentId id, Site s) const;
@@ -108,43 +93,37 @@ class MultiCostModel {
   [[nodiscard]] double evaluate(const MultiPartition& p) const;
 
  private:
-  const app::TaskGraph& graph_;
-  MultiEnvironment env_;
-  double w_lat_;
-  double w_energy_;
-  double w_money_;
-};
+  /// The two-site model of remote site `s` (edge or cloud).
+  [[nodiscard]] const CostModel& remote(Site s) const {
+    return s == Site::Edge ? edge_ : cloud_;
+  }
 
-/// Interface of the 3-way partitioners.
-class MultiPartitioner {
- public:
-  virtual ~MultiPartitioner() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual MultiPartition plan(const MultiCostModel& m) const = 0;
+  CostModel edge_;
+  CostModel cloud_;
+  DataRate backhaul_rate_;
+  Duration backhaul_latency_;
 };
 
 /// Enumerates all 3^free assignments. Throws ConfigError beyond
 /// `kMaxFree` free components.
-class MultiExhaustivePartitioner final : public MultiPartitioner {
+class MultiExhaustivePartitioner {
  public:
   /// Largest free-component count enumerated (3^15 ≈ 14M assignments).
   static constexpr std::size_t kMaxFree = 15;
 
-  [[nodiscard]] std::string name() const override { return "exhaustive-3"; }
-  [[nodiscard]] MultiPartition plan(const MultiCostModel& m) const override;
+  [[nodiscard]] MultiPartition plan(const MultiCostModel& m) const;
 };
 
 /// Alpha-expansion over the three labels using binary min cuts. Pairwise
 /// terms that violate the triangle inequality are truncated (standard),
 /// keeping every expansion move non-worsening.
-class AlphaExpansionPartitioner final : public MultiPartitioner {
+class AlphaExpansionPartitioner {
  public:
   /// Sweeps over the three labels before giving up on convergence (a sweep
   /// that improves nothing stops earlier).
   static constexpr std::size_t kMaxSweeps = 10;
 
-  [[nodiscard]] std::string name() const override { return "alpha-expansion"; }
-  [[nodiscard]] MultiPartition plan(const MultiCostModel& m) const override;
+  [[nodiscard]] MultiPartition plan(const MultiCostModel& m) const;
 };
 
 }  // namespace ntco::partition

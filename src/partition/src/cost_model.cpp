@@ -29,9 +29,7 @@ CostModel::CostModel(const app::TaskGraph& graph, Environment env,
 }
 
 double CostModel::scalarize(const SideCosts& c) const {
-  return objective_.latency_weight * c.latency.to_seconds() +
-         objective_.energy_weight * c.energy.to_joules() +
-         objective_.money_weight * c.money.to_usd();
+  return objective_.scalarize(c.latency, c.energy, c.money);
 }
 
 CostModel::SideCosts CostModel::local_side(app::ComponentId id) const {

@@ -1,7 +1,6 @@
 #include "ntco/partition/multi_target.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "ntco/common/error.hpp"
@@ -40,103 +39,65 @@ bool MultiPartition::respects_pins(const app::TaskGraph& g) const {
 
 MultiEnvironment default_multi_environment() {
   MultiEnvironment env;
-  env.device = device::budget_phone();
+  env.cloud.device = device::budget_phone();  // Environment's cloud region
 
-  env.edge.speed = Frequency::gigahertz(3.0);
-  env.edge.overhead = Duration::millis(2);
+  env.edge = env.cloud;
+  env.edge.remote_speed = Frequency::gigahertz(3.0);
+  env.edge.remote_overhead = Duration::millis(2);
   // Amortised infra price per busy-second of a $0.12/server-hour site at
   // the ~5% utilisation a single-tenant edge box sees from sporadic
   // non-time-critical jobs (F5 measures how this collapses under load).
-  env.edge.price_per_second = Money::from_usd(0.12 / 3600.0 / 0.05);
+  env.edge.remote_price_per_second = Money::from_usd(0.12 / 3600.0 / 0.05);
   env.edge.price_per_invocation = Money::zero();
   env.edge.uplink = DataRate::megabits_per_second(100);
   env.edge.downlink = DataRate::megabits_per_second(100);
   env.edge.uplink_latency = Duration::millis(1);
   env.edge.downlink_latency = Duration::millis(1);
   env.edge.egress_price_per_gb = Money::zero();
-
-  env.cloud.speed = Frequency::gigahertz(2.5);
-  env.cloud.overhead = Duration::millis(5);
-  env.cloud.price_per_second = Money::nano_usd(29'000);
-  env.cloud.price_per_invocation = Money::nano_usd(200);
-  env.cloud.uplink = DataRate::megabits_per_second(10);
-  env.cloud.downlink = DataRate::megabits_per_second(30);
-  env.cloud.uplink_latency = Duration::millis(25);
-  env.cloud.downlink_latency = Duration::millis(25);
-  env.cloud.egress_price_per_gb = Money::from_usd(0.09);
   return env;
 }
 
 MultiCostModel::MultiCostModel(const app::TaskGraph& graph,
-                               MultiEnvironment env, double latency_weight,
-                               double energy_weight, double money_weight)
-    : graph_(graph),
-      env_(std::move(env)),
-      w_lat_(latency_weight),
-      w_energy_(energy_weight),
-      w_money_(money_weight) {
-  NTCO_EXPECTS(latency_weight >= 0.0 && std::isfinite(latency_weight));
-  NTCO_EXPECTS(energy_weight >= 0.0 && std::isfinite(energy_weight));
-  NTCO_EXPECTS(money_weight >= 0.0 && std::isfinite(money_weight));
-  NTCO_EXPECTS(!env_.device.cpu.is_zero());
-  NTCO_EXPECTS(!env_.edge.speed.is_zero());
-  NTCO_EXPECTS(!env_.cloud.speed.is_zero());
+                               const MultiEnvironment& env,
+                               Objective objective)
+    : edge_(graph, env.edge, objective),
+      cloud_(graph, env.cloud, objective),
+      backhaul_rate_(env.backhaul_rate),
+      backhaul_latency_(env.backhaul_latency) {
+  NTCO_EXPECTS(env.edge.device == env.cloud.device);
+  NTCO_EXPECTS(!backhaul_rate_.is_zero());
+  NTCO_EXPECTS(!backhaul_latency_.is_negative());
 }
 
 double MultiCostModel::site_cost(app::ComponentId id, Site s) const {
-  const auto& comp = graph_.component(id);
-  if (s == Site::Device) {
-    const Duration t = comp.work / env_.device.cpu;
-    return w_lat_ * t.to_seconds() +
-           w_energy_ * (env_.device.cpu_active * t).to_joules();
-  }
-  const SiteParams& p = s == Site::Edge ? env_.edge : env_.cloud;
-  const Duration exec = comp.work / p.speed;
-  const Duration t = exec + p.overhead;
-  const Money m = p.price_per_second * exec.to_seconds() +
-                  p.price_per_invocation;
-  return w_lat_ * t.to_seconds() +
-         w_energy_ * (env_.device.idle * t).to_joules() +
-         w_money_ * m.to_usd();
+  return s == Site::Device ? cloud_.local_cost(id) : remote(s).remote_cost(id);
 }
 
 double MultiCostModel::transfer_cost(std::size_t idx, Site from,
                                      Site to) const {
   if (from == to) return 0.0;
-  const auto& f = graph_.flow(idx);
-  const double gb = static_cast<double>(f.bytes.count_bytes()) / 1e9;
-
   // Device <-> remote site: the UE radio pays time and energy.
-  if (from == Site::Device) {
-    const SiteParams& p = to == Site::Edge ? env_.edge : env_.cloud;
-    const Duration t = p.uplink_latency + f.bytes / p.uplink;
-    return w_lat_ * t.to_seconds() +
-           w_energy_ * (env_.device.radio_tx * t).to_joules();
-  }
-  if (to == Site::Device) {
-    const SiteParams& p = from == Site::Edge ? env_.edge : env_.cloud;
-    const Duration t = p.downlink_latency + f.bytes / p.downlink;
-    return w_lat_ * t.to_seconds() +
-           w_energy_ * (env_.device.radio_rx * t).to_joules() +
-           w_money_ * (p.egress_price_per_gb * gb).to_usd();
-  }
+  if (from == Site::Device) return remote(to).upload_cost(idx);
+  if (to == Site::Device) return remote(from).download_cost(idx);
   // Edge <-> cloud backhaul: latency only for the UE's clock; cloud egress
   // applies when data leaves the cloud toward the edge.
-  const Duration t = env_.backhaul_latency + f.bytes / env_.backhaul_rate;
+  const auto& f = graph().flow(idx);
+  const double gb = static_cast<double>(f.bytes.count_bytes()) / 1e9;
+  const Duration t = backhaul_latency_ + f.bytes / backhaul_rate_;
   const Money egress = from == Site::Cloud
-                           ? env_.cloud.egress_price_per_gb * gb
+                           ? cloud_.environment().egress_price_per_gb * gb
                            : Money::zero();
-  return w_lat_ * t.to_seconds() + w_money_ * egress.to_usd();
+  return cloud_.objective().scalarize(t, Energy::zero(), egress);
 }
 
 double MultiCostModel::evaluate(const MultiPartition& p) const {
-  NTCO_EXPECTS(p.site.size() == graph_.component_count());
-  NTCO_EXPECTS(p.respects_pins(graph_));
+  NTCO_EXPECTS(p.site.size() == graph().component_count());
+  NTCO_EXPECTS(p.respects_pins(graph()));
   double total = 0.0;
-  for (app::ComponentId id = 0; id < graph_.component_count(); ++id)
+  for (app::ComponentId id = 0; id < graph().component_count(); ++id)
     total += site_cost(id, p.site[id]);
-  for (std::size_t fi = 0; fi < graph_.flow_count(); ++fi) {
-    const auto& f = graph_.flow(fi);
+  for (std::size_t fi = 0; fi < graph().flow_count(); ++fi) {
+    const auto& f = graph().flow(fi);
     total += transfer_cost(fi, p.site[f.from], p.site[f.to]);
   }
   return total;

@@ -7,6 +7,7 @@
 #include "ntco/alloc/warm_pool.hpp"
 #include "ntco/common/error.hpp"
 #include "ntco/common/rng.hpp"
+#include "ntco/stats/queueing.hpp"
 
 namespace ntco::alloc {
 namespace {
@@ -249,19 +250,19 @@ TEST(MemoryOptimizer, ChooseMatchesTheFullScan) {
 
 TEST(ErlangB, KnownValues) {
   // B(0, a) = 1 for any load.
-  EXPECT_DOUBLE_EQ(erlang_b(0, 3.0), 1.0);
+  EXPECT_DOUBLE_EQ(stats::erlang_b(0, 3.0), 1.0);
   // B(1, 1) = 1/2, B(2, 1) = 1/5 (textbook values).
-  EXPECT_NEAR(erlang_b(1, 1.0), 0.5, 1e-12);
-  EXPECT_NEAR(erlang_b(2, 1.0), 0.2, 1e-12);
+  EXPECT_NEAR(stats::erlang_b(1, 1.0), 0.5, 1e-12);
+  EXPECT_NEAR(stats::erlang_b(2, 1.0), 0.2, 1e-12);
   // Zero load never blocks (with at least one server).
-  EXPECT_DOUBLE_EQ(erlang_b(4, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(stats::erlang_b(4, 0.0), 0.0);
 }
 
 TEST(ErlangB, MonotoneInServersAndLoad) {
   for (std::size_t n = 1; n < 20; ++n)
-    EXPECT_LT(erlang_b(n + 1, 5.0), erlang_b(n, 5.0));
+    EXPECT_LT(stats::erlang_b(n + 1, 5.0), stats::erlang_b(n, 5.0));
   for (double a = 1.0; a < 10.0; a += 1.0)
-    EXPECT_LT(erlang_b(8, a), erlang_b(8, a + 1.0));
+    EXPECT_LT(stats::erlang_b(8, a), stats::erlang_b(8, a + 1.0));
 }
 
 TEST(WarmPoolPlanner, MeetsTargetWithSmallestPool) {
@@ -273,7 +274,7 @@ TEST(WarmPoolPlanner, MeetsTargetWithSmallestPool) {
   EXPECT_GT(plan.instances, 5u);  // must exceed the offered load
   EXPECT_LE(plan.predicted_cold_rate, 0.01);
   // One fewer instance would miss the target (minimality).
-  EXPECT_GT(erlang_b(plan.instances - 1, 5.0), 0.01);
+  EXPECT_GT(stats::erlang_b(plan.instances - 1, 5.0), 0.01);
 }
 
 TEST(WarmPoolPlanner, ZeroLoadNeedsNoPool) {

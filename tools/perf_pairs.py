@@ -14,9 +14,19 @@ simulated digest must equal the first run's: the two checkouts must
 simulate the same outputs. For each metric it prints each side's median
 and quartiles, the change's median against the parent's, whether that gap
 exceeds the parent's quartile range, and in how many pairs the change won,
-by the metric's "better" direction in the change's BENCHMARK.json. Exits 1
-on a failed run, an incorrect result or a digest mismatch. The first run
-in a checkout also builds its .bench_build/. Standard library only.
+by the metric's "better" direction in the change's BENCHMARK.json. A metric
+with a "bound" there also gets a verdict, the no-regression rule:
+
+    worse         the change's median is worse than the parent's by more
+                  than bound x the parent's median;
+    unresolved    otherwise, if the parent's quartile range exceeds
+                  bound x its median and not every change run beats every
+                  parent run: the runs spread too widely to tell;
+    within bound  otherwise.
+
+Exits 1 on a failed run, an incorrect result or a digest mismatch; a
+verdict never changes the exit code. The first run in a checkout also
+builds its .bench_build/. Standard library only.
 """
 
 import argparse
@@ -55,13 +65,13 @@ def run_once(checkout, workload, seed, seconds):
                              for name, m in result["metrics"].items()}
 
 
-def directions(checkout):
-    """{metric: "higher" | "lower"} from BENCHMARK.json, in its order."""
+def end_to_end(checkout):
+    """{metric: its BENCHMARK.json entry}, in the file's order."""
     path = os.path.join(checkout, "BENCHMARK.json")
     if not os.path.isfile(path):
         return {}
     with open(path) as f:
-        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        return {m["name"]: m for m in json.load(f)["end_to_end"]}
 
 
 def quartiles(values):
@@ -70,6 +80,20 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, med, q3
+
+
+def verdict(base, new, way, bound):
+    """The no-regression verdict of one metric (see the module doc)."""
+    bq1, bmed, bq3 = quartiles(base)
+    cmed = quartiles(new)[1]
+    allowed = bound * abs(bmed)
+    if (cmed - bmed if way == "lower" else bmed - cmed) > allowed:
+        return "worse"
+    beats_all = all((c > b if way == "higher" else c < b)
+                    for c in new for b in base)
+    if bq3 - bq1 > allowed and not beats_all:
+        return "unresolved"
+    return "within bound"
 
 
 def main():
@@ -107,14 +131,15 @@ def main():
         print(f"perf_pairs: {e}", file=sys.stderr)
         return 1
 
-    better = directions(a.change)
-    names = list(better) + [n for n in runs["parent"][0] if n not in better]
+    declared = end_to_end(a.change)
+    names = list(declared) + [n for n in runs["parent"][0]
+                              if n not in declared]
     print(f"{a.workload} seed {a.seed}: {a.pairs} alternating pairs of "
           f"{a.seconds:g} s; simulated digest {first_digest} on every run")
     print("| metric | better | parent median [q1, q3] | "
           "change median [q1, q3] | change vs parent | gap > parent IQR | "
-          "change wins |")
-    print("|---|---|---|---|---|---|---|")
+          "change wins | verdict |")
+    print("|---|---|---|---|---|---|---|---|")
     for name in names:
         base = [r[name] for r in runs["parent"]]
         new = [r[name] for r in runs["change"]]
@@ -122,15 +147,20 @@ def main():
         cq1, cmed, cq3 = quartiles(new)
         rel = f"{(cmed - bmed) / bmed:+.1%}" if bmed else "n/a"
         gap = "yes" if abs(cmed - bmed) > bq3 - bq1 else "no"
-        way = better.get(name)
+        entry = declared.get(name, {})
+        way = entry.get("better")
+        judged = "n/a"
         if way in ("higher", "lower"):
             wins = sum(1 for b, c in zip(base, new)
                        if (c > b if way == "higher" else c < b))
             won = f"{wins}/{a.pairs}"
+            if "bound" in entry:
+                judged = verdict(base, new, way, entry["bound"])
         else:
             way, won = "?", "n/a"
         print(f"| {name} | {way} | {bmed:.6g} [{bq1:.6g}, {bq3:.6g}] | "
-              f"{cmed:.6g} [{cq1:.6g}, {cq3:.6g}] | {rel} | {gap} | {won} |")
+              f"{cmed:.6g} [{cq1:.6g}, {cq3:.6g}] | {rel} | {gap} | {won} | "
+              f"{judged} |")
     return 0
 
 
